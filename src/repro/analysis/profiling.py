@@ -65,7 +65,7 @@ def hot_path_targets() -> Tuple[Tuple[str, str], ...]:
                           "record_load", "insert", "remove")),
         (ReservationStations, ("select", "wakeup", "insert")),
         (RenameIntegrate, ("tick", "_rename_one")),
-        (CommitDiva, ("tick", "_retire_commit")),
+        (CommitDiva, ("tick",)),
         (FrontEnd, ("tick",)),
     )
     targets: List[Tuple[str, str]] = []

@@ -12,12 +12,11 @@ architectural state is the reference state of the simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
-from repro.functional.executor import StepResult, execute_step
+from repro.functional.executor import StepResult
 from repro.functional.state import ArchState
 from repro.isa.instruction import DynInst
-from repro.isa.opcodes import OpClass
 
 
 class SimulationError(RuntimeError):
@@ -46,55 +45,42 @@ class DivaChecker:
     def check_and_commit(self, dyn: DynInst, observed_value,
                          observed_taken: Optional[bool],
                          observed_next_pc: Optional[int]
-                         ) -> tuple:
+                         ) -> Tuple[StepResult, Optional[DivaFault]]:
         """Re-execute ``dyn`` on architectural state and compare.
 
         Returns ``(step_result, fault_or_None)``.  The architectural state is
         always advanced with the *correct* values, so recovery after a fault
-        simply re-fetches from ``arch.pc``.
+        simply re-fetches from ``arch.pc``.  Compared: a store's value, a
+        branch's direction, an indirect target, else the destination value
+        (syscalls, nops and direct jumps have none).
         """
         inst = dyn.inst
-        if self.arch.pc != inst.pc:
+        arch = self.arch
+        if arch.pc != inst.pc:
             raise SimulationError(
                 f"retirement stream diverged: architectural PC "
-                f"{self.arch.pc:#x} but retiring {inst.pc:#x} (seq {dyn.seq})")
+                f"{arch.pc:#x} but retiring {inst.pc:#x} (seq {dyn.seq})")
         self.checked += 1
-        step = execute_step(self.arch, inst)
-        fault = self._compare(dyn, step, observed_value, observed_taken,
-                              observed_next_pc)
+        info = inst.info
+        step = info.step(arch, inst)
+        fault = None
+        if info.is_store:
+            if (observed_value is not None
+                    and step.store_value != observed_value):
+                fault = DivaFault(dyn, "store", step.store_value,
+                                  observed_value, step.next_pc)
+        elif info.is_cond_branch:
+            if observed_taken is not None and observed_taken != step.taken:
+                fault = DivaFault(dyn, "branch", step.taken, observed_taken,
+                                  step.next_pc)
+        elif info.is_indirect_ctl:
+            if (observed_next_pc is not None
+                    and observed_next_pc != step.next_pc):
+                fault = DivaFault(dyn, "branch", None, None, step.next_pc)
+        elif inst.dest is not None and (observed_value is None
+                                        or step.dest_value != observed_value):
+            fault = DivaFault(dyn, "value", step.dest_value, observed_value,
+                              step.next_pc)
         if fault is not None:
             self.faults += 1
         return step, fault
-
-    # ------------------------------------------------------------------
-    def _compare(self, dyn: DynInst, step: StepResult, observed_value,
-                 observed_taken: Optional[bool],
-                 observed_next_pc: Optional[int]) -> Optional[DivaFault]:
-        inst = dyn.inst
-        info = inst.info
-        cls = info.cls
-        if cls is OpClass.SYSCALL or cls is OpClass.NOP:
-            return None
-        if info.is_store:
-            if observed_value is not None and step.store_value != observed_value:
-                return DivaFault(dyn, "store", step.store_value,
-                                 observed_value, step.next_pc)
-            return None
-        if info.is_cond_branch:
-            if observed_taken is not None and observed_taken != step.taken:
-                return DivaFault(dyn, "branch", step.taken, observed_taken,
-                                 step.next_pc)
-            return None
-        if cls is OpClass.DIRECT_JUMP:
-            return None
-        if info.is_indirect_ctl:
-            if observed_next_pc is not None and observed_next_pc != step.next_pc:
-                return DivaFault(dyn, "branch", None, None, step.next_pc)
-            return None
-        # Register-producing instruction (ALU, FP, load, direct call link).
-        if inst.dest is None:
-            return None
-        if observed_value is None or step.dest_value != observed_value:
-            return DivaFault(dyn, "value", step.dest_value, observed_value,
-                             step.next_pc)
-        return None

@@ -38,7 +38,6 @@ class ReorderBuffer:
     def push(self, dyn: DynInst) -> None:
         if self.full:
             raise RuntimeError("ROB overflow")
-        dyn.rob_index = len(self._entries)
         self._entries.append(dyn)
 
     def head(self) -> Optional[DynInst]:
@@ -60,7 +59,3 @@ class ReorderBuffer:
         squashed = list(reversed(self._entries))
         self._entries.clear()
         return squashed
-
-    def younger_than(self, seq: int) -> List[DynInst]:
-        """Peek at the instructions younger than ``seq`` without removal."""
-        return [dyn for dyn in self._entries if dyn.seq > seq]

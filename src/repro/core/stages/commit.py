@@ -15,13 +15,14 @@ from repro.core.diva import DivaFault, SimulationError
 from repro.core.stages.base import PipelineState, RecoveryController
 from repro.core.stats import IntegrationType, ResultStatus, distance_bucket
 from repro.isa.instruction import DynInst, StaticInst
-from repro.isa.opcodes import OpClass, is_load
+from repro.isa.opcodes import OpClass
 from repro.isa.registers import REG_SP
 from repro.obs.cpi import CPI_INTEGRATION_REPLAY
 
 
 def integration_type(inst: StaticInst) -> Optional[IntegrationType]:
-    """Categorise an instruction for the Figure 5 "Type" breakdown."""
+    """Categorise an instruction for the Figure 5 "Type" breakdown (the
+    definition; retirement reads the copy precomputed as ``inst.itype``)."""
     info = inst.info
     if info.is_load:
         if inst.ra == REG_SP:
@@ -44,21 +45,12 @@ class CommitDiva:
     def __init__(self, state: PipelineState, recovery: RecoveryController):
         self.state = state
         self.recovery = recovery
-        # integration_type is pure per static instruction; memoise by PC so
-        # retirement does not re-derive it for every dynamic instance.
-        self._itype_by_pc: dict = {}
-
-    def _integration_type(self, dyn: DynInst) -> Optional[IntegrationType]:
-        cache = self._itype_by_pc
-        itype = cache.get(dyn.pc, False)
-        if itype is False:
-            itype = cache[dyn.pc] = integration_type(dyn.inst)
-        return itype
 
     # ------------------------------------------------------------------
     def tick(self) -> None:
         state = self.state
-        rob_entries = state.rob._entries
+        rob = state.rob
+        rob_entries = rob._entries
         if not rob_entries:
             return
         budget = state.retire_budget
@@ -66,7 +58,9 @@ class CommitDiva:
         cycle = state.cycle
         prf_ready = state.prf.ready
         prf_values = state.prf.values
+        renamer = state.renamer
         diva = state.diva
+        tracer = state.tracer
         retired = 0
         width = state.config.retire_width
         while retired < width:
@@ -77,7 +71,8 @@ class CommitDiva:
             if not rob_entries:
                 break
             dyn = rob_entries[0]
-            # _can_retire, inlined.
+            # Ready: past the rename-to-retire age, result produced (an
+            # integrated instruction waits for the register it shares).
             if cycle <= dyn.rename_cycle + 1:
                 break
             info = dyn.info
@@ -87,15 +82,14 @@ class CommitDiva:
                     break
             elif not dyn.completed:
                 break
-            if info.is_store:
-                stall, accepted = state.mem.store(dyn.eff_addr or 0, cycle)
-                if not accepted:
-                    break
-            # _observed_results, inlined.
+            # What the timing core believes the instruction produced.
             observed_value = None
             observed_taken = None
             observed_next_pc = None
             if info.is_store:
+                stall, accepted = state.mem.store(dyn.eff_addr or 0, cycle)
+                if not accepted:
+                    break
                 observed_value = dyn.store_value
             elif info.is_cond_branch:
                 observed_taken = dyn.branch_taken
@@ -107,12 +101,54 @@ class CommitDiva:
                 dyn, observed_value, observed_taken, observed_next_pc)
             if fault is not None:
                 self._handle_diva_fault(dyn, step, fault)
-                self._retire_commit(dyn)
-                retired += 1
-                break
-            self._retire_commit(dyn)
+
+            # Retirement bookkeeping.
+            rob.pop_head()
+            renamer.commit(dyn)
+            if dyn.in_lsq:
+                state.lsq.remove(dyn)
+            dyn.retire_cycle = cycle
+            state.last_retire_cycle = cycle
+            if info.is_branch:
+                # Only branches register predictions (see FrontEnd.tick).
+                state.predictions.pop(dyn.seq, None)
+            stats.retired += 1
             retired += 1
-            if state.arch.halted:
+            if dyn.mis_integrated:
+                # The refill after the mis-integration flush is replay work;
+                # do_squash already blamed it on squash_recovery, override.
+                state.stall_cause = CPI_INTEGRATION_REPLAY
+            elif not (dyn.branch_mispredicted or dyn.mem_mispeculated):
+                # An innocent retirement ends the recovery window: later
+                # empty-ROB cycles are ordinary front-end supply again.
+                state.stall_cause = None
+            if tracer is not None:
+                tracer.on_retire(dyn, cycle)
+            itype = dyn.inst.itype
+            if itype is not None:
+                stats.retired_by_type[itype] += 1
+            if info.is_cond_branch:
+                stats.retired_branches += 1
+                if dyn.branch_mispredicted or dyn.mis_integrated:
+                    stats.retired_mispredicted_branches += 1
+                    stats.branch_resolution_latency_sum += max(
+                        0, dyn.complete_cycle - dyn.fetch_cycle)
+            if dyn.integrated and not dyn.mis_integrated:
+                if dyn.reverse_integrated:
+                    stats.integrated_reverse += 1
+                    if itype is not None:
+                        stats.reverse_by_type[itype] += 1
+                else:
+                    stats.integrated_direct += 1
+                if itype is not None:
+                    stats.integration_by_type[itype] += 1
+                stats.integration_distance[
+                    distance_bucket(dyn.integration_distance)] += 1
+                if dyn.integration_status is not None:
+                    stats.integration_status[dyn.integration_status] += 1
+                if dyn.integration_refcount:
+                    stats.integration_refcount[dyn.integration_refcount] += 1
+            if fault is not None or state.arch.halted:
                 break
 
     def flush(self, redirect_pc: int) -> None:
@@ -120,90 +156,6 @@ class CommitDiva:
         discard."""
 
     # ------------------------------------------------------------------
-    def _can_retire(self, dyn: DynInst) -> bool:
-        state = self.state
-        if state.cycle <= dyn.rename_cycle + 1:
-            return False
-        if dyn.integrated:
-            if (dyn.dest_preg is not None
-                    and not state.prf.ready[dyn.dest_preg]):
-                return False
-            return True
-        return dyn.completed
-
-    def _observed_results(self, dyn: DynInst):
-        """Collect what the timing core believes this instruction produced."""
-        state = self.state
-        observed_value = None
-        observed_taken = None
-        observed_next_pc = None
-        inst = dyn.inst
-        info = dyn.info
-        if info.is_store:
-            observed_value = dyn.store_value
-        elif info.is_cond_branch:
-            observed_taken = dyn.branch_taken
-        elif info.is_indirect_ctl:
-            observed_next_pc = dyn.next_pc
-        elif inst.dest is not None and dyn.dest_preg is not None:
-            observed_value = state.prf.value(dyn.dest_preg)
-        return observed_value, observed_taken, observed_next_pc
-
-    def _retire_commit(self, dyn: DynInst) -> None:
-        """Post-DIVA retirement bookkeeping and statistics."""
-        state = self.state
-        state.rob.pop_head()
-        state.renamer.commit(dyn)
-        if dyn.in_lsq:
-            state.lsq.remove(dyn)
-        cycle = state.cycle
-        dyn.retire_cycle = cycle
-        state.last_retire_cycle = cycle
-        if dyn.info.is_branch:
-            # Only branches register predictions (see FrontEnd.tick).
-            state.predictions.pop(dyn.seq, None)
-        stats = state.stats
-        stats.retired += 1
-        if dyn.mis_integrated:
-            # The refill after the mis-integration flush is replay work;
-            # do_squash already blamed it on squash_recovery, override.
-            state.stall_cause = CPI_INTEGRATION_REPLAY
-        elif not (dyn.branch_mispredicted or dyn.mem_mispeculated):
-            # An innocent retirement ends the recovery window: later
-            # empty-ROB cycles are ordinary front-end supply again.
-            state.stall_cause = None
-        tracer = state.tracer
-        if tracer is not None:
-            tracer.on_retire(dyn, cycle)
-
-        cache = self._itype_by_pc
-        itype = cache.get(dyn.pc, False)
-        if itype is False:
-            itype = cache[dyn.pc] = integration_type(dyn.inst)
-        if itype is not None:
-            stats.retired_by_type[itype] += 1
-        if dyn.info.is_cond_branch:
-            stats.retired_branches += 1
-            if dyn.branch_mispredicted or dyn.mis_integrated:
-                stats.retired_mispredicted_branches += 1
-                stats.branch_resolution_latency_sum += max(
-                    0, dyn.complete_cycle - dyn.fetch_cycle)
-        if dyn.integrated and not dyn.mis_integrated:
-            if dyn.reverse_integrated:
-                stats.integrated_reverse += 1
-                if itype is not None:
-                    stats.reverse_by_type[itype] += 1
-            else:
-                stats.integrated_direct += 1
-            if itype is not None:
-                stats.integration_by_type[itype] += 1
-            stats.integration_distance[
-                distance_bucket(dyn.integration_distance)] += 1
-            if dyn.integration_status is not None:
-                stats.integration_status[dyn.integration_status] += 1
-            if dyn.integration_refcount:
-                stats.integration_refcount[dyn.integration_refcount] += 1
-
     def _handle_diva_fault(self, dyn: DynInst, step,
                            fault: DivaFault) -> None:
         """Recover from a mis-integration (or other value fault).
@@ -222,7 +174,7 @@ class CommitDiva:
                 f"{fault.observed_value!r}, expected {fault.correct_value!r}")
         dyn.mis_integrated = True
         state.stats.mis_integrations += 1
-        if is_load(dyn.op):
+        if dyn.info.is_load:
             state.stats.load_mis_integrations += 1
             state.integration.train_lisp(dyn.inst.pc)
         else:

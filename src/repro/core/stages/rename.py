@@ -121,7 +121,7 @@ class RenameIntegrate:
             oracle = (self._oracle_allow
                       if self._oracle_loads and info.is_load else None)
             decision = state.integration.consider(dyn, dyn.call_depth,
-                                                  oracle_allow=oracle)
+                                                  oracle)
             if decision.suppressed_by_lisp or decision.suppressed_by_oracle:
                 state.stats.lisp_suppressed += 1
             if decision.integrate:
@@ -134,7 +134,7 @@ class RenameIntegrate:
             return False
         if code > 0:
             state.preg_producer[dyn.dest_preg] = dyn
-        if self._int_enabled:
+        if self._int_enabled and inst.it_creates:
             state.integration.create_entries(dyn, dyn.call_depth)
 
         cycle = state.cycle

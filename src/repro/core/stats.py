@@ -16,15 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional
 
-
-class IntegrationType(enum.Enum):
-    """Instruction-type categories of the Figure 5 "Type" breakdown."""
-
-    LOAD_SP = "load_sp"
-    LOAD_OTHER = "load"
-    ALU = "alu"
-    BRANCH = "branch"
-    FP = "fp"
+from repro.isa.opcodes import IntegrationType
 
 
 class ResultStatus(enum.Enum):
@@ -35,6 +27,8 @@ class ResultStatus(enum.Enum):
     ISSUE = "issue"            # producer issued but not yet retired
     RETIRE = "retire"          # producer retired, mapping still live
     SHADOW_SQUASH = "shadow"   # zero references: shadowed or squashed
+
+    __hash__ = object.__hash__   # see IntegrationType
 
 
 # Buckets used by the Figure 5 "Distance" breakdown (renamed instructions

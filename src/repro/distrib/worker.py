@@ -86,11 +86,12 @@ def execute_payload(payload: Dict[str, Any]) -> SimStats:
     runner.telemetry.simulations += 1
     sliced = payload.get("slice")
     if not sliced:
-        return simulate(program, config, name=benchmark)
+        return runner._record_cycles(simulate(program, config, name=benchmark))
     spec = SliceSpec.from_dict(sliced)
     checkpoint = (Checkpoint.from_dict(sliced["checkpoint"])
                   if sliced.get("checkpoint") else None)
-    return simulate_slice(program, config, spec, checkpoint, name=benchmark)
+    return runner._record_cycles(
+        simulate_slice(program, config, spec, checkpoint, name=benchmark))
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.functional.executor import StepResult, execute_step
+from repro.functional.executor import StepResult
 from repro.functional.memory import SparseMemory
 from repro.functional.state import ArchState
 from repro.isa.opcodes import OpClass, is_load, is_store
@@ -62,7 +62,7 @@ class Emulator:
         if inst is None:
             self.state.halted = True
             return None
-        return execute_step(self.state, inst)
+        return inst.info.step(self.state, inst)
 
     def run(self, max_instructions: int = 2_000_000,
             strict: bool = True) -> EmulationResult:

@@ -13,7 +13,7 @@ from typing import Optional
 
 from repro.functional.state import ArchState
 from repro.isa.instruction import StaticInst
-from repro.isa.opcodes import OpClass
+from repro.isa.opcodes import OPINFO, OpClass
 from repro.isa.program import INST_SIZE
 from repro.isa import semantics
 from repro.isa.registers import RETURN_VALUE_REG, ARG_REGS
@@ -42,88 +42,109 @@ _MASK32 = semantics.MASK32
 
 
 def execute_step(state: ArchState, inst: StaticInst) -> StepResult:
-    """Execute ``inst`` against ``state`` and advance the PC.
+    """Execute ``inst`` against ``state`` and advance the PC, through the
+    per-class handler on ``inst.info`` that the emulator and DIVA share."""
+    return inst.info.step(state, inst)
 
-    Dispatches through the per-opcode handlers precomputed on ``OpInfo``
-    (the same functions ``semantics.evaluate`` consults) so the per-step
-    cost is an attribute read instead of an enum-keyed dict probe.
-    """
-    info = inst.info
-    cls = info.cls
-    fallthrough = inst.pc + INST_SIZE
-    next_pc = fallthrough
-    dest_value = None
-    eff_addr = None
-    store_value = None
-    taken = None
-    halted = False
 
+# Per-class step handlers: apply one instruction, advance the PC and count,
+# return the StepResult.  Per-opcode semantics come from the OpInfo fields
+# repro.isa.semantics attaches (``eval_fn``, ``branch_fn``, ``is_ldl``...).
+def _step_alu(state: ArchState, inst: StaticInst) -> StepResult:
     regs = state.regs
-    if info.is_alu:
-        a = regs[inst.ra] if inst.ra is not None else 0
-        b = regs[inst.rb] if inst.rb is not None else 0
-        if info.eval_is_fp:
-            dest_value = info.eval_fn(a, b, inst.imm)
-        else:
-            # Same wrong-path float->int coercion semantics.evaluate applies.
-            if type(a) is float:
-                a = int(a)
-            if type(b) is float:
-                b = int(b)
-            dest_value = info.eval_fn(a, b, inst.imm)
-        state.write_reg(inst.rd, dest_value)
-    elif cls is OpClass.LOAD:
-        base = regs[inst.ra]
-        eff_addr = (int(base) + inst.imm) & _MASK64
-        dest_value = state.memory.read(eff_addr)
-        if info.is_ldl:
-            dest_value = semantics.to_unsigned(
-                semantics.to_signed(int(dest_value) & _MASK32, 32))
-        state.write_reg(inst.rd, dest_value)
-    elif cls is OpClass.STORE:
-        data = regs[inst.ra]
-        base = regs[inst.rb]
-        eff_addr = (int(base) + inst.imm) & _MASK64
-        store_value = int(data) & _MASK32 if info.is_stl else data
-        state.memory.write(eff_addr, store_value)
-    elif cls is OpClass.COND_BRANCH:
-        cond = regs[inst.ra]
-        taken = info.branch_fn(semantics.to_signed(int(cond)))
-        next_pc = inst.target if taken else fallthrough
-    elif cls is OpClass.DIRECT_JUMP:
-        taken = True
-        next_pc = inst.target
-    elif cls is OpClass.CALL_DIRECT:
-        taken = True
-        dest_value = fallthrough
-        state.write_reg(inst.rd, dest_value)
-        next_pc = inst.target
-    elif cls is OpClass.CALL_INDIRECT:
-        taken = True
-        dest_value = fallthrough
-        target = int(state.read_reg(inst.ra))
-        state.write_reg(inst.rd, dest_value)
-        next_pc = target
-    elif cls is OpClass.INDIRECT_JUMP:
-        taken = True
-        next_pc = int(state.read_reg(inst.ra))
-    elif cls is OpClass.RETURN:
-        taken = True
-        next_pc = int(state.read_reg(inst.ra))
-    elif cls is OpClass.SYSCALL:
-        halted = _do_syscall(state, inst.imm or 0)
-    elif cls is OpClass.NOP:
-        pass
-    else:  # pragma: no cover - every class is handled above
-        raise ValueError(f"unhandled opcode class {cls}")
+    info = inst.info
+    a = regs[inst.ra] if inst.ra is not None else 0
+    b = regs[inst.rb] if inst.rb is not None else 0
+    if not info.eval_is_fp:
+        # Same wrong-path float->int coercion semantics.evaluate applies.
+        if type(a) is float:
+            a = int(a)
+        if type(b) is float:
+            b = int(b)
+    value = info.eval_fn(a, b, inst.imm)
+    state.write_reg(inst.rd, value)
+    next_pc = inst.pc + INST_SIZE
+    state.pc = next_pc
+    state.inst_count += 1
+    return StepResult(inst, next_pc, value)
 
+
+def _step_load(state: ArchState, inst: StaticInst) -> StepResult:
+    eff_addr = (int(state.regs[inst.ra]) + inst.imm) & _MASK64
+    value = state.memory.read(eff_addr)
+    if inst.info.is_ldl:
+        value = semantics.to_unsigned(
+            semantics.to_signed(int(value) & _MASK32, 32))
+    state.write_reg(inst.rd, value)
+    next_pc = inst.pc + INST_SIZE
+    state.pc = next_pc
+    state.inst_count += 1
+    return StepResult(inst, next_pc, value, eff_addr)
+
+
+def _step_store(state: ArchState, inst: StaticInst) -> StepResult:
+    regs = state.regs
+    data = regs[inst.ra]
+    eff_addr = (int(regs[inst.rb]) + inst.imm) & _MASK64
+    store_value = int(data) & _MASK32 if inst.info.is_stl else data
+    state.memory.write(eff_addr, store_value)
+    next_pc = inst.pc + INST_SIZE
+    state.pc = next_pc
+    state.inst_count += 1
+    return StepResult(inst, next_pc, None, eff_addr, store_value)
+
+
+def _step_cond_branch(state: ArchState, inst: StaticInst) -> StepResult:
+    taken = inst.info.branch_fn(
+        semantics.to_signed(int(state.regs[inst.ra])))
+    next_pc = inst.target if taken else inst.pc + INST_SIZE
+    state.pc = next_pc
+    state.inst_count += 1
+    return StepResult(inst, next_pc, None, None, None, taken)
+
+
+def _step_jump(state: ArchState, inst: StaticInst) -> StepResult:
+    """Unconditional transfer: direct or through ``ra``, linking into
+    ``rd`` for calls."""
+    info = inst.info
+    next_pc = int(state.regs[inst.ra]) if info.is_indirect_ctl else inst.target
+    link = None
+    if info.writes_dest:
+        link = inst.pc + INST_SIZE
+        state.write_reg(inst.rd, link)
+    state.pc = next_pc
+    state.inst_count += 1
+    return StepResult(inst, next_pc, link, None, None, True)
+
+
+def _step_system(state: ArchState, inst: StaticInst) -> StepResult:
+    """``syscall`` (may halt) or ``nop``."""
+    halted = (inst.info.cls is OpClass.SYSCALL
+              and _do_syscall(state, inst.imm or 0))
+    next_pc = inst.pc + INST_SIZE
     state.pc = next_pc
     state.inst_count += 1
     if halted:
         state.halted = True
-    return StepResult(inst=inst, next_pc=next_pc, dest_value=dest_value,
-                      eff_addr=eff_addr, store_value=store_value,
-                      taken=taken, halted=halted)
+    return StepResult(inst, next_pc, None, None, None, None, halted)
+
+
+_STEP_BY_CLASS = {
+    OpClass.LOAD: _step_load,
+    OpClass.STORE: _step_store,
+    OpClass.COND_BRANCH: _step_cond_branch,
+    OpClass.DIRECT_JUMP: _step_jump,
+    OpClass.CALL_DIRECT: _step_jump,
+    OpClass.CALL_INDIRECT: _step_jump,
+    OpClass.INDIRECT_JUMP: _step_jump,
+    OpClass.RETURN: _step_jump,
+    OpClass.SYSCALL: _step_system,
+    OpClass.NOP: _step_system,
+}
+for _info in OPINFO.values():
+    object.__setattr__(_info, "step", _step_alu if _info.is_alu
+                       else _STEP_BY_CLASS[_info.cls])
+del _info
 
 
 def _do_syscall(state: ArchState, code: int) -> bool:

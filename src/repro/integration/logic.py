@@ -15,13 +15,13 @@ including *reverse* entries for stack stores and stack-pointer adjustments
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Optional
 
-from repro.integration.config import IntegrationConfig, IndexScheme, LispMode
+from repro.integration.config import IntegrationConfig, LispMode
 from repro.integration.lisp import LoadIntegrationSuppressionPredictor
 from repro.integration.table import IntegrationTable, ITEntry
 from repro.isa.instruction import DynInst
-from repro.isa.opcodes import Opcode, load_counterpart
 from repro.isa.registers import REG_SP
 from repro.rename.physical import PhysicalRegisterFile
 
@@ -45,7 +45,16 @@ class IntegrationDecision:
         return bool(self.entry is not None and self.entry.is_reverse)
 
 
+# Shared decisions for every outcome that does not integrate (treat them as
+# read-only): only an integration carries per-call data, its entry.
 NO_INTEGRATION = IntegrationDecision(integrate=False)
+_LISP_SUPPRESSED = IntegrationDecision(integrate=False,
+                                       suppressed_by_lisp=True)
+_TAG_HIT = IntegrationDecision(integrate=False, tag_hit=True)
+_TAG_HIT_ORACLE_SUPPRESSED = IntegrationDecision(
+    integrate=False, tag_hit=True, suppressed_by_oracle=True)
+
+_lru_key = attrgetter("lru")
 
 
 class IntegrationLogic:
@@ -70,6 +79,8 @@ class IntegrationLogic:
                                 and lisp is not None)
         self._squash_only = not config.general_reuse
         self._oracle_loads = config.lisp_mode is LispMode.ORACLE
+        self._reverse = config.reverse
+        self._reverse_sp_only = config.reverse_sp_only
 
     # ------------------------------------------------------------------
     # the integration test
@@ -82,6 +93,13 @@ class IntegrationLogic:
         ``dyn`` must already have its source physical registers looked up
         (``src_pregs``/``src_gens``).  ``oracle_allow`` implements oracle
         load-suppression when the configuration asks for it.
+
+        One pass over the indexed set checks tag, inputs (with generations)
+        and output eligibility, keeping the passing entry with the highest
+        LRU tick: the first passing entry in most-recently-used order, since
+        every insert and touch takes a fresh tick and every check is pure.
+        Only the oracle is consulted in order (most recent first, until it
+        allows one), so passing entries are sorted only when it applies.
         """
         if not self._enabled:
             return NO_INTEGRATION
@@ -89,43 +107,72 @@ class IntegrationLogic:
         if not info.integrable:
             return NO_INTEGRATION
         inst = dyn.inst
+        pc = inst.pc
+        if info.is_load:
+            if self._lisp_realistic and self.lisp.suppresses(pc):
+                return _LISP_SUPPRESSED
+            oracle = oracle_allow if self._oracle_loads else None
+        else:
+            oracle = None
 
-        is_load_op = info.is_load
-        if is_load_op and self._lisp_realistic:
-            if self.lisp.suppresses(inst.pc):
-                return IntegrationDecision(integrate=False,
-                                           suppressed_by_lisp=True)
-
-        candidates = self.table.lookup_inst(inst, call_depth)
-        if not candidates:
-            return NO_INTEGRATION
-
-        squash_only = self._squash_only
+        table = self.table
+        table.stats.lookups += 1
+        cache_set = table._sets[table.index_of(pc, inst.it_key, call_depth)]
+        pregs = dyn.src_pregs
+        gens = dyn.src_gens
+        if len(pregs) == 1:
+            inputs = (pregs[0], gens[0])
+        elif len(pregs) == 2:
+            inputs = (pregs[0], gens[0], pregs[1], gens[1])
+        else:
+            inputs = tuple(x for pair in zip(pregs, gens) for x in pair)
+        pc_scheme = table._pc_scheme
+        op = inst.op
+        imm = inst.imm
         is_branch_op = info.is_cond_branch
-        oracle_suppressed = False
-        for entry in candidates:
-            if not entry.inputs_match(dyn.src_pregs, dyn.src_gens):
+        eligible = self.prf.integration_eligible
+        squash_only = self._squash_only
+        tag_hit = False
+        best = None
+        best_lru = -1
+        passing = [] if oracle is not None else None
+        for entry in cache_set:
+            if pc_scheme:
+                if entry.pc != pc:
+                    continue
+            elif entry.opcode is not op or entry.imm != imm:
+                continue
+            tag_hit = True
+            if entry.inputs != inputs:
                 continue
             if is_branch_op:
                 if entry.branch_outcome is None:
                     continue
             else:
-                if entry.out is None:
+                out = entry.out
+                if out is None or not eligible(out, entry.out_gen,
+                                               squash_only):
                     continue
-                if not self.prf.integration_eligible(entry.out, entry.out_gen,
-                                                     squash_only=squash_only):
-                    continue
-            if (is_load_op and self._oracle_loads
-                    and oracle_allow is not None
-                    and not oracle_allow(dyn, entry)):
-                oracle_suppressed = True
-                continue
-            self.table.touch(entry)
-            return IntegrationDecision(integrate=True, entry=entry,
-                                       tag_hit=True,
-                                       suppressed_by_oracle=oracle_suppressed)
-        return IntegrationDecision(integrate=False, tag_hit=True,
-                                   suppressed_by_oracle=oracle_suppressed)
+            if oracle is not None:
+                passing.append(entry)
+            elif entry.lru > best_lru:
+                best = entry
+                best_lru = entry.lru
+        if not tag_hit:
+            return NO_INTEGRATION
+        table.stats.tag_hits += 1
+        suppressed = False
+        if oracle is not None:
+            passing.sort(key=_lru_key, reverse=True)
+            for entry in passing:
+                if oracle(dyn, entry):
+                    best = entry
+                    break
+                suppressed = True
+        if best is None:
+            return _TAG_HIT_ORACLE_SUPPRESSED if suppressed else _TAG_HIT
+        table.touch(best)
+        return IntegrationDecision(True, best, False, suppressed, True)
 
     # ------------------------------------------------------------------
     # entry creation (integration failed, or store reverse entries)
@@ -136,71 +183,60 @@ class IntegrationLogic:
         Direct entries describe the instruction itself; reverse entries
         describe its inverse (extension 3): a store creates the
         complementary load entry, a stack-pointer ``lda`` creates the entry
-        for the opposite adjustment.
+        for the opposite adjustment.  Which instructions create entries
+        (``it_creates``), their reverse operations and the set keys come
+        precomputed on the static instruction; this method builds the
+        entries and applies the configuration.
         """
-        config = self.config
-        if not self._enabled:
-            return
         inst = dyn.inst
-        op = dyn.op
+        if not self._enabled or not inst.it_creates:
+            return
         info = dyn.info
+        table = self.table
+        pregs = dyn.src_pregs
+        gens = dyn.src_gens
 
         if info.is_store:
-            self._maybe_create_store_reverse(dyn, call_depth)
-            return
-        if not info.integrable:
+            # Store sources are [data, base]; the reverse load reads the
+            # base and produces the data register: <ld/imm, base, -, data>.
+            if self._reverse and not (self._reverse_sp_only
+                                      and inst.rb != REG_SP):
+                rev_op, rev_imm = inst.it_reverse_tag
+                table.insert(ITEntry(inst.pc, rev_op, rev_imm,
+                                     pregs[1], gens[1], None, 0,
+                                     pregs[0], gens[0], True, dyn.seq,
+                                     call_depth),
+                             inst.it_reverse_key, call_depth)
             return
 
-        in1 = dyn.src_pregs[0] if len(dyn.src_pregs) > 0 else None
-        gen1 = dyn.src_gens[0] if len(dyn.src_gens) > 0 else 0
-        in2 = dyn.src_pregs[1] if len(dyn.src_pregs) > 1 else None
-        gen2 = dyn.src_gens[1] if len(dyn.src_gens) > 1 else 0
+        n = len(pregs)
+        in1 = pregs[0] if n > 0 else None
+        gen1 = gens[0] if n > 0 else 0
+        in2 = pregs[1] if n > 1 else None
+        gen2 = gens[1] if n > 1 else 0
 
         if info.is_cond_branch:
-            entry = ITEntry(inst.pc, op, inst.imm, in1, gen1, in2, gen2,
-                            out=None, out_gen=0, creator_seq=dyn.seq,
-                            call_depth=call_depth)
-            dyn.it_entry = self.table.insert(entry, call_depth)
+            dyn.it_entry = table.insert(
+                ITEntry(inst.pc, inst.op, inst.imm, in1, gen1, in2, gen2,
+                        None, 0, False, dyn.seq, call_depth),
+                inst.it_key, call_depth)
             return
 
-        if dyn.dest_preg is None:
-            return
-        entry = ITEntry(inst.pc, op, inst.imm, in1, gen1, in2, gen2,
-                        out=dyn.dest_preg, out_gen=dyn.dest_gen,
-                        creator_seq=dyn.seq, call_depth=call_depth)
-        dyn.it_entry = self.table.insert(entry, call_depth)
+        # Any other creator writes a register, which rename has just mapped.
+        out = dyn.dest_preg
+        dyn.it_entry = table.insert(
+            ITEntry(inst.pc, inst.op, inst.imm, in1, gen1, in2, gen2,
+                    out, dyn.dest_gen, False, dyn.seq, call_depth),
+            inst.it_key, call_depth)
 
         # Reverse entry for stack-pointer adjustments: lda sp, imm(sp)
         # creates <lda/-imm, new_sp, -, old_sp>.
-        if (config.reverse and op is Opcode.LDA
-                and inst.rd == REG_SP and inst.ra == REG_SP):
-            rev = ITEntry(inst.pc, Opcode.LDA, -(inst.imm or 0),
-                          in1=dyn.dest_preg, gen1=dyn.dest_gen,
-                          in2=None, gen2=0,
-                          out=in1, out_gen=gen1,
-                          is_reverse=True, creator_seq=dyn.seq,
-                          call_depth=call_depth)
-            self.table.insert(rev, call_depth)
-
-    def _maybe_create_store_reverse(self, dyn: DynInst,
-                                    call_depth: int) -> None:
-        """Create the complementary-load entry for a (stack) store."""
-        config = self.config
-        if not config.reverse:
-            return
-        inst = dyn.inst
-        if config.reverse_sp_only and inst.rb != REG_SP:
-            return
-        # Store sources are [data, base]; the reverse load reads the base and
-        # produces the data register.
-        data_preg, base_preg = dyn.src_pregs[0], dyn.src_pregs[1]
-        data_gen, base_gen = dyn.src_gens[0], dyn.src_gens[1]
-        rev = ITEntry(inst.pc, load_counterpart(inst.op), inst.imm,
-                      in1=base_preg, gen1=base_gen, in2=None, gen2=0,
-                      out=data_preg, out_gen=data_gen,
-                      is_reverse=True, creator_seq=dyn.seq,
-                      call_depth=call_depth)
-        self.table.insert(rev, call_depth)
+        if self._reverse and inst.it_reverse_key is not None:
+            rev_op, rev_imm = inst.it_reverse_tag
+            table.insert(ITEntry(inst.pc, rev_op, rev_imm,
+                                 out, dyn.dest_gen, None, 0,
+                                 in1, gen1, True, dyn.seq, call_depth),
+                         inst.it_reverse_key, call_depth)
 
     # ------------------------------------------------------------------
     # feedback

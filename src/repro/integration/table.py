@@ -4,9 +4,10 @@ The IT stores operation descriptor tuples of recently renamed instructions::
 
     <operation (opcode/immediate or PC), in1 (+gen), in2 (+gen), out (+gen)>
 
-Lookups hash the instruction's index fields to a set and compare a minimal
-tag; the integration *logic* then performs the full operational-equivalence
-test (input physical registers and generations) on the returned candidates.
+Entries are placed by a precomputed key (``StaticInst.it_key`` or
+``it_reverse_key``) hashed to a set; the integration *logic* probes that set
+in one pass, comparing a minimal tag and then performing the full
+operational-equivalence test (input physical registers and generations).
 Replacement within a set is LRU, which together with FIFO physical-register
 reclamation approximates the joint IT/state-vector management of the
 original squash-reuse design (paper Section 2.2, implementation issues).
@@ -23,11 +24,12 @@ from repro.isa.program import INST_SIZE
 
 
 class ITEntry:
-    """One integration-table entry."""
+    """One integration-table entry.  Only ``branch_outcome`` and ``lru``
+    change after construction, so ``inputs`` is computed once here."""
 
     __slots__ = ("pc", "opcode", "imm", "in1", "gen1", "in2", "gen2",
                  "out", "out_gen", "branch_outcome", "is_reverse",
-                 "creator_seq", "call_depth", "lru")
+                 "creator_seq", "call_depth", "lru", "inputs")
 
     def __init__(self, pc: int, opcode: Opcode, imm: Optional[int],
                  in1: Optional[int], gen1: int,
@@ -49,27 +51,15 @@ class ITEntry:
         self.creator_seq = creator_seq
         self.call_depth = call_depth
         self.lru = 0
-
-    def inputs_match(self, pregs: List[int], gens: List[int]) -> bool:
-        """Operational-equivalence test on the input physical registers.
-
-        Both the register numbers and their generation counters must match
-        (the generation comparison is what suppresses register
-        mis-integrations after a register has been reallocated).  Written
-        allocation-free: the rename stage runs this for every candidate of
-        every renamed instruction.
-        """
-        idx = 0
-        n = len(pregs)
-        if self.in1 is not None:
-            if n == 0 or pregs[0] != self.in1 or gens[0] != self.gen1:
-                return False
-            idx = 1
-        if self.in2 is not None:
-            if idx >= n or pregs[idx] != self.in2 or gens[idx] != self.gen2:
-                return False
-            idx += 1
-        return idx == n
+        #: The present inputs' ``(preg, gen)`` pairs, flattened: one tuple
+        #: comparison checks registers and generations (the generation
+        #: suppresses register mis-integrations after a reallocation).
+        if in1 is None:
+            self.inputs = () if in2 is None else (in2, gen2)
+        elif in2 is None:
+            self.inputs = (in1, gen1)
+        else:
+            self.inputs = (in1, gen1, in2, gen2)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "rev" if self.is_reverse else "dir"
@@ -110,80 +100,38 @@ class IntegrationTable:
         self.stats = ITStats()
 
     # ------------------------------------------------------------------
-    # index and tag functions (paper Section 2.3)
+    # index function (paper Section 2.3)
     # ------------------------------------------------------------------
-    def index_of(self, pc: int, opcode: Opcode, imm: Optional[int],
-                 call_depth: int) -> int:
+    def index_of(self, pc: int, key: int, call_depth: int) -> int:
+        """Set index of an entry or probe.
+
+        ``key`` is the operation's precomputed opcode/immediate key
+        (``StaticInst.it_key`` or ``it_reverse_key``); PC indexing uses the
+        PC instead, the enhanced scheme XORs in the call depth.  The tag
+        compared within the set is minimal: the PC under PC indexing, else
+        opcode + immediate (so different call depths can match in a set).
+        """
         if self._pc_scheme:
             key = pc // INST_SIZE
-        else:
-            opcode_id = _OPCODE_IDS[opcode]
-            key = opcode_id ^ ((imm or 0) & 0xFFFF)
-            if self._depth_in_index:
-                key ^= call_depth
+        elif self._depth_in_index:
+            key ^= call_depth
         return key % self.num_sets
-
-    # ------------------------------------------------------------------
-    def lookup(self, pc: int, opcode: Opcode, imm: Optional[int],
-               call_depth: int) -> List[ITEntry]:
-        """Return the candidate entries whose tag matches, most recently
-        used first.
-
-        The tag is minimal: the full PC under PC indexing, otherwise
-        opcode + immediate (the call depth only augments the index, so
-        instructions from different depths can still match within a set).
-        """
-        self.stats.lookups += 1
-        index = self.index_of(pc, opcode, imm, call_depth)
-        cache_set = self._sets[index]
-        if self._pc_scheme:
-            matches = [entry for entry in cache_set if entry.pc == pc]
-        else:
-            matches = [entry for entry in cache_set
-                       if entry.opcode is opcode and entry.imm == imm]
-        if matches:
-            self.stats.tag_hits += 1
-            matches.sort(key=_lru_key, reverse=True)
-        return matches
-
-    def lookup_inst(self, inst, call_depth: int) -> List[ITEntry]:
-        """``lookup`` using a static instruction's precomputed index key
-        (``StaticInst.it_key``); identical results and statistics."""
-        stats = self.stats
-        stats.lookups += 1
-        if self._pc_scheme:
-            pc = inst.pc
-            cache_set = self._sets[(pc // INST_SIZE) % self.num_sets]
-            matches = [entry for entry in cache_set if entry.pc == pc]
-        else:
-            key = inst.it_key
-            if self._depth_in_index:
-                key ^= call_depth
-            cache_set = self._sets[key % self.num_sets]
-            opcode = inst.op
-            imm = inst.imm
-            matches = [entry for entry in cache_set
-                       if entry.opcode is opcode and entry.imm == imm]
-        if matches:
-            stats.tag_hits += 1
-            if len(matches) > 1:
-                matches.sort(key=_lru_key, reverse=True)
-        return matches
 
     def touch(self, entry: ITEntry) -> None:
         """Refresh an entry's LRU position (called on successful integration)."""
         self._tick += 1
         entry.lru = self._tick
 
-    def insert(self, entry: ITEntry, call_depth: int) -> ITEntry:
-        """Insert ``entry``, evicting the LRU entry of its set if full."""
-        index = self.index_of(entry.pc, entry.opcode, entry.imm, call_depth)
-        cache_set = self._sets[index]
+    def insert(self, entry: ITEntry, key: int, call_depth: int) -> ITEntry:
+        """Insert ``entry`` under index ``key`` (see :meth:`index_of`),
+        evicting the LRU entry of its set if full."""
+        cache_set = self._sets[self.index_of(entry.pc, key, call_depth)]
         self._tick += 1
         entry.lru = self._tick
-        self.stats.insertions += 1
+        stats = self.stats
+        stats.insertions += 1
         if entry.is_reverse:
-            self.stats.reverse_insertions += 1
+            stats.reverse_insertions += 1
         if len(cache_set) >= self.assoc:
             victim = 0
             victim_lru = cache_set[0].lru
@@ -192,7 +140,7 @@ class IntegrationTable:
                 if lru < victim_lru:
                     victim, victim_lru = i, lru
             cache_set[victim] = entry
-            self.stats.evictions += 1
+            stats.evictions += 1
         else:
             cache_set.append(entry)
         return entry
@@ -217,10 +165,3 @@ class IntegrationTable:
     def __iter__(self):
         for cache_set in self._sets:
             yield from cache_set
-
-
-def _lru_key(entry: ITEntry) -> int:
-    return entry.lru
-
-
-_OPCODE_IDS = {op: i for i, op in enumerate(Opcode)}

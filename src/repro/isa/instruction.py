@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.isa.opcodes import OpClass, OPINFO, is_store
-from repro.isa.registers import reg_name
+from repro.isa.opcodes import OpClass, Opcode, OPINFO, is_store
+from repro.isa.registers import REG_FZERO, REG_SP, REG_ZERO, reg_name
 
 
 @dataclass(frozen=True)
@@ -39,26 +39,45 @@ class StaticInst:
     target: Optional[int] = None
     label: Optional[str] = None
 
-    # ``info``, ``cls`` and the operand views are precomputed per static
-    # instruction: the per-cycle pipeline loops read them constantly, and an
-    # instance-attribute read is far cheaper than an OPINFO lookup (which
-    # hashes the opcode enum) on every access.
+    # ``info``, ``cls``, the operand views and the integration metadata are
+    # precomputed per static instruction (written in one update of the
+    # frozen instance's dict): the per-cycle loops read them constantly, and
+    # an attribute read is far cheaper than an enum-hashing OPINFO lookup.
+    # Integration metadata, from per-opcode OpInfo fields:
+    # * ``it_key`` -- IT index key of the direct entry (opcode/immediate);
+    # * ``it_reverse_tag`` / ``it_reverse_key`` -- (opcode, immediate) and
+    #   key of the reverse entry: a store's complementary load, or the
+    #   opposite ``lda sp, imm(sp)``; None for every other instruction;
+    # * ``it_creates`` -- whether renaming it creates any IT entry: a store,
+    #   an integrable branch, or an integrable write to a real register.
+    #   This is the one statement of the rule; rename and
+    #   ``IntegrationLogic.create_entries`` only read it;
+    # * ``itype`` -- the Figure 5 type, ``integration_type(inst)``.
     def __post_init__(self):
         info = OPINFO[self.op]
-        object.__setattr__(self, "info", info)
-        object.__setattr__(self, "cls", info.cls)
-        srcs = []
-        if self.ra is not None:
-            srcs.append(self.ra)
-        if self.rb is not None:
-            srcs.append(self.rb)
-        object.__setattr__(self, "srcs", tuple(srcs))
-        object.__setattr__(self, "dest",
-                           self.rd if info.writes_dest else None)
-        # Integration-table index key under opcode/immediate indexing
-        # (repro.integration.table); pure function of the static encoding.
-        object.__setattr__(self, "it_key",
-                           info.opcode_id ^ ((self.imm or 0) & 0xFFFF))
+        ra = self.ra
+        rb = self.rb
+        if ra is None:
+            srcs = () if rb is None else (rb,)
+        else:
+            srcs = (ra,) if rb is None else (ra, rb)
+        dest = self.rd if info.writes_dest else None
+        imm = self.imm or 0
+        reverse_tag = reverse_key = None
+        if info.is_store:
+            reverse_tag = (info.load_counterpart, self.imm)
+            reverse_key = info.load_counterpart_id ^ (imm & 0xFFFF)
+        elif ra == REG_SP and self.rd == REG_SP and self.op is Opcode.LDA:
+            reverse_tag = (Opcode.LDA, -imm)
+            reverse_key = info.opcode_id ^ (-imm & 0xFFFF)
+        self.__dict__.update(
+            info=info, cls=info.cls, srcs=srcs, dest=dest,
+            it_key=info.opcode_id ^ (imm & 0xFFFF),
+            it_reverse_tag=reverse_tag, it_reverse_key=reverse_key,
+            it_creates=info.is_store or (info.integrable and (
+                info.is_cond_branch or (dest is not None and dest != REG_ZERO
+                                        and dest != REG_FZERO))),
+            itype=info.itype_sp if ra == REG_SP else info.itype)
 
     def src_regs(self) -> Tuple[int, ...]:
         """Logical source registers actually read by this instruction."""
@@ -114,7 +133,7 @@ class DynInst:
         "map_checkpoint",
         # integration
         "integrated", "reverse_integrated", "integration_distance",
-        "integration_status", "integration_refcount", "it_hit", "it_entry",
+        "integration_status", "integration_refcount", "it_entry",
         "suppressed_by_lisp",
         # execution state
         "result", "eff_addr", "store_value",
@@ -125,7 +144,7 @@ class DynInst:
         "fetch_cycle", "rename_cycle", "dispatch_cycle", "issue_cycle",
         "complete_cycle", "retire_cycle",
         # resources
-        "rs_pending", "rs_port", "rs_priority", "in_lsq", "rob_index",
+        "rs_pending", "rs_port", "rs_priority", "in_lsq",
     )
 
     def __init__(self, seq: int, inst: StaticInst):
@@ -151,7 +170,6 @@ class DynInst:
         self.integration_distance = 0
         self.integration_status = None
         self.integration_refcount = 0
-        self.it_hit = False
         self.it_entry = None
         self.suppressed_by_lisp = False
         self.result = None
@@ -178,7 +196,6 @@ class DynInst:
         self.rs_priority = 1
         #: Honest load/store-queue membership flag (set/cleared by the LSQ).
         self.in_lsq = False
-        self.rob_index = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = []

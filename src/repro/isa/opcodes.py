@@ -98,6 +98,21 @@ class Opcode(enum.Enum):
     NOP = "nop"
 
 
+class IntegrationType(enum.Enum):
+    """Instruction-type categories of the Figure 5 "Type" breakdown (here so
+    OpInfo can carry them; :mod:`repro.core.stats` re-exports it)."""
+
+    LOAD_SP = "load_sp"
+    LOAD_OTHER = "load"
+    ALU = "alu"
+    BRANCH = "branch"
+    FP = "fp"
+
+    # Members are identity-compared singletons: the C identity hash keeps
+    # the per-retirement ``Counter[itype] += 1`` off Enum's Python __hash__.
+    __hash__ = object.__hash__
+
+
 #: Classes that can redirect the PC.
 _BRANCH_CLASSES = frozenset({
     OpClass.COND_BRANCH, OpClass.DIRECT_JUMP, OpClass.CALL_DIRECT,
@@ -186,6 +201,19 @@ class OpInfo:
         else:
             kind = -1            # never enters the reservation stations
         object.__setattr__(self, "kind_code", kind)
+        # Figure 5 type (repro.core.stages.commit.integration_type): a load
+        # is LOAD_SP when its base is the stack pointer, which is the only
+        # per-instance part, so both answers are kept here.
+        if cls is OpClass.LOAD:
+            itype, itype_sp = IntegrationType.LOAD_OTHER, IntegrationType.LOAD_SP
+        else:
+            itype = itype_sp = (
+                IntegrationType.BRANCH if cls is OpClass.COND_BRANCH
+                else IntegrationType.FP if self.fp
+                else IntegrationType.ALU if cls in (OpClass.IALU, OpClass.IMUL)
+                else None)
+        object.__setattr__(self, "itype", itype)
+        object.__setattr__(self, "itype_sp", itype_sp)
 
 
 _RR = dict(cls=OpClass.IALU, latency=1, num_srcs=2, has_imm=False)
@@ -261,13 +289,6 @@ OPINFO: dict = {
                        writes_dest=False, integrable=False),
 }
 
-# Stable small-int identity (the enum declaration position) used by the
-# integration-table index function; attached here so static instructions can
-# precompute their index key without hashing enum members per lookup.
-for _i, _op in enumerate(Opcode):
-    object.__setattr__(OPINFO[_op], "opcode_id", _i)
-del _i, _op
-
 # Mapping from store opcodes to the load opcode that reads back the stored
 # value.  Reverse integration uses this to create the complementary load
 # entry when a store is renamed.
@@ -276,6 +297,19 @@ _STORE_TO_LOAD = {
     Opcode.STL: Opcode.LDL,
     Opcode.STT: Opcode.LDT,
 }
+
+# Stable small-int identity (the enum declaration position) used by the
+# integration-table index function, and a store's load counterpart with its
+# identity; attached here so static instructions can precompute their index
+# keys without hashing enum members per lookup.
+for _i, _op in enumerate(Opcode):
+    object.__setattr__(OPINFO[_op], "opcode_id", _i)
+for _op, _info in OPINFO.items():
+    _load = _STORE_TO_LOAD.get(_op)
+    object.__setattr__(_info, "load_counterpart", _load)
+    object.__setattr__(_info, "load_counterpart_id",
+                       None if _load is None else OPINFO[_load].opcode_id)
+del _i, _op, _info, _load
 
 _OPCODE_BY_NAME = {op.value: op for op in Opcode}
 

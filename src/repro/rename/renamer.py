@@ -19,7 +19,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.isa.instruction import DynInst
-from repro.isa.registers import NUM_LOGICAL_REGS, is_zero_reg
+from repro.isa.registers import (
+    NUM_LOGICAL_REGS,
+    REG_FZERO,
+    REG_ZERO,
+    is_zero_reg,
+)
 from repro.rename.map_table import MapTable, Mapping
 from repro.rename.physical import PhysicalRegisterFile, ZERO_PREG
 
@@ -95,19 +100,24 @@ class Renamer:
         per-instruction rename loop branches on.
         """
         dest = dyn.inst.dest
-        if dest is None or is_zero_reg(dest):
+        if dest is None or dest == REG_ZERO or dest == REG_FZERO:
             dyn.dest_preg = None
             return 0
         prf = self.prf
         preg = prf.allocate()
         if preg is None:
             return -1
-        map_table = self.map_table
-        dyn.old_dest_preg, dyn.old_dest_gen = map_table.get_raw(dest)
+        # MapTable.get_raw/set, inlined: this runs once per renamed
+        # instruction.
+        mt_pregs = self.map_table._pregs
+        mt_gens = self.map_table._gens
+        dyn.old_dest_preg = mt_pregs[dest]
+        dyn.old_dest_gen = mt_gens[dest]
         gen = prf.gen[preg]
         dyn.dest_preg = preg
         dyn.dest_gen = gen
-        map_table.set(dest, preg, gen)
+        mt_pregs[dest] = preg
+        mt_gens[dest] = gen
         return 1
 
     def allocate_dest(self, dyn: DynInst) -> Optional[RenameResult]:
@@ -151,12 +161,11 @@ class Renamer:
         """Retire ``dyn``: the previous (shadowed) mapping of its destination
         logical register ceases to be visible and drops one reference.  The
         instruction's own output keeps its reference (it is now the retired
-        architectural mapping)."""
-        dest = dyn.inst.dest
-        if dest is None or is_zero_reg(dest) or dyn.dest_preg is None:
-            return
-        if dyn.old_dest_preg is not None:
-            self.prf.release(dyn.old_dest_preg, via_squash=False)
+        architectural mapping).  Only mapping a register destination
+        records a previous mapping, so that is the whole test."""
+        old = dyn.old_dest_preg
+        if old is not None:
+            self.prf.release(old)
 
     def squash(self, dyn: DynInst) -> None:
         """Undo the rename effects of a squashed instruction.

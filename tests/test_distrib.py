@@ -279,6 +279,20 @@ class TestBackendEquivalence:
         status = backend.queue().status()
         assert status.done == 2 and status.depth == 0
 
+    def test_distributed_drain_records_simulated_cycles(self,
+                                                        isolated_cache):
+        """A job the inline drain executes folds its cycle counts into the
+        run telemetry, as the serial and pool backends do (the --verbose
+        elided fraction is computed from them)."""
+        backend = DistributedBackend(queue_dir=isolated_cache / "q",
+                                     poll_interval=0.01)
+        results = runner.run_suite(["gzip"], {"full": SUITE_CONFIGS["full"]},
+                                   scale=0.08, backend=backend)
+        stats = results["full"]["gzip"]
+        assert runner.telemetry.simulations == 1
+        assert runner.telemetry.cycles_simulated == stats.cycles > 0
+        assert runner.telemetry.cycles_elided == stats.cycles_elided
+
     def test_distributed_counts_remote_jobs(self, isolated_cache):
         """Jobs executed by another worker (simulated by publishing their
         results to the shared cache after submission) land in remote_jobs,

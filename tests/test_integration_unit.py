@@ -1,8 +1,11 @@
 """Unit tests for the integration machinery: the integration table, the
-LISP, and the rename-time integration logic (paper Section 2)."""
+LISP, the rename-time integration logic (paper Section 2) and the
+integration metadata precomputed on static instructions."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.stages import integration_type
 from repro.integration import (
     IndexScheme,
     IntegrationConfig,
@@ -14,8 +17,102 @@ from repro.integration import (
 )
 from repro.isa import Opcode, StaticInst
 from repro.isa.instruction import DynInst
-from repro.isa.registers import REG_SP
-from repro.rename import PhysicalRegisterFile
+from repro.isa.opcodes import load_counterpart, op_info
+from repro.isa.registers import REG_FZERO, REG_SP, REG_ZERO
+from repro.rename import MapTable, PhysicalRegisterFile, Renamer
+
+
+# ----------------------------------------------------------------------
+# The integration-table index and probe as they were specified before
+# keys were precomputed per static instruction: the opcode's declaration
+# position XOR the immediate's low 16 bits (XOR the call depth), or the
+# PC; candidates filtered by tag and examined most recently used first.
+# The production code must agree with these exactly.
+# ----------------------------------------------------------------------
+REF_OPCODE_IDS = {op: i for i, op in enumerate(Opcode)}
+
+
+def ref_index(table, pc, opcode, imm, call_depth):
+    if table.scheme is IndexScheme.PC:
+        key = pc // 4
+    else:
+        key = REF_OPCODE_IDS[opcode] ^ ((imm or 0) & 0xFFFF)
+        if table.scheme is IndexScheme.OPCODE_IMM_CALLDEPTH:
+            key ^= call_depth
+    return key % table.num_sets
+
+
+def ref_lookup(table, pc, opcode, imm, call_depth):
+    """Tag-matching candidates, most recently used first."""
+    table.stats.lookups += 1
+    cache_set = table._sets[ref_index(table, pc, opcode, imm, call_depth)]
+    if table.scheme is IndexScheme.PC:
+        matches = [e for e in cache_set if e.pc == pc]
+    else:
+        matches = [e for e in cache_set
+                   if e.opcode is opcode and e.imm == imm]
+    if matches:
+        table.stats.tag_hits += 1
+        matches.sort(key=lambda e: e.lru, reverse=True)
+    return matches
+
+
+def ref_inputs_match(entry, pregs, gens):
+    idx = 0
+    n = len(pregs)
+    if entry.in1 is not None:
+        if n == 0 or pregs[0] != entry.in1 or gens[0] != entry.gen1:
+            return False
+        idx = 1
+    if entry.in2 is not None:
+        if idx >= n or pregs[idx] != entry.in2 or gens[idx] != entry.gen2:
+            return False
+        idx += 1
+    return idx == n
+
+
+def ref_consider(table, prf, config, dyn, call_depth, oracle_allow=None):
+    """``(integrate, entry, tag_hit, suppressed_by_oracle)``: the MRU-sort
+    + ``inputs_match`` integration test (LISP off)."""
+    info = dyn.info
+    inst = dyn.inst
+    if not config.enabled or not info.integrable:
+        return False, None, False, False
+    candidates = ref_lookup(table, inst.pc, inst.op, inst.imm, call_depth)
+    if not candidates:
+        return False, None, False, False
+    squash_only = not config.general_reuse
+    suppressed = False
+    for entry in candidates:
+        if not ref_inputs_match(entry, dyn.src_pregs, dyn.src_gens):
+            continue
+        if info.is_cond_branch:
+            if entry.branch_outcome is None:
+                continue
+        elif entry.out is None or not prf.integration_eligible(
+                entry.out, entry.out_gen, squash_only=squash_only):
+            continue
+        if (info.is_load and config.lisp_mode is LispMode.ORACLE
+                and oracle_allow is not None
+                and not oracle_allow(dyn, entry)):
+            suppressed = True
+            continue
+        table.touch(entry)
+        return True, entry, True, suppressed
+    return False, None, True, suppressed
+
+
+def ref_put(table, e, call_depth=0):
+    """Insert ``e`` under the reference key of its own operation."""
+    key = REF_OPCODE_IDS[e.opcode] ^ ((e.imm or 0) & 0xFFFF)
+    return table.insert(e, key, call_depth)
+
+
+def put(table, e, call_depth=0):
+    """Insert ``e`` under the key a static instruction of its operation
+    carries (the production path)."""
+    inst = StaticInst(pc=e.pc, op=e.opcode, rd=1, ra=2, imm=e.imm)
+    return table.insert(e, inst.it_key, call_depth)
 
 
 def entry(opcode=Opcode.ADDQI, imm=1, pc=0x100, in1=5, gen1=0, out=9,
@@ -24,72 +121,103 @@ def entry(opcode=Opcode.ADDQI, imm=1, pc=0x100, in1=5, gen1=0, out=9,
                    in2=None, gen2=0, out=out, out_gen=out_gen, **kwargs)
 
 
+def probe_logic(table):
+    """Integration logic over ``table``.  Register 9 (generation 0, the
+    ``entry()`` output) holds a value, so only the set, the tag and the
+    inputs decide what a probe finds."""
+    prf = PhysicalRegisterFile(num_pregs=66)
+    prf.valid[9] = True
+    return IntegrationLogic(IntegrationConfig(index_scheme=table.scheme), prf,
+                            table=table)
+
+
+def found(logic, pc, imm=1, call_depth=0):
+    """The entry the production probe integrates for ``addqi`` at ``pc``
+    reading register 5 at generation 0 (the ``entry()`` input)."""
+    dyn = DynInst(1, StaticInst(pc=pc, op=Opcode.ADDQI, rd=1, ra=2, imm=imm))
+    dyn.src_pregs, dyn.src_gens = [5], [0]
+    return logic.consider(dyn, call_depth).entry
+
+
 class TestIntegrationTable:
     def test_insert_and_lookup_opcode_scheme(self):
         table = IntegrationTable(64, 4, IndexScheme.OPCODE_IMM_CALLDEPTH)
         e = entry()
-        table.insert(e, call_depth=2)
-        found = table.lookup(0x999, Opcode.ADDQI, 1, call_depth=2)
-        assert e in found
+        put(table, e, call_depth=2)
+        assert found(probe_logic(table), 0x999, call_depth=2) is e
 
     def test_pc_scheme_requires_same_pc(self):
         table = IntegrationTable(64, 4, IndexScheme.PC)
         e = entry(pc=0x100)
-        table.insert(e, call_depth=0)
-        assert table.lookup(0x100, Opcode.ADDQI, 1, 0) == [e]
-        assert table.lookup(0x104, Opcode.ADDQI, 1, 0) == []
+        put(table, e, call_depth=0)
+        logic = probe_logic(table)
+        assert found(logic, 0x100) is e
+        assert found(logic, 0x104) is None
 
     def test_opcode_scheme_matches_across_pcs(self):
         table = IntegrationTable(64, 4, IndexScheme.OPCODE_IMM)
         e = entry(pc=0x100)
-        table.insert(e, call_depth=0)
-        assert table.lookup(0x2000, Opcode.ADDQI, 1, 0) == [e]
+        put(table, e, call_depth=0)
+        logic = probe_logic(table)
+        assert found(logic, 0x2000) is e
         # Different immediate: different tag.
-        assert table.lookup(0x2000, Opcode.ADDQI, 2, 0) == []
+        assert found(logic, 0x2000, imm=2) is None
 
     def test_call_depth_changes_index_but_not_tag(self):
         table = IntegrationTable(64, 4, IndexScheme.OPCODE_IMM_CALLDEPTH)
         e = entry()
-        table.insert(e, call_depth=3)
-        # Lookup at the same depth finds it; at another depth it may land in
-        # a different set (and therefore not be found).
-        assert e in table.lookup(0x0, Opcode.ADDQI, 1, 3)
-        other = table.lookup(0x0, Opcode.ADDQI, 1, 4)
-        assert e not in other
+        put(table, e, call_depth=3)
+        # A probe at the same depth finds it; at another depth it may land in
+        # a different set (and therefore not find it).
+        logic = probe_logic(table)
+        assert found(logic, 0x0, call_depth=3) is e
+        assert found(logic, 0x0, call_depth=4) is None
 
     def test_lru_replacement_within_set(self):
         table = IntegrationTable(8, 2, IndexScheme.PC)
         # PCs 0x0, 0x10, 0x20 all map to set 0 (4 sets, pc/4 % 4).
         first = entry(pc=0x00)
         second = entry(pc=0x10)
-        table.insert(first, 0)
-        table.insert(second, 0)
+        put(table, first)
+        put(table, second)
         table.touch(first)                    # make `second` the LRU entry
         third = entry(pc=0x20)
-        table.insert(third, 0)
-        assert table.lookup(0x00, Opcode.ADDQI, 1, 0) == [first]
-        assert table.lookup(0x10, Opcode.ADDQI, 1, 0) == []
+        put(table, third)
+        logic = probe_logic(table)
+        assert found(logic, 0x00) is first
+        assert found(logic, 0x10) is None
         assert table.stats.evictions == 1
 
     def test_fully_associative(self):
         table = IntegrationTable(16, 0, IndexScheme.OPCODE_IMM)
         assert table.num_sets == 1
         for i in range(16):
-            table.insert(entry(imm=i, pc=i * 4), 0)
+            put(table, entry(imm=i, pc=i * 4))
         assert table.occupancy() == 16
-        table.insert(entry(imm=99, pc=0x999), 0)
+        put(table, entry(imm=99, pc=0x999))
         assert table.occupancy() == 16        # LRU victim replaced
 
     def test_inputs_match_requires_generations(self):
-        e = entry(in1=5, gen1=2)
-        assert e.inputs_match([5], [2])
-        assert not e.inputs_match([5], [3])
-        assert not e.inputs_match([6], [2])
+        # The operands the equivalence test compares: (preg, gen) pairs.
+        assert entry(in1=5, gen1=2).inputs == (5, 2)
+        assert ITEntry(0, Opcode.ADDQ, None, 5, 2, 6, 3, 9, 0).inputs == (
+            5, 2, 6, 3)
+        logic, prf = make_logic(IntegrationConfig.opcode())
+        out = prf.allocate()
+        src = prf.allocate()
+        put(logic.table, entry(in1=src, gen1=2, out=out,
+                               out_gen=prf.gen[out]))
+        for pregs, gens, expected in (([src], [2], True),
+                                      ([src], [3], False),
+                                      ([src + 1], [2], False)):
+            dyn = dyn_addqi(1, 0x100, rd=1, ra=2, imm=1, src_preg=pregs[0],
+                            src_gen=gens[0])
+            assert logic.consider(dyn, 0).integrate is expected
 
     def test_invalidate_output(self):
         table = IntegrationTable(16, 4, IndexScheme.OPCODE_IMM)
-        table.insert(entry(out=7), 0)
-        table.insert(entry(imm=2, out=8), 0)
+        put(table, entry(out=7))
+        put(table, entry(imm=2, out=8))
         assert table.invalidate_output(7) == 1
         assert table.occupancy() == 1
 
@@ -299,3 +427,168 @@ class TestIntegrationConfig:
         assert "reverse" in text
         assert "IT=1024" in text
         assert IntegrationConfig.disabled().describe() == "no-integration"
+
+
+def metadata_cases():
+    """Static instructions covering every opcode, immediates that exercise
+    the 16-bit key fold and negation, and the operand shapes that change
+    the metadata: ``lda sp, imm(sp)`` against other ``lda``s, stack and
+    other stores of every width, loads off ``sp``, writes to the
+    zero registers."""
+    for op in Opcode:
+        for imm in (None, 0, 8, -32, 0x12345, -0x10001):
+            yield StaticInst(pc=0x40, op=op, rd=1, ra=2, rb=3, imm=imm)
+            yield StaticInst(pc=0x44, op=op, rd=REG_SP, ra=REG_SP, rb=REG_SP,
+                             imm=imm)
+            yield StaticInst(pc=0x48, op=op, rd=REG_SP, ra=2, rb=3, imm=imm)
+            yield StaticInst(pc=0x4C, op=op, rd=1, ra=REG_SP, rb=3, imm=imm)
+            yield StaticInst(pc=0x50, op=op, rd=REG_ZERO, ra=2, rb=REG_SP,
+                             imm=imm)
+            yield StaticInst(pc=0x54, op=op, rd=REG_FZERO, ra=2, rb=3,
+                             imm=imm)
+
+
+class TestStaticInstMetadata:
+    def test_keys_select_the_reference_sets(self):
+        tables = [IntegrationTable(1024, 4, scheme) for scheme in IndexScheme]
+        tables.append(IntegrationTable(64, 2, IndexScheme.OPCODE_IMM))
+        for inst in metadata_cases():
+            info = op_info(inst.op)
+            if info.is_store:
+                reverse = (load_counterpart(inst.op), inst.imm)
+            elif (inst.op is Opcode.LDA and inst.rd == REG_SP
+                  and inst.ra == REG_SP):
+                reverse = (Opcode.LDA, -(inst.imm or 0))
+            else:
+                reverse = None
+            assert inst.it_reverse_tag == reverse, inst
+            assert (inst.it_reverse_key is None) == (reverse is None), inst
+            for table in tables:
+                for depth in (0, 3):
+                    assert (table.index_of(inst.pc, inst.it_key, depth)
+                            == ref_index(table, inst.pc, inst.op, inst.imm,
+                                         depth)), (inst, table.scheme)
+                    if reverse is not None:
+                        assert (table.index_of(inst.pc, inst.it_reverse_key,
+                                               depth)
+                                == ref_index(table, inst.pc, reverse[0],
+                                             reverse[1], depth)), inst
+
+    def test_type_matches_integration_type(self):
+        for inst in metadata_cases():
+            assert inst.itype is integration_type(inst), inst
+
+    def test_create_entries_places_entries_in_reference_sets(self):
+        """``it_creates`` is exactly the condition under which renaming
+        created an entry before it was precomputed (a store, an integrable
+        branch, or an integrable instruction whose destination rename
+        mapped), and every entry lands in the set the reference index
+        names."""
+        config = IntegrationConfig.full(reverse_sp_only=False)
+        for inst in metadata_cases():
+            logic, prf = make_logic(config)
+            renamer = Renamer(MapTable(), prf)
+            renamer.initialize_from_values([0] * 64)
+            dyn = DynInst(1, inst)
+            renamer.lookup_sources(dyn)
+            renamer.rename_dest(dyn)
+            info = inst.info
+            assert inst.it_creates == (info.is_store or (info.integrable and (
+                info.is_cond_branch or dyn.dest_preg is not None))), inst
+            logic.create_entries(dyn, call_depth=3)
+            table = logic.table
+            assert (table.occupancy() > 0) == inst.it_creates, inst
+            for index, cache_set in enumerate(table._sets):
+                for e in cache_set:
+                    assert index == ref_index(table, e.pc, e.opcode, e.imm,
+                                              3), (inst, e)
+
+
+# ----------------------------------------------------------------------
+# The one-pass probe against the MRU-sort reference
+# ----------------------------------------------------------------------
+# Small operand domains plus re-inserted copies, so sets often hold several
+# entries that pass the full test and the choice among them is exercised.
+PROBE_TAGS = ((0x0, Opcode.ADDQI, 0), (0x0, Opcode.LDQ, 0),
+              (0x10, Opcode.LDQ, 8), (0x10, Opcode.BEQ, -8),
+              (0x10, Opcode.ADDQ, None))
+PROBE_INPUTS = ((1, 0, None, 0), (2, 0, None, 0), (1, 0, 2, 0))
+
+it_entry = st.tuples(
+    st.sampled_from(PROBE_TAGS),
+    st.sampled_from(PROBE_INPUTS + ((None, 0, 1, 0),)),
+    st.sampled_from((1, 2, None)), st.sampled_from((0, 0, 1)),
+    st.sampled_from((None, True, False)), st.booleans(),
+    st.integers(min_value=0, max_value=1))
+probe = st.tuples(st.sampled_from(PROBE_TAGS), st.sampled_from(PROBE_INPUTS),
+                  st.integers(min_value=0, max_value=1))
+preg_state = st.tuples(st.integers(min_value=0, max_value=2), st.booleans(),
+                       st.sampled_from((0, 0, 1)), st.booleans())
+
+
+class TestOnePassProbe:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(geometry=st.sampled_from(((4, 1), (8, 2), (8, 4), (16, 4),
+                                     (8, 0), (16, 0))),
+           scheme=st.sampled_from(list(IndexScheme)),
+           general_reuse=st.booleans(),
+           lisp_mode=st.sampled_from((LispMode.OFF, LispMode.ORACLE,
+                                      LispMode.ORACLE)),
+           entries=st.lists(it_entry, min_size=1, max_size=16),
+           copies=st.lists(st.integers(min_value=0, max_value=15),
+                           max_size=12),
+           pregs=st.lists(preg_state, min_size=2, max_size=2),
+           probes=st.lists(probe, min_size=1, max_size=12),
+           rejected=st.sets(st.integers(min_value=0, max_value=27)))
+    def test_matches_mru_reference(self, geometry, scheme, general_reuse,
+                                   lisp_mode, entries, copies, pregs, probes,
+                                   rejected):
+        config = IntegrationConfig(general_reuse=general_reuse,
+                                   index_scheme=scheme, lisp_mode=lisp_mode)
+        prf = PhysicalRegisterFile(num_pregs=66, gen_bits=2)
+        for preg, (refs, valid, gen, via_squash) in enumerate(pregs, 1):
+            prf.refcount[preg] = refs
+            prf.valid[preg] = valid
+            prf.gen[preg] = gen
+            prf.zero_via_squash[preg] = via_squash
+        table = IntegrationTable(*geometry, scheme)
+        reference = IntegrationTable(*geometry, scheme)
+        for seq, ((pc, op, imm), (in1, gen1, in2, gen2), out, out_gen,
+                  outcome, is_reverse, depth) in enumerate(
+                      entries + [entries[i % len(entries)] for i in copies]):
+            for target in (table, reference):
+                e = ITEntry(pc, op, imm, in1, gen1, in2, gen2, out, out_gen,
+                            is_reverse, creator_seq=seq, call_depth=depth)
+                e.branch_outcome = outcome
+                (put if target is table else ref_put)(target, e, depth)
+        logic = IntegrationLogic(config, prf, table=table)
+        calls = {table: [], reference: []}
+
+        def oracle_for(target):
+            def allow(dyn, e):
+                calls[target].append(e.creator_seq)
+                return e.creator_seq not in rejected
+            return allow
+
+        for seq, ((pc, op, imm), (in1, gen1, in2, gen2), depth) in enumerate(
+                probes, 100):
+            inst = StaticInst(pc=pc, op=op, rd=1, ra=2,
+                              rb=3 if op is Opcode.ADDQ else None, imm=imm)
+            dyn = DynInst(seq, inst)
+            sources = [(in1, gen1), (in2, gen2)][:len(inst.srcs)]
+            dyn.src_pregs = [preg for preg, _ in sources]
+            dyn.src_gens = [gen for _, gen in sources]
+            got = logic.consider(dyn, depth, oracle_allow=oracle_for(table))
+            want = ref_consider(reference, prf, config, dyn, depth,
+                                oracle_for(reference))
+            chosen = got.entry.creator_seq if got.entry is not None else None
+            assert (got.integrate, chosen, got.tag_hit,
+                    got.suppressed_by_oracle) == (
+                want[0], want[1].creator_seq if want[1] else None,
+                want[2], want[3])
+            assert not got.suppressed_by_lisp
+            assert calls[table] == calls[reference]
+            assert table.stats == reference.stats
+        assert ([(e.creator_seq, e.lru) for e in table]
+                == [(e.creator_seq, e.lru) for e in reference])

@@ -16,7 +16,7 @@ from repro.integration import (
     ITEntry,
     LoadIntegrationSuppressionPredictor,
 )
-from repro.isa import Opcode, ProgramBuilder
+from repro.isa import Opcode, ProgramBuilder, StaticInst
 from repro.isa import semantics
 from repro.memsys import Cache, CacheConfig
 from repro.rename import PhysicalRegisterFile, ZERO_PREG
@@ -128,7 +128,8 @@ class TestIntegrationTableProperties:
             entry = ITEntry(pc=4 * i, opcode=Opcode.ADDQI, imm=i % 7,
                             in1=i % 30, gen1=0, in2=None, gen2=0,
                             out=i % 50, out_gen=0)
-            table.insert(entry, call_depth=i % 5)
+            key = StaticInst(pc=4 * i, op=Opcode.ADDQI, imm=i % 7).it_key
+            table.insert(entry, key, call_depth=i % 5)
         assert table.occupancy() <= size
         for cache_set in table._sets:
             assert len(cache_set) <= table.assoc
