@@ -47,8 +47,8 @@ def hot_path_targets() -> Tuple[Tuple[str, str], ...]:
     """The pinned hot-path functions as live ``(filename, name)`` pairs.
 
     Resolved at call time from the classes that own the per-cycle inner
-    loops; attributes that no longer exist are skipped, so the pin list
-    tracks refactors automatically.
+    loops.  A pin naming a function that no longer exists raises
+    ``AttributeError``, so a refactor cannot quietly drop a highlight.
     """
     from repro.core.lsq import LoadStoreQueue
     from repro.core.scheduler import ReservationStations
@@ -56,24 +56,29 @@ def hot_path_targets() -> Tuple[Tuple[str, str], ...]:
     from repro.core.stages.execute import IssueExecute
     from repro.core.stages.frontend import FrontEnd
     from repro.core.stages.rename import RenameIntegrate
+    from repro.integration.logic import IntegrationLogic
+    from repro.integration.table import IntegrationTable
+    from repro.rename.renamer import Renamer
 
     wanted = (
         (IssueExecute, ("tick", "writeback", "_execute", "_execute_load",
-                        "_execute_store", "_load_can_issue")),
+                        "_load_can_issue")),
         (LoadStoreQueue, ("forward_from", "older_stores_unresolved",
                           "older_store_conflict_possible", "resolve_store",
                           "record_load", "insert", "remove")),
         (ReservationStations, ("select", "wakeup", "insert")),
-        (RenameIntegrate, ("tick", "_rename_one")),
+        (RenameIntegrate, ("tick",)),
+        (Renamer, ("lookup_sources", "rename_dest")),
+        (IntegrationLogic, ("consider", "create_entries")),
+        (IntegrationTable, ("insert",)),
         (CommitDiva, ("tick",)),
         (FrontEnd, ("tick",)),
     )
     targets: List[Tuple[str, str]] = []
     for cls, names in wanted:
         for name in names:
-            code = getattr(getattr(cls, name, None), "__code__", None)
-            if code is not None:
-                targets.append((code.co_filename, code.co_name))
+            code = getattr(cls, name).__code__
+            targets.append((code.co_filename, code.co_name))
     return tuple(targets)
 
 

@@ -215,9 +215,10 @@ class Processor:
           is in flight (clamps the jump to ``fetch_resume_cycle``);
         * rename -- quiescent when the queue head has not decoded yet
           (clamps to its ready cycle) or is structurally blocked on a full
-          ROB/RS/LSQ.  An unblocked head means rename would run
-          ``_rename_one`` -- whose integration-table retry is not
-          idempotent -- so that is never elided;
+          ROB/RS/LSQ.  An unblocked head means ``RenameIntegrate.tick``
+          would rename it -- and its integration-table probe (lookup
+          counters, recency order) is not idempotent -- so that is never
+          elided;
         * commit -- quiescent when the ROB is empty or the head cannot
           retire.  A head blocked only by the minimum rename-to-retire age
           clamps the jump to ``rename_cycle + 2``; a retirable head (which

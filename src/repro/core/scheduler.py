@@ -37,12 +37,11 @@ __all__ = ["ReservationStations", "IssuePortConfig"]
 # The issue-port classification ("load"/"store"/"complex"/"simple") and the
 # selection priority (loads, branches, FP and indirect control first) are
 # per-opcode constants precomputed as ``OpInfo.issue_port`` /
-# ``OpInfo.port_code`` / ``OpInfo.issue_priority`` (see repro.isa.opcodes)
-# and mirrored into ``DynInst.rs_port`` / ``rs_priority`` at insert.
+# ``OpInfo.port_code`` / ``OpInfo.issue_priority`` (see repro.isa.opcodes).
 
 
 def _age_priority_key(dyn: DynInst):
-    return (dyn.rs_priority, dyn.seq)
+    return (dyn.info.issue_priority, dyn.seq)
 
 
 class ReservationStations:
@@ -104,8 +103,6 @@ class ReservationStations:
             raise RuntimeError("window ring aliasing in reservation stations")
         waiting[seq] = dyn
         info = dyn.info
-        dyn.rs_port = info.issue_port
-        dyn.rs_priority = info.issue_priority
         slot = seq & win.mask
         win.kind[slot] = info.kind_code
         win.port[slot] = info.port_code
@@ -238,7 +235,7 @@ class ReservationStations:
         for dyn in candidates:
             if len(selected) >= ports.issue_width:
                 break
-            port = dyn.rs_port
+            port = dyn.info.issue_port
             if port == "load" and not load_can_issue(dyn):
                 continue
             if self.combined_ldst_port and port in ("load", "store"):

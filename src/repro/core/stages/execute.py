@@ -182,7 +182,6 @@ class IssueExecute:
         config = state.config
         dyn.issued = True
         cycle = state.cycle
-        dyn.issue_cycle = cycle
         state.stats.issued += 1
         tracer = state.tracer
         if tracer is not None:

@@ -77,21 +77,16 @@ class FrontEnd:
             dyn.map_checkpoint = snap
             fetched += 1
             fetch_pc = inst.pc + INST_SIZE
+            append((dyn, ready_cycle))
+            # Non-control-flow: the predictor has no side effects and always
+            # predicts fall-through, so only branches call it.
             if inst.info.is_branch:
                 prediction = predictor.predict(inst)
                 snap = None
-                dyn.pred_taken = prediction.taken
-                dyn.pred_next_pc = prediction.target
                 predictions[dyn.seq] = prediction
-                append((dyn, ready_cycle))
                 if prediction.taken:
                     fetch_pc = prediction.target
                     break
-            else:
-                # Non-control-flow: the predictor has no side effects and
-                # always predicts fall-through, so skip the call entirely.
-                dyn.pred_next_pc = fetch_pc
-                append((dyn, ready_cycle))
         self.fetch_pc = fetch_pc
         state.stats.fetched += fetched
 

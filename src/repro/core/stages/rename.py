@@ -6,12 +6,13 @@ points the instruction at an existing physical register (integration: the
 instruction leaves the pipeline here, never issuing) or allocates a fresh
 destination and dispatches it to the out-of-order engine.
 
-The per-instruction work is written flat: source lookup reads the map-table
-arrays directly, the integration preconditions (enabled, integrable opcode)
-are tested before calling into the integration logic, and the destination
-rename uses the allocation-free :meth:`~repro.rename.renamer.Renamer.
-rename_dest` code path.  All decisions and statistics are identical to the
-layered equivalents the unit tests exercise.
+Renaming is one loop over the front-end queue.  Each instruction's sources
+are looked up once (:meth:`~repro.rename.renamer.Renamer.lookup_sources`
+sets ``dyn.src_key``), and the integration probe and entry creation both
+work from that key.  The integration preconditions (enabled, integrable
+opcode) are tested before calling into the integration logic, and the
+destination rename uses the allocation-free
+:meth:`~repro.rename.renamer.Renamer.rename_dest` code path.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from repro.isa import semantics
 from repro.isa.instruction import DynInst
 from repro.isa.opcodes import OpClass
 from repro.isa.program import INST_SIZE
-from repro.isa.registers import REG_FZERO, REG_ZERO
-from repro.rename.physical import ZERO_PREG
 
 
 class RenameIntegrate:
@@ -60,7 +59,16 @@ class RenameIntegrate:
         lsq_by_seq = lsq._by_seq
         lsq_size = lsq.size
         stats = state.stats
-        rename_one = self._rename_one
+        renamer = state.renamer
+        lookup_sources = renamer.lookup_sources
+        rename_dest = renamer.rename_dest
+        # Looked up on the instance every tick: a harness may wrap them.
+        integration = state.integration
+        consider = integration.consider
+        create_entries = integration.create_entries
+        int_enabled = self._int_enabled
+        oracle = self._oracle_allow if self._oracle_loads else None
+        preg_producer = state.preg_producer
         renamed = 0
         width = state.config.rename_width
         tracer = state.tracer
@@ -77,9 +85,42 @@ class RenameIntegrate:
             # it: an integrated branch that redirects fetch flushes the queue
             # and must not flush itself.
             fetch_queue.popleft()
-            if not rename_one(dyn):
-                fetch_queue.appendleft((dyn, ready_cycle))
-                break
+            lookup_sources(dyn)
+            integrated = False
+            if int_enabled and info.integrable:
+                decision = consider(dyn, dyn.call_depth, oracle)
+                if decision.suppressed_by_lisp or decision.suppressed_by_oracle:
+                    stats.lisp_suppressed += 1
+                if decision.integrate:
+                    integrated = self._apply_integration(dyn, decision.entry)
+                    if not integrated:
+                        stats.refcount_saturation_failures += 1
+            if not integrated:
+                code = rename_dest(dyn)
+                if code < 0:
+                    fetch_queue.appendleft((dyn, ready_cycle))
+                    break
+                if code > 0:
+                    preg_producer[dyn.dest_preg] = dyn
+                inst = dyn.inst
+                if int_enabled and inst.it_creates:
+                    create_entries(dyn, dyn.call_depth)
+                if info.rename_complete:
+                    # Direct jumps/calls, syscalls and nops finish here; a
+                    # call also writes its link register.
+                    if dyn.cls is OpClass.CALL_DIRECT:
+                        link = inst.pc + INST_SIZE
+                        if dyn.dest_preg is not None:
+                            state.prf.set_value(dyn.dest_preg, link)
+                        dyn.result = link
+                    dyn.executed = True
+                    dyn.completed = True
+                    dyn.complete_cycle = cycle
+                else:
+                    rs.insert(dyn)
+                    if info.is_mem:
+                        lsq.insert(dyn)
+                    dyn.dispatch_cycle = cycle
             dyn.rename_cycle = cycle
             rob.push(dyn)
             stats.renamed += 1
@@ -88,86 +129,23 @@ class RenameIntegrate:
                 tracer.on_rename(dyn, cycle)
             # An integrated branch that redirected fetch ends the rename
             # group (everything behind it in the queue was flushed).
-            if dyn.branch_mispredicted and dyn.integrated:
+            if dyn.branch_mispredicted and integrated:
                 break
 
     def flush(self, redirect_pc: int) -> None:
         """Rename holds no inter-cycle state; nothing to discard."""
 
     # ------------------------------------------------------------------
-    def _rename_one(self, dyn: DynInst) -> bool:
-        """Rename (or integrate) one instruction; False means stall."""
-        state = self.state
-        inst = dyn.inst
-        info = dyn.info
-
-        # Source lookup (Renamer.lookup_sources, inlined).
-        map_table = state.map_table
-        mt_pregs = map_table._pregs
-        mt_gens = map_table._gens
-        pregs = []
-        gens = []
-        for logical in inst.srcs:
-            if logical == REG_ZERO or logical == REG_FZERO:
-                pregs.append(ZERO_PREG)
-                gens.append(0)
-            else:
-                pregs.append(mt_pregs[logical])
-                gens.append(mt_gens[logical])
-        dyn.src_pregs = pregs
-        dyn.src_gens = gens
-
-        if self._int_enabled and info.integrable:
-            oracle = (self._oracle_allow
-                      if self._oracle_loads and info.is_load else None)
-            decision = state.integration.consider(dyn, dyn.call_depth,
-                                                  oracle)
-            if decision.suppressed_by_lisp or decision.suppressed_by_oracle:
-                state.stats.lisp_suppressed += 1
-            if decision.integrate:
-                if self._apply_integration(dyn, decision):
-                    return True
-                state.stats.refcount_saturation_failures += 1
-
-        code = state.renamer.rename_dest(dyn)
-        if code < 0:
-            return False
-        if code > 0:
-            state.preg_producer[dyn.dest_preg] = dyn
-        if self._int_enabled and inst.it_creates:
-            state.integration.create_entries(dyn, dyn.call_depth)
-
-        cycle = state.cycle
-        cls = dyn.cls
-        if cls is OpClass.CALL_DIRECT:
-            link = inst.pc + INST_SIZE
-            if dyn.dest_preg is not None:
-                state.prf.set_value(dyn.dest_preg, link)
-            dyn.result = link
-            dyn.executed = True
-            dyn.completed = True
-            dyn.complete_cycle = cycle
-        elif info.rename_complete:
-            dyn.executed = True
-            dyn.completed = True
-            dyn.complete_cycle = cycle
-        else:
-            state.rs.insert(dyn)
-            if info.is_mem:
-                state.lsq.insert(dyn)
-            dyn.dispatch_cycle = cycle
-        return True
-
     def _mark_rename_complete(self, dyn: DynInst) -> None:
         dyn.executed = True
         dyn.completed = True
         dyn.complete_cycle = self.state.cycle
 
     # ------------------------------------------------------------------
-    def _apply_integration(self, dyn: DynInst, decision) -> bool:
-        """Point the instruction at the matched IT entry's result."""
+    def _apply_integration(self, dyn: DynInst, entry) -> bool:
+        """Point the instruction at the matched IT entry's result; False
+        when the register's reference count is saturated."""
         state = self.state
-        entry = decision.entry
         if dyn.info.is_cond_branch:
             self._integrate_branch(dyn, entry)
             return True

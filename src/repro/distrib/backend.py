@@ -229,6 +229,8 @@ class DistributedBackend:
         current_poll = self.poll_interval
         while pending:
             progressed = False
+            claimed = None
+            failed = False
             if self.drain:
                 try:
                     job = queue.claim(summary.worker)
@@ -237,10 +239,13 @@ class DistributedBackend:
                     job = None
                 if job is not None:
                     executed_before = summary.executed
+                    failed_before = summary.failed
                     process_one(queue, cache, job, summary)
                     if summary.executed > executed_before:
                         local_keys.add(job.key)
+                    failed = summary.failed > failed_before
                     progressed = True
+                    claimed = job
             try:
                 reclaimed = queue.reclaim_expired()
             except OSError:
@@ -249,7 +254,17 @@ class DistributedBackend:
             if reclaimed:
                 runner.telemetry.leases_reclaimed += reclaimed
                 summary.reclaimed += reclaimed
-            for key in list(pending):
+            # After a local job, probe only that job's key (and its dead
+            # letter if it failed); the full pending scan runs only when
+            # the local drain claimed nothing, which keeps a sweep's probes
+            # linear in its job count.
+            if claimed is None:
+                watched = list(pending)
+            elif claimed.key in pending:
+                watched = [claimed.key]
+            else:
+                watched = []
+            for key in watched:
                 stats = cache.load(key)
                 if stats is not None:
                     if key not in local_keys:
@@ -281,12 +296,13 @@ class DistributedBackend:
                             progressed = True
                     except OSError:
                         summary.io_errors += 1
-            if pending:
+            if claimed is None or failed:
                 # Watch only this run's own job ids (one existence probe
                 # each), not the whole dead/ directory -- a long-lived
                 # queue may carry dead letters from unrelated sweeps.
                 dead = [d for d in (queue.find_dead(job_ids[key])
-                                    for key in pending) if d is not None]
+                                    for key in watched if key in pending)
+                        if d is not None]
                 if dead:
                     lines = []
                     for d in dead:

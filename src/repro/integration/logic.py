@@ -15,7 +15,6 @@ including *reverse* entries for stack stores and stack-pointer adjustments
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Callable, Optional
 
 from repro.integration.config import IntegrationConfig, LispMode
@@ -54,8 +53,6 @@ _TAG_HIT = IntegrationDecision(integrate=False, tag_hit=True)
 _TAG_HIT_ORACLE_SUPPRESSED = IntegrationDecision(
     integrate=False, tag_hit=True, suppressed_by_oracle=True)
 
-_lru_key = attrgetter("lru")
-
 
 class IntegrationLogic:
     """The integration test plus IT entry creation."""
@@ -90,16 +87,16 @@ class IntegrationLogic:
                  ) -> IntegrationDecision:
         """Decide whether ``dyn`` can integrate an existing result.
 
-        ``dyn`` must already have its source physical registers looked up
-        (``src_pregs``/``src_gens``).  ``oracle_allow`` implements oracle
-        load-suppression when the configuration asks for it.
+        ``dyn`` must already have its sources looked up
+        (:meth:`~repro.rename.renamer.Renamer.lookup_sources` sets
+        ``src_key``).  ``oracle_allow`` implements oracle load-suppression
+        when the configuration asks for it.
 
-        One pass over the indexed set checks tag, inputs (with generations)
-        and output eligibility, keeping the passing entry with the highest
-        LRU tick: the first passing entry in most-recently-used order, since
-        every insert and touch takes a fresh tick and every check is pure.
-        Only the oracle is consulted in order (most recent first, until it
-        allows one), so passing entries are sorted only when it applies.
+        The indexed set is walked from its most recently used end, checking
+        tag, inputs (with generations) and output eligibility, and the walk
+        stops at the first entry that passes -- and that the oracle, when
+        it applies, allows.  A successful integration moves its entry to the
+        most recently used end of the set.
         """
         if not self._enabled:
             return NO_INTEGRATION
@@ -118,14 +115,7 @@ class IntegrationLogic:
         table = self.table
         table.stats.lookups += 1
         cache_set = table._sets[table.index_of(pc, inst.it_key, call_depth)]
-        pregs = dyn.src_pregs
-        gens = dyn.src_gens
-        if len(pregs) == 1:
-            inputs = (pregs[0], gens[0])
-        elif len(pregs) == 2:
-            inputs = (pregs[0], gens[0], pregs[1], gens[1])
-        else:
-            inputs = tuple(x for pair in zip(pregs, gens) for x in pair)
+        inputs = dyn.src_key
         pc_scheme = table._pc_scheme
         op = inst.op
         imm = inst.imm
@@ -133,10 +123,9 @@ class IntegrationLogic:
         eligible = self.prf.integration_eligible
         squash_only = self._squash_only
         tag_hit = False
+        suppressed = False
         best = None
-        best_lru = -1
-        passing = [] if oracle is not None else None
-        for entry in cache_set:
+        for entry in reversed(cache_set):
             if pc_scheme:
                 if entry.pc != pc:
                     continue
@@ -153,25 +142,18 @@ class IntegrationLogic:
                 if out is None or not eligible(out, entry.out_gen,
                                                squash_only):
                     continue
-            if oracle is not None:
-                passing.append(entry)
-            elif entry.lru > best_lru:
-                best = entry
-                best_lru = entry.lru
+            if oracle is not None and not oracle(dyn, entry):
+                suppressed = True
+                continue
+            best = entry
+            break
         if not tag_hit:
             return NO_INTEGRATION
         table.stats.tag_hits += 1
-        suppressed = False
-        if oracle is not None:
-            passing.sort(key=_lru_key, reverse=True)
-            for entry in passing:
-                if oracle(dyn, entry):
-                    best = entry
-                    break
-                suppressed = True
         if best is None:
             return _TAG_HIT_ORACLE_SUPPRESSED if suppressed else _TAG_HIT
-        table.touch(best)
+        cache_set.remove(best)
+        cache_set.append(best)
         return IntegrationDecision(True, best, False, suppressed, True)
 
     # ------------------------------------------------------------------
@@ -185,16 +167,16 @@ class IntegrationLogic:
         complementary load entry, a stack-pointer ``lda`` creates the entry
         for the opposite adjustment.  Which instructions create entries
         (``it_creates``), their reverse operations and the set keys come
-        precomputed on the static instruction; this method builds the
-        entries and applies the configuration.
+        precomputed on the static instruction; every entry's inputs and
+        output are slices of ``dyn.src_key`` or the just-renamed
+        destination.
         """
         inst = dyn.inst
         if not self._enabled or not inst.it_creates:
             return
         info = dyn.info
         table = self.table
-        pregs = dyn.src_pregs
-        gens = dyn.src_gens
+        key = dyn.src_key
 
         if info.is_store:
             # Store sources are [data, base]; the reverse load reads the
@@ -202,40 +184,32 @@ class IntegrationLogic:
             if self._reverse and not (self._reverse_sp_only
                                       and inst.rb != REG_SP):
                 rev_op, rev_imm = inst.it_reverse_tag
-                table.insert(ITEntry(inst.pc, rev_op, rev_imm,
-                                     pregs[1], gens[1], None, 0,
-                                     pregs[0], gens[0], True, dyn.seq,
-                                     call_depth),
+                table.insert(ITEntry(inst.pc, rev_op, rev_imm, key[2:],
+                                     key[0], key[1], True, dyn.seq),
                              inst.it_reverse_key, call_depth)
             return
 
-        n = len(pregs)
-        in1 = pregs[0] if n > 0 else None
-        gen1 = gens[0] if n > 0 else 0
-        in2 = pregs[1] if n > 1 else None
-        gen2 = gens[1] if n > 1 else 0
-
         if info.is_cond_branch:
             dyn.it_entry = table.insert(
-                ITEntry(inst.pc, inst.op, inst.imm, in1, gen1, in2, gen2,
-                        None, 0, False, dyn.seq, call_depth),
+                ITEntry(inst.pc, inst.op, inst.imm, key, None, 0, False,
+                        dyn.seq),
                 inst.it_key, call_depth)
             return
 
         # Any other creator writes a register, which rename has just mapped.
         out = dyn.dest_preg
+        out_gen = dyn.dest_gen
         dyn.it_entry = table.insert(
-            ITEntry(inst.pc, inst.op, inst.imm, in1, gen1, in2, gen2,
-                    out, dyn.dest_gen, False, dyn.seq, call_depth),
+            ITEntry(inst.pc, inst.op, inst.imm, key, out, out_gen, False,
+                    dyn.seq),
             inst.it_key, call_depth)
 
         # Reverse entry for stack-pointer adjustments: lda sp, imm(sp)
         # creates <lda/-imm, new_sp, -, old_sp>.
         if self._reverse and inst.it_reverse_key is not None:
             rev_op, rev_imm = inst.it_reverse_tag
-            table.insert(ITEntry(inst.pc, rev_op, rev_imm,
-                                 out, dyn.dest_gen, None, 0,
-                                 in1, gen1, True, dyn.seq, call_depth),
+            table.insert(ITEntry(inst.pc, rev_op, rev_imm, (out, out_gen),
+                                 key[0], key[1], True, dyn.seq),
                          inst.it_reverse_key, call_depth)
 
     # ------------------------------------------------------------------

@@ -8,15 +8,18 @@ Entries are placed by a precomputed key (``StaticInst.it_key`` or
 ``it_reverse_key``) hashed to a set; the integration *logic* probes that set
 in one pass, comparing a minimal tag and then performing the full
 operational-equivalence test (input physical registers and generations).
-Replacement within a set is LRU, which together with FIFO physical-register
-reclamation approximates the joint IT/state-vector management of the
-original squash-reuse design (paper Section 2.2, implementation issues).
+Each set is a list kept in recency order, least recently used first: an
+insert appends (evicting index 0 when the set is full) and a successful
+integration moves its entry to the end.  Replacement within a set is
+therefore LRU, which together with FIFO physical-register reclamation
+approximates the joint IT/state-vector management of the original
+squash-reuse design (paper Section 2.2, implementation issues).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.integration.config import IndexScheme
 from repro.isa.opcodes import Opcode
@@ -24,47 +27,33 @@ from repro.isa.program import INST_SIZE
 
 
 class ITEntry:
-    """One integration-table entry.  Only ``branch_outcome`` and ``lru``
-    change after construction, so ``inputs`` is computed once here."""
+    """One integration-table entry.  Only ``branch_outcome`` changes after
+    construction (a branch entry learns its resolved direction)."""
 
-    __slots__ = ("pc", "opcode", "imm", "in1", "gen1", "in2", "gen2",
-                 "out", "out_gen", "branch_outcome", "is_reverse",
-                 "creator_seq", "call_depth", "lru", "inputs")
+    __slots__ = ("pc", "opcode", "imm", "inputs", "out", "out_gen",
+                 "branch_outcome", "is_reverse", "creator_seq")
 
     def __init__(self, pc: int, opcode: Opcode, imm: Optional[int],
-                 in1: Optional[int], gen1: int,
-                 in2: Optional[int], gen2: int,
-                 out: Optional[int], out_gen: int,
-                 is_reverse: bool = False, creator_seq: int = 0,
-                 call_depth: int = 0):
+                 inputs: Tuple[int, ...], out: Optional[int], out_gen: int,
+                 is_reverse: bool = False, creator_seq: int = 0):
         self.pc = pc
         self.opcode = opcode
         self.imm = imm
-        self.in1 = in1
-        self.gen1 = gen1
-        self.in2 = in2
-        self.gen2 = gen2
+        #: The inputs' ``(preg, gen)`` pairs, flattened: one tuple
+        #: comparison against a probe's ``DynInst.src_key`` checks registers
+        #: and generations (the generation suppresses register
+        #: mis-integrations after a reallocation).
+        self.inputs = inputs
         self.out = out
         self.out_gen = out_gen
         self.branch_outcome: Optional[bool] = None
         self.is_reverse = is_reverse
         self.creator_seq = creator_seq
-        self.call_depth = call_depth
-        self.lru = 0
-        #: The present inputs' ``(preg, gen)`` pairs, flattened: one tuple
-        #: comparison checks registers and generations (the generation
-        #: suppresses register mis-integrations after a reallocation).
-        if in1 is None:
-            self.inputs = () if in2 is None else (in2, gen2)
-        elif in2 is None:
-            self.inputs = (in1, gen1)
-        else:
-            self.inputs = (in1, gen1, in2, gen2)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "rev" if self.is_reverse else "dir"
         return (f"<ITEntry {kind} {self.opcode.value}/{self.imm} "
-                f"in=({self.in1},{self.in2}) out={self.out}>")
+                f"in={self.inputs} out={self.out}>")
 
 
 @dataclass
@@ -95,8 +84,8 @@ class IntegrationTable:
         # Scheme flags hoisted out of the per-lookup path.
         self._pc_scheme = scheme is IndexScheme.PC
         self._depth_in_index = scheme is IndexScheme.OPCODE_IMM_CALLDEPTH
+        #: Each set in recency order, least recently used first.
         self._sets: List[List[ITEntry]] = [[] for _ in range(self.num_sets)]
-        self._tick = 0
         self.stats = ITStats()
 
     # ------------------------------------------------------------------
@@ -117,32 +106,19 @@ class IntegrationTable:
             key ^= call_depth
         return key % self.num_sets
 
-    def touch(self, entry: ITEntry) -> None:
-        """Refresh an entry's LRU position (called on successful integration)."""
-        self._tick += 1
-        entry.lru = self._tick
-
     def insert(self, entry: ITEntry, key: int, call_depth: int) -> ITEntry:
-        """Insert ``entry`` under index ``key`` (see :meth:`index_of`),
-        evicting the LRU entry of its set if full."""
+        """Insert ``entry`` under index ``key`` (see :meth:`index_of`) as
+        its set's most recently used entry, evicting the least recently
+        used one if the set is full."""
         cache_set = self._sets[self.index_of(entry.pc, key, call_depth)]
-        self._tick += 1
-        entry.lru = self._tick
         stats = self.stats
         stats.insertions += 1
         if entry.is_reverse:
             stats.reverse_insertions += 1
         if len(cache_set) >= self.assoc:
-            victim = 0
-            victim_lru = cache_set[0].lru
-            for i in range(1, len(cache_set)):
-                lru = cache_set[i].lru
-                if lru < victim_lru:
-                    victim, victim_lru = i, lru
-            cache_set[victim] = entry
+            del cache_set[0]
             stats.evictions += 1
-        else:
-            cache_set.append(entry)
+        cache_set.append(entry)
         return entry
 
     def invalidate_output(self, preg: int) -> int:

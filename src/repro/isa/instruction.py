@@ -8,7 +8,7 @@ carrying renamed registers, values and per-stage timestamps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.isa.opcodes import OpClass, Opcode, OPINFO, is_store
 from repro.isa.registers import REG_FZERO, REG_SP, REG_ZERO, reg_name
@@ -125,26 +125,25 @@ class DynInst:
 
     __slots__ = (
         "seq", "inst", "op", "cls", "info",
-        "pc", "pred_next_pc", "next_pc", "pred_taken",
+        "pc", "next_pc",
         "call_depth",
         # renaming
-        "src_pregs", "src_gens", "dest_preg", "dest_gen", "old_dest_preg",
+        "src_pregs", "src_key", "dest_preg", "dest_gen", "old_dest_preg",
         "old_dest_gen",
         "map_checkpoint",
         # integration
         "integrated", "reverse_integrated", "integration_distance",
         "integration_status", "integration_refcount", "it_entry",
-        "suppressed_by_lisp",
         # execution state
         "result", "eff_addr", "store_value",
         "executed", "issued", "completed", "squashed",
         "branch_taken", "branch_mispredicted", "mem_mispeculated",
         "mis_integrated",
         # timing
-        "fetch_cycle", "rename_cycle", "dispatch_cycle", "issue_cycle",
+        "fetch_cycle", "rename_cycle", "dispatch_cycle",
         "complete_cycle", "retire_cycle",
         # resources
-        "rs_pending", "rs_port", "rs_priority", "in_lsq",
+        "rs_pending", "in_lsq",
     )
 
     def __init__(self, seq: int, inst: StaticInst):
@@ -154,12 +153,12 @@ class DynInst:
         self.cls = inst.cls
         self.info = inst.info
         self.pc = inst.pc
-        self.pred_next_pc = None
         self.next_pc = None
-        self.pred_taken = False
         self.call_depth = 0
-        self.src_pregs: List[int] = []
-        self.src_gens: List[int] = []
+        self.src_pregs: Sequence[int] = ()
+        #: The flat ``(preg, gen[, preg, gen])`` source key the integration
+        #: table matches on (set by ``Renamer.lookup_sources``).
+        self.src_key: Tuple[int, ...] = ()
         self.dest_preg: Optional[int] = None
         self.dest_gen: int = 0
         self.old_dest_preg: Optional[int] = None
@@ -171,7 +170,6 @@ class DynInst:
         self.integration_status = None
         self.integration_refcount = 0
         self.it_entry = None
-        self.suppressed_by_lisp = False
         self.result = None
         self.eff_addr = None
         self.store_value = None
@@ -186,14 +184,10 @@ class DynInst:
         self.fetch_cycle = -1
         self.rename_cycle = -1
         self.dispatch_cycle = -1
-        self.issue_cycle = -1
         self.complete_cycle = -1
         self.retire_cycle = -1
         #: Source operands still awaited while waiting in the scheduler.
         self.rs_pending = 0
-        #: Issue port and selection priority, filled at scheduler insert.
-        self.rs_port = None
-        self.rs_priority = 1
         #: Honest load/store-queue membership flag (set/cleared by the LSQ).
         self.in_lsq = False
 

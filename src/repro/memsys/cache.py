@@ -67,22 +67,19 @@ class Cache:
     def __init__(self, config: CacheConfig):
         self.config = config
         self.stats = CacheStats()
-        self._sets: List[Dict[int, _Line]] = [dict() for _ in range(config.num_sets)]
+        # Geometry resolved once: every access indexes with these.
+        self._line_bytes = config.line_bytes
+        self._num_sets = config.num_sets
+        self._sets: List[Dict[int, _Line]] = [
+            dict() for _ in range(self._num_sets)]
         # line address -> cycle at which the outstanding fill completes
         self._mshrs: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    def _index_tag(self, addr: int) -> Tuple[int, int]:
-        line_addr = addr // self.config.line_bytes
-        return line_addr % self.config.num_sets, line_addr
-
-    def line_addr(self, addr: int) -> int:
-        return addr // self.config.line_bytes
-
     def probe(self, addr: int) -> bool:
         """Check for presence without updating LRU state or statistics."""
-        index, tag = self._index_tag(addr)
-        return tag in self._sets[index]
+        tag = addr // self._line_bytes
+        return tag in self._sets[tag % self._num_sets]
 
     def access(self, addr: int, cycle: int, is_write: bool = False,
                fill_latency: int = 0) -> Tuple[int, bool]:
@@ -94,7 +91,8 @@ class Cache:
         """
         cfg = self.config
         self.stats.accesses += 1
-        index, tag = self._index_tag(addr)
+        tag = addr // self._line_bytes
+        index = tag % self._num_sets
         cache_set = self._sets[index]
         line = cache_set.get(tag)
         if line is not None:

@@ -42,14 +42,17 @@ class TLB:
     def __init__(self, config: TLBConfig):
         self.config = config
         self.stats = TLBStats()
-        self._sets: List[Dict[int, int]] = [dict() for _ in range(config.num_sets)]
+        # Geometry resolved once: every access indexes with these.
+        self._page_bytes = config.page_bytes
+        self._num_sets = config.num_sets
+        self._sets: List[Dict[int, int]] = [
+            dict() for _ in range(self._num_sets)]
 
     def access(self, addr: int, cycle: int) -> Tuple[int, bool]:
         """Translate ``addr``; returns ``(extra_latency, hit)``."""
         self.stats.accesses += 1
-        page = addr // self.config.page_bytes
-        index = page % self.config.num_sets
-        tlb_set = self._sets[index]
+        page = addr // self._page_bytes
+        tlb_set = self._sets[page % self._num_sets]
         if page in tlb_set:
             tlb_set[page] = cycle
             return 0, True

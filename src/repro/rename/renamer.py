@@ -4,7 +4,8 @@ The :class:`Renamer` binds the map table and the physical register file and
 exposes exactly the operations the paper's integration-aware rename stage
 needs:
 
-* source lookup (physical register + generation for each logical source),
+* source lookup (physical register + generation for each logical source,
+  as the flat source key the integration table matches),
 * destination *allocation* (conventional renaming: claim a free register),
 * destination *integration* (extension 1: add a reference to an existing
   register instead of allocating),
@@ -16,7 +17,7 @@ needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.isa.instruction import DynInst
 from repro.isa.registers import (
@@ -69,23 +70,37 @@ class Renamer:
     # ------------------------------------------------------------------
     # rename-stage operations
     # ------------------------------------------------------------------
-    def lookup_sources(self, dyn: DynInst) -> Tuple[List[int], List[int]]:
-        """Fill in (and return) the physical registers and generations of the
-        instruction's logical sources."""
-        pregs: List[int] = []
-        gens: List[int] = []
-        get_raw = self.map_table.get_raw
-        for logical in dyn.inst.srcs:
-            if is_zero_reg(logical):
-                pregs.append(ZERO_PREG)
-                gens.append(0)
-            else:
-                preg, gen = get_raw(logical)
-                pregs.append(preg)
-                gens.append(gen)
-        dyn.src_pregs = pregs
-        dyn.src_gens = gens
-        return pregs, gens
+    def lookup_sources(self, dyn: DynInst) -> Tuple[int, ...]:
+        """Look up the instruction's logical sources in the map table.
+
+        Sets ``dyn.src_pregs``, the physical registers the scheduler waits
+        on (a list: tuples here measured a higher peak RSS), and
+        ``dyn.src_key``, the flat ``(preg, gen[, preg, gen])`` tuple the
+        integration table matches and builds entries from, and returns the
+        key.  The zero registers need no special case: nothing ever
+        remaps them (a zero destination is never renamed), so they read
+        ``(ZERO_PREG, 0)`` like any other mapping.
+        """
+        srcs = dyn.inst.srcs
+        map_table = self.map_table
+        mt_pregs = map_table._pregs
+        mt_gens = map_table._gens
+        if len(srcs) == 1:
+            a = srcs[0]
+            pa = mt_pregs[a]
+            dyn.src_pregs = [pa]
+            key = (pa, mt_gens[a])
+        elif srcs:
+            a, b = srcs
+            pa = mt_pregs[a]
+            pb = mt_pregs[b]
+            dyn.src_pregs = [pa, pb]
+            key = (pa, mt_gens[a], pb, mt_gens[b])
+        else:
+            dyn.src_pregs = []
+            key = ()
+        dyn.src_key = key
+        return key
 
     def _record_old_mapping(self, dyn: DynInst, logical: int) -> None:
         dyn.old_dest_preg, dyn.old_dest_gen = self.map_table.get_raw(logical)

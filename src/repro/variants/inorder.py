@@ -45,7 +45,7 @@ class InOrderReservationStations(ReservationStations):
                     break
             elif not operand_ready(dyn):
                 break
-            port = dyn.rs_port
+            port = dyn.info.issue_port
             if port == "load" and not load_can_issue(dyn):
                 break
             if (self.combined_ldst_port and port in ("load", "store")

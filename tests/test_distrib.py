@@ -346,6 +346,43 @@ class TestBackendEquivalence:
         status = backend.queue().status()
         assert status.dead == 1 and status.depth == 0
 
+    def test_local_drain_probes_linearly(self, isolated_cache, monkeypatch):
+        """Draining N jobs in one process loads each result a bounded
+        number of times (the job itself, then its one probe), instead of
+        re-probing every pending key after every job."""
+        plan = runner.plan_suite(["gzip", "mcf"], SUITE_CONFIGS, 0.02, 4,
+                                 1.0, use_cache=True)
+        jobs = len(plan.jobs_list)
+        assert jobs == 16
+        loads = []
+        real_load = ResultCache.load
+
+        def counting_load(self, key):
+            loads.append(key)
+            return real_load(self, key)
+
+        monkeypatch.setattr(ResultCache, "load", counting_load)
+        backend = DistributedBackend(queue_dir=isolated_cache / "q",
+                                     poll_interval=0.01)
+        outcomes = backend.execute(plan.jobs_list, use_cache=True)
+        assert len(outcomes) == jobs
+        assert len(loads) <= 2 * jobs + 1
+
+    def test_local_dead_letter_names_the_job(self, isolated_cache):
+        """A job that dead-letters while the submitter drains it aborts the
+        wait with its key, even with healthy jobs alongside."""
+        plan = runner.plan_suite(["gzip"], SUITE_CONFIGS, 0.02, 1, 1.0,
+                                 use_cache=True)
+        bogus_key = "deadbeef" * 8
+        bogus = (1 << 40, (bogus_key, "no-such-benchmark", MachineConfig(),
+                           0.1, True, None, None))
+        backend = DistributedBackend(queue_dir=isolated_cache / "q",
+                                     poll_interval=0.01, timeout=60)
+        with pytest.raises(RuntimeError, match="dead-lettered") as raised:
+            backend.execute(plan.jobs_list + [bogus], use_cache=True)
+        assert bogus_key[:16] in str(raised.value)
+        assert backend.queue().status().dead == 1
+
     def test_resubmit_after_cache_eviction_reruns(self, isolated_cache):
         """`cache gc` evicting a result behind a done/ marker must not
         wedge the next submission of the same sweep (the stale-done-marker
@@ -626,6 +663,23 @@ class TestProfiling:
         text = profiling.report(result)
         assert "hot-path highlights" in text
         assert "stages/execute.py" in text
+
+    def test_every_hot_path_pin_resolves(self, monkeypatch):
+        from repro.analysis import profiling
+        from repro.core.stages.rename import RenameIntegrate
+
+        pinned = profiling.hot_path_targets()
+        names = {(os.path.basename(filename), name)
+                 for filename, name in pinned}
+        assert {("renamer.py", "lookup_sources"),
+                ("renamer.py", "rename_dest"), ("logic.py", "consider"),
+                ("logic.py", "create_entries"), ("table.py", "insert"),
+                ("rename.py", "tick")} <= names
+        # A pin whose function is gone fails loudly instead of vanishing
+        # from the highlights.
+        monkeypatch.delattr(RenameIntegrate, "tick")
+        with pytest.raises(AttributeError):
+            profiling.hot_path_targets()
 
     def test_profile_cli(self, isolated_cache, capsys):
         from repro.__main__ import main

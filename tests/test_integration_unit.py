@@ -12,6 +12,7 @@ from repro.integration import (
     IntegrationLogic,
     IntegrationTable,
     ITEntry,
+    ITStats,
     LispMode,
     LoadIntegrationSuppressionPredictor,
 )
@@ -23,11 +24,10 @@ from repro.rename import MapTable, PhysicalRegisterFile, Renamer
 
 
 # ----------------------------------------------------------------------
-# The integration-table index and probe as they were specified before
-# keys were precomputed per static instruction: the opcode's declaration
-# position XOR the immediate's low 16 bits (XOR the call depth), or the
-# PC; candidates filtered by tag and examined most recently used first.
-# The production code must agree with these exactly.
+# The integration-table index as it was specified before keys were
+# precomputed per static instruction: the opcode's declaration position XOR
+# the immediate's low 16 bits (XOR the call depth), or the PC.  The
+# production keys must agree with it exactly.
 # ----------------------------------------------------------------------
 REF_OPCODE_IDS = {op: i for i, op in enumerate(Opcode)}
 
@@ -42,70 +42,12 @@ def ref_index(table, pc, opcode, imm, call_depth):
     return key % table.num_sets
 
 
-def ref_lookup(table, pc, opcode, imm, call_depth):
-    """Tag-matching candidates, most recently used first."""
-    table.stats.lookups += 1
-    cache_set = table._sets[ref_index(table, pc, opcode, imm, call_depth)]
-    if table.scheme is IndexScheme.PC:
-        matches = [e for e in cache_set if e.pc == pc]
-    else:
-        matches = [e for e in cache_set
-                   if e.opcode is opcode and e.imm == imm]
-    if matches:
-        table.stats.tag_hits += 1
-        matches.sort(key=lambda e: e.lru, reverse=True)
-    return matches
-
-
-def ref_inputs_match(entry, pregs, gens):
-    idx = 0
-    n = len(pregs)
-    if entry.in1 is not None:
-        if n == 0 or pregs[0] != entry.in1 or gens[0] != entry.gen1:
-            return False
-        idx = 1
-    if entry.in2 is not None:
-        if idx >= n or pregs[idx] != entry.in2 or gens[idx] != entry.gen2:
-            return False
-        idx += 1
-    return idx == n
-
-
-def ref_consider(table, prf, config, dyn, call_depth, oracle_allow=None):
-    """``(integrate, entry, tag_hit, suppressed_by_oracle)``: the MRU-sort
-    + ``inputs_match`` integration test (LISP off)."""
-    info = dyn.info
-    inst = dyn.inst
-    if not config.enabled or not info.integrable:
-        return False, None, False, False
-    candidates = ref_lookup(table, inst.pc, inst.op, inst.imm, call_depth)
-    if not candidates:
-        return False, None, False, False
-    squash_only = not config.general_reuse
-    suppressed = False
-    for entry in candidates:
-        if not ref_inputs_match(entry, dyn.src_pregs, dyn.src_gens):
-            continue
-        if info.is_cond_branch:
-            if entry.branch_outcome is None:
-                continue
-        elif entry.out is None or not prf.integration_eligible(
-                entry.out, entry.out_gen, squash_only=squash_only):
-            continue
-        if (info.is_load and config.lisp_mode is LispMode.ORACLE
-                and oracle_allow is not None
-                and not oracle_allow(dyn, entry)):
-            suppressed = True
-            continue
-        table.touch(entry)
-        return True, entry, True, suppressed
-    return False, None, True, suppressed
-
-
-def ref_put(table, e, call_depth=0):
-    """Insert ``e`` under the reference key of its own operation."""
-    key = REF_OPCODE_IDS[e.opcode] ^ ((e.imm or 0) & 0xFFFF)
-    return table.insert(e, key, call_depth)
+def set_sources(dyn, *sources):
+    """Give ``dyn`` renamed sources, as ``Renamer.lookup_sources`` would:
+    ``sources`` are ``(preg, gen)`` pairs."""
+    dyn.src_pregs = [preg for preg, _ in sources]
+    dyn.src_key = tuple(x for pair in sources for x in pair)
+    return dyn
 
 
 def put(table, e, call_depth=0):
@@ -115,10 +57,10 @@ def put(table, e, call_depth=0):
     return table.insert(e, inst.it_key, call_depth)
 
 
-def entry(opcode=Opcode.ADDQI, imm=1, pc=0x100, in1=5, gen1=0, out=9,
+def entry(opcode=Opcode.ADDQI, imm=1, pc=0x100, inputs=(5, 0), out=9,
           out_gen=0, **kwargs):
-    return ITEntry(pc=pc, opcode=opcode, imm=imm, in1=in1, gen1=gen1,
-                   in2=None, gen2=0, out=out, out_gen=out_gen, **kwargs)
+    return ITEntry(pc=pc, opcode=opcode, imm=imm, inputs=inputs, out=out,
+                   out_gen=out_gen, **kwargs)
 
 
 def probe_logic(table):
@@ -135,7 +77,7 @@ def found(logic, pc, imm=1, call_depth=0):
     """The entry the production probe integrates for ``addqi`` at ``pc``
     reading register 5 at generation 0 (the ``entry()`` input)."""
     dyn = DynInst(1, StaticInst(pc=pc, op=Opcode.ADDQI, rd=1, ra=2, imm=imm))
-    dyn.src_pregs, dyn.src_gens = [5], [0]
+    set_sources(dyn, (5, 0))
     return logic.consider(dyn, call_depth).entry
 
 
@@ -180,13 +122,26 @@ class TestIntegrationTable:
         second = entry(pc=0x10)
         put(table, first)
         put(table, second)
-        table.touch(first)                    # make `second` the LRU entry
-        third = entry(pc=0x20)
-        put(table, third)
+        assert table._sets[0] == [first, second]   # LRU first
         logic = probe_logic(table)
+        assert found(logic, 0x00) is first    # integrating makes it the MRU
+        assert table._sets[0] == [second, first]
+        third = entry(pc=0x20)
+        put(table, third)                     # evicts `second`, the LRU
+        assert table._sets[0] == [first, third]
         assert found(logic, 0x00) is first
         assert found(logic, 0x10) is None
         assert table.stats.evictions == 1
+
+    def test_probe_prefers_most_recently_used(self):
+        table = IntegrationTable(16, 4, IndexScheme.OPCODE_IMM)
+        older, newer = entry(pc=0x100), entry(pc=0x200)
+        put(table, older)
+        put(table, newer)
+        logic = probe_logic(table)
+        assert found(logic, 0x300) is newer
+        put(table, entry(pc=0x400, inputs=(6, 0)))   # passes no probe here
+        assert found(logic, 0x300) is newer
 
     def test_fully_associative(self):
         table = IntegrationTable(16, 0, IndexScheme.OPCODE_IMM)
@@ -196,22 +151,19 @@ class TestIntegrationTable:
         assert table.occupancy() == 16
         put(table, entry(imm=99, pc=0x999))
         assert table.occupancy() == 16        # LRU victim replaced
+        assert [e.imm for e in table] == list(range(1, 16)) + [99]
 
     def test_inputs_match_requires_generations(self):
         # The operands the equivalence test compares: (preg, gen) pairs.
-        assert entry(in1=5, gen1=2).inputs == (5, 2)
-        assert ITEntry(0, Opcode.ADDQ, None, 5, 2, 6, 3, 9, 0).inputs == (
-            5, 2, 6, 3)
         logic, prf = make_logic(IntegrationConfig.opcode())
         out = prf.allocate()
         src = prf.allocate()
-        put(logic.table, entry(in1=src, gen1=2, out=out,
+        put(logic.table, entry(inputs=(src, 2), out=out,
                                out_gen=prf.gen[out]))
-        for pregs, gens, expected in (([src], [2], True),
-                                      ([src], [3], False),
-                                      ([src + 1], [2], False)):
-            dyn = dyn_addqi(1, 0x100, rd=1, ra=2, imm=1, src_preg=pregs[0],
-                            src_gen=gens[0])
+        for preg, gen, expected in ((src, 2, True), (src, 3, False),
+                                    (src + 1, 2, False)):
+            dyn = dyn_addqi(1, 0x100, rd=1, ra=2, imm=1, src_preg=preg,
+                            src_gen=gen)
             assert logic.consider(dyn, 0).integrate is expected
 
     def test_invalidate_output(self):
@@ -256,9 +208,8 @@ def make_logic(config=None, num_pregs=128):
 def dyn_addqi(seq, pc, rd, ra, imm, src_preg, src_gen=None, prf=None):
     dyn = DynInst(seq, StaticInst(pc=pc, op=Opcode.ADDQI, rd=rd, ra=ra,
                                   imm=imm))
-    dyn.src_pregs = [src_preg]
-    dyn.src_gens = [prf.gen[src_preg] if src_gen is None else src_gen]
-    return dyn
+    return set_sources(
+        dyn, (src_preg, prf.gen[src_preg] if src_gen is None else src_gen))
 
 
 class TestIntegrationLogic:
@@ -309,12 +260,12 @@ class TestIntegrationLogic:
         src = prf.allocate()
         producer = DynInst(1, StaticInst(pc=0x50, op=Opcode.ADDQI, rd=1,
                                          ra=2, imm=4))
-        producer.src_pregs, producer.src_gens = [src], [prf.gen[src]]
+        set_sources(producer, (src, prf.gen[src]))
         producer.dest_preg, producer.dest_gen = out, prf.gen[out]
         logic.create_entries(producer, call_depth=0)
         consumer = DynInst(2, StaticInst(pc=0x50, op=Opcode.ADDQI, rd=1,
                                          ra=2, imm=4))
-        consumer.src_pregs, consumer.src_gens = [src], [prf.gen[src]]
+        set_sources(consumer, (src, prf.gen[src]))
         assert not logic.consider(consumer, call_depth=0).integrate
         # After the register is freed by a squash it becomes eligible.
         prf.release(out, via_squash=True)
@@ -327,13 +278,12 @@ class TestIntegrationLogic:
         prf.set_value(data, 7)
         store = DynInst(1, StaticInst(pc=0x10, op=Opcode.STQ, ra=4, rb=REG_SP,
                                       imm=8))
-        store.src_pregs = [data, base]
-        store.src_gens = [prf.gen[data], prf.gen[base]]
+        set_sources(store, (data, prf.gen[data]), (base, prf.gen[base]))
         logic.create_entries(store, call_depth=1)
 
         load = DynInst(2, StaticInst(pc=0x40, op=Opcode.LDQ, rd=5, ra=REG_SP,
                                      imm=8))
-        load.src_pregs, load.src_gens = [base], [prf.gen[base]]
+        set_sources(load, (base, prf.gen[base]))
         decision = logic.consider(load, call_depth=1)
         assert decision.integrate and decision.is_reverse
 
@@ -348,8 +298,7 @@ class TestIntegrationLogic:
         base = prf.allocate()
         store = DynInst(1, StaticInst(pc=0x10, op=Opcode.STQ, ra=4, rb=3,
                                       imm=8))
-        store.src_pregs, store.src_gens = [data, base], [prf.gen[data],
-                                                         prf.gen[base]]
+        set_sources(store, (data, prf.gen[data]), (base, prf.gen[base]))
         logic.create_entries(store, call_depth=0)
         assert logic.table.occupancy() == 0
         # With reverse_sp_only disabled, the entry is created.
@@ -357,8 +306,8 @@ class TestIntegrationLogic:
         data2, base2 = prf2.allocate(), prf2.allocate()
         store2 = DynInst(1, StaticInst(pc=0x10, op=Opcode.STQ, ra=4, rb=3,
                                        imm=8))
-        store2.src_pregs = [data2, base2]
-        store2.src_gens = [prf2.gen[data2], prf2.gen[base2]]
+        set_sources(store2, (data2, prf2.gen[data2]),
+                    (base2, prf2.gen[base2]))
         logic2.create_entries(store2, call_depth=0)
         assert logic2.table.occupancy() == 1
 
@@ -368,14 +317,14 @@ class TestIntegrationLogic:
         new_sp = prf.allocate()
         dec = DynInst(1, StaticInst(pc=0x20, op=Opcode.LDA, rd=REG_SP,
                                     ra=REG_SP, imm=-32))
-        dec.src_pregs, dec.src_gens = [old_sp], [prf.gen[old_sp]]
+        set_sources(dec, (old_sp, prf.gen[old_sp]))
         dec.dest_preg, dec.dest_gen = new_sp, prf.gen[new_sp]
         logic.create_entries(dec, call_depth=1)
         # The inverse increment (lda sp, 32(sp)) applied to the *new* sp
         # must integrate back to the old sp register.
         inc = DynInst(2, StaticInst(pc=0x90, op=Opcode.LDA, rd=REG_SP,
                                     ra=REG_SP, imm=32))
-        inc.src_pregs, inc.src_gens = [new_sp], [prf.gen[new_sp]]
+        set_sources(inc, (new_sp, prf.gen[new_sp]))
         decision = logic.consider(inc, call_depth=1)
         assert decision.integrate
         assert decision.entry.is_reverse
@@ -387,11 +336,11 @@ class TestIntegrationLogic:
         prf.set_value(cond, 0)
         branch = DynInst(1, StaticInst(pc=0x30, op=Opcode.BEQ, ra=1, imm=16,
                                        target=0x50))
-        branch.src_pregs, branch.src_gens = [cond], [prf.gen[cond]]
+        set_sources(branch, (cond, prf.gen[cond]))
         logic.create_entries(branch, call_depth=0)
         twin = DynInst(2, StaticInst(pc=0x30, op=Opcode.BEQ, ra=1, imm=16,
                                      target=0x50))
-        twin.src_pregs, twin.src_gens = [cond], [prf.gen[cond]]
+        set_sources(twin, (cond, prf.gen[cond]))
         # Not integrable until the creating branch's outcome is recorded.
         assert not logic.consider(twin, call_depth=0).integrate
         logic.record_branch_outcome(branch, taken=True)
@@ -504,29 +453,151 @@ class TestStaticInstMetadata:
                                               3), (inst, e)
 
 
+class TestCreatedEntries:
+    def test_entries_are_slices_of_the_source_key(self):
+        """Every entry ``create_entries`` builds takes its inputs and output
+        from ``dyn.src_key`` or the renamed destination: a direct entry's
+        inputs are the key itself; a store's reverse load reads the base
+        (``src_key[2:]``) and yields the data (``src_key[0:2]``); the
+        reverse of ``lda sp`` reads the new sp and yields the old one."""
+        config = IntegrationConfig.full(reverse_sp_only=False)
+        for inst in metadata_cases():
+            logic, prf = make_logic(config)
+            renamer = Renamer(MapTable(), prf)
+            renamer.initialize_from_values([0] * 64)
+            dyn = DynInst(7, inst)
+            key = renamer.lookup_sources(dyn)
+            renamer.rename_dest(dyn)
+            logic.create_entries(dyn, call_depth=0)
+            direct = [e for e in logic.table if not e.is_reverse]
+            reverse = [e for e in logic.table if e.is_reverse]
+            assert all(e.creator_seq == 7 for e in logic.table), inst
+            if inst.info.is_store:
+                assert direct == [], inst
+                (e,) = reverse
+                assert (e.opcode, e.imm) == inst.it_reverse_tag
+                assert e.inputs == key[2:]
+                assert (e.out, e.out_gen) == key[0:2]
+                continue
+            if not inst.it_creates:
+                assert logic.table.occupancy() == 0, inst
+                continue
+            (d,) = direct
+            assert (d.pc, d.opcode, d.imm, d.inputs) == (
+                inst.pc, inst.op, inst.imm, key), inst
+            if inst.info.is_cond_branch:
+                assert d.out is None and reverse == [], inst
+                continue
+            assert (d.out, d.out_gen) == (dyn.dest_preg, dyn.dest_gen)
+            if inst.it_reverse_key is None:
+                assert reverse == [], inst
+                continue
+            (r,) = reverse
+            assert (r.opcode, r.imm) == inst.it_reverse_tag
+            assert r.inputs == (dyn.dest_preg, dyn.dest_gen)
+            assert (r.out, r.out_gen) == key[0:2]
+
+
 # ----------------------------------------------------------------------
-# The one-pass probe against the MRU-sort reference
+# The recency-ordered table against the LRU-tick table it replaced
 # ----------------------------------------------------------------------
-# Small operand domains plus re-inserted copies, so sets often hold several
-# entries that pass the full test and the choice among them is exercised.
+class TickTable:
+    """The integration table as it was specified with LRU ticks: every
+    insert and integration takes a fresh tick, a probe picks the passing
+    entry with the highest tick (the oracle sees passing entries sorted by
+    tick, highest first), and an insert into a full set overwrites the
+    entry with the lowest tick in place."""
+
+    def __init__(self, entries, assoc, scheme):
+        if assoc == 0 or assoc >= entries:
+            assoc = entries
+        self.assoc = assoc
+        self.num_sets = entries // assoc
+        self.scheme = scheme
+        self.sets = [[] for _ in range(self.num_sets)]
+        self.ticks = {}
+        self.now = 0
+        self.stats = ITStats()
+
+    def _touch(self, e):
+        self.now += 1
+        self.ticks[id(e)] = self.now
+
+    def insert(self, e, call_depth):
+        cache_set = self.sets[ref_index(self, e.pc, e.opcode, e.imm,
+                                        call_depth)]
+        self.stats.insertions += 1
+        self.stats.reverse_insertions += e.is_reverse
+        if len(cache_set) >= self.assoc:
+            victim = min(range(len(cache_set)),
+                         key=lambda i: self.ticks[id(cache_set[i])])
+            cache_set[victim] = e
+            self.stats.evictions += 1
+        else:
+            cache_set.append(e)
+        self._touch(e)
+
+    def consider(self, prf, config, dyn, call_depth, oracle):
+        """``(integrate, entry, tag_hit, suppressed_by_oracle)``."""
+        inst = dyn.inst
+        info = dyn.info
+        if not info.integrable:
+            return False, None, False, False
+        self.stats.lookups += 1
+        cache_set = self.sets[ref_index(self, inst.pc, inst.op, inst.imm,
+                                        call_depth)]
+        if self.scheme is IndexScheme.PC:
+            tagged = [e for e in cache_set if e.pc == inst.pc]
+        else:
+            tagged = [e for e in cache_set
+                      if e.opcode is inst.op and e.imm == inst.imm]
+        if not tagged:
+            return False, None, False, False
+        self.stats.tag_hits += 1
+        passing = [e for e in tagged if e.inputs == dyn.src_key and (
+            e.branch_outcome is not None if info.is_cond_branch
+            else e.out is not None and prf.integration_eligible(
+                e.out, e.out_gen, squash_only=not config.general_reuse))]
+        passing.sort(key=lambda e: self.ticks[id(e)], reverse=True)
+        suppressed = False
+        if info.is_load and config.lisp_mode is LispMode.ORACLE:
+            allowed = []
+            for e in passing:
+                if oracle(dyn, e):
+                    allowed = [e]
+                    break
+                suppressed = True
+            passing = allowed
+        if not passing:
+            return False, None, True, suppressed
+        self._touch(passing[0])
+        return True, passing[0], True, suppressed
+
+    def recency_sets(self):
+        return [sorted(s, key=lambda e: self.ticks[id(e)]) for s in self.sets]
+
+
+# Small operand domains, so sets often hold several entries that pass the
+# full test and the choice among them is exercised.
 PROBE_TAGS = ((0x0, Opcode.ADDQI, 0), (0x0, Opcode.LDQ, 0),
               (0x10, Opcode.LDQ, 8), (0x10, Opcode.BEQ, -8),
               (0x10, Opcode.ADDQ, None))
-PROBE_INPUTS = ((1, 0, None, 0), (2, 0, None, 0), (1, 0, 2, 0))
+PROBE_KEYS = ((1, 0), (2, 0), (1, 0, 2, 0))
 
-it_entry = st.tuples(
-    st.sampled_from(PROBE_TAGS),
-    st.sampled_from(PROBE_INPUTS + ((None, 0, 1, 0),)),
+insert_op = st.tuples(
+    st.just("insert"), st.sampled_from(PROBE_TAGS),
+    st.sampled_from(PROBE_KEYS + ((1, 1), ())),
     st.sampled_from((1, 2, None)), st.sampled_from((0, 0, 1)),
     st.sampled_from((None, True, False)), st.booleans(),
     st.integers(min_value=0, max_value=1))
-probe = st.tuples(st.sampled_from(PROBE_TAGS), st.sampled_from(PROBE_INPUTS),
-                  st.integers(min_value=0, max_value=1))
+probe_op = st.tuples(st.just("probe"), st.sampled_from(PROBE_TAGS),
+                     st.sampled_from(PROBE_KEYS),
+                     st.integers(min_value=0, max_value=1))
 preg_state = st.tuples(st.integers(min_value=0, max_value=2), st.booleans(),
                        st.sampled_from((0, 0, 1)), st.booleans())
 
 
-class TestOnePassProbe:
+class TestRecencyOrderedTable:
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(geometry=st.sampled_from(((4, 1), (8, 2), (8, 4), (16, 4),
@@ -535,15 +606,12 @@ class TestOnePassProbe:
            general_reuse=st.booleans(),
            lisp_mode=st.sampled_from((LispMode.OFF, LispMode.ORACLE,
                                       LispMode.ORACLE)),
-           entries=st.lists(it_entry, min_size=1, max_size=16),
-           copies=st.lists(st.integers(min_value=0, max_value=15),
-                           max_size=12),
+           ops=st.lists(st.one_of(insert_op, probe_op), min_size=1,
+                        max_size=40),
            pregs=st.lists(preg_state, min_size=2, max_size=2),
-           probes=st.lists(probe, min_size=1, max_size=12),
-           rejected=st.sets(st.integers(min_value=0, max_value=27)))
-    def test_matches_mru_reference(self, geometry, scheme, general_reuse,
-                                   lisp_mode, entries, copies, pregs, probes,
-                                   rejected):
+           rejected=st.sets(st.integers(min_value=0, max_value=40)))
+    def test_matches_tick_reference(self, geometry, scheme, general_reuse,
+                                    lisp_mode, ops, pregs, rejected):
         config = IntegrationConfig(general_reuse=general_reuse,
                                    index_scheme=scheme, lisp_mode=lisp_mode)
         prf = PhysicalRegisterFile(num_pregs=66, gen_bits=2)
@@ -553,15 +621,7 @@ class TestOnePassProbe:
             prf.gen[preg] = gen
             prf.zero_via_squash[preg] = via_squash
         table = IntegrationTable(*geometry, scheme)
-        reference = IntegrationTable(*geometry, scheme)
-        for seq, ((pc, op, imm), (in1, gen1, in2, gen2), out, out_gen,
-                  outcome, is_reverse, depth) in enumerate(
-                      entries + [entries[i % len(entries)] for i in copies]):
-            for target in (table, reference):
-                e = ITEntry(pc, op, imm, in1, gen1, in2, gen2, out, out_gen,
-                            is_reverse, creator_seq=seq, call_depth=depth)
-                e.branch_outcome = outcome
-                (put if target is table else ref_put)(target, e, depth)
+        reference = TickTable(*geometry, scheme)
         logic = IntegrationLogic(config, prf, table=table)
         calls = {table: [], reference: []}
 
@@ -571,24 +631,29 @@ class TestOnePassProbe:
                 return e.creator_seq not in rejected
             return allow
 
-        for seq, ((pc, op, imm), (in1, gen1, in2, gen2), depth) in enumerate(
-                probes, 100):
-            inst = StaticInst(pc=pc, op=op, rd=1, ra=2,
-                              rb=3 if op is Opcode.ADDQ else None, imm=imm)
-            dyn = DynInst(seq, inst)
-            sources = [(in1, gen1), (in2, gen2)][:len(inst.srcs)]
-            dyn.src_pregs = [preg for preg, _ in sources]
-            dyn.src_gens = [gen for _, gen in sources]
-            got = logic.consider(dyn, depth, oracle_allow=oracle_for(table))
-            want = ref_consider(reference, prf, config, dyn, depth,
-                                oracle_for(reference))
-            chosen = got.entry.creator_seq if got.entry is not None else None
-            assert (got.integrate, chosen, got.tag_hit,
-                    got.suppressed_by_oracle) == (
-                want[0], want[1].creator_seq if want[1] else None,
-                want[2], want[3])
-            assert not got.suppressed_by_lisp
-            assert calls[table] == calls[reference]
+        for seq, op in enumerate(ops):
+            if op[0] == "insert":
+                (_, (pc, opcode, imm), inputs, out, out_gen, outcome,
+                 is_reverse, depth) = op
+                e = ITEntry(pc, opcode, imm, inputs, out, out_gen,
+                            is_reverse, creator_seq=seq)
+                e.branch_outcome = outcome
+                put(table, e, depth)
+                reference.insert(e, depth)
+            else:
+                _, (pc, opcode, imm), key, depth = op
+                inst = StaticInst(pc=pc, op=opcode, rd=1, ra=2,
+                                  rb=3 if opcode is Opcode.ADDQ else None,
+                                  imm=imm)
+                dyn = DynInst(seq, inst)
+                dyn.src_key = key[:2 * len(inst.srcs)]
+                got = logic.consider(dyn, depth,
+                                     oracle_allow=oracle_for(table))
+                want = reference.consider(prf, config, dyn, depth,
+                                          oracle_for(reference))
+                assert (got.integrate, got.entry, got.tag_hit,
+                        got.suppressed_by_oracle) == want
+                assert not got.suppressed_by_lisp
+                assert calls[table] == calls[reference]
             assert table.stats == reference.stats
-        assert ([(e.creator_seq, e.lru) for e in table]
-                == [(e.creator_seq, e.lru) for e in reference])
+            assert table._sets == reference.recency_sets()

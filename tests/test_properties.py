@@ -126,8 +126,7 @@ class TestIntegrationTableProperties:
         table = IntegrationTable(size, assoc, scheme)
         for i in range(entries * 4):
             entry = ITEntry(pc=4 * i, opcode=Opcode.ADDQI, imm=i % 7,
-                            in1=i % 30, gen1=0, in2=None, gen2=0,
-                            out=i % 50, out_gen=0)
+                            inputs=(i % 30, 0), out=i % 50, out_gen=0)
             key = StaticInst(pc=4 * i, op=Opcode.ADDQI, imm=i % 7).it_key
             table.insert(entry, key, call_depth=i % 5)
         assert table.occupancy() <= size

@@ -6,6 +6,7 @@ import pytest
 
 from repro.isa.instruction import DynInst, StaticInst
 from repro.isa.opcodes import Opcode
+from repro.isa.registers import REG_FZERO, REG_ZERO
 from repro.rename import (
     MapTable,
     PhysicalRegisterFile,
@@ -125,15 +126,43 @@ class TestRenamer:
     def test_sources_map_to_initial_registers(self):
         renamer, mt, prf = make_renamer()
         dyn = DynInst(1, addqi(0, rd=1, ra=2, imm=5))
-        pregs, gens = renamer.lookup_sources(dyn)
-        assert pregs == [mt.get(2).preg]
-        assert gens == [mt.get(2).gen]
+        key = renamer.lookup_sources(dyn)
+        assert key == dyn.src_key == (mt.get(2).preg, mt.get(2).gen)
+        assert dyn.src_pregs == [mt.get(2).preg]
 
     def test_zero_register_sources_use_zero_preg(self):
         renamer, _, _ = make_renamer()
         dyn = DynInst(1, addqi(0, rd=1, ra=31, imm=5))
-        pregs, _ = renamer.lookup_sources(dyn)
-        assert pregs == [ZERO_PREG]
+        assert renamer.lookup_sources(dyn) == (ZERO_PREG, 0)
+        assert dyn.src_pregs == [ZERO_PREG]
+
+    def test_src_key_matches_the_map_table(self):
+        """After renames that move mappings and generations, every
+        instruction's key is its sources' current ``(preg, gen)`` pairs,
+        the zero registers reading ``(ZERO_PREG, 0)``."""
+        renamer, mt, prf = make_renamer()
+        for i, rd in enumerate((1, 2, 1, 3, 2)):
+            dyn = DynInst(i, addqi(4 * i, rd=rd, ra=rd, imm=1))
+            renamer.lookup_sources(dyn)
+            renamer.allocate_dest(dyn)
+            renamer.commit(dyn)
+        regs = (1, 2, 3, 4, REG_ZERO, REG_FZERO)
+        for seq, (ra, rb) in enumerate(
+                [(a, b) for a in regs for b in regs], 100):
+            dyn = DynInst(seq, StaticInst(pc=0, op=Opcode.ADDQ, rd=5, ra=ra,
+                                          rb=rb))
+            want = []
+            for logical in (ra, rb):
+                mapping = mt.get(logical)
+                if logical in (REG_ZERO, REG_FZERO):
+                    assert (mapping.preg, mapping.gen) == (ZERO_PREG, 0)
+                want += [mapping.preg, mapping.gen]
+            assert renamer.lookup_sources(dyn) == tuple(want)
+            assert dyn.src_key == tuple(want)
+            assert dyn.src_pregs == want[0::2]
+        branch = DynInst(200, StaticInst(pc=0, op=Opcode.BR, target=8))
+        assert renamer.lookup_sources(branch) == ()
+        assert branch.src_pregs == []
 
     def test_allocate_then_commit_releases_shadowed_register(self):
         renamer, mt, prf = make_renamer()

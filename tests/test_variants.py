@@ -16,6 +16,8 @@ Covers the PR acceptance criteria:
   sharded and unsharded -- and appears in the scenario-matrix report.
 """
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -276,15 +278,12 @@ class TestInOrderIssue:
         class FakeDyn:
             def __init__(self, seq, port):
                 self.seq = seq
-                self.rs_port = port
-                self.rs_priority = 0
+                # Only the issue port: the insert path (which reads the
+                # rest of ``OpInfo``) is not used in this test.
+                self.info = SimpleNamespace(issue_port=port)
                 self.rs_pending = 0
 
-            @property
-            def info(self):
-                raise AssertionError("insert path not used in this test")
-
-        # Bypass insert (it reads dyn.info); drive _waiting directly.
+        # Bypass insert; drive _waiting directly.
         older = FakeDyn(1, "simple")
         younger = FakeDyn(2, "simple")
         rs._waiting = {1: older, 2: younger}
