@@ -827,7 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "findings instead of failing on them")
     p_lint.add_argument("--rules", default=None, metavar="LIST",
                         help="comma-separated rule ids to run (default: "
-                             "all six; see docs/ARCHITECTURE.md)")
+                             "all five; see docs/ARCHITECTURE.md)")
     p_lint.add_argument("--root", default=None, metavar="DIR",
                         help="repository checkout to lint (default: the "
                              "tree this package was imported from)")

@@ -64,8 +64,8 @@ def hot_path_targets() -> Tuple[Tuple[str, str], ...]:
         (IssueExecute, ("tick", "writeback", "_execute", "_execute_load",
                         "_load_can_issue")),
         (LoadStoreQueue, ("forward_from", "older_stores_unresolved",
-                          "older_store_conflict_possible", "resolve_store",
-                          "record_load", "insert", "remove")),
+                          "resolve_store", "record_load", "insert",
+                          "remove")),
         (ReservationStations, ("select", "wakeup", "insert")),
         (RenameIntegrate, ("tick",)),
         (Renamer, ("lookup_sources", "rename_dest")),

@@ -37,7 +37,6 @@ slot                      builds
 ``build_renamer``         the renamer (map table + free list discipline)
 ``build_integration``     the rename-time integration logic + tables
 ``build_rob``             the reorder buffer
-``build_window``          the shared structure-of-arrays in-flight window
 ``build_scheduler``       the reservation stations / select logic
 ``build_lsq``             the load/store queue
 ``build_cht``             the collision history table
@@ -70,7 +69,6 @@ from repro.core.stages import (
     Stage,
 )
 from repro.core.stats import SimStats
-from repro.core.window import Window
 from repro.frontend.branch_predictor import BranchPredictor
 from repro.functional.memory import SparseMemory
 from repro.functional.state import ArchState
@@ -85,7 +83,7 @@ from repro.rename.renamer import Renamer
 SLOT_NAMES: Tuple[str, ...] = (
     "build_arch_state", "build_diva", "build_memory", "build_predictor",
     "build_prf", "build_map_table", "build_renamer", "build_integration",
-    "build_rob", "build_window", "build_scheduler", "build_lsq",
+    "build_rob", "build_scheduler", "build_lsq",
     "build_cht", "build_stats",
     "build_frontend", "build_recovery", "build_rename_stage",
     "build_execute_stage", "build_commit_stage",
@@ -166,19 +164,13 @@ class MachineBuilder:
     def build_rob(self, config: MachineConfig) -> ReorderBuffer:
         return ReorderBuffer(config.rob_size)
 
-    def build_window(self, config: MachineConfig) -> Window:
-        return Window.for_config(config)
-
     def build_scheduler(self, config: MachineConfig,
-                        prf: PhysicalRegisterFile,
-                        window: Window) -> ReservationStations:
+                        prf: PhysicalRegisterFile) -> ReservationStations:
         return ReservationStations(config.rs_entries, config.ports,
-                                   config.combined_ldst_port, prf=prf,
-                                   window=window)
+                                   config.combined_ldst_port, prf=prf)
 
-    def build_lsq(self, config: MachineConfig,
-                  window: Window) -> LoadStoreQueue:
-        return LoadStoreQueue(config.lsq_size, window=window)
+    def build_lsq(self, config: MachineConfig) -> LoadStoreQueue:
+        return LoadStoreQueue(config.lsq_size)
 
     def build_cht(self, config: MachineConfig) -> CollisionHistoryTable:
         return CollisionHistoryTable(config.collision_history_entries)
@@ -230,11 +222,10 @@ class MachineBuilder:
         integration = self.build_integration(config, prf)
 
         rob = self.build_rob(config)
-        window = self.build_window(config)
-        rs = self.build_scheduler(config, prf, window)
+        rs = self.build_scheduler(config, prf)
         # Operand readiness is event-driven: the PRF wakes the scheduler.
         prf.on_ready = rs.wakeup
-        lsq = self.build_lsq(config, window)
+        lsq = self.build_lsq(config)
         cht = self.build_cht(config)
         stats = self.build_stats(config, program, name)
 
@@ -242,7 +233,7 @@ class MachineBuilder:
             program=program, config=config, arch=arch, diva=diva, mem=mem,
             predictor=predictor, prf=prf, map_table=map_table,
             renamer=renamer, integration=integration, rob=rob, rs=rs,
-            lsq=lsq, cht=cht, stats=stats, window=window)
+            lsq=lsq, cht=cht, stats=stats)
         front_end = self.build_frontend(state)
         recovery = self.build_recovery(state, front_end)
         rename_integrate = self.build_rename_stage(state, front_end, recovery)

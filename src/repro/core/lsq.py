@@ -11,10 +11,10 @@ The queue is fully indexed -- the per-cycle ordering checks that the issue
 stage performs for every load candidate never scan the entry list:
 
 * ``_by_seq`` maps sequence number to the in-flight instruction (insertion
-  order is program order, so it doubles as the in-order queue); per-entry
-  state (store flag, resolved address, data readiness) lives in the shared
-  structure-of-arrays :class:`~repro.core.window.Window`, so the checks read
-  flat list slots instead of entry objects;
+  order is program order, so it doubles as the in-order queue); an entry's
+  only dynamic state is ``dyn.mem_addr``, the aligned word a store resolved
+  to or a load executed against (``None`` before that), and the store flag
+  is ``info.is_store``;
 * ``_unresolved_stores`` is the sorted sequence-number list of stores whose
   address is still unknown, making ``older_stores_unresolved`` an O(1)
   min-lookup;
@@ -27,10 +27,8 @@ stage performs for every load candidate never scan the entry list:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.core import kernel
-from repro.core.window import Window
 from repro.functional.memory import WORD_SIZE
 from repro.isa.instruction import DynInst
 from repro.isa.program import INST_SIZE
@@ -50,9 +48,6 @@ class CollisionHistoryTable:
         #: Dynamic loads whose issue was constrained by a prediction --
         #: counted once per dynamic load by the issue stage, not per poll.
         self.hits = 0
-
-    def _index(self, pc: int) -> int:
-        return (pc // INST_SIZE) % self.entries
 
     def predicts_collision(self, pc: int) -> bool:
         """Pure lookup: does the table predict a collision for this PC?
@@ -88,12 +83,10 @@ class LoadStoreQueue:
     sequence number.
     """
 
-    def __init__(self, size: int = 64, window: Optional[Window] = None):
+    def __init__(self, size: int = 64):
         self.size = size
-        #: Shared (or private, when standalone) structure-of-arrays state.
-        self.window = window if window is not None else Window()
         #: seq -> in-flight instruction; dict insertion order is program
-        #: order.  Entry state lives in the window arrays.
+        #: order.
         self._by_seq: Dict[int, DynInst] = {}
         #: Sorted seqs of stores whose address has not resolved yet.
         self._unresolved_stores: List[int] = []
@@ -101,13 +94,6 @@ class LoadStoreQueue:
         self._stores_by_addr: Dict[int, List[int]] = {}
         #: aligned addr -> sorted seqs of executed loads.
         self._loads_by_addr: Dict[int, List[int]] = {}
-        # Optional compiled probe loops (REPRO_KERNEL=compiled); both are
-        # bit-identical reimplementations of the Python paths below.
-        self._kernel_forward = self._kernel_unresolved = None
-        backend, module = kernel.select_backend()
-        if backend == "compiled":
-            self._kernel_forward = module.lsq_forward_from
-            self._kernel_unresolved = module.lsq_older_unresolved
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -121,31 +107,23 @@ class LoadStoreQueue:
         if len(by_seq) >= self.size:
             raise RuntimeError("LSQ overflow")
         seq = dyn.seq
-        win = self.window
-        if by_seq and seq - next(iter(by_seq)) > win.mask:
-            # Two live entries may never share a ring slot (see Window docs).
-            raise RuntimeError("window ring aliasing in load/store queue")
         by_seq[seq] = dyn
-        slot = seq & win.mask
-        is_store = dyn.info.is_store
-        win.mem_is_store[slot] = is_store
-        win.mem_addr[slot] = None
-        win.mem_data_ready[slot] = False
-        win.mem_executed[slot] = False
-        if is_store:
+        dyn.mem_addr = None
+        if dyn.info.is_store:
             # Inserts happen in program order, so append keeps the list
             # sorted; insort guards unit tests that insert out of order.
             insort(self._unresolved_stores, seq)
         else:
-            win.cht_counted[slot] = False
+            # The execute stage's load-issue state (see IssueExecute).
+            dyn.cht_counted = False
+            dyn.issue_probe = None
         dyn.in_lsq = True
 
-    def _drop_indexes(self, seq: int) -> None:
+    def _drop_indexes(self, dyn: DynInst) -> None:
         """Remove one entry from the address/unresolved indices."""
-        win = self.window
-        slot = seq & win.mask
-        addr = win.mem_addr[slot]
-        if win.mem_is_store[slot]:
+        seq = dyn.seq
+        addr = dyn.mem_addr
+        if dyn.info.is_store:
             if addr is None:
                 _remove_sorted(self._unresolved_stores, seq)
             else:
@@ -154,7 +132,7 @@ class LoadStoreQueue:
                     _remove_sorted(bucket, seq)
                     if not bucket:
                         del self._stores_by_addr[addr]
-        elif win.mem_executed[slot] and addr is not None:
+        elif addr is not None:
             bucket = self._loads_by_addr.get(addr)
             if bucket is not None:
                 _remove_sorted(bucket, seq)
@@ -163,7 +141,7 @@ class LoadStoreQueue:
 
     def remove(self, dyn: DynInst) -> None:
         if self._by_seq.pop(dyn.seq, None) is not None:
-            self._drop_indexes(dyn.seq)
+            self._drop_indexes(dyn)
             dyn.in_lsq = False
 
     def squash(self, squashed_seqs: set) -> int:
@@ -172,7 +150,7 @@ class LoadStoreQueue:
         doomed = [seq for seq in by_seq if seq in squashed_seqs]
         for seq in doomed:
             dyn = by_seq.pop(seq)
-            self._drop_indexes(seq)
+            self._drop_indexes(dyn)
             dyn.in_lsq = False
         return len(doomed)
 
@@ -187,25 +165,19 @@ class LoadStoreQueue:
         """
         seq = dyn.seq
         by_seq = self._by_seq
-        if seq not in by_seq:
-            return []
-        win = self.window
-        slot = seq & win.mask
-        if not win.mem_is_store[slot]:
+        if seq not in by_seq or not dyn.info.is_store:
             return []
         aligned = addr & _ALIGN_MASK
-        old_addr = win.mem_addr[slot]
+        old_addr = dyn.mem_addr
         if old_addr is None:
             _remove_sorted(self._unresolved_stores, seq)
             insort(self._stores_by_addr.setdefault(aligned, []), seq)
         elif old_addr != aligned:
             # Re-resolution to a new address (defensive; completions fire
             # once per dynamic store in the current pipeline).
-            self._drop_indexes(seq)
+            self._drop_indexes(dyn)
             insort(self._stores_by_addr.setdefault(aligned, []), seq)
-        win.mem_addr[slot] = aligned
-        win.mem_data_ready[slot] = True
-        win.mem_executed[slot] = True
+        dyn.mem_addr = aligned
         loads = self._loads_by_addr.get(aligned)
         if not loads:
             return []
@@ -215,58 +187,33 @@ class LoadStoreQueue:
     # load side
     # ------------------------------------------------------------------
     def record_load(self, dyn: DynInst, addr: int) -> None:
-        seq = dyn.seq
-        if seq not in self._by_seq:
-            return
-        win = self.window
-        slot = seq & win.mask
-        if win.mem_is_store[slot]:
+        if dyn.seq not in self._by_seq or dyn.info.is_store:
             return
         aligned = addr & _ALIGN_MASK
-        if win.mem_executed[slot]:
-            if win.mem_addr[slot] == aligned:
+        old_addr = dyn.mem_addr
+        if old_addr is not None:
+            if old_addr == aligned:
                 return
-            if win.mem_addr[slot] is not None:
-                self._drop_indexes(seq)
-        win.mem_addr[slot] = aligned
-        win.mem_executed[slot] = True
-        insort(self._loads_by_addr.setdefault(aligned, []), seq)
+            self._drop_indexes(dyn)
+        dyn.mem_addr = aligned
+        insort(self._loads_by_addr.setdefault(aligned, []), dyn.seq)
 
-    def forward_from(self, dyn: DynInst, addr: int
-                     ) -> Tuple[Optional[DynInst], bool]:
-        """Find the youngest older store to the same word.
+    def forward_from(self, dyn: DynInst, addr: int) -> Optional[DynInst]:
+        """The youngest older store to the same word, or ``None``.
 
-        Returns ``(store, data_ready)`` -- ``store`` is ``None`` when no
-        older store matches.  ``data_ready`` is False when the matching
-        store has not produced its data yet (the load must wait).
+        A store enters the address index only when it resolves, which
+        produces its address and data together, so a match can always
+        forward.
         """
-        win = self.window
-        if self._kernel_forward is not None:
-            return self._kernel_forward(self._stores_by_addr, self._by_seq,
-                                        win.mem_data_ready, win.mask,
-                                        dyn.seq, addr & _ALIGN_MASK)
         stores = self._stores_by_addr.get(addr & _ALIGN_MASK)
         if not stores:
-            return None, True
-        seq = dyn.seq
-        idx = bisect_left(stores, seq)
+            return None
+        idx = bisect_left(stores, dyn.seq)
         if idx == 0:
-            return None, True
-        best_seq = stores[idx - 1]
-        return self._by_seq[best_seq], win.mem_data_ready[best_seq & win.mask]
+            return None
+        return self._by_seq[stores[idx - 1]]
 
     def older_stores_unresolved(self, dyn: DynInst) -> bool:
         """True when any older store has not yet resolved its address."""
-        if self._kernel_unresolved is not None:
-            return self._kernel_unresolved(self._unresolved_stores, dyn.seq)
         unresolved = self._unresolved_stores
         return bool(unresolved) and unresolved[0] < dyn.seq
-
-    def older_store_conflict_possible(self, dyn: DynInst, addr: int) -> bool:
-        """True when an older store either matches the address or is still
-        unresolved (used by conservative, CHT-stalled loads)."""
-        unresolved = self._unresolved_stores
-        if unresolved and unresolved[0] < dyn.seq:
-            return True
-        stores = self._stores_by_addr.get(addr & _ALIGN_MASK)
-        return bool(stores) and stores[0] < dyn.seq

@@ -16,21 +16,20 @@ operands of every waiting instruction every cycle.  Without a bound PRF
 (unit tests, external harnesses) ``select`` falls back to probing the
 ``operand_ready`` callback for each waiting instruction.
 
-Per-entry state lives in the shared structure-of-arrays
-:class:`~repro.core.window.Window`: insert writes the issue port/priority
-codes, source registers and pending count into flat arrays, wakeup
-decrements a list slot, and select sorts precomputed integer keys --
-the inner loops never read ``DynInst`` attributes.
+Per-entry state lives on the :class:`~repro.isa.instruction.DynInst`
+itself: insert copies nothing, the pending-source count is
+``dyn.rs_pending``, watchers hold the instructions, and the ready pool is
+keyed by the selection key ``info.sort_bias | seq``, so ``select`` walks
+the sorted keys in (priority, age) order.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.core import kernel
 from repro.core.config import IssuePortConfig
-from repro.core.window import PORT_LOAD, SEQ_MASK, Window
 from repro.isa.instruction import DynInst
+from repro.isa.opcodes import PORT_LOAD
 
 __all__ = ["ReservationStations", "IssuePortConfig"]
 
@@ -48,8 +47,7 @@ class ReservationStations:
     """A pool of reservation stations with port-constrained selection."""
 
     def __init__(self, entries: int, ports: Optional[IssuePortConfig] = None,
-                 combined_ldst_port: bool = False, prf=None,
-                 window: Optional[Window] = None):
+                 combined_ldst_port: bool = False, prf=None):
         self.entries = entries
         self.ports = ports or IssuePortConfig()
         self.combined_ldst_port = combined_ldst_port
@@ -60,25 +58,17 @@ class ReservationStations:
         #: Port limits indexed by ``OpInfo.port_code``.
         self._limits_by_code = [self.ports.simple_int, self.ports.complex_fp,
                                 self.ports.loads, self.ports.stores]
-        #: Shared (or private, when standalone) structure-of-arrays state.
-        self.window = window if window is not None else Window()
         #: seq -> waiting instruction (insertion order = age order).
         self._waiting: Dict[int, DynInst] = {}
         # Event-driven readiness tracking (active when a PRF is bound).
         self._prf = prf
-        #: seq -> instruction whose operands are all ready.
+        #: ``info.sort_bias | seq`` -> instruction whose operands are all
+        #: ready; sorting the keys gives the (priority, age) select order.
         self._ready: Dict[int, DynInst] = {}
-        #: preg -> seqs waiting on it (may hold stale watchers for
-        #: instructions that already issued or squashed; they are skipped
-        #: on wakeup via the ``_waiting`` membership test).
-        self._watchers: Dict[int, List[int]] = {}
-        # Optional compiled inner loops (REPRO_KERNEL=compiled); both are
-        # bit-identical reimplementations of the Python paths below.
-        self._kernel_select = self._kernel_wakeup = None
-        backend, module = kernel.select_backend()
-        if backend == "compiled":
-            self._kernel_select = module.select_ready
-            self._kernel_wakeup = module.wakeup
+        #: preg -> instructions waiting on it (may hold stale watchers that
+        #: already issued or squashed; they are skipped on wakeup via the
+        #: ``_waiting`` membership test).
+        self._watchers: Dict[int, List[DynInst]] = {}
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -96,40 +86,24 @@ class ReservationStations:
         if len(waiting) >= self.entries:
             raise RuntimeError("reservation station overflow")
         seq = dyn.seq
-        win = self.window
-        if waiting and seq - next(iter(waiting)) > win.mask:
-            # Two live entries may never share a ring slot; the window is
-            # sized so this cannot happen in practice (see Window docs).
-            raise RuntimeError("window ring aliasing in reservation stations")
         waiting[seq] = dyn
-        info = dyn.info
-        slot = seq & win.mask
-        win.kind[slot] = info.kind_code
-        win.port[slot] = info.port_code
-        win.sort_key[slot] = info.sort_bias | seq
-        srcs = dyn.src_pregs
-        nsrc = len(srcs)
-        win.nsrc[slot] = nsrc
-        win.src1[slot] = srcs[0] if nsrc else 0
-        win.src2[slot] = srcs[1] if nsrc > 1 else 0
         prf = self._prf
         if prf is None:
             return
         ready = prf.ready
         pending = 0
         watchers = self._watchers
-        for preg in srcs:
+        for preg in dyn.src_pregs:
             if not ready[preg]:
                 pending += 1
                 bucket = watchers.get(preg)
                 if bucket is None:
-                    watchers[preg] = [seq]
+                    watchers[preg] = [dyn]
                 else:
-                    bucket.append(seq)
+                    bucket.append(dyn)
         dyn.rs_pending = pending
-        win.pending[slot] = pending
         if pending == 0:
-            self._ready[seq] = dyn
+            self._ready[dyn.info.sort_bias | seq] = dyn
 
     def wakeup(self, preg: int) -> None:
         """A physical register became ready: promote its watchers.
@@ -141,32 +115,23 @@ class ReservationStations:
         watchers = self._watchers.pop(preg, None)
         if not watchers:
             return
-        if self._kernel_wakeup is not None:
-            win = self.window
-            self._kernel_wakeup(watchers, self._waiting, self._ready,
-                                win.pending, win.mask)
-            return
         waiting = self._waiting
         ready = self._ready
-        win = self.window
-        mask = win.mask
-        pending = win.pending
-        for seq in watchers:
-            dyn = waiting.get(seq)
-            if dyn is not None:
-                slot = seq & mask
-                left = pending[slot] - 1
-                pending[slot] = left
+        for dyn in watchers:
+            if dyn.seq in waiting:
+                left = dyn.rs_pending - 1
                 dyn.rs_pending = left
                 if left == 0:
-                    ready[seq] = dyn
+                    ready[dyn.info.sort_bias | dyn.seq] = dyn
 
     def squash(self, squashed_seqs: set) -> int:
         """Drop entries belonging to squashed instructions; returns count."""
-        doomed = [seq for seq in self._waiting if seq in squashed_seqs]
+        waiting = self._waiting
+        ready = self._ready
+        doomed = [seq for seq in waiting if seq in squashed_seqs]
         for seq in doomed:
-            del self._waiting[seq]
-            self._ready.pop(seq, None)
+            dyn = waiting.pop(seq)
+            ready.pop(dyn.info.sort_bias | seq, None)
         return len(doomed)
 
     # ------------------------------------------------------------------
@@ -177,8 +142,8 @@ class ReservationStations:
         ``operand_ready`` tests whether every source physical register of an
         instruction is available (used only on the scan fallback path when
         no PRF is bound); ``load_can_issue`` applies the additional
-        memory-ordering constraints (collision history table, unavailable
-        forwarding data).  Selected instructions are removed from the pool.
+        memory-ordering constraint (the collision history table).
+        Selected instructions are removed from the pool.
         """
         ports = self.ports
         waiting = self._waiting
@@ -186,32 +151,18 @@ class ReservationStations:
             ready = self._ready
             if not ready:
                 return []
-            win = self.window
-            if self._kernel_select is not None:
-                return self._kernel_select(ready, waiting, win.sort_key,
-                                           win.port, win.mask,
-                                           self._limits_by_code,
-                                           ports.issue_width,
-                                           self.combined_ldst_port,
-                                           load_can_issue)
-            mask = win.mask
-            sort_key = win.sort_key
-            # Sorting the precomputed ``(priority << SEQ_BITS) | seq`` ints
-            # reproduces the (priority, age) order without a key function.
-            keys = [sort_key[seq & mask] for seq in ready]
-            keys.sort()
-            port_arr = win.port
             limits = self._limits_by_code
             counts = [0, 0, 0, 0]
             width = ports.issue_width
             combined = self.combined_ldst_port
             selected: List[DynInst] = []
-            for key in keys:
+            keys: List[int] = []
+            for key in sorted(ready):
                 if len(selected) >= width:
                     break
-                seq = key & SEQ_MASK
-                code = port_arr[seq & mask]
-                if code == PORT_LOAD and not load_can_issue(waiting[seq]):
+                dyn = ready[key]
+                code = dyn.info.port_code
+                if code == PORT_LOAD and not load_can_issue(dyn):
                     continue
                 if combined and code >= PORT_LOAD:
                     if counts[2] + counts[3] >= 1:
@@ -219,11 +170,10 @@ class ReservationStations:
                 if counts[code] >= limits[code]:
                     continue
                 counts[code] += 1
-                selected.append(waiting[seq])
-            for dyn in selected:
-                seq = dyn.seq
-                del waiting[seq]
-                del ready[seq]
+                selected.append(dyn)
+                keys.append(key)
+            for key in keys:
+                del waiting[ready.pop(key).seq]
             return selected
 
         # Scan fallback (no PRF bound): probe every waiting instruction.
@@ -247,5 +197,4 @@ class ReservationStations:
             selected.append(dyn)
         for dyn in selected:
             del waiting[dyn.seq]
-            self._ready.pop(dyn.seq, None)
         return selected

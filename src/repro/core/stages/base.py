@@ -56,14 +56,13 @@ class PipelineState:
     __slots__ = (
         "program", "config", "arch", "diva", "mem", "predictor", "prf",
         "map_table", "renamer", "integration", "rob", "rs", "lsq", "cht",
-        "window", "stats", "cycle", "seq", "last_retire_cycle",
+        "stats", "cycle", "seq", "last_retire_cycle",
         "preg_producer", "predictions", "retire_budget", "tracer",
         "stall_cause",
     )
 
     def __init__(self, *, program, config, arch, diva, mem, predictor, prf,
-                 map_table, renamer, integration, rob, rs, lsq, cht, stats,
-                 window=None):
+                 map_table, renamer, integration, rob, rs, lsq, cht, stats):
         self.program = program
         self.config = config
         self.arch = arch
@@ -78,9 +77,6 @@ class PipelineState:
         self.rs = rs
         self.lsq = lsq
         self.cht = cht
-        #: Shared structure-of-arrays in-flight state (falls back to the
-        #: scheduler's private window for hand-wired test harnesses).
-        self.window = window if window is not None else rs.window
         self.stats = stats
 
         # Global bookkeeping.

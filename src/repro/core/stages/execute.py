@@ -6,11 +6,10 @@ ready instructions from the reservation stations, models execution and
 memory-access latencies, and resolves branches, indirect jumps and stores as
 their results become available.
 
-The per-instruction work reads the structure-of-arrays
-:class:`~repro.core.window.Window` (dispatch kind, source physical
-registers, the per-cycle load-issue probe) and dispatches ALU evaluation
-through the per-opcode handlers precomputed on ``OpInfo`` -- the inner loop
-performs no enum hashing and builds no intermediate operand lists.
+The per-instruction work dispatches on the precomputed ``OpInfo.kind_code``,
+reads its operands through ``dyn.src_pregs`` and evaluates ALU operations
+through the per-opcode handlers on ``OpInfo`` -- the inner loop performs no
+enum hashing and builds no intermediate operand lists.
 """
 
 from __future__ import annotations
@@ -18,12 +17,12 @@ from __future__ import annotations
 from heapq import heappush
 from typing import Dict, List
 
-from repro.core import kernel
 from repro.core.diva import SimulationError
 from repro.core.stages.base import PipelineState, RecoveryController
 from repro.isa import semantics
 from repro.isa.instruction import DynInst
-from repro.isa.opcodes import OpClass
+from repro.isa.opcodes import (KIND_ALU, KIND_BRANCH, KIND_INDIRECT,
+                                KIND_LOAD, KIND_STORE, OpClass)
 from repro.isa.program import INST_SIZE
 
 _MASK64 = semantics.MASK64
@@ -43,12 +42,6 @@ class IssueExecute:
         #: quiescent fast path in the engine uses it to jump the clock to
         #: the next cycle with work.
         self.event_cycles: List[int] = []
-        # Optional compiled writeback drain (REPRO_KERNEL=compiled); a
-        # bit-identical reimplementation of the Python loop in writeback.
-        self._kernel_drain = None
-        backend, module = kernel.select_backend()
-        if backend == "compiled":
-            self._kernel_drain = module.drain_wakeups
 
     # ==================================================================
     # writeback: wakeups and completions scheduled in earlier cycles
@@ -58,16 +51,11 @@ class IssueExecute:
         cycle = state.cycle
         wakeups = self.wakeup_events.pop(cycle, None)
         if wakeups:
-            if self._kernel_drain is not None:
-                prf = state.prf
-                self._kernel_drain(wakeups, prf.values, prf.ready,
-                                   prf.on_ready)
-            else:
-                set_value = state.prf.set_value
-                for dyn, value in wakeups:
-                    if dyn.squashed or dyn.dest_preg is None:
-                        continue
-                    set_value(dyn.dest_preg, value)
+            set_value = state.prf.set_value
+            for dyn, value in wakeups:
+                if dyn.squashed or dyn.dest_preg is None:
+                    continue
+                set_value(dyn.dest_preg, value)
         completions = self.complete_events.pop(cycle, None)
         if completions:
             for dyn in completions:
@@ -153,28 +141,21 @@ class IssueExecute:
 
     def _load_can_issue(self, dyn: DynInst) -> bool:
         state = self.state
-        win = state.window
-        seq = dyn.seq
-        slot = seq & win.mask
-        base = state.prf.values[win.src1[slot]]
+        base = state.prf.values[dyn.src_pregs[0]]
         addr = (int(base) + dyn.inst.imm) & _MASK64
         if state.cht.predicts_collision(dyn.pc):
             # The hit statistic counts dynamic loads whose issue consulted a
             # collision prediction -- once per load, not once per re-poll of
             # a stalled load.
-            if not win.cht_counted[slot]:
-                win.cht_counted[slot] = True
+            if not dyn.cht_counted:
+                dyn.cht_counted = True
                 state.cht.record_hit()
             if state.lsq.older_stores_unresolved(dyn):
                 return False
-        store, data_ready = state.lsq.forward_from(dyn, addr)
         # Cache the probe for _execute_load: nothing between select and
         # execute within a cycle changes the store image the LSQ exposes.
-        win.probe_cycle[slot] = state.cycle
-        win.probe_addr[slot] = addr
-        win.probe_store[slot] = store
-        if store is not None and not data_ready:
-            return False
+        dyn.issue_probe = (state.cycle, addr,
+                           state.lsq.forward_from(dyn, addr))
         return True
 
     def _execute(self, dyn: DynInst) -> None:
@@ -188,17 +169,16 @@ class IssueExecute:
             tracer.on_issue(dyn, cycle)
         inst = dyn.inst
         info = dyn.info
-        win = state.window
-        slot = dyn.seq & win.mask
-        kind = win.kind[slot]
+        kind = info.kind_code
         prf_values = state.prf.values
-        nsrc = win.nsrc[slot]
-        a = prf_values[win.src1[slot]] if nsrc else 0
+        srcs = dyn.src_pregs
+        nsrc = len(srcs)
+        a = prf_values[srcs[0]] if nsrc else 0
         regread = config.regread_stages
         wb = config.writeback_stages
 
-        if kind == 0:                               # ALU / FP
-            b = prf_values[win.src2[slot]] if nsrc > 1 else 0
+        if kind == KIND_ALU:                        # ALU / FP
+            b = prf_values[srcs[1]] if nsrc > 1 else 0
             if info.eval_is_fp:
                 result = info.eval_fn(a, b, inst.imm)
             else:
@@ -214,12 +194,12 @@ class IssueExecute:
             latency = info.latency
             self._schedule_wakeup(dyn, latency, result)
             self._schedule_complete(dyn, regread + latency + wb)
-        elif kind == 1:                             # conditional branch
+        elif kind == KIND_BRANCH:                   # conditional branch
             taken = info.branch_fn(semantics.to_signed(int(a)))
             dyn.branch_taken = taken
             dyn.next_pc = inst.target if taken else inst.pc + INST_SIZE
             self._schedule_complete(dyn, regread + 1 + wb)
-        elif kind == 2:                             # indirect control
+        elif kind == KIND_INDIRECT:                 # indirect control
             target = int(a) & _MASK64
             dyn.next_pc = target
             if dyn.cls is OpClass.CALL_INDIRECT and dyn.dest_preg is not None:
@@ -227,10 +207,10 @@ class IssueExecute:
                 dyn.result = link
                 self._schedule_wakeup(dyn, 1, link)
             self._schedule_complete(dyn, regread + 1 + wb)
-        elif kind == 3:                             # load
-            self._execute_load(dyn, a, slot)
-        elif kind == 4:                             # store
-            b = prf_values[win.src2[slot]] if nsrc > 1 else 0
+        elif kind == KIND_LOAD:
+            self._execute_load(dyn, a)
+        elif kind == KIND_STORE:
+            b = prf_values[srcs[1]] if nsrc > 1 else 0
             addr = (int(b) + inst.imm) & _MASK64
             dyn.eff_addr = addr
             dyn.store_value = (int(a) & semantics.MASK32
@@ -241,21 +221,19 @@ class IssueExecute:
         else:  # pragma: no cover - such classes never enter the RS
             raise SimulationError(f"unexpected issue of {dyn}")
 
-    def _execute_load(self, dyn: DynInst, base, slot: int) -> None:
+    def _execute_load(self, dyn: DynInst, base) -> None:
         state = self.state
         config = state.config
-        inst = dyn.inst
-        win = state.window
         agen = config.memsys.address_generation_latency
         # Reuse the issue-check probe computed by _load_can_issue this
         # cycle: the LSQ store image cannot change between select and
         # execute (stores resolve at completion, in writeback).
-        if win.probe_cycle[slot] == state.cycle:
-            addr = win.probe_addr[slot]
-            store = win.probe_store[slot]
+        probe = dyn.issue_probe
+        if probe is not None and probe[0] == state.cycle:
+            _, addr, store = probe
         else:
-            addr = (int(base) + inst.imm) & _MASK64
-            store, _ = state.lsq.forward_from(dyn, addr)
+            addr = (int(base) + dyn.inst.imm) & _MASK64
+            store = state.lsq.forward_from(dyn, addr)
         dyn.eff_addr = addr
         state.lsq.record_load(dyn, addr)
         state.stats.executed_loads += 1

@@ -207,10 +207,8 @@ class RenameIntegrate:
             return True
         addr = semantics.effective_address(state.prf.value(base_preg),
                                            dyn.inst.imm)
-        store, data_ready = state.lsq.forward_from(dyn, addr)
+        store = state.lsq.forward_from(dyn, addr)
         if store is not None:
-            if not data_ready:
-                return True
             expected = store.store_value
         else:
             expected = state.arch.memory.read(addr)

@@ -144,6 +144,10 @@ class DynInst:
         "complete_cycle", "retire_cycle",
         # resources
         "rs_pending", "in_lsq",
+        # memory operations only, set at load/store-queue insert: the
+        # aligned word resolved or loaded (None before), and a load's
+        # CHT-hit flag and ``(cycle, addr, store)`` issue probe
+        "mem_addr", "cht_counted", "issue_probe",
     )
 
     def __init__(self, seq: int, inst: StaticInst):

@@ -113,6 +113,27 @@ class IntegrationType(enum.Enum):
     __hash__ = object.__hash__
 
 
+# Issue-port codes (``OpInfo.port_code``): indices into the scheduler's
+# per-port count/limit lists.
+PORT_SIMPLE = 0
+PORT_COMPLEX = 1
+PORT_LOAD = 2
+PORT_STORE = 3
+
+# Execute-dispatch codes (``OpInfo.kind_code``): what the execute stage
+# does with a selected instruction.
+KIND_ALU = 0
+KIND_BRANCH = 1
+KIND_INDIRECT = 2
+KIND_LOAD = 3
+KIND_STORE = 4
+
+#: Sequence numbers occupy the low bits of the scheduler's selection key;
+#: the priority (``OpInfo.sort_bias``) sits above them, so comparing plain
+#: ints orders by (priority, age).
+SEQ_BITS = 48
+
+
 #: Classes that can redirect the PC.
 _BRANCH_CLASSES = frozenset({
     OpClass.COND_BRANCH, OpClass.DIRECT_JUMP, OpClass.CALL_DIRECT,
@@ -164,40 +185,36 @@ class OpInfo:
         # (repro.core.scheduler); both are functions of cls alone, so they
         # are precomputed here with the other per-opcode metadata.
         if cls is OpClass.LOAD:
-            port, port_code = "load", 2
+            port, port_code = "load", PORT_LOAD
         elif cls is OpClass.STORE:
-            port, port_code = "store", 3
+            port, port_code = "store", PORT_STORE
         elif cls in (OpClass.IMUL, OpClass.FP_ADD, OpClass.FP_MUL,
                      OpClass.FP_DIV):
-            port, port_code = "complex", 1
+            port, port_code = "complex", PORT_COMPLEX
         else:
-            port, port_code = "simple", 0
+            port, port_code = "simple", PORT_SIMPLE
         object.__setattr__(self, "issue_port", port)
-        #: Int mirror of ``issue_port`` (indexes the scheduler's flat
-        #: per-port count/limit lists; see repro.core.window).
+        #: Int mirror of ``issue_port`` (a PORT_* code).
         object.__setattr__(self, "port_code", port_code)
         priority = 0 if cls in (
             OpClass.LOAD, OpClass.COND_BRANCH, OpClass.FP_ADD,
             OpClass.FP_MUL, OpClass.FP_DIV, OpClass.CALL_INDIRECT,
             OpClass.INDIRECT_JUMP, OpClass.RETURN) else 1
         object.__setattr__(self, "issue_priority", priority)
-        #: ``(priority << SEQ_BITS) | seq`` sorts by (priority, age) as a
-        #: plain int; the shifted half is precomputed here (SEQ_BITS = 48,
-        #: mirrored from repro.core.window to avoid an import cycle).
-        object.__setattr__(self, "sort_bias", priority << 48)
-        # Execute-stage dispatch code (repro.core.window KIND_* constants):
-        # the order the execute stage tests its cases in, flattened to an
-        # int so selection carries the dispatch decision with it.
+        #: ``sort_bias | seq`` sorts by (priority, age) as a plain int.
+        object.__setattr__(self, "sort_bias", priority << SEQ_BITS)
+        # Execute-stage dispatch code (a KIND_* constant): the order the
+        # execute stage tests its cases in, flattened to an int.
         if self.is_alu:
-            kind = 0
+            kind = KIND_ALU
         elif cls is OpClass.COND_BRANCH:
-            kind = 1
+            kind = KIND_BRANCH
         elif self.is_indirect_ctl:
-            kind = 2
+            kind = KIND_INDIRECT
         elif cls is OpClass.LOAD:
-            kind = 3
+            kind = KIND_LOAD
         elif cls is OpClass.STORE:
-            kind = 4
+            kind = KIND_STORE
         else:
             kind = -1            # never enters the reservation stations
         object.__setattr__(self, "kind_code", kind)

@@ -1,12 +1,12 @@
 """``repro lint``: a project-invariant static analyzer.
 
 The repository's hard invariants -- deterministic engine iteration,
-cache-key purity of the config tree, C/Python kernel parity, fast-path
-guard soundness, env-var conventions, lossless stats merging -- are
-reachability/blocking properties of the system's state machine that the
-runtime golden tests can only sample.  This package checks them
-structurally, before execution: an AST-visitor rule engine
-(:mod:`repro.lint.engine`) runs six project-specific rules
+cache-key purity of the config tree, fast-path guard soundness, env-var
+conventions, lossless stats merging -- are reachability/blocking
+properties of the system's state machine that the runtime golden tests
+can only sample.  This package checks them structurally, before
+execution: an AST-visitor rule engine
+(:mod:`repro.lint.engine`) runs five project-specific rules
 (:mod:`repro.lint.rules`) over the checkout and fails on any new finding.
 
 Entry points: ``repro lint [--json] [--baseline PATH] [--rules LIST]`` on

@@ -140,7 +140,7 @@ def default_rules() -> Sequence[Rule]:
 
 def run_lint(root: Path, rules: Optional[Sequence[Rule]] = None,
              baseline_keys: Iterable[str] = ()) -> LintReport:
-    """Run ``rules`` (default: all six project rules) over the tree at
+    """Run ``rules`` (default: all five project rules) over the tree at
     ``root`` and fold in suppressions and the baseline."""
     project = Project(root)
     if rules is None:

@@ -1,4 +1,4 @@
-"""The six project-invariant lint rules.
+"""The five project-invariant lint rules.
 
 Each rule guards an invariant the runtime test suites can only sample (see
 the module docstrings, and the rule table in docs/ARCHITECTURE.md):
@@ -8,8 +8,6 @@ the module docstrings, and the rule table in docs/ARCHITECTURE.md):
                   ordering inside the engine packages
 ``cache-key``     every config field reaches the canonical
                   to_dict()/fingerprint() cache identity
-``kernel-parity`` ``_kernel.c`` stays in lockstep with ``window.py`` and
-                  the scheduler's call sites
 ``fast-path``     the fused driver's dispatch set and guard attributes
                   stay sound
 ``env-var``       every ``REPRO_*`` knob is documented and read through
@@ -27,14 +25,12 @@ from repro.lint.rules.cache_key import CacheKeyRule
 from repro.lint.rules.determinism import DeterminismRule
 from repro.lint.rules.env_vars import EnvVarRule
 from repro.lint.rules.fast_path import FastPathRule
-from repro.lint.rules.kernel_parity import KernelParityRule
 from repro.lint.rules.stats_merge import StatsMergeRule
 
 #: Every project rule, in reporting order.
 ALL_RULES: Tuple[Rule, ...] = (
     DeterminismRule(),
     CacheKeyRule(),
-    KernelParityRule(),
     FastPathRule(),
     EnvVarRule(),
     StatsMergeRule(),
@@ -43,5 +39,4 @@ ALL_RULES: Tuple[Rule, ...] = (
 RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}
 
 __all__ = ["ALL_RULES", "RULES_BY_ID", "CacheKeyRule", "DeterminismRule",
-           "EnvVarRule", "FastPathRule", "KernelParityRule",
-           "StatsMergeRule"]
+           "EnvVarRule", "FastPathRule", "StatsMergeRule"]

@@ -58,7 +58,6 @@ TYPED_SLOTS: Dict[Tuple[str, str], str] = {
     ("PipelineState", "rob"): "ReorderBuffer",
     ("PipelineState", "lsq"): "LoadStoreQueue",
     ("PipelineState", "prf"): "PhysicalRegisterFile",
-    ("PipelineState", "window"): "Window",
 }
 
 #: Methods of Processor whose bodies the attribute check covers.  The

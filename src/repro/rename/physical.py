@@ -86,13 +86,6 @@ class PhysicalRegisterFile:
             self._free_queue.append(preg)
             self._in_free_queue[preg] = True
 
-    def free_count(self) -> int:
-        """Number of registers currently allocatable (reference count zero)."""
-        return sum(1 for preg in self._free_queue if self.refcount[preg] == 0)
-
-    def has_free(self) -> bool:
-        return any(self.refcount[preg] == 0 for preg in self._free_queue)
-
     # ------------------------------------------------------------------
     # mapping operations
     # ------------------------------------------------------------------
@@ -169,9 +162,6 @@ class PhysicalRegisterFile:
 
     def value(self, preg: int):
         return self.values[preg]
-
-    def is_ready(self, preg: int) -> bool:
-        return self.ready[preg]
 
     # ------------------------------------------------------------------
     # integration support

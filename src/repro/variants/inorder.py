@@ -16,7 +16,6 @@ from typing import Callable, List
 from repro.core.builder import MachineBuilder
 from repro.core.config import MachineConfig
 from repro.core.scheduler import ReservationStations
-from repro.core.window import Window
 from repro.isa.instruction import DynInst
 from repro.rename.physical import PhysicalRegisterFile
 from repro.variants import register
@@ -41,7 +40,7 @@ class InOrderReservationStations(ReservationStations):
             if len(selected) >= ports.issue_width:
                 break
             if ready_pool is not None:
-                if dyn.seq not in ready_pool:
+                if (dyn.info.sort_bias | dyn.seq) not in ready_pool:
                     break
             elif not operand_ready(dyn):
                 break
@@ -57,7 +56,7 @@ class InOrderReservationStations(ReservationStations):
             selected.append(dyn)
         for dyn in selected:
             del self._waiting[dyn.seq]
-            self._ready.pop(dyn.seq, None)
+            self._ready.pop(dyn.info.sort_bias | dyn.seq, None)
         return selected
 
 
@@ -70,8 +69,6 @@ class InOrderIssueVariant(MachineBuilder):
                    "stalled instruction blocks everything younger")
 
     def build_scheduler(self, config: MachineConfig,
-                        prf: PhysicalRegisterFile,
-                        window: Window) -> ReservationStations:
+                        prf: PhysicalRegisterFile) -> ReservationStations:
         return InOrderReservationStations(config.rs_entries, config.ports,
-                                          config.combined_ldst_port, prf=prf,
-                                          window=window)
+                                          config.combined_ldst_port, prf=prf)

@@ -139,8 +139,7 @@ class TestLoadStoreQueue:
         st2.store_value = 20
         lsq.resolve_store(st1, 0x100)
         lsq.resolve_store(st2, 0x100)
-        found, ready = lsq.forward_from(ld, 0x100)
-        assert found is st2 and ready
+        assert lsq.forward_from(ld, 0x100) is st2
 
     def test_no_forwarding_from_younger_store(self):
         lsq = LoadStoreQueue(8)
@@ -148,8 +147,7 @@ class TestLoadStoreQueue:
         lsq.insert(ld)
         lsq.insert(st)
         lsq.resolve_store(st, 0x100)
-        found, _ = lsq.forward_from(ld, 0x100)
-        assert found is None
+        assert lsq.forward_from(ld, 0x100) is None
 
     def test_violation_detection(self):
         lsq = LoadStoreQueue(8)

@@ -2,9 +2,8 @@
 
 The engine has two per-cycle drivers: the fused quiescent-skipping loop
 (:meth:`Processor._run_phase_fast`, the default) and the generic
-``Stage``-protocol loop (``REPRO_FAST_PATH=0``).  It also has two scheduler
-inner-loop backends (``REPRO_KERNEL=py|compiled``).  All combinations must
-be **cycle-for-cycle identical**: same cycle count, same per-cycle RS
+``Stage``-protocol loop (``REPRO_FAST_PATH=0``).  Both must be
+**cycle-for-cycle identical**: same cycle count, same per-cycle RS
 occupancy samples, same squash/recovery behaviour, same integration
 statistics -- on arbitrary programs and on every registered machine
 variant.
@@ -80,16 +79,10 @@ def _env(**overrides):
 
 
 def _run_both(program, config, name="equiv"):
-    """Simulate once per engine driver and return both stats.
-
-    The slow run also forces the pure-Python kernel, so a single comparison
-    covers both the fused-loop/generic-loop and the compiled/py-kernel
-    seams (each run is deterministic, so any divergence on either axis
-    shows up as a fingerprint mismatch).
-    """
-    with _env(REPRO_FAST_PATH="1", REPRO_KERNEL=None):
+    """Simulate once per engine driver and return both stats."""
+    with _env(REPRO_FAST_PATH="1"):
         fast = simulate(program, config, name=name)
-    with _env(REPRO_FAST_PATH="0", REPRO_KERNEL="py"):
+    with _env(REPRO_FAST_PATH="0"):
         slow = simulate(program, config, name=name)
     return fast, slow
 
@@ -176,25 +169,17 @@ class TestFastPathEquivalence:
                                name="equiv-none")
         assert _fingerprint(fast) == _fingerprint(slow)
 
-    def test_bad_kernel_mode_rejected_with_one_liner(self):
-        from repro.core.kernel import KernelEnvError, select_backend
-        with _env(REPRO_KERNEL="bogus"):
-            with pytest.raises(KernelEnvError) as excinfo:
-                select_backend()
-        assert issubclass(KernelEnvError, SystemExit)
-        assert "REPRO_KERNEL='bogus'" in str(excinfo.value)
 
-
-def _run_elide_both(program, config, kernel, name="elide"):
-    """Simulate with elision on and off (same kernel) and return both.
+def _run_elide_both(program, config, name="elide"):
+    """Simulate with elision on and off and return both.
 
     Both runs use the fused fast-path driver: elision is a refinement of
     it, and ``REPRO_ELIDE=0`` with the per-cycle loop is the ground truth
     the jumps must reproduce bit-for-bit.
     """
-    with _env(REPRO_FAST_PATH="1", REPRO_KERNEL=kernel, REPRO_ELIDE="1"):
+    with _env(REPRO_FAST_PATH="1", REPRO_ELIDE="1"):
         elided = simulate(program, config, name=name)
-    with _env(REPRO_FAST_PATH="1", REPRO_KERNEL=kernel, REPRO_ELIDE="0"):
+    with _env(REPRO_FAST_PATH="1", REPRO_ELIDE="0"):
         stepped = simulate(program, config, name=name)
     return elided, stepped
 
@@ -221,28 +206,26 @@ class TestElisionEquivalence:
     ``REPRO_ELIDE=1`` (the default) jumps the clock across provably
     quiescent spans; ``REPRO_ELIDE=0`` steps them one cycle at a time.
     Every statistic except the diagnostic ``cycles_elided`` must be
-    bit-identical, on both kernel backends and every machine variant.
+    bit-identical, on every machine variant.
     """
 
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(program=memory_stall_programs(),
-           kernel=st.sampled_from(["py", "compiled"]))
-    def test_random_memory_stall_programs_match(self, program, kernel):
+    @given(program=memory_stall_programs())
+    def test_random_memory_stall_programs_match(self, program):
         config = MachineConfig().with_integration(IntegrationConfig.full())
-        elided, stepped = _run_elide_both(program, config, kernel)
+        elided, stepped = _run_elide_both(program, config)
         assert _fingerprint(elided) == _fingerprint(stepped)
         assert stepped.cycles_elided == 0
 
-    @pytest.mark.parametrize("kernel", ["py", "compiled"])
     @pytest.mark.parametrize("variant", variant_names())
-    def test_every_variant_and_kernel_matches(self, variant, kernel):
+    def test_every_variant_matches(self, variant):
         program = pointer_chase_memory_bound(nodes=6, hops=64)
         config = (MachineConfig()
                   .with_integration(IntegrationConfig.full())
                   .with_variant(variant))
-        elided, stepped = _run_elide_both(
-            program, config, kernel, name=f"elide-{variant}")
+        elided, stepped = _run_elide_both(program, config,
+                                          name=f"elide-{variant}")
         assert _fingerprint(elided) == _fingerprint(stepped)
         assert elided.cycles_elided > 0, \
             "no span was elided; the comparison is vacuous"
@@ -252,7 +235,7 @@ class TestElisionEquivalence:
         """Squash/recovery interleaved with stalls doesn't break elision."""
         program = build_workload("mcf", scale=0.05)
         config = MachineConfig().with_integration(IntegrationConfig.full())
-        elided, stepped = _run_elide_both(program, config, "py",
+        elided, stepped = _run_elide_both(program, config,
                                           name="elide-recovery")
         assert elided.squashed > 0, "no mid-run squash exercised"
         assert _fingerprint(elided) == _fingerprint(stepped)
@@ -267,7 +250,7 @@ class TestElisionEquivalence:
         """
         program = pointer_chase_memory_bound(nodes=8, hops=128)
         config = MachineConfig()
-        elided, stepped = _run_elide_both(program, config, "py",
+        elided, stepped = _run_elide_both(program, config,
                                           name="elide-stats")
         assert elided.cycles_elided > 0
         assert elided.cycles == stepped.cycles

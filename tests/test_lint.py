@@ -1,12 +1,10 @@
-"""Tests for ``repro lint``: the engine, all six rules, and the CLI.
+"""Tests for ``repro lint``: the engine, all five rules, and the CLI.
 
 The self-hosted test at the top is the tier-1 contract: the repository's
 own sources stay clean under every rule.  The per-rule tests copy the
 paired good/bad fixtures from ``tests/lint_fixtures/`` into temporary
 trees with the repository layout and assert the bad member fires (with
-the expected messages) while the good member is silent.  The kernel-parity
-tests mutate *copies of the real files*, proving the acceptance property
-directly: renaming a ``window.py`` field makes lint fail.
+the expected messages) while the good member is silent.
 """
 
 import importlib.util
@@ -21,8 +19,7 @@ import pytest
 from repro.lint import (BASELINE_NAME, Finding, Project, load_baseline,
                         run_lint, write_baseline)
 from repro.lint.rules import (ALL_RULES, CacheKeyRule, DeterminismRule,
-                              EnvVarRule, FastPathRule, KernelParityRule,
-                              StatsMergeRule)
+                              EnvVarRule, FastPathRule, StatsMergeRule)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
@@ -58,7 +55,7 @@ def test_self_hosted_src_is_clean():
     report = run_lint(REPO_ROOT, baseline_keys=baseline)
     rendered = "\n".join(f.render() for f in report.findings)
     assert report.ok, f"repro lint found new violations:\n{rendered}"
-    # All six rules must actually run against the real tree (a skipped
+    # All five rules must actually run against the real tree (a skipped
     # rule would make the clean run vacuous).
     assert sorted(report.rules) == sorted(r.id for r in ALL_RULES)
     assert report.skipped_rules == []
@@ -319,74 +316,6 @@ def test_cache_key_not_applicable_on_fixture_trees(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# kernel-parity (copies of the real files, mutated)
-
-_PARITY_FILES = ("src/repro/core/window.py", "src/repro/core/scheduler.py",
-                 "src/repro/core/lsq.py", "src/repro/core/stages/execute.py",
-                 "src/repro/rename/physical.py",
-                 "src/repro/core/_kernel.c", "src/repro/core/kernel.py")
-
-
-def _parity_tree(tmp_path, mutate=None):
-    files = {}
-    for rel in _PARITY_FILES:
-        text = (REPO_ROOT / rel).read_text(encoding="utf-8")
-        if mutate:
-            text = mutate(rel, text)
-        files[rel] = text
-    return make_tree(tmp_path, files)
-
-
-def test_kernel_parity_real_files_clean(tmp_path):
-    tree = _parity_tree(tmp_path)
-    report = run_lint(tree, rules=[KernelParityRule()])
-    assert report.ok, [f.render() for f in report.findings]
-
-
-def test_kernel_parity_catches_window_field_rename(tmp_path):
-    # The acceptance property: renaming a window.py field (without
-    # updating the scheduler/C side) makes lint fail.
-    def mutate(rel, text):
-        if rel.endswith("window.py"):
-            assert '"sort_key"' in text
-            return text.replace('"sort_key"', '"order_key"')
-        return text
-
-    tree = _parity_tree(tmp_path, mutate)
-    report = run_lint(tree, rules=[KernelParityRule()])
-    assert any("sort_key" in f.message and "__slots__" in f.message
-               for f in report.findings)
-
-
-def test_kernel_parity_catches_define_value_drift(tmp_path):
-    def mutate(rel, text):
-        if rel.endswith("_kernel.c"):
-            assert "#define SEQ_BITS 48" in text
-            return text.replace("#define SEQ_BITS 48",
-                                "#define SEQ_BITS 40")
-        return text
-
-    tree = _parity_tree(tmp_path, mutate)
-    report = run_lint(tree, rules=[KernelParityRule()])
-    assert any("SEQ_BITS" in f.message and "disagrees" in f.message
-               for f in report.findings)
-
-
-def test_kernel_parity_catches_unexported_checked_constant(tmp_path):
-    def mutate(rel, text):
-        if rel.endswith("_kernel.c"):
-            assert '"SEQ_BITS"' in text
-            return text.replace('"SEQ_BITS"', '"SEQ_BITS_RENAMED"')
-        return text
-
-    tree = _parity_tree(tmp_path, mutate)
-    report = run_lint(tree, rules=[KernelParityRule()])
-    assert any("SEQ_BITS" in f.message
-               and "PyModule_AddIntConstant" in f.message
-               for f in report.findings)
-
-
-# ---------------------------------------------------------------------------
 # CLI (--json schema, exit codes)
 
 def _run_cli(args, cwd):
@@ -399,10 +328,9 @@ def _run_cli(args, cwd):
 
 def test_mypy_strict_modules_clean():
     # mypy is an optional (CI-installed) dependency; the staged config in
-    # pyproject.toml holds these four modules to strict annotations.
+    # pyproject.toml holds these modules to strict annotations.
     pytest.importorskip("mypy")
-    files = ["src/repro/core/window.py", "src/repro/core/kernel.py",
-             "src/repro/serialization.py", "src/repro/distrib/queue.py"]
+    files = ["src/repro/serialization.py", "src/repro/distrib/queue.py"]
     proc = subprocess.run([sys.executable, "-m", "mypy", *files],
                           cwd=REPO_ROOT, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core import MachineConfig, simulate
 from repro.core.lsq import CollisionHistoryTable, LoadStoreQueue
 from repro.core.pipeline import Processor
-from repro.core.scheduler import ReservationStations
+from repro.core.scheduler import IssuePortConfig, ReservationStations
 from repro.experiments import runner
 from repro.functional import Emulator
 from repro.functional.memory import SparseMemory
@@ -50,15 +50,15 @@ class TestForwardSquashInterleaving:
             lsq.insert(d)
         lsq.resolve_store(st1, 0x100)
         lsq.resolve_store(st2, 0x100)
-        found, _ = lsq.forward_from(ld, 0x100)
+        found = lsq.forward_from(ld, 0x100)
         assert found is st2
         # Squashing the youngest matching store falls back to the next one.
         lsq.squash({2})
-        found, _ = lsq.forward_from(ld, 0x100)
+        found = lsq.forward_from(ld, 0x100)
         assert found is st1
         # Retiring the remaining store leaves nothing to forward from.
         lsq.remove(st1)
-        found, _ = lsq.forward_from(ld, 0x100)
+        found = lsq.forward_from(ld, 0x100)
         assert found is None
 
     def test_squashed_load_is_not_a_violation_victim(self):
@@ -79,10 +79,10 @@ class TestForwardSquashInterleaving:
         lsq.resolve_store(st1, 0x300)
         lsq.resolve_store(st2, 0x300)
         lsq.resolve_store(st4, 0x300)
-        found, _ = lsq.forward_from(ld, 0x300)
+        found = lsq.forward_from(ld, 0x300)
         assert found is st2            # youngest *older* store, not st4
         lsq.squash({2, 4})
-        found, _ = lsq.forward_from(ld, 0x300)
+        found = lsq.forward_from(ld, 0x300)
         assert found is st1
 
     def test_in_lsq_membership_flag(self):
@@ -107,8 +107,6 @@ class TestForwardSquashInterleaving:
         assert lsq.older_stores_unresolved(ld)          # st2 still unresolved
         lsq.squash({2})
         assert not lsq.older_stores_unresolved(ld)
-        assert lsq.older_store_conflict_possible(ld, 0x500)
-        assert not lsq.older_store_conflict_possible(ld, 0x700)
 
 
 # ======================================================================
@@ -119,7 +117,6 @@ class _NaiveEntry:
         self.dyn = dyn
         self.is_store = is_store_op
         self.addr = None
-        self.data_ready = False
         self.executed = False
 
 
@@ -155,7 +152,6 @@ class NaiveLSQ:
         if entry is None:
             return []
         entry.addr = SparseMemory.align(addr)
-        entry.data_ready = True
         entry.executed = True
         violations = [e.dyn for e in self._entries
                       if (not e.is_store and e.executed
@@ -176,18 +172,10 @@ class NaiveLSQ:
             if e.is_store and e.dyn.seq < dyn.seq and e.addr == aligned:
                 if best is None or e.dyn.seq > best.dyn.seq:
                     best = e
-        if best is None:
-            return None, True
-        return best.dyn, best.data_ready
+        return None if best is None else best.dyn
 
     def older_stores_unresolved(self, dyn):
         return any(e.is_store and e.dyn.seq < dyn.seq and e.addr is None
-                   for e in self._entries)
-
-    def older_store_conflict_possible(self, dyn, addr):
-        aligned = SparseMemory.align(addr)
-        return any(e.is_store and e.dyn.seq < dyn.seq
-                   and (e.addr is None or e.addr == aligned)
                    for e in self._entries)
 
 
@@ -243,8 +231,6 @@ class TestLSQMatchesNaiveModel:
                         == naive.forward_from(dyn, addr))
                 assert (fast.older_stores_unresolved(dyn)
                         == naive.older_stores_unresolved(dyn))
-                assert (fast.older_store_conflict_possible(dyn, addr)
-                        == naive.older_store_conflict_possible(dyn, addr))
 
 
 # ======================================================================
@@ -314,6 +300,91 @@ class TestReadyTrackingScheduler:
         prf.set_value(preg, 1)
         prf.set_value(preg, 2)      # already ready: no second event
         assert fired == [preg]
+
+
+# ======================================================================
+# Scheduler: the ready pool against the scan fallback
+# ======================================================================
+#: Opcodes covering every issue port and both priority classes.
+_RS_OPS = (Opcode.ADDQ, Opcode.BEQ, Opcode.MULQ, Opcode.ADDT, Opcode.LDQ,
+           Opcode.STQ)
+#: The small physical-register pool the random sources draw from.
+_RS_PREGS = tuple(range(1, 7))
+
+#: One step: what to do, weighted towards inserts and selects, plus every
+#: argument any action might use (an insert's opcode and sources, the
+#: register a wakeup or reallocation hits, a squash mask or select salt).
+_RS_STEPS = st.lists(
+    st.tuples(st.sampled_from(["insert"] * 3 + ["select"] * 2
+                              + ["set_value"] * 2 + ["unready", "squash"]),
+              st.sampled_from(_RS_OPS),
+              st.lists(st.sampled_from(_RS_PREGS), max_size=2),
+              st.sampled_from(_RS_PREGS),
+              st.integers(min_value=0, max_value=255)),
+    min_size=10, max_size=60)
+
+
+class TestReadyPoolMatchesScan:
+    """The PRF-bound ready pool selects exactly what the scan fallback
+    selects when ``operand_ready`` reads the same register file."""
+
+    @pytest.mark.parametrize("combined", [False, True])
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(steps=_RS_STEPS,
+           ready_at_start=st.lists(st.booleans(), min_size=len(_RS_PREGS),
+                                   max_size=len(_RS_PREGS)),
+           width=st.integers(min_value=1, max_value=4))
+    def test_random_interleavings(self, combined, steps, ready_at_start,
+                                  width):
+        ports = IssuePortConfig(issue_width=width)
+        prf = PhysicalRegisterFile(70)
+        for preg, ready in zip(_RS_PREGS, ready_at_start):
+            prf.ready[preg] = ready
+        pool = ReservationStations(8, ports, combined, prf=prf)
+        prf.on_ready = pool.wakeup
+        scan = ReservationStations(8, ports, combined)
+
+        def operand_ready(dyn):
+            return all(prf.ready[preg] for preg in dyn.src_pregs)
+
+        seq = 0
+        for kind, op, srcs, preg, bits in steps:
+            if kind == "insert":
+                if not pool.has_space():
+                    continue
+                seq += 1
+                dyn = DynInst(seq, StaticInst(pc=seq * 4, op=op, rd=1, ra=2,
+                                              rb=3))
+                dyn.src_pregs = srcs
+                pool.insert(dyn)
+                scan.insert(dyn)
+            elif kind == "set_value":
+                prf.set_value(preg, seq)
+            elif kind == "unready":
+                # Reallocation: legal only while no waiting instruction
+                # reads the register (see ReservationStations' docs).
+                if not any(preg in dyn.src_pregs
+                           for dyn in scan._waiting.values()):
+                    prf.ready[preg] = False
+            elif kind == "squash":
+                doomed = {s for i, s in enumerate(scan._waiting)
+                          if bits >> (i % 8) & 1}
+                assert pool.squash(doomed) == scan.squash(doomed)
+            else:
+                calls = {"pool": [], "scan": []}
+
+                def load_can_issue(side):
+                    def probe(dyn):
+                        calls[side].append(dyn.seq)
+                        return (dyn.seq + bits) % 3 != 0
+                    return probe
+
+                chosen = pool.select(operand_ready, load_can_issue("pool"))
+                expected = scan.select(operand_ready, load_can_issue("scan"))
+                assert chosen == expected
+                assert calls["pool"] == calls["scan"]
+            assert pool.occupancy == scan.occupancy
 
 
 # ======================================================================

@@ -8,7 +8,7 @@ Three properties anchor the layer:
   *active* tracer never changes results (it only forces elision off);
 * **the CPI stack is a partition of time** -- every cycle is blamed on
   exactly one bucket, so the stack sums to ``cycles`` and is
-  bit-identical across drivers, kernels, elision settings and scheduling
+  bit-identical across drivers, elision settings and scheduling
   (pool vs serial, sharded vs not for the same geometry);
 * **the metrics registry is the single source of truth** -- the run
   telemetry proxy, the worker mirror and the dashboard all render from
@@ -183,11 +183,9 @@ class TestCpiStack:
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(program=branchy_programs(),
-           kernel=st.sampled_from(["py", "compiled"]),
            elide=st.sampled_from(["0", "1"]))
-    def test_stack_partitions_cycles(self, program, kernel, elide):
-        with _env(REPRO_KERNEL=kernel, REPRO_ELIDE=elide,
-                  REPRO_FAST_PATH="1"):
+    def test_stack_partitions_cycles(self, program, elide):
+        with _env(REPRO_ELIDE=elide, REPRO_FAST_PATH="1"):
             stats = simulate(program, FULL, name="obs-cpi")
         assert sum(stats.cpi_stack.values()) == stats.cycles
         assert set(stats.cpi_stack) <= set(CPI_BUCKETS)
@@ -195,13 +193,11 @@ class TestCpiStack:
         assert 0 not in stats.cpi_stack.values(), \
             "zero-valued buckets must stay absent (serialization identity)"
 
-    @pytest.mark.parametrize("kernel", ["py", "compiled"])
-    def test_stack_identical_across_drivers_and_elision(self, kernel):
+    def test_stack_identical_across_drivers_and_elision(self):
         program = build_workload("mcf", scale=0.05)
         runs = {}
         for fast, elide in (("1", "1"), ("1", "0"), ("0", "0")):
-            with _env(REPRO_FAST_PATH=fast, REPRO_ELIDE=elide,
-                      REPRO_KERNEL=kernel):
+            with _env(REPRO_FAST_PATH=fast, REPRO_ELIDE=elide):
                 runs[(fast, elide)] = simulate(program, FULL,
                                                name="obs-axes")
         stacks = {key: dict(stats.cpi_stack)

@@ -278,9 +278,10 @@ class TestInOrderIssue:
         class FakeDyn:
             def __init__(self, seq, port):
                 self.seq = seq
-                # Only the issue port: the insert path (which reads the
-                # rest of ``OpInfo``) is not used in this test.
-                self.info = SimpleNamespace(issue_port=port)
+                # Only the issue port and the ready-pool key bias: the
+                # insert path (which reads the rest of ``OpInfo``) is not
+                # used in this test.
+                self.info = SimpleNamespace(issue_port=port, sort_bias=0)
                 self.rs_pending = 0
 
         # Bypass insert; drive _waiting directly.
