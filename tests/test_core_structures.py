@@ -17,6 +17,7 @@ from repro.core.diva import SimulationError
 from repro.functional import ArchState
 from repro.isa import Opcode, StaticInst
 from repro.isa.instruction import DynInst
+from repro.rename.physical import PhysicalRegisterFile
 
 
 def dyn(seq, op=Opcode.ADDQ, **kwargs):
@@ -119,6 +120,75 @@ class TestReservationStations:
         assert rs.occupancy == 1
 
 
+class TestEventDrivenReadyPool:
+    """Reservation stations bound to a PRF: wakeups, not scans."""
+
+    def bound(self, ports=None):
+        prf = PhysicalRegisterFile(70)
+        rs = ReservationStations(16, ports or IssuePortConfig(), prf=prf)
+        prf.on_ready = rs.wakeup
+        return prf, rs
+
+    def waiting_on(self, seq, *pregs, op=Opcode.ADDQ):
+        d = dyn(seq, op=op)
+        d.src_pregs = pregs
+        return d
+
+    @staticmethod
+    def never_probed(_):
+        raise AssertionError("operand_ready is only for the scan fallback")
+
+    def test_instruction_waits_until_last_source_wakes(self):
+        prf, rs = self.bound()
+        d = self.waiting_on(1, 10, 11)
+        rs.insert(d)
+        assert d.rs_pending == 2
+        prf.set_value(10, 5)
+        assert rs.select(self.never_probed, lambda _: True) == []
+        prf.set_value(11, 6)
+        assert rs.select(self.never_probed, lambda _: True) == [d]
+        assert rs.occupancy == 0
+
+    def test_duplicate_source_counts_per_occurrence(self):
+        prf, rs = self.bound()
+        d = self.waiting_on(1, 12, 12)
+        rs.insert(d)
+        assert d.rs_pending == 2
+        prf.set_value(12, 7)            # one wakeup covers both reads
+        assert d.rs_pending == 0
+        assert rs.select(self.never_probed, lambda _: True) == [d]
+
+    def test_squashed_watcher_is_not_woken(self):
+        prf, rs = self.bound()
+        gone, kept = self.waiting_on(1, 13), self.waiting_on(2, 13)
+        rs.insert(gone)
+        rs.insert(kept)
+        assert rs.squash({1}) == 1
+        prf.set_value(13, 1)
+        assert gone.rs_pending == 1     # stale watcher skipped
+        assert rs.select(self.never_probed, lambda _: True) == [kept]
+        assert rs.occupancy == 0
+
+    def test_ready_pool_selects_priority_then_age(self):
+        prf, rs = self.bound(IssuePortConfig(issue_width=2))
+        old_alu = self.waiting_on(1)
+        young_alu = self.waiting_on(2)
+        young_load = self.waiting_on(3, op=Opcode.LDQ)
+        for d in (young_load, young_alu, old_alu):
+            rs.insert(d)
+        assert rs.select(self.never_probed,
+                         lambda _: True) == [young_load, old_alu]
+        assert rs.select(self.never_probed, lambda _: True) == [young_alu]
+
+    def test_blocked_load_stays_ready_for_a_later_cycle(self):
+        prf, rs = self.bound()
+        ld = self.waiting_on(1, op=Opcode.LDQ)
+        rs.insert(ld)
+        assert rs.select(self.never_probed, lambda _: False) == []
+        assert rs.occupancy == 1
+        assert rs.select(self.never_probed, lambda _: True) == [ld]
+
+
 def load(seq, addr_reg=2, imm=0):
     return DynInst(seq, StaticInst(pc=seq * 4, op=Opcode.LDQ, rd=1,
                                    ra=addr_reg, imm=imm))
@@ -148,6 +218,41 @@ class TestLoadStoreQueue:
         lsq.insert(st)
         lsq.resolve_store(st, 0x100)
         assert lsq.forward_from(ld, 0x100) is None
+
+    def test_insert_resets_per_instruction_memory_state(self):
+        lsq = LoadStoreQueue(8)
+        ld, st = load(1), store(2)
+        for d in (ld, st):
+            d.mem_addr = 0x40           # leftovers must not survive insert
+        ld.cht_counted = True
+        ld.issue_probe = (3, 0x40, None)
+        lsq.insert(ld)
+        lsq.insert(st)
+        assert ld.mem_addr is None and st.mem_addr is None
+        assert ld.cht_counted is False and ld.issue_probe is None
+        assert ld.in_lsq and st.in_lsq
+
+    def test_mem_addr_holds_the_aligned_word(self):
+        lsq = LoadStoreQueue(8)
+        st, ld = store(1), load(2)
+        lsq.insert(st)
+        lsq.insert(ld)
+        lsq.record_load(ld, 0x103)
+        assert ld.mem_addr == 0x100
+        assert lsq.resolve_store(st, 0x105) == [ld]
+        assert st.mem_addr == 0x100
+        assert lsq.forward_from(ld, 0x101) is st
+
+    def test_squashed_store_leaves_the_address_index(self):
+        lsq = LoadStoreQueue(8)
+        st, ld = store(1), load(2)
+        lsq.insert(st)
+        lsq.insert(ld)
+        lsq.resolve_store(st, 0x200)
+        assert lsq.squash({1}) == 1
+        assert not st.in_lsq
+        assert lsq.forward_from(ld, 0x200) is None
+        assert not lsq.older_stores_unresolved(ld)
 
     def test_violation_detection(self):
         lsq = LoadStoreQueue(8)

@@ -19,7 +19,16 @@ from repro.isa import (
     reg_index,
     reg_name,
 )
-from repro.isa.opcodes import OPINFO, opcode_from_name
+from repro.isa.opcodes import (
+    KIND_ALU,
+    KIND_BRANCH,
+    KIND_INDIRECT,
+    KIND_LOAD,
+    KIND_STORE,
+    OPINFO,
+    SEQ_BITS,
+    opcode_from_name,
+)
 from repro.isa import semantics
 from repro.isa.registers import NUM_LOGICAL_REGS, REG_FP_BASE, is_zero_reg
 
@@ -94,6 +103,41 @@ class TestOpcodes:
     def test_latencies_reflect_classes(self):
         assert OPINFO[Opcode.MULQ].latency > OPINFO[Opcode.ADDQ].latency
         assert OPINFO[Opcode.DIVT].latency > OPINFO[Opcode.ADDT].latency
+
+    def test_port_code_mirrors_issue_port(self):
+        # The scheduler indexes its per-port limits by port_code.
+        order = ("simple", "complex", "load", "store")
+        for op in Opcode:
+            info = op_info(op)
+            assert order[info.port_code] == info.issue_port, op
+
+    def test_kind_code_covers_every_scheduled_opcode(self):
+        for op in Opcode:
+            info = op_info(op)
+            if not info.needs_rs:
+                assert info.kind_code == -1, op
+            elif info.is_load:
+                assert info.kind_code == KIND_LOAD, op
+            elif info.is_store:
+                assert info.kind_code == KIND_STORE, op
+            elif info.is_alu:
+                assert info.kind_code == KIND_ALU, op
+            elif info.is_cond_branch:
+                assert info.kind_code == KIND_BRANCH, op
+            else:
+                assert info.is_indirect_ctl, op
+                assert info.kind_code == KIND_INDIRECT, op
+
+    def test_sort_bias_orders_priority_before_age(self):
+        high = op_info(Opcode.LDQ)       # loads have issue priority
+        low = op_info(Opcode.ADDQ)
+        assert high.issue_priority < low.issue_priority
+        oldest, youngest = 1, (1 << SEQ_BITS) - 1
+        assert high.sort_bias | youngest < low.sort_bias | oldest
+        assert low.sort_bias | oldest < low.sort_bias | (oldest + 1)
+        for op in Opcode:
+            info = op_info(op)
+            assert info.sort_bias == info.issue_priority << SEQ_BITS, op
 
 
 class TestStaticInst:

@@ -269,6 +269,22 @@ def test_env_var_missing_docs_file(tmp_path):
     assert any("not found" in f.message for f in report.findings)
 
 
+def test_env_var_retired_kernel_knob_is_flagged(tmp_path):
+    # REPRO_KERNEL was removed with the compiled scheduler backend: it has
+    # no accessor and no docs row, so reading it again must not pass lint.
+    tree = make_tree(tmp_path, {
+        "src/repro/revived.py": (
+            "import os\n\n\n"
+            "def backend():\n"
+            "    return os.environ.get(\"REPRO_KERNEL\", \"py\")\n"),
+        "docs/ARCHITECTURE.md": REPO_ROOT / "docs" / "ARCHITECTURE.md"})
+    report = run_lint(tree, rules=[EnvVarRule()])
+    messages = [f.message for f in report.findings
+                if "REPRO_KERNEL" in f.message]
+    assert any("no registered accessor" in m for m in messages)
+    assert any("not documented" in m for m in messages)
+
+
 # ---------------------------------------------------------------------------
 # cache-key (loader-injected; the live-tree loader is exercised by the
 # self-hosted run above)
