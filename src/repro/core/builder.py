@@ -1,13 +1,13 @@
-"""The declarative stage-graph builder: machine construction as data.
+"""The machine builder: machine construction as data.
 
 :class:`MachineBuilder` owns everything :class:`~repro.core.pipeline.
 Processor` used to hard-wire in its constructor: it assembles the substrates
 (branch prediction, renaming + integration, scheduler, load/store queue,
-memory hierarchy, DIVA) and the four stage components of
-:mod:`repro.core.stages` from *per-slot factory methods*, wires them into a
-:class:`Machine`, and hands that to the engine.  Each factory is one **slot**
-of the stage graph; a *machine variant* (see :mod:`repro.variants`) is a
-small ``MachineBuilder`` subclass overriding the slots it cares about::
+memory hierarchy, DIVA) from *per-slot factory methods*, wires them into the
+fixed graph of the four stage components of :mod:`repro.core.stages`, and
+hands the resulting :class:`Machine` to the engine.  Each factory is one
+**slot**; a *machine variant* (see :mod:`repro.variants`) is a small
+``MachineBuilder`` subclass overriding the substrate slots it cares about::
 
     class OracleBPVariant(MachineBuilder):
         name = "oracle-bp"
@@ -41,12 +41,11 @@ slot                      builds
 ``build_lsq``             the load/store queue
 ``build_cht``             the collision history table
 ``build_stats``           the :class:`SimStats` the run accumulates into
-``build_frontend``        the fetch/decode stage component
-``build_recovery``        the cross-stage mis-speculation recovery controller
-``build_rename_stage``    the rename + integration stage component
-``build_execute_stage``   the schedule/regread/execute/writeback component
-``build_commit_stage``    the DIVA-check + retire stage component
 ========================  ====================================================
+
+The stage components themselves are not slots: :meth:`MachineBuilder.build`
+always constructs the stock ones, so the engine's per-stage skip guards
+(which mirror each stock stage's no-work early return) hold by construction.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ from repro.core.stages import (
     PipelineState,
     RecoveryController,
     RenameIntegrate,
-    Stage,
 )
 from repro.core.stats import SimStats
 from repro.frontend.branch_predictor import BranchPredictor
@@ -85,14 +83,12 @@ SLOT_NAMES: Tuple[str, ...] = (
     "build_prf", "build_map_table", "build_renamer", "build_integration",
     "build_rob", "build_scheduler", "build_lsq",
     "build_cht", "build_stats",
-    "build_frontend", "build_recovery", "build_rename_stage",
-    "build_execute_stage", "build_commit_stage",
 )
 
 
 @dataclass
 class Machine:
-    """A fully wired machine: the shared datapath plus its stage graph."""
+    """A fully wired machine: the shared datapath plus its four stages."""
 
     state: PipelineState
     front_end: FrontEnd
@@ -100,8 +96,6 @@ class Machine:
     rename_integrate: RenameIntegrate
     issue_execute: IssueExecute
     commit_diva: CommitDiva
-    #: Program order of the stage components (front of the pipe first).
-    stages: Tuple[Stage, ...]
 
 
 class MachineBuilder:
@@ -182,28 +176,6 @@ class MachineBuilder:
                         variant=config.variant)
 
     # ------------------------------------------------------------------
-    # stage slots
-    # ------------------------------------------------------------------
-    def build_frontend(self, state: PipelineState) -> FrontEnd:
-        return FrontEnd(state)
-
-    def build_recovery(self, state: PipelineState,
-                       frontend: FrontEnd) -> RecoveryController:
-        return RecoveryController(state, frontend)
-
-    def build_rename_stage(self, state: PipelineState, frontend: FrontEnd,
-                           recovery: RecoveryController) -> RenameIntegrate:
-        return RenameIntegrate(state, frontend, recovery)
-
-    def build_execute_stage(self, state: PipelineState,
-                            recovery: RecoveryController) -> IssueExecute:
-        return IssueExecute(state, recovery)
-
-    def build_commit_stage(self, state: PipelineState,
-                           recovery: RecoveryController) -> CommitDiva:
-        return CommitDiva(state, recovery)
-
-    # ------------------------------------------------------------------
     # assembly
     # ------------------------------------------------------------------
     def build(self, program: Program, config: MachineConfig,
@@ -223,8 +195,6 @@ class MachineBuilder:
 
         rob = self.build_rob(config)
         rs = self.build_scheduler(config, prf)
-        # Operand readiness is event-driven: the PRF wakes the scheduler.
-        prf.on_ready = rs.wakeup
         lsq = self.build_lsq(config)
         cht = self.build_cht(config)
         stats = self.build_stats(config, program, name)
@@ -234,16 +204,13 @@ class MachineBuilder:
             predictor=predictor, prf=prf, map_table=map_table,
             renamer=renamer, integration=integration, rob=rob, rs=rs,
             lsq=lsq, cht=cht, stats=stats)
-        front_end = self.build_frontend(state)
-        recovery = self.build_recovery(state, front_end)
-        rename_integrate = self.build_rename_stage(state, front_end, recovery)
-        issue_execute = self.build_execute_stage(state, recovery)
-        commit_diva = self.build_commit_stage(state, recovery)
+        front_end = FrontEnd(state)
+        recovery = RecoveryController(state, front_end)
         return Machine(
             state=state, front_end=front_end, recovery=recovery,
-            rename_integrate=rename_integrate, issue_execute=issue_execute,
-            commit_diva=commit_diva,
-            stages=(front_end, rename_integrate, issue_execute, commit_diva))
+            rename_integrate=RenameIntegrate(state, front_end, recovery),
+            issue_execute=IssueExecute(state, recovery),
+            commit_diva=CommitDiva(state, recovery))
 
     # ------------------------------------------------------------------
     # introspection (the ``repro variants`` listing)

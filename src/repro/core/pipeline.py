@@ -7,7 +7,7 @@ field of the :class:`~repro.core.config.MachineConfig` via the
 substrates and wires them into the four stage components of
 :mod:`repro.core.stages`; the engine only advances the clock and enforces
 the run limits.  All per-stage behaviour lives in the stage classes; all
-per-slot construction lives in the builder.
+substrate construction lives in the builder.
 
 Pipeline organisation (13 stages, paper Section 3.1)::
 
@@ -29,40 +29,20 @@ from __future__ import annotations
 import gc
 import os
 from heapq import heappop
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.core.builder import MachineBuilder
 from repro.core.config import MachineConfig
 from repro.core.diva import SimulationError
-from repro.core.stages import Stage
-from repro.core.stages.commit import CommitDiva
-from repro.core.stages.execute import IssueExecute
-from repro.core.stages.frontend import FrontEnd
-from repro.core.stages.rename import RenameIntegrate
 from repro.core.stats import SimStats
 from repro.functional.state import ArchState
 from repro.isa.program import Program
-from repro.obs.cpi import (
-    CPI_FRONTEND_EMPTY,
-    CPI_MEMORY,
-    CPI_RENAME_STALL,
-    CPI_RETIRED,
-    CPI_WAITING_OPERANDS,
-    classify_stall,
-)
-
-
-def fast_path_enabled() -> bool:
-    """Validated accessor for ``REPRO_FAST_PATH`` (the only place it is
-    read): any value but ``0`` keeps the fused quiescent-skipping driver
-    available; ``0`` forces the generic :meth:`Processor.step` loop for
-    equivalence testing."""
-    return os.environ.get("REPRO_FAST_PATH", "1") != "0"
+from repro.obs.cpi import CPI_RETIRED, classify_stall
 
 
 def elision_enabled() -> bool:
     """Validated accessor for ``REPRO_ELIDE`` (the only place it is read):
-    any value but ``0`` lets the fused driver jump the clock across provably
+    any value but ``0`` lets the driver jump the clock across provably
     quiescent spans (event-horizon cycle elision); ``0`` forces per-cycle
     iteration for equivalence testing and timing-sensitive debugging."""
     return os.environ.get("REPRO_ELIDE", "1") != "0"
@@ -100,8 +80,6 @@ class Processor:
         self.rename_integrate = machine.rename_integrate
         self.issue_execute = machine.issue_execute
         self.commit_diva = machine.commit_diva
-        #: Program order of the stage components (front of the pipe first).
-        self.stages: Tuple[Stage, ...] = machine.stages
 
         # Counter baselines, advanced past the stats-discarded warm-up phase
         # of a sliced run (zero for ordinary whole-program runs).
@@ -140,7 +118,9 @@ class Processor:
 
         Back-to-front evaluation: results written back this cycle are
         visible to retirement, freed resources are visible to rename, and
-        redirects take effect before the next fetch.
+        redirects take effect before the next fetch.  This is the one-cycle
+        API for tests and tools; :meth:`_run_phase` runs the same cycle with
+        the no-work stages skipped.
         """
         state = self.state
         stats = state.stats
@@ -157,49 +137,6 @@ class Processor:
         else:
             stats.cpi_stack[classify_stall(state)] += 1
         state.cycle += 1
-
-    def _fast_path_eligible(self) -> bool:
-        """Whether the fused quiescent-skipping loop may drive this machine.
-
-        The fused loop decides *whether* each stage has work from the shared
-        engine state, so it is only used when every stage is exactly the
-        stock implementation (a variant that overrides a stage falls back to
-        the generic :meth:`step` loop) and the scheduler tracks readiness
-        through a bound PRF.  ``REPRO_FAST_PATH=0`` forces the generic loop
-        for equivalence testing.
-        """
-        return (fast_path_enabled()
-                and type(self.front_end) is FrontEnd
-                and type(self.rename_integrate) is RenameIntegrate
-                and type(self.issue_execute) is IssueExecute
-                and type(self.commit_diva) is CommitDiva
-                and self.state.rs._prf is not None)
-
-    def _run_phase(self, budget: Optional[int]) -> None:
-        """Advance the clock until halt or exactly ``budget`` retirements.
-
-        The commit stage refuses to retire past ``state.retire_budget``, so
-        the machine stops on a precise architectural instruction boundary
-        (the property sharded slices rely on to recombine losslessly).
-        """
-        state = self.state
-        config = self.config
-        state.retire_budget = budget
-        if self._fast_path_eligible():
-            self._run_phase_fast(budget)
-            return
-        while not state.arch.halted:
-            if budget is not None and state.stats.retired >= budget:
-                break
-            if state.cycle >= config.max_cycles:
-                raise SimulationError(
-                    f"{self.program.name}: exceeded {config.max_cycles} cycles")
-            if state.cycle - state.last_retire_cycle > config.deadlock_cycles:
-                raise SimulationError(
-                    f"{self.program.name}: no retirement for "
-                    f"{config.deadlock_cycles} cycles at cycle {state.cycle} "
-                    f"(ROB={len(state.rob)}, RS={state.rs.occupancy})")
-            self.step()
 
     def _elide_target(self, cycle: int) -> int:
         """The furthest cycle the clock may jump to from quiescent ``cycle``.
@@ -291,8 +228,12 @@ class Processor:
             target = heap[0]
         return target
 
-    def _run_phase_fast(self, budget: Optional[int]) -> None:
-        """The fused per-cycle loop: skip stages with provably no work.
+    def _run_phase(self, budget: Optional[int]) -> None:
+        """Advance the clock until halt or exactly ``budget`` retirements.
+
+        The commit stage refuses to retire past ``state.retire_budget``, so
+        the machine stops on a precise architectural instruction boundary
+        (the property sharded slices rely on to recombine losslessly).
 
         Per-cycle stage order and semantics are identical to :meth:`step`;
         the only difference is that a stage whose no-work early-return would
@@ -308,7 +249,9 @@ class Processor:
 
         All guards read live engine state that squash/recovery mutate in
         place, so a redirect or flush in cycle N is reflected by the guards
-        of cycle N+1 exactly as in the generic loop.
+        of cycle N+1 exactly as in a loop over :meth:`step`.  The stage
+        graph is fixed (the builder always constructs the stock stages), so
+        each guard mirrors exactly one stage's early return.
 
         On top of the per-stage skips, a cycle on which *every* stage is
         provably quiescent (see :meth:`_elide_target`) advances the clock
@@ -321,6 +264,7 @@ class Processor:
         """
         state = self.state
         config = self.config
+        state.retire_budget = budget
         arch = state.arch
         stats = state.stats
         execute = self.issue_execute
@@ -345,7 +289,6 @@ class Processor:
         # semantics keeps the trace complete (results are bit-identical).
         elide = elision_enabled() and state.tracer is None
         classify = classify_stall
-        prf_ready = state.prf.ready
         occupancy_sum = 0
         samples = 0
         elided = 0
@@ -398,32 +341,12 @@ class Processor:
                 samples += 1
                 # ``last_retire_cycle`` is stamped by every retirement, so
                 # any move past the ``retired_at`` watermark means this
-                # cycle retired.  The stall branch is an inline mirror of
-                # :func:`repro.obs.cpi.classify_stall` over hoisted locals;
-                # the fast/slow fingerprint equivalence tests (which
-                # include ``cpi_stack``) hold the two in lockstep.
+                # cycle retired.
                 if state.last_retire_cycle != retired_at:
                     retired_at = state.last_retire_cycle
                     cpi_retired += 1
                 else:
-                    if rob_entries:
-                        head = rob_entries[0]
-                        if head.integrated:
-                            dest = head.dest_preg
-                            if dest is not None and not prf_ready[dest]:
-                                bucket = CPI_WAITING_OPERANDS
-                            else:
-                                bucket = CPI_RENAME_STALL
-                        elif head.completed:
-                            bucket = CPI_RENAME_STALL
-                        elif head.issued and head.info.is_mem:
-                            bucket = CPI_MEMORY
-                        else:
-                            bucket = CPI_WAITING_OPERANDS
-                    else:
-                        bucket = state.stall_cause
-                        if bucket is None:
-                            bucket = CPI_FRONTEND_EMPTY
+                    bucket = classify(state)
                     stalls[bucket] = stalls.get(bucket, 0) + 1
                 cycle += 1
                 state.cycle = cycle

@@ -6,15 +6,13 @@ free.  Selection follows the paper: loads, branches and floating-point
 operations have priority, with instruction age as the tie-breaker, subject
 to the per-class port limits and the total issue width.
 
-Operand readiness is tracked by events, not by scanning: when the scheduler
-is bound to a physical register file (the pipeline wires
-``prf.on_ready -> rs.wakeup``), every inserted instruction counts its
-not-yet-ready sources once, registers itself as a watcher of those
-registers, and moves to the ready pool when the last wakeup arrives.
-``select`` then considers only the ready pool instead of re-evaluating the
-operands of every waiting instruction every cycle.  Without a bound PRF
-(unit tests, external harnesses) ``select`` falls back to probing the
-``operand_ready`` callback for each waiting instruction.
+Operand readiness is tracked by events, not by scanning: the scheduler is
+bound to a physical register file (it wires ``prf.on_ready -> wakeup``
+itself), every inserted instruction counts its not-yet-ready sources once,
+registers itself as a watcher of those registers, and moves to the ready
+pool when the last wakeup arrives.  ``select`` then considers only the
+ready pool instead of re-evaluating the operands of every waiting
+instruction every cycle.
 
 Per-entry state lives on the :class:`~repro.isa.instruction.DynInst`
 itself: insert copies nothing, the pending-source count is
@@ -30,6 +28,7 @@ from typing import Callable, Dict, List, Optional
 from repro.core.config import IssuePortConfig
 from repro.isa.instruction import DynInst
 from repro.isa.opcodes import PORT_LOAD
+from repro.rename.physical import PhysicalRegisterFile
 
 __all__ = ["ReservationStations", "IssuePortConfig"]
 
@@ -39,29 +38,23 @@ __all__ = ["ReservationStations", "IssuePortConfig"]
 # ``OpInfo.port_code`` / ``OpInfo.issue_priority`` (see repro.isa.opcodes).
 
 
-def _age_priority_key(dyn: DynInst):
-    return (dyn.info.issue_priority, dyn.seq)
-
-
 class ReservationStations:
     """A pool of reservation stations with port-constrained selection."""
 
     def __init__(self, entries: int, ports: Optional[IssuePortConfig] = None,
-                 combined_ldst_port: bool = False, prf=None):
+                 combined_ldst_port: bool = False, *,
+                 prf: PhysicalRegisterFile):
         self.entries = entries
         self.ports = ports or IssuePortConfig()
         self.combined_ldst_port = combined_ldst_port
-        self._limits = {"simple": self.ports.simple_int,
-                        "complex": self.ports.complex_fp,
-                        "load": self.ports.loads,
-                        "store": self.ports.stores}
         #: Port limits indexed by ``OpInfo.port_code``.
         self._limits_by_code = [self.ports.simple_int, self.ports.complex_fp,
                                 self.ports.loads, self.ports.stores]
         #: seq -> waiting instruction (insertion order = age order).
         self._waiting: Dict[int, DynInst] = {}
-        # Event-driven readiness tracking (active when a PRF is bound).
+        # Event-driven readiness tracking: the PRF wakes the scheduler.
         self._prf = prf
+        prf.on_ready = self.wakeup
         #: ``info.sort_bias | seq`` -> instruction whose operands are all
         #: ready; sorting the keys gives the (priority, age) select order.
         self._ready: Dict[int, DynInst] = {}
@@ -87,10 +80,7 @@ class ReservationStations:
             raise RuntimeError("reservation station overflow")
         seq = dyn.seq
         waiting[seq] = dyn
-        prf = self._prf
-        if prf is None:
-            return
-        ready = prf.ready
+        ready = self._prf.ready
         pending = 0
         watchers = self._watchers
         for preg in dyn.src_pregs:
@@ -108,7 +98,7 @@ class ReservationStations:
     def wakeup(self, preg: int) -> None:
         """A physical register became ready: promote its watchers.
 
-        Wired to :attr:`PhysicalRegisterFile.on_ready` by the pipeline.
+        Wired to :attr:`PhysicalRegisterFile.on_ready` by the constructor.
         Duplicate sources register (and wake) once per occurrence, so the
         pending count stays balanced.
         """
@@ -135,66 +125,39 @@ class ReservationStations:
         return len(doomed)
 
     # ------------------------------------------------------------------
-    def select(self, operand_ready: Callable[[DynInst], bool],
-               load_can_issue: Callable[[DynInst], bool]) -> List[DynInst]:
-        """Pick this cycle's issue group.
+    def select(self, load_can_issue: Callable[[DynInst], bool]
+               ) -> List[DynInst]:
+        """Pick this cycle's issue group from the ready pool.
 
-        ``operand_ready`` tests whether every source physical register of an
-        instruction is available (used only on the scan fallback path when
-        no PRF is bound); ``load_can_issue`` applies the additional
-        memory-ordering constraint (the collision history table).
-        Selected instructions are removed from the pool.
+        ``load_can_issue`` applies the additional memory-ordering constraint
+        (the collision history table).  Selected instructions are removed
+        from the pool.
         """
-        ports = self.ports
+        ready = self._ready
+        if not ready:
+            return []
         waiting = self._waiting
-        if self._prf is not None:
-            ready = self._ready
-            if not ready:
-                return []
-            limits = self._limits_by_code
-            counts = [0, 0, 0, 0]
-            width = ports.issue_width
-            combined = self.combined_ldst_port
-            selected: List[DynInst] = []
-            keys: List[int] = []
-            for key in sorted(ready):
-                if len(selected) >= width:
-                    break
-                dyn = ready[key]
-                code = dyn.info.port_code
-                if code == PORT_LOAD and not load_can_issue(dyn):
-                    continue
-                if combined and code >= PORT_LOAD:
-                    if counts[2] + counts[3] >= 1:
-                        continue
-                if counts[code] >= limits[code]:
-                    continue
-                counts[code] += 1
-                selected.append(dyn)
-                keys.append(key)
-            for key in keys:
-                del waiting[ready.pop(key).seq]
-            return selected
-
-        # Scan fallback (no PRF bound): probe every waiting instruction.
-        candidates = [dyn for dyn in waiting.values() if operand_ready(dyn)]
-        candidates.sort(key=_age_priority_key)
-        selected = []
-        counts_by_port = {"simple": 0, "complex": 0, "load": 0, "store": 0}
-        limits_by_port = self._limits
-        for dyn in candidates:
-            if len(selected) >= ports.issue_width:
+        limits = self._limits_by_code
+        counts = [0, 0, 0, 0]
+        width = self.ports.issue_width
+        combined = self.combined_ldst_port
+        selected: List[DynInst] = []
+        keys: List[int] = []
+        for key in sorted(ready):
+            if len(selected) >= width:
                 break
-            port = dyn.info.issue_port
-            if port == "load" and not load_can_issue(dyn):
+            dyn = ready[key]
+            code = dyn.info.port_code
+            if code == PORT_LOAD and not load_can_issue(dyn):
                 continue
-            if self.combined_ldst_port and port in ("load", "store"):
-                if counts_by_port["load"] + counts_by_port["store"] >= 1:
+            if combined and code >= PORT_LOAD:
+                if counts[2] + counts[3] >= 1:
                     continue
-            if counts_by_port[port] >= limits_by_port[port]:
+            if counts[code] >= limits[code]:
                 continue
-            counts_by_port[port] += 1
+            counts[code] += 1
             selected.append(dyn)
-        for dyn in selected:
-            del waiting[dyn.seq]
+            keys.append(key)
+        for key in keys:
+            del waiting[ready.pop(key).seq]
         return selected

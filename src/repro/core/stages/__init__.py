@@ -1,7 +1,6 @@
-"""Composable pipeline stages of the cycle-level processor model.
+"""The pipeline stages of the cycle-level processor model.
 
-The 13-stage machine is modelled as four stage components behind the small
-:class:`~repro.core.stages.base.Stage` protocol::
+The 13-stage machine is modelled as four stage components::
 
     FrontEnd          fetch(3) decode(1)          owns fetch PC + queue
     RenameIntegrate   rename(1)                   integration happens here
@@ -10,22 +9,20 @@ The 13-stage machine is modelled as four stage components behind the small
 
 They share a :class:`~repro.core.stages.base.PipelineState` datapath and a
 :class:`~repro.core.stages.base.RecoveryController` for cross-stage
-mis-speculation recovery.  :class:`~repro.core.pipeline.Processor` is the
-thin engine that wires them together and advances the clock.
+mis-speculation recovery.  The graph is fixed:
+:class:`~repro.core.builder.MachineBuilder` always wires these four classes
+(variants replace the substrates they use, not the stages), and
+:class:`~repro.core.pipeline.Processor` is the thin engine that advances
+the clock.
 """
 
-from repro.core.stages.base import (
-    PipelineState,
-    RecoveryController,
-    Stage,
-)
+from repro.core.stages.base import PipelineState, RecoveryController
 from repro.core.stages.commit import CommitDiva, integration_type
 from repro.core.stages.execute import IssueExecute
 from repro.core.stages.frontend import FrontEnd
 from repro.core.stages.rename import RenameIntegrate
 
 __all__ = [
-    "Stage",
     "PipelineState",
     "RecoveryController",
     "FrontEnd",

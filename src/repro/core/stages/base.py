@@ -6,8 +6,8 @@ The cycle-level model is decomposed into four stage components --
 :class:`~repro.core.stages.execute.IssueExecute` and
 :class:`~repro.core.stages.commit.CommitDiva` -- that communicate through a
 :class:`PipelineState` datapath object.  Each stage owns the machinery of its
-pipeline segment and exposes the small :class:`Stage` interface; the
-:class:`~repro.core.pipeline.Processor` engine wires them together and
+pipeline segment; the :class:`~repro.core.builder.MachineBuilder` wires them
+into a fixed graph and the :class:`~repro.core.pipeline.Processor` engine
 advances the clock.
 
 Mis-speculation recovery cuts across stages (a resolving branch lives in the
@@ -17,12 +17,15 @@ it is centralised in :class:`RecoveryController`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.isa.instruction import DynInst
 from repro.isa.opcodes import OpClass
 from repro.isa.program import INST_SIZE
 from repro.obs.cpi import CPI_SQUASH_RECOVERY
+
+if TYPE_CHECKING:
+    from repro.core.stages.frontend import FrontEnd
 
 # The opcode-class groupings the stages route on (reservation-station
 # occupancy, rename-complete classes, ALU-like execution, indirect control)
@@ -30,20 +33,6 @@ from repro.obs.cpi import CPI_SQUASH_RECOVERY
 # ``rename_complete``, ``is_alu``, ``is_indirect_ctl`` in
 # :mod:`repro.isa.opcodes` -- so the per-cycle loops read attributes instead
 # of hashing enum members into frozensets.
-
-
-@runtime_checkable
-class Stage(Protocol):
-    """The interface every pipeline stage component exposes."""
-
-    #: Short human-readable stage name (used in debugging/reports).
-    name: str
-
-    def tick(self) -> None:
-        """Advance this stage by one cycle."""
-
-    def flush(self, redirect_pc: int) -> None:
-        """Discard in-flight work after a mis-speculation redirect."""
 
 
 class PipelineState:
@@ -107,7 +96,7 @@ class RecoveryController:
     restored from the per-instruction checkpoint taken at fetch.
     """
 
-    def __init__(self, state: PipelineState, frontend: "Stage"):
+    def __init__(self, state: PipelineState, frontend: FrontEnd):
         self.state = state
         self.frontend = frontend
 

@@ -40,8 +40,6 @@ def integration_type(inst: StaticInst) -> Optional[IntegrationType]:
 class CommitDiva:
     """DIVA check + in-order retirement (the commit point)."""
 
-    name = "commit"
-
     def __init__(self, state: PipelineState, recovery: RecoveryController):
         self.state = state
         self.recovery = recovery
@@ -150,10 +148,6 @@ class CommitDiva:
                     stats.integration_refcount[dyn.integration_refcount] += 1
             if fault is not None or state.arch.halted:
                 break
-
-    def flush(self, redirect_pc: int) -> None:
-        """Retirement is in-order and architectural; nothing speculative to
-        discard."""
 
     # ------------------------------------------------------------------
     def _handle_diva_fault(self, dyn: DynInst, step,

@@ -31,16 +31,14 @@ _MASK64 = semantics.MASK64
 class IssueExecute:
     """Scheduler + functional units + load/store pipeline."""
 
-    name = "execute"
-
     def __init__(self, state: PipelineState, recovery: RecoveryController):
         self.state = state
         self.recovery = recovery
         self.wakeup_events: Dict[int, List] = {}
         self.complete_events: Dict[int, List[DynInst]] = {}
         #: Min-heap of cycles with scheduled events (lazily pruned); the
-        #: quiescent fast path in the engine uses it to jump the clock to
-        #: the next cycle with work.
+        #: engine's cycle elision uses it to jump the clock to the next
+        #: cycle with work.
         self.event_cycles: List[int] = []
 
     # ==================================================================
@@ -121,23 +119,11 @@ class IssueExecute:
     # issue + execute
     # ==================================================================
     def tick(self) -> None:
-        selected = self.state.rs.select(self._operands_ready,
-                                        self._load_can_issue)
+        selected = self.state.rs.select(self._load_can_issue)
         if selected:
             execute = self._execute
             for dyn in selected:
                 execute(dyn)
-
-    def flush(self, redirect_pc: int) -> None:
-        """Scheduled events survive a squash; squashed producers are
-        filtered when their events fire."""
-
-    def _operands_ready(self, dyn: DynInst) -> bool:
-        ready = self.state.prf.ready
-        for preg in dyn.src_pregs:
-            if not ready[preg]:
-                return False
-        return True
 
     def _load_can_issue(self, dyn: DynInst) -> bool:
         state = self.state

@@ -20,8 +20,6 @@ from repro.isa.program import INST_SIZE
 class FrontEnd:
     """Fetch + decode: keeps the rename stage fed with predicted-path work."""
 
-    name = "frontend"
-
     def __init__(self, state: PipelineState):
         self.state = state
         # Fetch starts at the architectural PC: the program entry for a

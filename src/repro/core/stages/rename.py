@@ -30,8 +30,6 @@ from repro.isa.program import INST_SIZE
 class RenameIntegrate:
     """Rename + integration: the paper's modified register-rename stage."""
 
-    name = "rename"
-
     def __init__(self, state: PipelineState, frontend: FrontEnd,
                  recovery: RecoveryController):
         self.state = state
@@ -131,9 +129,6 @@ class RenameIntegrate:
             # group (everything behind it in the queue was flushed).
             if dyn.branch_mispredicted and integrated:
                 break
-
-    def flush(self, redirect_pc: int) -> None:
-        """Rename holds no inter-cycle state; nothing to discard."""
 
     # ------------------------------------------------------------------
     def _mark_rename_complete(self, dyn: DynInst) -> None:

@@ -49,7 +49,7 @@ class SimStats:
 
     # Global progress.
     cycles: int = 0
-    #: Cycles the fused driver advanced arithmetically instead of iterating
+    #: Cycles the driver advanced arithmetically instead of iterating
     #: (event-horizon elision).  A driver-mechanics counter: machine
     #: behaviour is bit-identical with elision on or off, so this field is
     #: excluded from the cross-driver equivalence fingerprint.
@@ -155,43 +155,6 @@ class SimStats:
         if not self.retired_branches:
             return 0.0
         return self.retired_mispredicted_branches / self.retired_branches
-
-    def load_integration_rate(self) -> float:
-        """Fraction of retired loads that integrated."""
-        loads = (self.retired_by_type[IntegrationType.LOAD_SP]
-                 + self.retired_by_type[IntegrationType.LOAD_OTHER])
-        if not loads:
-            return 0.0
-        integrated = (self.integration_by_type[IntegrationType.LOAD_SP]
-                      + self.integration_by_type[IntegrationType.LOAD_OTHER])
-        return integrated / loads
-
-    def stack_load_integration_rate(self) -> float:
-        loads = self.retired_by_type[IntegrationType.LOAD_SP]
-        if not loads:
-            return 0.0
-        return self.integration_by_type[IntegrationType.LOAD_SP] / loads
-
-    def distance_fraction_within(self, limit: int) -> float:
-        """Fraction of integrations whose producer was renamed within
-        ``limit`` dynamic instructions."""
-        if not self.integrated:
-            return 0.0
-        within = sum(count for bucket, count in self.integration_distance.items()
-                     if bucket <= limit)
-        return within / self.integrated
-
-    def status_fraction(self, status: ResultStatus) -> float:
-        if not self.integrated:
-            return 0.0
-        return self.integration_status[status] / self.integrated
-
-    def refcount_fraction_at_most(self, limit: int) -> float:
-        if not self.integrated:
-            return 0.0
-        within = sum(count for rc, count in self.integration_refcount.items()
-                     if rc <= limit)
-        return within / self.integrated
 
     # ------------------------------------------------------------------
     # lossless recombination of per-slice statistics

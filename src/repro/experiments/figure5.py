@@ -26,22 +26,6 @@ class Figure5Result:
         return {name: breakdowns.type_breakdown(s)
                 for name, s in self.stats.items()}
 
-    def per_type_rates(self) -> Dict[str, Dict[str, float]]:
-        return {name: breakdowns.per_type_integration_rates(s)
-                for name, s in self.stats.items()}
-
-    def distance_breakdowns(self) -> Dict[str, Dict[int, float]]:
-        return {name: breakdowns.distance_breakdown(s)
-                for name, s in self.stats.items()}
-
-    def status_breakdowns(self) -> Dict[str, Dict[str, float]]:
-        return {name: breakdowns.status_breakdown(s)
-                for name, s in self.stats.items()}
-
-    def refcount_breakdowns(self) -> Dict[str, Dict[int, float]]:
-        return {name: breakdowns.refcount_breakdown(s)
-                for name, s in self.stats.items()}
-
     def sharing_summary(self) -> Dict[str, Dict[str, float]]:
         return {name: breakdowns.sharing_degree_fractions(s)
                 for name, s in self.stats.items()}

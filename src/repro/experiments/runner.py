@@ -474,10 +474,6 @@ class SuitePlan:
     #: sharded only: merged key -> {slice index: stats} already cached.
     gathered: Dict[str, Dict[int, SimStats]]
 
-    @property
-    def job_count(self) -> int:
-        return len(self.jobs_list)
-
 
 def plan_suite(benchmarks: Iterable[str],
                configs: Mapping[str, MachineConfig],

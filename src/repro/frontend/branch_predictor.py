@@ -191,12 +191,6 @@ class BranchPredictorStats:
     cond_mispredictions: int = 0
     target_mispredictions: int = 0
 
-    @property
-    def cond_accuracy(self) -> float:
-        if not self.cond_predictions:
-            return 1.0
-        return 1.0 - self.cond_mispredictions / self.cond_predictions
-
 
 class BranchPredictor:
     """Front-end prediction unit: direction, target, and return prediction."""

@@ -58,10 +58,6 @@ class Program:
     def label_pc(self, name: str) -> int:
         return self.labels[name]
 
-    @property
-    def max_pc(self) -> int:
-        return self._insts[-1].pc if self._insts else 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Program {self.name!r}: {len(self)} instructions>"
 

@@ -88,8 +88,3 @@ def reg_name(index: int) -> str:
     if index < REG_FP_BASE:
         return f"r{index}"
     return f"f{index - REG_FP_BASE}"
-
-
-def is_fp_reg(index: int) -> bool:
-    """Return True if the unified index names a floating-point register."""
-    return index >= REG_FP_BASE

@@ -1,7 +1,7 @@
 """``repro lint``: a project-invariant static analyzer.
 
 The repository's hard invariants -- deterministic engine iteration,
-cache-key purity of the config tree, fast-path guard soundness, env-var
+cache-key purity of the config tree, driver guard attributes, env-var
 conventions, lossless stats merging -- are reachability/blocking
 properties of the system's state machine that the runtime golden tests
 can only sample.  This package checks them structurally, before

@@ -8,8 +8,8 @@ the module docstrings, and the rule table in docs/ARCHITECTURE.md):
                   ordering inside the engine packages
 ``cache-key``     every config field reaches the canonical
                   to_dict()/fingerprint() cache identity
-``fast-path``     the fused driver's dispatch set and guard attributes
-                  stay sound
+``fast-path``     every engine attribute the driver's stage-skip and
+                  elision guards read exists
 ``env-var``       every ``REPRO_*`` knob is documented and read through
                   its validated accessor
 ``stats-merge``   ``SimStats`` fields stay losslessly mergeable

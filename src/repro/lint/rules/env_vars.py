@@ -53,8 +53,6 @@ ACCESSOR_REGISTRY: Dict[str, FrozenSet[str]] = {
         {"src/repro/distrib/queue.py::default_queue_dir"}),
     "REPRO_BACKEND": frozenset(
         {"src/repro/distrib/backend.py::default_backend"}),
-    "REPRO_FAST_PATH": frozenset(
-        {"src/repro/core/pipeline.py::fast_path_enabled"}),
     "REPRO_ELIDE": frozenset(
         {"src/repro/core/pipeline.py::elision_enabled"}),
     "REPRO_FAULTS": frozenset(

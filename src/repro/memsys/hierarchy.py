@@ -117,10 +117,6 @@ class MemoryHierarchy:
     def _drain_write_buffer(self, cycle: int) -> None:
         self._write_buffer = [c for c in self._write_buffer if c > cycle]
 
-    @property
-    def write_buffer_occupancy(self) -> int:
-        return len(self._write_buffer)
-
     def reset_stats(self) -> None:
         for unit in (self.il1, self.dl1, self.l2, self.itlb, self.dtlb):
             unit.reset_stats()

@@ -3,7 +3,8 @@
 Every simulated cycle is charged to exactly one bucket of
 :data:`CPI_BUCKETS`, accumulated in ``SimStats.cpi_stack`` so stacks sum
 to ``cycles``, merge losslessly across shards (plain Counter addition)
-and stay bit-identical across the generic and fused drivers.
+and stay bit-identical with elision on or off and between the driver and
+a loop over ``Processor.step()``.
 
 The attribution rule is *state-based*, evaluated at the end of a cycle
 (after all five stage phases ran, before the clock advances):
@@ -71,8 +72,8 @@ def classify_stall(state) -> str:
 
     ``state`` is a :class:`~repro.core.stages.base.PipelineState` observed
     at the end of a cycle in which nothing retired.  Reads only engine
-    state both drivers share, so the generic loop, the fused loop and the
-    elided-span attribution all agree cycle for cycle.
+    state, so ``Processor.step()``, the driver loop and the elided-span
+    attribution all agree cycle for cycle.
     """
     rob_entries = state.rob._entries
     if not rob_entries:

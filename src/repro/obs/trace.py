@@ -7,8 +7,8 @@ hook call per lifecycle transition from the four stage components:
 and ``complete`` (execution engine), ``retire`` (commit) and ``squash``
 (recovery controller and front-end flush).  Tracing is strictly opt-in:
 every hook site is guarded by a single ``tracer is None`` check, so an
-untraced run -- the default -- pays nothing, and the fused driver stays
-fully eligible.  An *active* tracer only forces
+untraced run -- the default -- pays nothing.  An *active* tracer only
+forces
 ``REPRO_ELIDE``-off semantics (elided spans have no per-cycle events to
 observe); results are bit-identical either way.
 

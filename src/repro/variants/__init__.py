@@ -1,7 +1,9 @@
-"""The machine-variant registry: named stage-graph assemblies.
+"""The machine-variant registry: named substrate assemblies.
 
 A *variant* is a named :class:`~repro.core.builder.MachineBuilder` subclass
-overriding one or more construction slots; the registry maps the name
+overriding one or more substrate slots (the predictor, the scheduler, the
+integration logic, the CHT, ...); the four pipeline stages themselves are
+fixed and always the stock ones.  The registry maps the name
 carried in :attr:`MachineConfig.variant <repro.core.config.MachineConfig>`
 to the builder class the engine instantiates.  Because the variant name
 participates in the configuration fingerprint, every layer above the core

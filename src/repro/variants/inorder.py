@@ -17,6 +17,7 @@ from repro.core.builder import MachineBuilder
 from repro.core.config import MachineConfig
 from repro.core.scheduler import ReservationStations
 from repro.isa.instruction import DynInst
+from repro.isa.opcodes import PORT_LOAD
 from repro.rename.physical import PhysicalRegisterFile
 from repro.variants import register
 
@@ -29,34 +30,31 @@ class InOrderReservationStations(ReservationStations):
     stops at the first instruction that cannot issue instead of skipping it.
     """
 
-    def select(self, operand_ready: Callable[[DynInst], bool],
-               load_can_issue: Callable[[DynInst], bool]) -> List[DynInst]:
-        ports = self.ports
-        limits = self._limits
-        ready_pool = self._ready if self._prf is not None else None
+    def select(self, load_can_issue: Callable[[DynInst], bool]
+               ) -> List[DynInst]:
+        ready = self._ready
+        limits = self._limits_by_code
+        counts = [0, 0, 0, 0]
+        width = self.ports.issue_width
+        combined = self.combined_ldst_port
         selected: List[DynInst] = []
-        counts = {"simple": 0, "complex": 0, "load": 0, "store": 0}
         for dyn in self._waiting.values():
-            if len(selected) >= ports.issue_width:
+            if len(selected) >= width:
                 break
-            if ready_pool is not None:
-                if (dyn.info.sort_bias | dyn.seq) not in ready_pool:
-                    break
-            elif not operand_ready(dyn):
+            if (dyn.info.sort_bias | dyn.seq) not in ready:
                 break
-            port = dyn.info.issue_port
-            if port == "load" and not load_can_issue(dyn):
+            code = dyn.info.port_code
+            if code == PORT_LOAD and not load_can_issue(dyn):
                 break
-            if (self.combined_ldst_port and port in ("load", "store")
-                    and counts["load"] + counts["store"] >= 1):
+            if combined and code >= PORT_LOAD and counts[2] + counts[3] >= 1:
                 break
-            if counts[port] >= limits[port]:
+            if counts[code] >= limits[code]:
                 break
-            counts[port] += 1
+            counts[code] += 1
             selected.append(dyn)
         for dyn in selected:
             del self._waiting[dyn.seq]
-            self._ready.pop(dyn.info.sort_bias | dyn.seq, None)
+            del ready[dyn.info.sort_bias | dyn.seq]
         return selected
 
 

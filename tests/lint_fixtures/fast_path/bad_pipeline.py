@@ -1,32 +1,16 @@
-"""Fast-path fixture: three distinct guard-soundness violations."""
+"""Fast-path fixture: a guard reads an attribute no class declares."""
 
-from repro.core.stages.stages import (CommitDiva, FrontEnd, IssueExecute,
-                                      RenameIntegrate)
 from repro.core.support import PipelineState
-
-
-class TracingCommit(CommitDiva):
-    """Overrides a guarded method, so its no-work contract differs."""
-
-    def tick(self):
-        self.traced = True
 
 
 class Processor:
     def __init__(self):
         self.state = PipelineState()
-        self.front_end = FrontEnd()
-        self.rename_integrate = RenameIntegrate()
-        self.issue_execute = IssueExecute()
-        self.commit_diva = TracingCommit()
 
-    def _fast_path_eligible(self):
-        return (isinstance(self.front_end, FrontEnd)
-                and type(self.rename_integrate) is RenameIntegrate
-                and type(self.issue_execute) is IssueExecute
-                and type(self.commit_diva) is TracingCommit)
+    def _elide_target(self, cycle):
+        return cycle
 
-    def _run_phase_fast(self, budget):
+    def _run_phase(self, budget):
         state = self.state
         if state.rs._missing_ready:
-            self.issue_execute.tick()
+            return

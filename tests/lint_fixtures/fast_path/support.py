@@ -1,4 +1,4 @@
-"""Fast-path fixture: the engine-state classes the fused guards read."""
+"""Fast-path fixture: the engine-state classes the driver's guards read."""
 
 
 class ArchState:
@@ -13,10 +13,8 @@ class SimStats:
 
 class ReservationStations:
     def __init__(self):
-        self._ready = []
+        self._ready = {}
         self._waiting = {}
-        self._prf = None
-        self.occupancy = 0
 
 
 class PipelineState:

@@ -55,12 +55,21 @@ class TestReorderBuffer:
         assert rob.empty
 
 
-class TestReservationStations:
-    def always_ready(self, _):
-        return True
+def bound_rs(entries=16, ports=None, combined_ldst_port=False):
+    """Reservation stations bound to a fresh PRF (the only mode)."""
+    prf = PhysicalRegisterFile(70)
+    rs = ReservationStations(entries, ports or IssuePortConfig(),
+                             combined_ldst_port, prf=prf)
+    return prf, rs
 
+
+def always_ready(_):
+    return True
+
+
+class TestReservationStations:
     def test_capacity(self):
-        rs = ReservationStations(2, IssuePortConfig())
+        _, rs = bound_rs(2)
         rs.insert(dyn(1))
         rs.insert(dyn(2))
         assert not rs.has_space()
@@ -70,49 +79,51 @@ class TestReservationStations:
     def test_port_limits_respected(self):
         ports = IssuePortConfig(issue_width=4, simple_int=2, complex_fp=2,
                                 loads=1, stores=1)
-        rs = ReservationStations(16, ports)
+        _, rs = bound_rs(ports=ports)
         for seq in range(1, 7):
             rs.insert(dyn(seq, op=Opcode.ADDQ))
-        selected = rs.select(self.always_ready, self.always_ready)
+        selected = rs.select(always_ready)
         assert len(selected) == 2              # simple-int port limit
 
     def test_total_issue_width(self):
         ports = IssuePortConfig(issue_width=3, simple_int=2, complex_fp=2,
                                 loads=1, stores=1)
-        rs = ReservationStations(16, ports)
+        _, rs = bound_rs(ports=ports)
         rs.insert(dyn(1, op=Opcode.ADDQ))
         rs.insert(dyn(2, op=Opcode.MULT, rd=33, ra=34, rb=35))
         rs.insert(dyn(3, op=Opcode.LDQ, rd=1, ra=2, rb=None, imm=0))
         rs.insert(dyn(4, op=Opcode.STQ, rd=None, ra=1, rb=2, imm=0))
-        selected = rs.select(self.always_ready, self.always_ready)
+        selected = rs.select(always_ready)
         assert len(selected) == 3
 
     def test_priority_classes_first_then_age(self):
-        rs = ReservationStations(16, IssuePortConfig())
+        _, rs = bound_rs()
         old_alu = dyn(1, op=Opcode.ADDQ)
         young_load = dyn(2, op=Opcode.LDQ, rd=1, ra=2, rb=None, imm=0)
         rs.insert(old_alu)
         rs.insert(young_load)
-        selected = rs.select(self.always_ready, self.always_ready)
+        selected = rs.select(always_ready)
         assert selected[0] is young_load       # loads have priority
 
     def test_combined_load_store_port(self):
-        rs = ReservationStations(16, IssuePortConfig(), combined_ldst_port=True)
+        _, rs = bound_rs(combined_ldst_port=True)
         rs.insert(dyn(1, op=Opcode.LDQ, rd=1, ra=2, rb=None, imm=0))
         rs.insert(dyn(2, op=Opcode.STQ, rd=None, ra=1, rb=2, imm=0))
-        selected = rs.select(self.always_ready, self.always_ready)
+        selected = rs.select(always_ready)
         mem_ops = [d for d in selected if d.op in (Opcode.LDQ, Opcode.STQ)]
         assert len(mem_ops) == 1
 
     def test_not_ready_instructions_stay(self):
-        rs = ReservationStations(16, IssuePortConfig())
-        rs.insert(dyn(1))
-        selected = rs.select(lambda d: False, self.always_ready)
+        prf, rs = bound_rs()
+        waiting = dyn(1)
+        waiting.src_pregs = (prf.allocate(),)     # not ready until written
+        rs.insert(waiting)
+        selected = rs.select(always_ready)
         assert selected == []
         assert rs.occupancy == 1
 
     def test_squash_removes_entries(self):
-        rs = ReservationStations(16, IssuePortConfig())
+        _, rs = bound_rs()
         a, b = dyn(1), dyn(2)
         rs.insert(a)
         rs.insert(b)
@@ -123,70 +134,59 @@ class TestReservationStations:
 class TestEventDrivenReadyPool:
     """Reservation stations bound to a PRF: wakeups, not scans."""
 
-    def bound(self, ports=None):
-        prf = PhysicalRegisterFile(70)
-        rs = ReservationStations(16, ports or IssuePortConfig(), prf=prf)
-        prf.on_ready = rs.wakeup
-        return prf, rs
-
     def waiting_on(self, seq, *pregs, op=Opcode.ADDQ):
         d = dyn(seq, op=op)
         d.src_pregs = pregs
         return d
 
-    @staticmethod
-    def never_probed(_):
-        raise AssertionError("operand_ready is only for the scan fallback")
-
     def test_instruction_waits_until_last_source_wakes(self):
-        prf, rs = self.bound()
+        prf, rs = bound_rs()
         d = self.waiting_on(1, 10, 11)
         rs.insert(d)
         assert d.rs_pending == 2
         prf.set_value(10, 5)
-        assert rs.select(self.never_probed, lambda _: True) == []
+        assert rs.select(always_ready) == []
         prf.set_value(11, 6)
-        assert rs.select(self.never_probed, lambda _: True) == [d]
+        assert rs.select(always_ready) == [d]
         assert rs.occupancy == 0
 
     def test_duplicate_source_counts_per_occurrence(self):
-        prf, rs = self.bound()
+        prf, rs = bound_rs()
         d = self.waiting_on(1, 12, 12)
         rs.insert(d)
         assert d.rs_pending == 2
         prf.set_value(12, 7)            # one wakeup covers both reads
         assert d.rs_pending == 0
-        assert rs.select(self.never_probed, lambda _: True) == [d]
+        assert rs.select(always_ready) == [d]
 
     def test_squashed_watcher_is_not_woken(self):
-        prf, rs = self.bound()
+        prf, rs = bound_rs()
         gone, kept = self.waiting_on(1, 13), self.waiting_on(2, 13)
         rs.insert(gone)
         rs.insert(kept)
         assert rs.squash({1}) == 1
         prf.set_value(13, 1)
         assert gone.rs_pending == 1     # stale watcher skipped
-        assert rs.select(self.never_probed, lambda _: True) == [kept]
+        assert rs.select(always_ready) == [kept]
         assert rs.occupancy == 0
 
     def test_ready_pool_selects_priority_then_age(self):
-        prf, rs = self.bound(IssuePortConfig(issue_width=2))
+        prf, rs = bound_rs(ports=IssuePortConfig(issue_width=2))
         old_alu = self.waiting_on(1)
         young_alu = self.waiting_on(2)
         young_load = self.waiting_on(3, op=Opcode.LDQ)
         for d in (young_load, young_alu, old_alu):
             rs.insert(d)
-        assert rs.select(self.never_probed,
-                         lambda _: True) == [young_load, old_alu]
-        assert rs.select(self.never_probed, lambda _: True) == [young_alu]
+        assert rs.select(always_ready) == [young_load, old_alu]
+        assert rs.select(always_ready) == [young_alu]
 
     def test_blocked_load_stays_ready_for_a_later_cycle(self):
-        prf, rs = self.bound()
+        prf, rs = bound_rs()
         ld = self.waiting_on(1, op=Opcode.LDQ)
         rs.insert(ld)
-        assert rs.select(self.never_probed, lambda _: False) == []
+        assert rs.select(lambda _: False) == []
         assert rs.occupancy == 1
-        assert rs.select(self.never_probed, lambda _: True) == [ld]
+        assert rs.select(always_ready) == [ld]
 
 
 def load(seq, addr_reg=2, imm=0):

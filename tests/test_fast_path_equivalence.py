@@ -1,15 +1,17 @@
-"""Fast-path vs slow-path engine equivalence (hypothesis cross-check).
+"""Driver vs stepped-reference equivalence (hypothesis cross-check).
 
-The engine has two per-cycle drivers: the fused quiescent-skipping loop
-(:meth:`Processor._run_phase_fast`, the default) and the generic
-``Stage``-protocol loop (``REPRO_FAST_PATH=0``).  Both must be
+The engine has one driver loop, :meth:`Processor._run_phase`, which skips
+stages with provably no work and jumps quiescent spans.  The ground truth
+is :class:`SteppedProcessor` below, whose ``_run_phase`` calls
+:meth:`Processor.step` -- every stage, every cycle -- under the same
+budget, ``max_cycles`` and deadlock checks.  The two must be
 **cycle-for-cycle identical**: same cycle count, same per-cycle RS
 occupancy samples, same squash/recovery behaviour, same integration
 statistics -- on arbitrary programs and on every registered machine
 variant.
 
-These tests drive both engines over the same program and compare a
-fingerprint of every order-sensitive counter.  The workload-based cases are
+These tests drive both over the same program and compare a fingerprint of
+every order-sensitive counter.  The workload-based cases are
 chosen so mid-run recovery actually happens (mispredicted branches and
 memory-order violations both squash), which the tests assert rather than
 assume.
@@ -22,6 +24,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
 from repro.core import MachineConfig, simulate
+from repro.core.diva import SimulationError
+from repro.core.pipeline import Processor
 from repro.integration.config import IntegrationConfig
 from repro.isa import ProgramBuilder
 from repro.variants import variant_names
@@ -78,12 +82,36 @@ def _env(**overrides):
                 os.environ[key] = value
 
 
+class SteppedProcessor(Processor):
+    """The reference driver: :meth:`Processor.step` once per cycle.
+
+    Every stage runs on every cycle and nothing is elided, so this loop is
+    the plain statement of the machine's semantics that the engine's
+    stage-skipping, span-jumping driver must reproduce.
+    """
+
+    def _run_phase(self, budget):
+        state = self.state
+        config = self.config
+        state.retire_budget = budget
+        while not state.arch.halted:
+            if budget is not None and state.stats.retired >= budget:
+                break
+            if state.cycle >= config.max_cycles:
+                raise SimulationError(
+                    f"{self.program.name}: exceeded {config.max_cycles} cycles")
+            if state.cycle - state.last_retire_cycle > config.deadlock_cycles:
+                raise SimulationError(
+                    f"{self.program.name}: no retirement for "
+                    f"{config.deadlock_cycles} cycles at cycle {state.cycle} "
+                    f"(ROB={len(state.rob)}, RS={state.rs.occupancy})")
+            self.step()
+
+
 def _run_both(program, config, name="equiv"):
-    """Simulate once per engine driver and return both stats."""
-    with _env(REPRO_FAST_PATH="1"):
-        fast = simulate(program, config, name=name)
-    with _env(REPRO_FAST_PATH="0"):
-        slow = simulate(program, config, name=name)
+    """Simulate with the engine's driver and with the stepped reference."""
+    fast = simulate(program, config, name=name)
+    slow = SteppedProcessor(program, config, name=name).run()
     return fast, slow
 
 
@@ -173,13 +201,13 @@ class TestFastPathEquivalence:
 def _run_elide_both(program, config, name="elide"):
     """Simulate with elision on and off and return both.
 
-    Both runs use the fused fast-path driver: elision is a refinement of
-    it, and ``REPRO_ELIDE=0`` with the per-cycle loop is the ground truth
-    the jumps must reproduce bit-for-bit.
+    Both runs use the engine's driver: elision is a refinement of it, and
+    ``REPRO_ELIDE=0`` with the per-cycle loop is the ground truth the jumps
+    must reproduce bit-for-bit.
     """
-    with _env(REPRO_FAST_PATH="1", REPRO_ELIDE="1"):
+    with _env(REPRO_ELIDE="1"):
         elided = simulate(program, config, name=name)
-    with _env(REPRO_FAST_PATH="1", REPRO_ELIDE="0"):
+    with _env(REPRO_ELIDE="0"):
         stepped = simulate(program, config, name=name)
     return elided, stepped
 

@@ -239,7 +239,6 @@ class TestLSQMatchesNaiveModel:
 def _wire(entries=8):
     prf = PhysicalRegisterFile(70)
     rs = ReservationStations(entries, prf=prf)
-    prf.on_ready = rs.wakeup
     return prf, rs
 
 
@@ -259,9 +258,9 @@ class TestReadyTrackingScheduler:
         preg = prf.allocate()
         dyn = _dyn_with_srcs(1, [preg])
         rs.insert(dyn)
-        assert rs.select(self.always, self.always) == []
+        assert rs.select(self.always) == []
         prf.set_value(preg, 42)
-        assert rs.select(self.always, self.always) == [dyn]
+        assert rs.select(self.always) == [dyn]
         assert rs.occupancy == 0
 
     def test_ready_at_insert_is_selectable_immediately(self):
@@ -269,7 +268,7 @@ class TestReadyTrackingScheduler:
         preg = prf.allocate(ready=True, value=7)
         dyn = _dyn_with_srcs(1, [preg])
         rs.insert(dyn)
-        assert rs.select(self.always, self.always) == [dyn]
+        assert rs.select(self.always) == [dyn]
 
     def test_duplicate_source_needs_single_wakeup(self):
         prf, rs = _wire()
@@ -278,7 +277,7 @@ class TestReadyTrackingScheduler:
         rs.insert(dyn)
         assert dyn.rs_pending == 2
         prf.set_value(preg, 1)
-        assert rs.select(self.always, self.always) == [dyn]
+        assert rs.select(self.always) == [dyn]
 
     def test_squashed_instruction_ignores_stale_wakeup(self):
         prf, rs = _wire()
@@ -289,7 +288,7 @@ class TestReadyTrackingScheduler:
         rs.insert(survivor)
         assert rs.squash({1}) == 1
         prf.set_value(preg, 9)
-        assert rs.select(self.always, self.always) == [survivor]
+        assert rs.select(self.always) == [survivor]
         assert rs.occupancy == 0
 
     def test_wakeup_fires_only_on_not_ready_to_ready_transition(self):
@@ -303,8 +302,61 @@ class TestReadyTrackingScheduler:
 
 
 # ======================================================================
-# Scheduler: the ready pool against the scan fallback
+# Scheduler: the ready pool against a scan reference
 # ======================================================================
+class ScanReservationStations:
+    """Reservation stations that probe every waiting instruction's
+    operands each select, in (priority, age) order under the same port
+    limits -- the scheduler's specification, with no ready pool."""
+
+    def __init__(self, entries, ports, combined_ldst_port, operand_ready):
+        self.entries = entries
+        self.ports = ports
+        self.combined_ldst_port = combined_ldst_port
+        self.operand_ready = operand_ready
+        self._limits = {"simple": ports.simple_int,
+                        "complex": ports.complex_fp,
+                        "load": ports.loads, "store": ports.stores}
+        self._waiting = {}
+
+    @property
+    def occupancy(self):
+        return len(self._waiting)
+
+    def insert(self, dyn):
+        self._waiting[dyn.seq] = dyn
+
+    def squash(self, squashed_seqs):
+        doomed = [seq for seq in self._waiting if seq in squashed_seqs]
+        for seq in doomed:
+            del self._waiting[seq]
+        return len(doomed)
+
+    def select(self, load_can_issue):
+        candidates = sorted(
+            (dyn for dyn in self._waiting.values()
+             if self.operand_ready(dyn)),
+            key=lambda dyn: (dyn.info.issue_priority, dyn.seq))
+        selected = []
+        counts = {"simple": 0, "complex": 0, "load": 0, "store": 0}
+        for dyn in candidates:
+            if len(selected) >= self.ports.issue_width:
+                break
+            port = dyn.info.issue_port
+            if port == "load" and not load_can_issue(dyn):
+                continue
+            if (self.combined_ldst_port and port in ("load", "store")
+                    and counts["load"] + counts["store"] >= 1):
+                continue
+            if counts[port] >= self._limits[port]:
+                continue
+            counts[port] += 1
+            selected.append(dyn)
+        for dyn in selected:
+            del self._waiting[dyn.seq]
+        return selected
+
+
 #: Opcodes covering every issue port and both priority classes.
 _RS_OPS = (Opcode.ADDQ, Opcode.BEQ, Opcode.MULQ, Opcode.ADDT, Opcode.LDQ,
            Opcode.STQ)
@@ -325,8 +377,8 @@ _RS_STEPS = st.lists(
 
 
 class TestReadyPoolMatchesScan:
-    """The PRF-bound ready pool selects exactly what the scan fallback
-    selects when ``operand_ready`` reads the same register file."""
+    """The PRF-bound ready pool selects exactly what the scan reference
+    selects when its ``operand_ready`` reads the same register file."""
 
     @pytest.mark.parametrize("combined", [False, True])
     @settings(max_examples=150, deadline=None,
@@ -342,11 +394,11 @@ class TestReadyPoolMatchesScan:
         for preg, ready in zip(_RS_PREGS, ready_at_start):
             prf.ready[preg] = ready
         pool = ReservationStations(8, ports, combined, prf=prf)
-        prf.on_ready = pool.wakeup
-        scan = ReservationStations(8, ports, combined)
 
         def operand_ready(dyn):
             return all(prf.ready[preg] for preg in dyn.src_pregs)
+
+        scan = ScanReservationStations(8, ports, combined, operand_ready)
 
         seq = 0
         for kind, op, srcs, preg, bits in steps:
@@ -380,8 +432,8 @@ class TestReadyPoolMatchesScan:
                         return (dyn.seq + bits) % 3 != 0
                     return probe
 
-                chosen = pool.select(operand_ready, load_can_issue("pool"))
-                expected = scan.select(operand_ready, load_can_issue("scan"))
+                chosen = pool.select(load_can_issue("pool"))
+                expected = scan.select(load_can_issue("scan"))
                 assert chosen == expected
                 assert calls["pool"] == calls["scan"]
             assert pool.occupancy == scan.occupancy

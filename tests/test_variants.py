@@ -1,4 +1,4 @@
-"""The machine-variant registry and the stage-graph builder.
+"""The machine-variant registry and the machine builder.
 
 Covers the PR acceptance criteria:
 
@@ -16,19 +16,22 @@ Covers the PR acceptance criteria:
   sharded and unsharded -- and appears in the scenario-matrix report.
 """
 
-from types import SimpleNamespace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MachineConfig, Processor, SimStats, simulate
 from repro.core.builder import SLOT_NAMES, MachineBuilder
+from repro.core.stages import (CommitDiva, FrontEnd, IssueExecute,
+                               RenameIntegrate)
 from repro.experiments import cache as cache_mod
 from repro.experiments import runner, scenario_matrix, sharding
 from repro.experiments.cache import result_key
 from repro.functional.emulator import run_program
 from repro.integration.config import IntegrationConfig
+from repro.isa import Opcode, StaticInst
+from repro.isa.instruction import DynInst
+from repro.rename.physical import PhysicalRegisterFile
 from repro.variants import (
     UnknownVariantError,
     describe_variants,
@@ -273,27 +276,22 @@ class TestInOrderIssue:
         cycle: no younger instruction issues while an older one waits."""
         from repro.variants.inorder import InOrderReservationStations
 
-        rs = InOrderReservationStations(8)
-
-        class FakeDyn:
-            def __init__(self, seq, port):
-                self.seq = seq
-                # Only the issue port and the ready-pool key bias: the
-                # insert path (which reads the rest of ``OpInfo``) is not
-                # used in this test.
-                self.info = SimpleNamespace(issue_port=port, sort_bias=0)
-                self.rs_pending = 0
-
-        # Bypass insert; drive _waiting directly.
-        older = FakeDyn(1, "simple")
-        younger = FakeDyn(2, "simple")
-        rs._waiting = {1: older, 2: younger}
-        ready = {2}   # only the younger one is ready
-        selected = rs.select(lambda d: d.seq in ready, lambda d: True)
+        prf = PhysicalRegisterFile(70)
+        rs = InOrderReservationStations(8, prf=prf)
+        late = prf.allocate()               # not ready until written
+        older = DynInst(1, StaticInst(pc=4, op=Opcode.ADDQ, rd=1, ra=2,
+                                      rb=3))
+        older.src_pregs = (late,)
+        younger = DynInst(2, StaticInst(pc=8, op=Opcode.ADDQ, rd=4, ra=5,
+                                        rb=6))
+        rs.insert(older)
+        rs.insert(younger)                  # no sources: ready at once
+        selected = rs.select(lambda d: True)
         assert selected == []   # stalled head blocks the ready younger op
-        ready.add(1)
-        selected = rs.select(lambda d: d.seq in ready, lambda d: True)
+        prf.set_value(late, 7)
+        selected = rs.select(lambda d: True)
         assert [d.seq for d in selected] == [1, 2]
+        assert rs.occupancy == 0
 
 
 # ----------------------------------------------------------------------
@@ -463,3 +461,15 @@ class TestVariantEnvAndCli:
         methods = {name for name in dir(MachineBuilder)
                    if name.startswith("build_")}
         assert methods == set(SLOT_NAMES)
+
+    def test_every_variant_builds_the_stock_stages(self):
+        """The stage graph is fixed: variants replace substrates only, so
+        the driver's per-stage skip guards hold for every variant."""
+        program = build_workload("gzip", scale=0.05)
+        for name in variant_names():
+            processor = Processor(program,
+                                  MachineConfig().with_variant(name))
+            assert type(processor.front_end) is FrontEnd
+            assert type(processor.rename_integrate) is RenameIntegrate
+            assert type(processor.issue_execute) is IssueExecute
+            assert type(processor.commit_diva) is CommitDiva
