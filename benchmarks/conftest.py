@@ -1,43 +1,19 @@
 """Shared configuration for the benchmark harness.
 
 Every benchmark regenerates one of the paper's tables or figures on the
-synthetic SPEC-like suite.  To keep wall-clock time reasonable the default
-uses a representative benchmark subset and a reduced workload scale; both can
-be widened through environment variables:
-
-* ``REPRO_BENCH_SET``   -- ``smoke`` (3 benchmarks), ``fast`` (8, default),
-  or ``all`` (16);
-* ``REPRO_BENCH_SCALE`` -- workload scale factor (default 0.3).
+synthetic SPEC-like suite.  To keep wall-clock time reasonable it uses the
+three-benchmark smoke set at a reduced workload scale.
 """
-
-import os
 
 import pytest
 
-from repro.experiments.runner import (
-    DEFAULT_BENCHMARKS,
-    FAST_BENCHMARKS,
-    SMOKE_BENCHMARKS,
-    env_float,
-)
+from repro.experiments.runner import SMOKE_BENCHMARKS
 
-_BENCH_SETS = {
-    "smoke": SMOKE_BENCHMARKS,
-    "fast": FAST_BENCHMARKS,
-    "all": DEFAULT_BENCHMARKS,
-}
-
-
-def bench_benchmarks():
-    name = os.environ.get("REPRO_BENCH_SET", "smoke").lower()
-    return list(_BENCH_SETS.get(name, SMOKE_BENCHMARKS))
-
-
-def bench_scale() -> float:
-    return env_float("REPRO_BENCH_SCALE", "0.3")
+#: Workload scale factor the figure benchmarks simulate at.
+BENCH_SCALE = 0.3
 
 
 @pytest.fixture(scope="session")
 def suite():
     """The benchmark names and scale used throughout the harness."""
-    return {"benchmarks": bench_benchmarks(), "scale": bench_scale()}
+    return {"benchmarks": list(SMOKE_BENCHMARKS), "scale": BENCH_SCALE}

@@ -28,9 +28,8 @@ def ablation_result(suite):
                          configs=_ABLATION_SUBSET)
 
 
-def test_ablation_report(benchmark, ablation_result):
-    table = benchmark.pedantic(lambda: ablations.report(ablation_result),
-                               rounds=1, iterations=1)
+def test_ablation_report(ablation_result):
+    table = ablations.report(ablation_result)
     print()
     print(table)
 

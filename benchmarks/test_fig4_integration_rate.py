@@ -19,14 +19,9 @@ def fig4_result(suite):
                        lisp_modes=(LispMode.REALISTIC,))
 
 
-def test_fig4_integration_rates(benchmark, suite, fig4_result):
-    def rows():
-        return {ext: fig4_result.mean_integration_rate(ext)
-                for ext in figure4.EXTENSION_CONFIGS}
-
-    rates = benchmark.pedantic(rows, rounds=1, iterations=1)
-    benchmark.extra_info.update({f"rate {k}": round(v, 4)
-                                 for k, v in rates.items()})
+def test_fig4_integration_rates(fig4_result):
+    rates = {ext: fig4_result.mean_integration_rate(ext)
+             for ext in figure4.EXTENSION_CONFIGS}
     print()
     for ext, rate in rates.items():
         print(f"  {ext:9s} mean integration rate {rate:.1%}")

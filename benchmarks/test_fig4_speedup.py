@@ -20,17 +20,12 @@ def fig4_result(suite):
                        lisp_modes=(LispMode.REALISTIC,))
 
 
-def test_fig4_speedups(benchmark, suite, fig4_result):
+def test_fig4_speedups(fig4_result):
     """Regenerate the Figure 4 speedup rows."""
-    def rows():
-        return {ext: fig4_result.mean_speedup(ext)
-                for ext in figure4.EXTENSION_CONFIGS}
-
-    means = benchmark.pedantic(rows, rounds=1, iterations=1)
+    means = {ext: fig4_result.mean_speedup(ext)
+             for ext in figure4.EXTENSION_CONFIGS}
     print()
     print(figure4.report(fig4_result))
-    benchmark.extra_info.update({f"speedup {k}": round(v, 4)
-                                 for k, v in means.items()})
 
     # Paper shape: the full configuration (+reverse) is the best of the four
     # and clearly positive; squash reuse alone is marginal.

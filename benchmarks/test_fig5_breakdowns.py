@@ -38,9 +38,8 @@ def _aggregate(stats_by_bench):
     return pooled
 
 
-def test_fig5_type_breakdown(benchmark, fig5_result):
-    pooled = benchmark.pedantic(_aggregate, args=(fig5_result.stats,),
-                                rounds=1, iterations=1)
+def test_fig5_type_breakdown(fig5_result):
+    pooled = _aggregate(fig5_result.stats)
     print()
     print(figure5.report(fig5_result)[:2000])
     assert pooled["integrated"] > 0

@@ -18,15 +18,13 @@ def assoc_result(suite):
                        sizes=())        # associativity half only
 
 
-def test_fig6_associativity_sweep(benchmark, assoc_result):
-    speedups = benchmark.pedantic(assoc_result.assoc_speedups,
-                                  rounds=1, iterations=1)
+def test_fig6_associativity_sweep(assoc_result):
+    speedups = assoc_result.assoc_speedups()
     rates = assoc_result.assoc_integration_rates()
     print()
     for label in speedups:
         print(f"  IT {label:6s}: mean speedup {speedups[label]:+.1%}, "
               f"mean integration rate {rates[label]:.1%}")
-    benchmark.extra_info.update({k: round(v, 4) for k, v in speedups.items()})
 
     # Every organisation, even direct-mapped, keeps a positive mean speedup.
     assert speedups["1-way"] > -0.02

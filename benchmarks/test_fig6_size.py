@@ -17,16 +17,13 @@ def size_result(suite):
                        associativities=())     # size half only
 
 
-def test_fig6_size_sweep(benchmark, size_result):
-    speedups = benchmark.pedantic(size_result.size_speedups,
-                                  rounds=1, iterations=1)
+def test_fig6_size_sweep(size_result):
+    speedups = size_result.size_speedups()
     rates = size_result.size_integration_rates()
     print()
     for size in speedups:
         print(f"  IT {size:5d} entries: mean speedup {speedups[size]:+.1%}, "
               f"mean integration rate {rates[size]:.1%}")
-    benchmark.extra_info.update({str(k): round(v, 4)
-                                 for k, v in speedups.items()})
 
     # Bigger tables never find less reuse (LRU, fully associative).
     assert rates[4096] >= rates[256] - 0.02

@@ -9,7 +9,6 @@ Subcommands::
     repro worker   -- drain jobs from the queue (run any number of these)
     repro fleet    -- supervise N workers: restart-on-crash, graceful drain
     repro status   -- queue depth, lease ages, per-worker throughput
-    repro profile  -- cProfile the simulator's hot path
     repro variants -- list the registered machine variants
     repro cache    -- inspect, clear or garbage-collect the result cache
     repro lint     -- check the project invariants statically
@@ -431,39 +430,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.analysis import profiling
-    from repro.core import MachineConfig
-    from repro.experiments import runner
-
-    if args.diff is not None:
-        before_path, after_path = args.diff
-        with open(before_path, "r", encoding="utf-8") as fh:
-            before = json.load(fh)
-        with open(after_path, "r", encoding="utf-8") as fh:
-            after = json.load(fh)
-        print(profiling.diff_reports(before, after))
-        return 0
-
-    benchmarks = _parse_benchmarks(args.benchmarks)
-    scale = runner.default_scale() if args.scale is None else args.scale
-    config = MachineConfig()
-    variant = _resolve_variant(args)
-    if variant is not None:
-        config = config.with_variant(variant)
-    result = profiling.profile_simulate(benchmarks, scale, config=config,
-                                        top_n=args.top)
-    print(profiling.report(result))
-    if args.json is not None:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(profiling.to_dict(result), fh, indent=2)
-            fh.write("\n")
-        print(f"\nwrote {args.json}")
-    return 0
-
-
 def _cmd_figures(args: argparse.Namespace) -> int:
     import os
 
@@ -770,29 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "H hours (default 0 = all); never touches "
                            "pending or claimed jobs")
     p_st.set_defaults(func=_cmd_status)
-
-    p_prof = sub.add_parser(
-        "profile", help="cProfile the simulator hot path")
-    p_prof.add_argument("--benchmarks", default="gzip", metavar="SET",
-                        help="smoke|fast|all or a comma-separated list "
-                             "(default: gzip)")
-    p_prof.add_argument("--scale", type=float, default=None,
-                        help="workload scale factor (default: REPRO_SCALE "
-                             "or 0.5)")
-    p_prof.add_argument("--variant", default=None, metavar="NAME",
-                        help="machine variant to profile (default: "
-                             "REPRO_VARIANT or baseline)")
-    p_prof.add_argument("--top", type=int, default=15, metavar="N",
-                        help="rows in the cumulative-time table "
-                             "(default: 15)")
-    p_prof.add_argument("--json", default=None, metavar="OUT",
-                        help="also write the profile as JSON for later "
-                             "--diff comparison")
-    p_prof.add_argument("--diff", nargs=2, default=None,
-                        metavar=("BEFORE.json", "AFTER.json"),
-                        help="compare two --json files hot line by hot "
-                             "line instead of profiling")
-    p_prof.set_defaults(func=_cmd_profile)
 
     p_var = sub.add_parser("variants",
                            help="list the registered machine variants")

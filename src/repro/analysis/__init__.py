@@ -1,6 +1,5 @@
-"""Result analysis helpers: speedups, means, the Figure 5 breakdowns,
-(matplotlib-gated) figure plotting in :mod:`repro.analysis.plots`, and the
-``repro profile`` cProfile harness in :mod:`repro.analysis.profiling`."""
+"""Result analysis helpers: speedups, means, the Figure 5 breakdowns and
+(matplotlib-gated) figure plotting in :mod:`repro.analysis.plots`."""
 
 from repro.analysis.metrics import (
     speedup,

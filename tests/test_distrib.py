@@ -9,8 +9,8 @@ Covers the tentpole acceptance criteria:
   worker *processes* (sharing only the cache directory) matches the pool
   backend bit for bit, and a killed worker's job is neither lost nor
   duplicated;
-* the satellite commands: ``repro cache gc`` (age/size bounds, orphaned
-  ``*.tmp`` sweep, queue subtree immunity) and ``repro profile``.
+* the satellite command ``repro cache gc`` (age/size bounds, orphaned
+  ``*.tmp`` sweep, queue subtree immunity).
 """
 
 import json
@@ -645,50 +645,6 @@ class TestCacheGc:
             cache.store_payload("aa" * 32, {"x": 1})
         monkeypatch.setattr(os, "replace", real_replace)
         assert not list(tmp_path.rglob("*.tmp"))
-
-
-# ----------------------------------------------------------------------
-# satellite: repro profile
-# ----------------------------------------------------------------------
-class TestProfiling:
-    def test_profile_simulate_reports_hot_path(self):
-        from repro.analysis import profiling
-
-        result = profiling.profile_simulate(["gzip"], scale=0.05, top_n=5)
-        assert result.retired > 0 and result.cycles > 0
-        assert len(result.top) == 5
-        highlighted = {row.where for row in result.highlights}
-        assert any("_execute" in where for where in highlighted)
-        assert any("lsq.py" in where for where in highlighted)
-        text = profiling.report(result)
-        assert "hot-path highlights" in text
-        assert "stages/execute.py" in text
-
-    def test_every_hot_path_pin_resolves(self, monkeypatch):
-        from repro.analysis import profiling
-        from repro.core.stages.rename import RenameIntegrate
-
-        pinned = profiling.hot_path_targets()
-        names = {(os.path.basename(filename), name)
-                 for filename, name in pinned}
-        assert {("renamer.py", "lookup_sources"),
-                ("renamer.py", "rename_dest"), ("logic.py", "consider"),
-                ("logic.py", "create_entries"), ("table.py", "insert"),
-                ("rename.py", "tick")} <= names
-        # A pin whose function is gone fails loudly instead of vanishing
-        # from the highlights.
-        monkeypatch.delattr(RenameIntegrate, "tick")
-        with pytest.raises(AttributeError):
-            profiling.hot_path_targets()
-
-    def test_profile_cli(self, isolated_cache, capsys):
-        from repro.__main__ import main
-
-        assert main(["profile", "--benchmarks", "gzip", "--scale", "0.05",
-                     "--top", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "top 3 by cumulative time" in out
-        assert "hot-path highlights" in out
 
 
 # ----------------------------------------------------------------------
