@@ -1,8 +1,11 @@
 """The A/B speed gate in ``benchmarks/ab.py``, fed synthetic perfbench
-results: no subprocess, no git, no simulation."""
+results: no subprocess, no git, no simulation.  ``test_gate`` checks the
+verdict; ``test_driver`` checks ``main`` and ``run_one`` with git and
+perfbench replaced by recorders."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -109,3 +112,135 @@ CASES = {
 @pytest.mark.parametrize("case", CASES)
 def test_gate(case):
     CASES[case]()
+
+
+class _Driver:
+    """Runs ``ab.main`` with ``git`` and ``run_one`` replaced by recorders;
+    ``head(kips)`` makes a head result; the ``fail_at``-th run raises."""
+
+    REV = "0123456789abcdef"
+
+    def __init__(self, monkeypatch, capsys, head=_result,
+                 fail_at=None):
+        self.git_calls, self.removed, self.runs = [], [], []
+        self.capsys, self.head, self.fail_at = capsys, head, fail_at
+        monkeypatch.setattr(ab, "git", self.git)
+        monkeypatch.setattr(ab, "run_one", self.run_one)
+        real_run = subprocess.run
+
+        def run(args, **kwargs):
+            if args[:3] == ["git", "worktree", "remove"]:
+                self.removed.append(Path(args[-1]))
+                return subprocess.CompletedProcess(args, 0)
+            return real_run(args, **kwargs)
+
+        monkeypatch.setattr(ab.subprocess, "run", run)
+
+    def git(self, *args):
+        self.git_calls.append(args)
+        return self.REV if args[0] == "merge-base" else ""
+
+    def run_one(self, spec, root, workload):
+        side = "head" if root == ab.ROOT else "base"
+        self.runs.append((side, workload, root))
+        if len(self.runs) == self.fail_at:
+            raise RuntimeError("perfbench exited 1")
+        n = sum(s == side and w == workload for s, w, _ in self.runs) - 1
+        kips = KIPS[n % len(KIPS)]
+        return _result(kips) if side == "base" else self.head(kips)
+
+    def main(self, *argv):
+        status = ab.main(list(argv))
+        self.out, self.err = self.capsys.readouterr()
+        return status
+
+
+def usage_exits_2(monkeypatch, capsys):
+    driver = _Driver(monkeypatch, capsys)
+    assert driver.main() == 2
+    assert driver.main("a", "b") == 2
+    assert driver.git_calls == driver.runs == []
+
+
+def runs_every_pair_in_order_and_cleans_up(monkeypatch, capsys):
+    driver = _Driver(monkeypatch, capsys)
+    assert driver.main("origin/main") == 0
+    assert driver.git_calls[0] == ("merge-base", "HEAD", "origin/main")
+    worktree, base_root = driver.git_calls[1], driver.runs[0][2]
+    assert worktree == ("worktree", "add", "--detach", str(base_root),
+                        driver.REV)
+    expected = [side for pair in range(ab.PAIRS)
+                for _ in BENCH["workloads"] for side in ab.pair_order(pair)]
+    assert [side for side, _, _ in driver.runs] == expected
+    workloads = [w["name"] for w in BENCH["workloads"]]
+    assert [w for _, w, _ in driver.runs[::2]] == workloads * ab.PAIRS
+    assert {root for side, _, root in driver.runs if side == "base"} == \
+        {base_root}
+    assert driver.removed == [base_root]
+    assert not base_root.parent.exists()
+    verdict = json.loads(driver.out.strip().splitlines()[-1])
+    assert (verdict["base"], verdict["pairs"]) == (driver.REV, ab.PAIRS)
+    assert verdict["failures"] == []
+    assert set(verdict["workloads"]) == set(workloads)
+
+
+def slow_head_exits_1(monkeypatch, capsys):
+    driver = _Driver(monkeypatch, capsys,
+                     head=lambda kips: _result(kips / 1.1))
+    assert driver.main("origin/main") == 1
+    assert "FAIL geomean sim_kips slowdown" in driver.out
+    verdict = json.loads(driver.out.strip().splitlines()[-1])
+    assert verdict["slowdown"]["low"] == pytest.approx(1.1)
+
+
+def failed_run_exits_2_and_cleans_up(monkeypatch, capsys):
+    driver = _Driver(monkeypatch, capsys, fail_at=3)
+    assert driver.main("origin/main") == 2
+    assert len(driver.runs) == 3
+    base_root = driver.runs[0][2]
+    assert driver.removed == [base_root]
+    assert not base_root.parent.exists()
+    assert "error: perfbench exited 1" in driver.err
+
+
+def run_one_command_and_last_line(monkeypatch, capsys):
+    calls = []
+
+    def run(command, **kwargs):
+        calls.append((command, kwargs))
+        stdout = "warming up\n" + json.dumps({"kips": 1}) + "\n"
+        return subprocess.CompletedProcess(command, 0, stdout, "")
+
+    monkeypatch.setattr(ab.subprocess, "run", run)
+    spec = dict(BENCH, run_seconds=7)
+    assert ab.run_one(spec, Path("/side"), "memory_wall") == {"kips": 1}
+    (command, kwargs), = calls
+    assert command == BENCH["command"] + [
+        "--workload", "memory_wall", "--seed", "1", "--seconds", "7",
+        "--trace", "0"]
+    assert kwargs["cwd"] == Path("/side")
+
+
+def run_one_nonzero_exit_raises(monkeypatch, capsys):
+    def run(command, **kwargs):
+        return subprocess.CompletedProcess(command, 3, "", "Traceback: boom")
+
+    monkeypatch.setattr(ab.subprocess, "run", run)
+    with pytest.raises(RuntimeError, match="exited 3: Traceback: boom"):
+        ab.run_one(BENCH, Path("/side"), "memory_wall")
+
+
+DRIVER_CASES = {
+    "usage-exits-2": usage_exits_2,
+    "runs-every-pair-in-order-and-cleans-up":
+        runs_every_pair_in_order_and_cleans_up,
+    "slow-head-exits-1": slow_head_exits_1,
+    "failed-run-exits-2-and-cleans-up": failed_run_exits_2_and_cleans_up,
+    "run-one-command-and-last-line": run_one_command_and_last_line,
+    "run-one-nonzero-exit-raises": run_one_nonzero_exit_raises,
+}
+
+
+@pytest.mark.parametrize("case", DRIVER_CASES)
+def test_driver(case, monkeypatch, capsys):
+    DRIVER_CASES[case](monkeypatch, capsys)
