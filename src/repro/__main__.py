@@ -14,9 +14,10 @@ Subcommands::
     repro lint     -- check the project invariants statically
 
 ``--jobs`` fans simulations out over a process pool; ``--backend`` (or
-``REPRO_BACKEND``) picks the execution backend -- ``serial``, ``pool`` or
-``distributed``, the last publishing every job to a filesystem queue that
-any fleet of ``repro worker`` processes sharing ``REPRO_CACHE_DIR`` drains;
+``REPRO_BACKEND``) picks the execution backend -- ``local`` (this machine,
+``--jobs`` processes) or ``distributed``, which publishes every job to a
+filesystem queue that any fleet of ``repro worker`` processes sharing
+``REPRO_CACHE_DIR`` drains;
 ``--shards`` splits every benchmark into checkpointed slices so even one
 long benchmark uses many cores (1 = bit-exact unsharded engine);
 ``--scale`` shrinks or grows the synthetic workloads; ``--benchmarks``
@@ -79,10 +80,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "baseline; ignored by --figures scenarios, "
                              "which sweeps every variant)")
     parser.add_argument("--backend", default=None, metavar="NAME",
-                        choices=("serial", "pool", "distributed"),
-                        help="execution backend: serial, pool or "
-                             "distributed (default: REPRO_BACKEND, else "
-                             "pool when --jobs > 1)")
+                        choices=("local", "distributed"),
+                        help="execution backend: local or distributed "
+                             "(default: REPRO_BACKEND, else local)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the result caches entirely")
     parser.add_argument("--verbose", action="store_true",
@@ -222,17 +222,10 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     if args.no_wait:
         configs = runner.apply_variant(suite_configs, variant)
-        for config in configs.values():
-            runner.validate_variant(config.variant)
-        scale = (runner.default_scale() if args.scale is None
-                 else args.scale)
-        shards = runner.default_shards(args.shards)
-        warmup = runner.default_warmup_fraction()
-        plan = runner.plan_suite(benchmarks, configs, scale, shards,
-                                 warmup, use_cache=True)
-        submitted = backend.submit(plan.jobs_list, use_cache=True)
-        cached = sum(len(cells) for key, cells in plan.placements.items()
-                     if key not in {k for k, _, _ in plan.pending})
+        plan = runner.plan_suite(benchmarks, configs, args.scale,
+                                 args.shards, use_cache=True)
+        submitted = backend.submit(plan.jobs, use_cache=True)
+        cached = sum(len(cells) for cells in plan.results.values())
         queue = backend.queue()
         print(f"submitted {len(submitted)} job(s) to {queue.root} "
               f"({cached} result(s) already cached); drain with any "

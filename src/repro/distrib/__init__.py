@@ -14,10 +14,12 @@ and no job is claimed twice while a claim is live.
   rename claiming, lease files with heartbeats, expiry-based reclamation of
   crashed workers' jobs, bounded retry with a dead-letter state.
 * :mod:`repro.distrib.backend` -- the :class:`ExecutionBackend` protocol and
-  its three implementations (``serial``, ``pool``, ``distributed``), which
+  its two implementations (``local``, ``distributed``), which
   :func:`repro.experiments.runner.run_suite` routes every job through.
 * :mod:`repro.distrib.worker`  -- the worker loop behind ``repro worker``
-  plus the job payload (de)serialization shared with the backend.
+  plus the job payload format: :func:`make_payload` and
+  :func:`job_from_payload` convert a
+  :class:`~repro.experiments.runner.SimJob` to JSON and back.
 
 CLI entry points: ``repro submit`` enqueues a sweep (and can block until
 the merged stats are resolvable from cache), ``repro worker`` runs one
@@ -28,8 +30,7 @@ per-worker throughput.
 from repro.distrib.backend import (
     DistributedBackend,
     ExecutionBackend,
-    PoolBackend,
-    SerialBackend,
+    LocalBackend,
     default_backend,
     resolve_backend,
 )
@@ -50,9 +51,8 @@ __all__ = [
     "ExecutionBackend",
     "JobQueue",
     "LeaseLostError",
-    "PoolBackend",
+    "LocalBackend",
     "QueueStatus",
-    "SerialBackend",
     "WorkerSummary",
     "default_backend",
     "default_queue_dir",

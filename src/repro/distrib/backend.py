@@ -1,15 +1,15 @@
 """Execution backends: where the experiment engine's jobs actually run.
 
-:func:`repro.experiments.runner.run_suite` plans a list of (estimated-work,
-job) pairs -- each job one deterministic, content-addressed simulation --
-and hands the whole list to an :class:`ExecutionBackend`.  Three
-implementations cover one process, one machine and one fleet:
+:func:`repro.experiments.runner.run_suite` plans a longest-first list of
+:class:`~repro.experiments.runner.SimJob` records -- each one
+deterministic, content-addressed simulation -- and hands the whole list to
+an :class:`ExecutionBackend`.  Two implementations cover one machine and
+one fleet:
 
-* :class:`SerialBackend` -- run every job in-process, sharing one
-  :class:`Program` instance per benchmark across slice jobs.
-* :class:`PoolBackend` -- the ``multiprocessing`` pool: ``imap_unordered``
-  over the longest-first job list so short jobs backfill stragglers.  This
-  is the historical ``jobs > 1`` path, behavior-preserving.
+* :class:`LocalBackend` -- this process when there is one worker or one
+  job, sharing one :class:`Program` per benchmark across its jobs;
+  otherwise a ``multiprocessing`` pool whose ``imap_unordered`` over the
+  longest-first list lets short jobs backfill stragglers.
 * :class:`DistributedBackend` -- publish every job into the durable
   filesystem :class:`~repro.distrib.queue.JobQueue` and block until every
   result is resolvable from the shared
@@ -19,9 +19,10 @@ implementations cover one process, one machine and one fleet:
   queue between cache polls, so a distributed run completes even with no
   external workers -- they just make it faster.
 
-Selection: ``run_suite(backend=...)`` accepts a backend instance or a name;
-``None`` falls back to ``REPRO_BACKEND`` and finally to the classic
-pool-or-serial choice implied by ``jobs``.
+Either way a job is simulated by
+:func:`repro.experiments.runner.run_job`.  Selection:
+``run_suite(backend=...)`` accepts a backend instance or a name; ``None``
+falls back to ``REPRO_BACKEND`` and finally to the local backend.
 
 All backends return the same ``{cache key: SimStats}`` mapping and, because
 simulation is deterministic, identical bits -- the backend-equivalence
@@ -30,28 +31,28 @@ tests pin that.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Protocol, Tuple, Union
 
 from repro.core import SimStats
 from repro.distrib.queue import JobQueue, job_id_for, worker_identity
+from repro.experiments import runner
+from repro.experiments.runner import SimJob
+from repro.isa.program import Program
+from repro.workloads import build_workload
 
-BACKEND_NAMES = ("serial", "pool", "distributed")
+BACKEND_NAMES = ("local", "distributed")
 ENV_BACKEND = "REPRO_BACKEND"
 
 #: Ceiling for the distributed wait-loop's adaptive poll interval: idle
 #: polls back off exponentially from ``poll_interval`` up to this, and
 #: any progress (a claim, a resolved key) resets the backoff.
 POLL_INTERVAL_CAP = 5.0
-
-#: One plannable job, as built by ``run_suite``:
-#: (key, benchmark, config, scale, use_cache, slice_spec, checkpoint).
-Job = Tuple[str, str, object, float, bool, object, object]
-#: (estimated work, job) -- the estimate orders execution longest-first.
-SizedJob = Tuple[int, Job]
 
 
 class BackendError(SystemExit):
@@ -63,79 +64,83 @@ class ExecutionBackend(Protocol):
 
     name: str
 
-    def execute(self, jobs_list: List[SizedJob],
+    def execute(self, jobs: List[SimJob],
                 use_cache: bool) -> Dict[str, SimStats]:
         """Run every job and return ``{key: stats}`` for all of them."""
         ...
 
 
-def _ordered(jobs_list: List[SizedJob]) -> List[Job]:
-    return [job for _, job in
-            sorted(jobs_list, key=lambda item: item[0], reverse=True)]
+def _pool_job(job: SimJob,
+              use_cache: bool) -> Tuple[str, bool, SimStats, bool]:
+    """Run one job in a pool child: ``(key, simulated, stats, stored)``.
+
+    Re-checks the disk cache in the child (cheap insurance against jobs
+    cached by a concurrent process) and persists the result before handing
+    it back, so a crashed parent loses nothing; ``stored`` is False when
+    that write failed, for the parent to report.
+    """
+    disk = runner._disk_cache() if use_cache else None
+    if disk is not None:
+        stats = disk.load(job.key)
+        if isinstance(stats, SimStats):
+            return job.key, False, stats, True
+    stats = runner.run_job(job, build_workload(job.benchmark,
+                                               scale=job.scale))
+    stored = disk is None or disk.store(job.key, stats)
+    return job.key, True, stats, stored
 
 
-class SerialBackend:
-    """Everything in this process, one job at a time."""
-
-    name = "serial"
-
-    def execute(self, jobs_list: List[SizedJob],
-                use_cache: bool) -> Dict[str, SimStats]:
-        from repro.experiments import runner, sharding
-        from repro.workloads import build_workload
-
-        outcomes: Dict[str, SimStats] = {}
-        # One Program instance per benchmark: slice jobs of the same
-        # benchmark (across every config) share it instead of regenerating.
-        programs: Dict[Tuple[str, float], object] = {}
-        for job in _ordered(jobs_list):
-            key, benchmark, config, scale, _, slice_spec, checkpoint = job
-            if slice_spec is None:
-                stats = runner._simulate(benchmark, config, scale)
-            else:
-                program = programs.get((benchmark, scale))
-                if program is None:
-                    program = build_workload(benchmark, scale=scale)
-                    programs[(benchmark, scale)] = program
-                runner.telemetry.simulations += 1
-                stats = runner._record_cycles(
-                    sharding.simulate_slice(program, config, slice_spec,
-                                            checkpoint, name=benchmark))
-            if use_cache:
-                runner._cache_store(key, stats)
-            outcomes[key] = stats
-        return outcomes
+def _pool_context():
+    """Prefer fork (cheap, inherits sys.path) where available."""
+    methods = multiprocessing.get_all_start_methods()
+    if "fork" in methods:
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
 
 
-class PoolBackend:
-    """A local ``multiprocessing`` pool of ``jobs`` worker processes."""
+class LocalBackend:
+    """This machine: in-process for one worker or one job, else a pool."""
 
-    name = "pool"
+    name = "local"
 
     def __init__(self, jobs: int):
         self.jobs = max(1, int(jobs))
 
-    def execute(self, jobs_list: List[SizedJob],
+    def execute(self, jobs: List[SimJob],
                 use_cache: bool) -> Dict[str, SimStats]:
-        from repro.experiments import runner
-
-        ordered = _ordered(jobs_list)
-        if self.jobs <= 1 or len(ordered) <= 1:
-            return SerialBackend().execute(jobs_list, use_cache)
+        if self.jobs <= 1 or len(jobs) <= 1:
+            return self._run_here(jobs, use_cache)
         outcomes: Dict[str, SimStats] = {}
-        ctx = runner._pool_context()
-        with ctx.Pool(processes=min(self.jobs, len(ordered))) as pool:
-            for key, simulated, stats in pool.imap_unordered(
-                    runner._pool_worker, ordered):
+        with _pool_context().Pool(processes=min(self.jobs, len(jobs))) as pool:
+            for key, simulated, stats, stored in pool.imap_unordered(
+                    partial(_pool_job, use_cache=use_cache), jobs):
                 if simulated:
-                    runner.telemetry.simulations += 1
-                    runner._record_cycles(stats)
+                    runner._record_simulation(stats)
                 else:
                     runner.telemetry.disk_hits += 1
                 if use_cache:
-                    # The worker already persisted to disk.
+                    # The child already wrote the disk cache (or failed to).
                     runner._cache_store(key, stats, to_disk=False)
+                    if not stored:
+                        runner._disk_write_failed(key)
                 outcomes[key] = stats
+        return outcomes
+
+    @staticmethod
+    def _run_here(jobs: List[SimJob],
+                  use_cache: bool) -> Dict[str, SimStats]:
+        outcomes: Dict[str, SimStats] = {}
+        # One Program per benchmark and scale, shared by every job on it.
+        programs: Dict[Tuple[str, float], Program] = {}
+        for job in jobs:
+            program = programs.get((job.benchmark, job.scale))
+            if program is None:
+                program = build_workload(job.benchmark, scale=job.scale)
+                programs[(job.benchmark, job.scale)] = program
+            stats = runner.run_job(job, program)
+            if use_cache:
+                runner._cache_store(job.key, stats)
+            outcomes[job.key] = stats
         return outcomes
 
 
@@ -152,7 +157,7 @@ class DistributedBackend:
 
     Degradation: when the queue root is unusable (submission itself fails
     with an ``OSError`` that survives the retries), the run falls back to
-    an in-process :class:`PoolBackend` of ``fallback_jobs`` workers with a
+    a :class:`LocalBackend` of ``fallback_jobs`` workers with a
     one-line warning instead of dying -- the sweep completes, it just
     stops being distributed.
     """
@@ -176,8 +181,8 @@ class DistributedBackend:
         return JobQueue(root=self.queue_dir, lease_ttl=self.lease_ttl)
 
     # ------------------------------------------------------------------
-    def submit(self, jobs_list: List[SizedJob],
-               use_cache: bool) -> Dict[str, Job]:
+    def submit(self, jobs: List[SimJob],
+               use_cache: bool) -> Dict[str, SimJob]:
         """Enqueue every job (deduplicating); returns ``{key: job}``."""
         from repro.distrib.worker import make_payload
         from repro.experiments.cache import disk_cache_enabled
@@ -188,38 +193,29 @@ class DistributedBackend:
                 "(it is the result plane); do not combine it with "
                 "--no-cache / REPRO_DISK_CACHE=0")
         queue = self.queue()
-        submitted: Dict[str, Job] = {}
-        for est_work, job in sorted(jobs_list, key=lambda item: item[0],
-                                    reverse=True):
-            key, benchmark, config, scale, _, slice_spec, checkpoint = job
-            queue.submit(
-                make_payload(key, benchmark, config, scale,
-                             slice_spec=slice_spec, checkpoint=checkpoint),
-                est_work=est_work)
-            submitted[key] = job
+        submitted: Dict[str, SimJob] = {}
+        for job in jobs:
+            queue.submit(make_payload(job), est_work=job.work)
+            submitted[job.key] = job
         return submitted
 
-    def execute(self, jobs_list: List[SizedJob],
+    def execute(self, jobs: List[SimJob],
                 use_cache: bool) -> Dict[str, SimStats]:
         from repro.distrib.worker import WorkerSummary, make_payload, process_one
-        from repro.experiments import runner
         from repro.experiments.cache import ResultCache
 
-        if not jobs_list:
+        if not jobs:
             return {}
         try:
-            pending = self.submit(jobs_list, use_cache)
+            pending = self.submit(jobs, use_cache)
         except OSError as exc:
             # Queue root unusable (permissions, dead mount, full disk):
-            # degrade to an in-process pool rather than losing the sweep.
+            # degrade to this machine rather than losing the sweep.
             print(f"repro: warning: queue root unusable ({exc}); "
-                  f"falling back to the pool backend "
+                  f"falling back to the local backend "
                   f"({self.fallback_jobs} jobs)", file=sys.stderr)
-            return PoolBackend(self.fallback_jobs).execute(
-                jobs_list, use_cache)
-        job_ids = {key: job_id_for(key, est)
-                   for est, (key, *_rest) in jobs_list}
-        est_work = {key: est for est, (key, *_rest) in jobs_list}
+            return LocalBackend(self.fallback_jobs).execute(jobs, use_cache)
+        job_ids = {job.key: job_id_for(job.key, job.work) for job in jobs}
         queue = self.queue()
         cache = ResultCache()
         summary = WorkerSummary(worker=worker_identity())
@@ -286,13 +282,9 @@ class DistributedBackend:
                     if not marker.exists():
                         continue
                     job = pending[key]
-                    _key, benchmark, config, scale, _uc, spec, ckpt = job
                     try:
-                        if queue.submit(
-                                make_payload(key, benchmark, config, scale,
-                                             slice_spec=spec,
-                                             checkpoint=ckpt),
-                                est_work=est_work[key]):
+                        if queue.submit(make_payload(job),
+                                        est_work=job.work):
                             progressed = True
                     except OSError:
                         summary.io_errors += 1
@@ -345,14 +337,12 @@ class DistributedBackend:
 
 def default_backend() -> Optional[str]:
     """Backend name from ``REPRO_BACKEND`` (None = unset)."""
-    from repro.experiments.runner import EnvVarError
-
     raw = os.environ.get(ENV_BACKEND, "").strip().lower()
     if not raw:
         return None
     if raw not in BACKEND_NAMES:
-        raise EnvVarError(ENV_BACKEND, raw,
-                          f"one of {', '.join(BACKEND_NAMES)}")
+        raise runner.EnvVarError(ENV_BACKEND, raw,
+                                 f"one of {', '.join(BACKEND_NAMES)}")
     return raw
 
 
@@ -361,19 +351,17 @@ def resolve_backend(backend: Union[str, ExecutionBackend, None],
     """Turn a backend spec into an instance.
 
     Precedence: an explicit instance or name wins; ``None`` falls back to
-    ``REPRO_BACKEND``; with neither set, the classic behavior-preserving
-    choice applies -- a pool when ``jobs > 1``, else serial.
+    ``REPRO_BACKEND``; with neither set, the local backend with ``jobs``
+    workers runs the jobs.
     """
     if backend is None:
         backend = default_backend()
     if backend is None:
-        return PoolBackend(jobs) if jobs > 1 else SerialBackend()
+        return LocalBackend(jobs)
     if isinstance(backend, str):
         name = backend.strip().lower()
-        if name == "serial":
-            return SerialBackend()
-        if name == "pool":
-            return PoolBackend(jobs)
+        if name == "local":
+            return LocalBackend(jobs)
         if name == "distributed":
             return DistributedBackend(fallback_jobs=jobs)
         raise BackendError(

@@ -1,12 +1,13 @@
 """The worker loop behind ``repro worker``, and the job payload format.
 
-A *job payload* is a self-contained JSON description of one simulation:
-benchmark name, workload scale, the full canonical
-:class:`~repro.core.MachineConfig` dict (which carries the variant), and --
-for sharded work units -- the slice geometry plus the architectural
-checkpoint to resume from.  Self-containment is the point: a worker needs
-nothing but the payload and the shared cache directory; it never re-plans
-checkpoints or talks to the submitter.
+A *job payload* is a :class:`~repro.experiments.runner.SimJob` as
+self-contained JSON: benchmark name, workload scale, the full canonical
+:class:`~repro.core.MachineConfig` dict (which carries the variant), the
+estimated work, and -- for sharded work units -- the slice geometry plus
+the architectural checkpoint to resume from.  :func:`make_payload` and
+:func:`job_from_payload` are the only conversions.  Self-containment is
+the point: a worker needs nothing but the payload and the shared cache
+directory; it never re-plans checkpoints or talks to the submitter.
 
 Execution is idempotent by construction.  The payload carries the result's
 content address (the same ``result_key``/``slice_key`` the in-process
@@ -37,7 +38,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
-from repro.core import MachineConfig, SimStats, simulate
+from repro.core import MachineConfig, SimStats
 from repro.distrib.queue import (
     ClaimedJob,
     JobQueue,
@@ -45,7 +46,8 @@ from repro.distrib.queue import (
     worker_identity,
 )
 from repro.experiments.cache import ResultCache
-from repro.experiments.sharding import SliceSpec, simulate_slice
+from repro.experiments.runner import SimJob, run_job, telemetry
+from repro.experiments.sharding import SliceSpec
 from repro.functional.emulator import Checkpoint
 from repro.obs import metrics
 from repro.reliability.faults import SimulatedCrash, crashpoint
@@ -58,40 +60,38 @@ HEARTBEAT_FRACTION = 0.25
 # ----------------------------------------------------------------------
 # job payloads
 # ----------------------------------------------------------------------
-def make_payload(key: str, benchmark: str, config: MachineConfig,
-                 scale: float, slice_spec: Optional[SliceSpec] = None,
-                 checkpoint: Optional[Checkpoint] = None) -> Dict[str, Any]:
-    """Serialize one work unit into a self-contained JSON payload."""
+def make_payload(job: SimJob) -> Dict[str, Any]:
+    """Serialize one job into a self-contained JSON payload."""
     payload: Dict[str, Any] = {
-        "key": key,
-        "benchmark": benchmark,
-        "scale": float(scale),
-        "config": config.to_dict(),
+        "key": job.key,
+        "benchmark": job.benchmark,
+        "scale": float(job.scale),
+        "config": job.config.to_dict(),
+        "work": job.work,
     }
-    if slice_spec is not None:
-        payload["slice"] = slice_spec.to_dict()
-        payload["slice"]["checkpoint"] = (checkpoint.to_dict()
-                                          if checkpoint else None)
+    if job.slice_spec is not None:
+        payload["slice"] = job.slice_spec.to_dict()
+        payload["slice"]["checkpoint"] = (job.checkpoint.to_dict()
+                                          if job.checkpoint else None)
     return payload
+
+
+def job_from_payload(payload: Dict[str, Any]) -> SimJob:
+    """The job a payload describes (the inverse of :func:`make_payload`)."""
+    sliced = payload.get("slice")
+    spec = SliceSpec.from_dict(sliced) if sliced else None
+    checkpoint = (Checkpoint.from_dict(sliced["checkpoint"])
+                  if sliced and sliced.get("checkpoint") else None)
+    return SimJob(key=payload["key"], benchmark=payload["benchmark"],
+                  config=MachineConfig.from_dict(payload["config"]),
+                  scale=float(payload["scale"]), work=int(payload["work"]),
+                  slice_spec=spec, checkpoint=checkpoint)
 
 
 def execute_payload(payload: Dict[str, Any]) -> SimStats:
     """Run the simulation a payload describes (no cache interaction)."""
-    from repro.experiments import runner
-
-    benchmark = payload["benchmark"]
-    scale = float(payload["scale"])
-    config = MachineConfig.from_dict(payload["config"])
-    program = build_workload(benchmark, scale=scale)
-    runner.telemetry.simulations += 1
-    sliced = payload.get("slice")
-    if not sliced:
-        return runner._record_cycles(simulate(program, config, name=benchmark))
-    spec = SliceSpec.from_dict(sliced)
-    checkpoint = (Checkpoint.from_dict(sliced["checkpoint"])
-                  if sliced.get("checkpoint") else None)
-    return runner._record_cycles(
-        simulate_slice(program, config, spec, checkpoint, name=benchmark))
+    job = job_from_payload(payload)
+    return run_job(job, build_workload(job.benchmark, scale=job.scale))
 
 
 # ----------------------------------------------------------------------
@@ -231,9 +231,7 @@ def process_one(queue: JobQueue, cache: ResultCache, job: ClaimedJob,
             return
     if fenced:
         summary.fenced += 1
-        from repro.experiments import runner
-
-        runner.telemetry.fenced += 1
+        telemetry.fenced += 1
         return
     if not queue.complete(job):
         summary.lost += 1

@@ -13,20 +13,21 @@ at two levels:
   repeat of a whole figure sweep performs zero simulations).
 
 :func:`run_suite` is the fan-out point: it deduplicates the (benchmark,
-config) job matrix against both caches and executes the remaining jobs on a
-``multiprocessing`` pool when ``jobs > 1``, longest job first so short jobs
-backfill around the stragglers.  With ``shards > 1`` each benchmark is
-additionally split into checkpointed slices (see
-:mod:`repro.experiments.sharding`) that are scheduled as independent pool
-jobs, cutting the tail latency a single long benchmark otherwise imposes on
-the whole sweep.  Because simulation is deterministic, the parallel path
-returns bit-identical stats to the serial path at any shard count.
+config) job matrix against both caches and hands the remaining
+:class:`SimJob` records, longest first, to an execution backend (see
+:mod:`repro.distrib.backend`).  Whatever runs a job -- this process, a
+pool child or a queue worker -- simulates it through :func:`run_job`.
+With ``shards > 1`` each benchmark is additionally split into
+checkpointed slices (see :mod:`repro.experiments.sharding`) that are
+scheduled as independent jobs, cutting the tail latency a single long
+benchmark otherwise imposes on the whole sweep.  Because simulation is
+deterministic, every backend returns bit-identical stats at any shard
+count.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import sys
 from collections import OrderedDict
@@ -36,9 +37,11 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.core import MachineConfig, SimStats, simulate
 from repro.experiments import sharding
 from repro.experiments.cache import ResultCache, disk_cache_enabled, result_key
+from repro.functional.emulator import Checkpoint
+from repro.isa.program import Program
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.variants import get_builder, variant_names
-from repro.workloads import build_workload, workload_names
+from repro.workloads import workload_names
 from repro.workloads.spec_like import estimate_dynamic_insts
 
 #: The full benchmark list (paper Figure 4 order).
@@ -246,26 +249,20 @@ def apply_variant(configs: Mapping[str, MachineConfig],
             for name, config in configs.items()}
 
 
-def default_memcache_entries() -> int:
-    """LRU capacity of the in-process result memo (``REPRO_MEMCACHE_MAX``).
-
-    Counts entries, not bytes; ``0`` or a negative value disables the bound.
-    """
-    return _env_int("REPRO_MEMCACHE_MAX", "4096",
-                    "an entry count (0 = unbounded)")
+#: Capacity of the in-process result memo, in entries.
+MEMO_ENTRIES = 4096
 
 
 class _LruMemo:
     """A small LRU mapping of cache key -> :class:`SimStats`.
 
     Bounds the in-process memo so a long-lived process sweeping many
-    (benchmark, scale, config) points does not grow memory without limit.
-    The capacity is re-read from the environment on insertion, so tests
-    (and operators) can tighten it at runtime; evictions are surfaced in
-    :data:`telemetry`.
+    (benchmark, scale, config) points does not grow memory without limit;
+    evictions are surfaced in :data:`telemetry`.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
         self._entries: "OrderedDict[str, SimStats]" = OrderedDict()
 
     def get(self, key: str) -> Optional[SimStats]:
@@ -277,11 +274,9 @@ class _LruMemo:
     def __setitem__(self, key: str, stats: SimStats) -> None:
         self._entries[key] = stats
         self._entries.move_to_end(key)
-        limit = default_memcache_entries()
-        if limit > 0:
-            while len(self._entries) > limit:
-                self._entries.popitem(last=False)
-                telemetry.memory_evictions += 1
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            telemetry.memory_evictions += 1
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -293,7 +288,7 @@ class _LruMemo:
         self._entries.clear()
 
 
-_MEMORY_CACHE = _LruMemo()
+_MEMORY_CACHE = _LruMemo(MEMO_ENTRIES)
 
 
 def _disk_cache() -> Optional[ResultCache]:
@@ -320,20 +315,51 @@ def clear_cache(disk: bool = False) -> int:
     return removed
 
 
-def _simulate(benchmark: str, config: MachineConfig, scale: float) -> SimStats:
-    program = build_workload(benchmark, scale=scale)
-    telemetry.simulations += 1
-    return _record_cycles(simulate(program, config, name=benchmark))
+# ----------------------------------------------------------------------
+# one simulation job
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class SimJob:
+    """One schedulable simulation: a whole program or one slice of it.
+
+    ``key`` is the content address the result is cached under; ``work``
+    estimates the job's length in instructions, which orders jobs
+    longest-first so short jobs backfill around the stragglers.
+    ``slice_spec`` and ``checkpoint`` are None for a whole-program job.
+    """
+
+    key: str
+    benchmark: str
+    config: MachineConfig
+    scale: float
+    work: int
+    slice_spec: Optional[sharding.SliceSpec] = None
+    checkpoint: Optional[Checkpoint] = None
 
 
-def _record_cycles(stats: SimStats) -> SimStats:
-    """Fold one simulation's cycle counts into the run telemetry.
+def run_job(job: SimJob, program: Program) -> SimStats:
+    """Simulate ``job`` on ``program``, its benchmark built at its scale.
+
+    The engine's only call into the simulator, whichever backend runs the
+    job: this process, a pool child or a queue worker.
+    """
+    if job.slice_spec is None:
+        stats = simulate(program, job.config, name=job.benchmark)
+    else:
+        stats = sharding.simulate_slice(program, job.config, job.slice_spec,
+                                        job.checkpoint, name=job.benchmark)
+    return _record_simulation(stats)
+
+
+def _record_simulation(stats: SimStats) -> SimStats:
+    """Count one simulation and fold its cycles into the run telemetry.
 
     ``cycles_elided`` tracks how much of the simulated time the
     event-horizon driver jumped rather than stepped -- the ``--verbose``
     summary reports the fraction so a perf investigation can see at a
     glance whether elision engaged.
     """
+    telemetry.simulations += 1
     telemetry.cycles_simulated += stats.cycles
     telemetry.cycles_elided += stats.cycles_elided
     return stats
@@ -360,12 +386,15 @@ def _cache_store(key: str, stats: SimStats, to_disk: bool = True) -> None:
     if to_disk:
         disk = _disk_cache()
         if disk is not None and not disk.store(key, stats):
-            # Graceful degradation: the result lives on in the in-memory
-            # LRU for this process; only re-runs lose the disk hit.
-            telemetry.cache_degraded += 1
-            print(f"repro: warning: disk cache write failed for "
-                  f"{key[:16]}; result kept in memory only",
-                  file=sys.stderr)
+            _disk_write_failed(key)
+
+
+def _disk_write_failed(key: str) -> None:
+    """Graceful degradation: the result lives on in the in-memory LRU for
+    this process; only re-runs lose the disk hit."""
+    telemetry.cache_degraded += 1
+    print(f"repro: warning: disk cache write failed for "
+          f"{key[:16]}; result kept in memory only", file=sys.stderr)
 
 
 def run_benchmark(benchmark: str, config: MachineConfig,
@@ -376,81 +405,24 @@ def run_benchmark(benchmark: str, config: MachineConfig,
                   backend: Optional[object] = None) -> SimStats:
     """Simulate one benchmark under one machine configuration.
 
-    ``shards > 1`` runs the checkpointed-slice engine serially (the
-    parallel slice scheduling lives in :func:`run_suite`); ``shards=1``
-    is the plain, bit-exact whole-program simulation.  ``variant``
-    re-targets the configuration at a registered machine variant
-    (equivalent to ``config.with_variant(variant)``).  ``backend`` routes
-    the job through a named or instantiated
-    :class:`~repro.distrib.backend.ExecutionBackend` -- e.g.
-    ``"distributed"`` publishes it to the shared work queue.
+    A one-cell :func:`run_suite` on one worker: ``shards``, ``variant``
+    and ``backend`` mean what they mean there.
     """
-    scale = default_scale() if scale is None else scale
-    shards = default_shards(shards)
-    if variant is not None:
-        config = config.with_variant(validate_variant(variant))
-    if shards > 1 or backend is not None:
-        results = run_suite([benchmark], {"_": config}, scale=scale,
-                            jobs=1, use_cache=use_cache, shards=shards,
-                            backend=backend)
-        return results["_"][benchmark]
-    if not use_cache:
-        return _simulate(benchmark, config, scale)
-    key = result_key(benchmark, scale, config)
-    stats = _cache_lookup(key)
-    if stats is not None:
-        return stats
-    stats = _simulate(benchmark, config, scale)
-    _cache_store(key, stats)
-    return stats
+    results = run_suite([benchmark], {"_": config}, scale=scale, jobs=1,
+                        use_cache=use_cache, shards=shards, variant=variant,
+                        backend=backend)
+    return results["_"][benchmark]
 
 
 # ----------------------------------------------------------------------
-# the parallel suite engine
+# the suite engine
 # ----------------------------------------------------------------------
-#: One schedulable pool job.  ``slice_spec``/``checkpoint`` are None for a
-#: whole-program job; ``est_work`` orders jobs longest-first.
-_Job = Tuple[str, str, MachineConfig, float, bool, object, object]
-
-
-def _pool_worker(job: _Job) -> Tuple[str, bool, SimStats]:
-    """Run one simulation job (whole program or one slice) in a worker.
-
-    Re-checks the disk cache in the child (cheap insurance against jobs
-    cached by a concurrent process) and persists the result before handing
-    it back, so a crashed parent loses nothing.
-    """
-    key, benchmark, config, scale, use_cache, slice_spec, checkpoint = job
-    disk = _disk_cache() if use_cache else None
-    if disk is not None:
-        stats = disk.load(key)
-        if isinstance(stats, SimStats):
-            return key, False, stats
-    program = build_workload(benchmark, scale=scale)
-    if slice_spec is None:
-        stats = simulate(program, config, name=benchmark)
-    else:
-        stats = sharding.simulate_slice(program, config, slice_spec,
-                                        checkpoint, name=benchmark)
-    if disk is not None:
-        disk.store(key, stats)
-    return key, True, stats
-
-
-def _pool_context():
-    """Prefer fork (cheap, inherits sys.path) where available."""
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
 @dataclass
 class SuitePlan:
     """One suite's worth of planned work, before any job executes.
 
     Produced by :func:`plan_suite` and consumed by :func:`finish_suite`;
-    in between, ``jobs_list`` goes to whichever
+    in between, ``jobs`` go to whichever
     :class:`~repro.distrib.backend.ExecutionBackend` the caller selected.
     Splitting planning from execution is what lets ``repro submit``
     publish a sweep's jobs to the distributed queue *without* waiting for
@@ -467,8 +439,8 @@ class SuitePlan:
     placements: Dict[str, List[Tuple[str, str]]]
     #: (key, benchmark, config) still needing work (merged key if sharded).
     pending: List[Tuple[str, str, MachineConfig]]
-    #: (estimated work, job) pairs for the backend, one per simulation.
-    jobs_list: List[Tuple[int, _Job]]
+    #: One job per simulation, longest first.
+    jobs: List[SimJob]
     #: sharded only: slice cache key -> (merged key, slice index).
     slice_of: Dict[str, Tuple[str, int]]
     #: sharded only: merged key -> {slice index: stats} already cached.
@@ -477,17 +449,27 @@ class SuitePlan:
 
 def plan_suite(benchmarks: Iterable[str],
                configs: Mapping[str, MachineConfig],
-               scale: float,
-               shards: int,
-               warmup_fraction: float,
-               use_cache: bool) -> SuitePlan:
+               scale: Optional[float] = None,
+               shards: Optional[int] = None,
+               warmup_fraction: Optional[float] = None,
+               use_cache: bool = True) -> SuitePlan:
     """Plan a suite: dedupe cells, probe the caches, expand slices.
 
-    Every argument is already resolved (no env fallbacks here).  The
-    returned plan's ``jobs_list`` contains exactly the simulations no
-    cache could answer, with sharded benchmarks expanded into per-slice
-    jobs parameterised by their checkpoint.
+    ``None`` for ``scale``, ``shards`` or ``warmup_fraction`` resolves
+    through :func:`default_scale`, :func:`default_shards` and
+    :func:`default_warmup_fraction`.  Every config's variant is validated
+    up front: an unregistered name aborts here with the one-line error,
+    not in a pool worker later.  The returned plan's ``jobs`` are exactly
+    the simulations no cache could answer, longest first, with sharded
+    benchmarks expanded into per-slice jobs parameterised by their
+    checkpoint.
     """
+    for config in configs.values():
+        validate_variant(config.variant)
+    scale = default_scale() if scale is None else scale
+    shards = default_shards(shards)
+    if warmup_fraction is None:
+        warmup_fraction = default_warmup_fraction()
     benchmarks = list(benchmarks)
     results: Dict[str, Dict[str, SimStats]] = {name: {} for name in configs}
     # One simulation per unique content key, however many names point at it.
@@ -514,44 +496,42 @@ def plan_suite(benchmarks: Iterable[str],
 
     plan = SuitePlan(scale=scale, shards=shards, use_cache=use_cache,
                      results=results, placements=placements,
-                     pending=pending, jobs_list=[], slice_of={},
-                     gathered={})
-    if not pending:
-        return plan
-
+                     pending=pending, jobs=[], slice_of={}, gathered={})
     if shards <= 1:
-        plan.jobs_list = [
-            (estimate_dynamic_insts(benchmark, scale),
-             (key, benchmark, config, scale, use_cache, None, None))
-            for key, benchmark, config in pending]
-        return plan
+        plan.jobs = [SimJob(key, benchmark, config, scale,
+                            estimate_dynamic_insts(benchmark, scale))
+                     for key, benchmark, config in pending]
+    else:
+        _expand_slices(plan, warmup_fraction)
+    plan.jobs.sort(key=lambda job: job.work, reverse=True)
+    return plan
 
-    # ------------------------------------------------------------------
-    # sharded path: expand each pending benchmark x config into slices
-    # ------------------------------------------------------------------
-    disk = _disk_cache() if use_cache else None
+
+def _expand_slices(plan: SuitePlan, warmup_fraction: float) -> None:
+    """Turn each pending benchmark x config into its uncached slice jobs."""
+    scale, shards = plan.scale, plan.shards
+    disk = _disk_cache() if plan.use_cache else None
     shard_plans: Dict[str, sharding.ShardPlan] = {}
-    for _, benchmark, _ in pending:
+    for _, benchmark, _ in plan.pending:
         if benchmark not in shard_plans:
             shard_plans[benchmark] = sharding.build_plan(
                 benchmark, scale, shards, warmup_fraction, cache=disk)
 
-    plan.gathered = {key: {} for key, _, _ in pending}
-    for key, benchmark, config in pending:
+    plan.gathered = {key: {} for key, _, _ in plan.pending}
+    for key, benchmark, config in plan.pending:
         shard_plan = shard_plans[benchmark]
         for spec in shard_plan.slices:
             skey = sharding.slice_key(benchmark, scale, config, shards,
                                       warmup_fraction, spec.index)
             plan.slice_of[skey] = (key, spec.index)
-            stats = _cache_lookup(skey) if use_cache else None
+            stats = _cache_lookup(skey) if plan.use_cache else None
             if stats is None:
-                plan.jobs_list.append(
-                    (spec.work,
-                     (skey, benchmark, config, scale, use_cache, spec,
-                      shard_plan.checkpoint_for(spec))))
+                plan.jobs.append(SimJob(
+                    skey, benchmark, config, scale, spec.work,
+                    slice_spec=spec,
+                    checkpoint=shard_plan.checkpoint_for(spec)))
             else:
                 plan.gathered[key][spec.index] = stats
-    return plan
 
 
 def finish_suite(plan: SuitePlan,
@@ -599,13 +579,13 @@ def run_suite(benchmarks: Iterable[str],
     Returns ``results[config_name][benchmark] -> SimStats``.  Every
     uncached job is routed through an execution backend (see
     :mod:`repro.distrib.backend`): ``backend`` may be an instance or one
-    of the names ``serial``/``pool``/``distributed``, ``None`` falls back
-    to ``REPRO_BACKEND`` and finally to the classic choice implied by
-    ``jobs`` -- a process pool when ``jobs > 1``, else in-process serial
-    execution.  Results are bit-identical across backends because
-    simulation is deterministic; the distributed backend publishes jobs to
-    the shared filesystem queue where any fleet of ``repro worker``
-    processes (sharing ``REPRO_CACHE_DIR``) drains them.  Identical
+    of the names ``local``/``distributed``; ``None`` falls back to
+    ``REPRO_BACKEND`` and finally to the local backend with ``jobs``
+    workers -- this process for one worker, a process pool for more.
+    Results are bit-identical across backends because simulation is
+    deterministic; the distributed backend publishes jobs to the shared
+    filesystem queue where any fleet of ``repro worker`` processes
+    (sharing ``REPRO_CACHE_DIR``) drains them.  Identical
     configurations registered under different names are deduplicated and
     simulated once.
 
@@ -629,24 +609,15 @@ def run_suite(benchmarks: Iterable[str],
     from repro.distrib.backend import resolve_backend
 
     configs = apply_variant(configs, variant)
-    # Validate every config's variant up front: an unregistered name must
-    # abort here with the one-line error, not kill a pool worker later.
-    for config in configs.values():
-        validate_variant(config.variant)
-    scale = default_scale() if scale is None else scale
     jobs = default_jobs(jobs)
-    shards = default_shards(shards)
-    if warmup_fraction is None:
-        warmup_fraction = default_warmup_fraction()
-
     plan = plan_suite(benchmarks, configs, scale, shards, warmup_fraction,
                       use_cache)
     outcomes: Mapping[str, SimStats] = {}
-    if plan.jobs_list:
-        exec_backend = resolve_backend(backend, jobs)
+    if plan.jobs:
         simulated_before = telemetry.simulations
-        outcomes = exec_backend.execute(plan.jobs_list, use_cache)
-        if shards > 1:
+        outcomes = resolve_backend(backend, jobs).execute(plan.jobs,
+                                                          use_cache)
+        if plan.shards > 1:
             telemetry.slices_simulated += (telemetry.simulations
                                            - simulated_before)
     return finish_suite(plan, outcomes)

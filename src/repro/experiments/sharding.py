@@ -33,9 +33,9 @@ true machine state and every architectural counter and the cycle count
 match the whole run (only the per-cycle RS-occupancy accumulator can drift
 by a few samples at the seam).  For higher shard counts each slice only
 warms over its immediate predecessor, leaving a small cold-start delta in
-cycle-accurate metrics (IPC), reported by :func:`cold_start_report`;
-retired-instruction counters (integration counts, retired mixes and every
-rate denominator) tile exactly at *any* shard count.  Memory-bound,
+cycle-accurate metrics (IPC); retired-instruction counters (integration
+counts, retired mixes and every rate denominator) tile exactly at *any*
+shard count.  Memory-bound,
 history-sensitive workloads (``mcf``) show the largest IPC deltas.
 """
 
@@ -280,39 +280,3 @@ def simulate_slice(program: Program, config: MachineConfig,
 def merge_slices(parts: Sequence[SimStats]) -> SimStats:
     """Recombine per-slice stats (in any order) into one result."""
     return SimStats.merge_all(parts)
-
-
-def run_sharded(benchmark: str, config: MachineConfig, scale: float,
-                shards: int,
-                warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
-                cache: Optional[PayloadCache] = None) -> SimStats:
-    """Serial convenience: plan, simulate every slice, merge.
-
-    The parallel path lives in :func:`repro.experiments.runner.run_suite`,
-    which schedules slices of *different* benchmarks and configs together
-    on one pool.
-    """
-    program = build_workload(benchmark, scale=scale)
-    plan = build_plan(benchmark, scale, shards, warmup_fraction,
-                      program=program, cache=cache)
-    parts = [simulate_slice(program, config, spec, plan.checkpoint_for(spec),
-                            name=benchmark)
-             for spec in plan.slices]
-    return merge_slices(parts)
-
-
-# ----------------------------------------------------------------------
-# reporting
-# ----------------------------------------------------------------------
-def cold_start_report(whole: SimStats, merged: SimStats) -> Dict[str, float]:
-    """Quantify the sharding approximation against an unsharded run."""
-    ipc_delta = (abs(merged.ipc / whole.ipc - 1.0) if whole.ipc else 0.0)
-    cycle_delta = ((merged.cycles - whole.cycles) / whole.cycles
-                   if whole.cycles else 0.0)
-    return {
-        "ipc_unsharded": round(whole.ipc, 4),
-        "ipc_merged": round(merged.ipc, 4),
-        "ipc_delta_fraction": round(ipc_delta, 4),
-        "cycle_inflation_fraction": round(cycle_delta, 4),
-        "retired_match": merged.retired == whole.retired,
-    }

@@ -87,16 +87,13 @@ def _reference_then_cold(shards=1):
     runner._MEMORY_CACHE.clear()
     plan = runner.plan_suite(["gzip"], SUITE, SCALE, shards, 1.0,
                              use_cache=True)
-    assert plan.jobs_list
-    return reference, plan.jobs_list
+    assert plan.jobs
+    return reference, plan.jobs
 
 
-def _submit_all(queue, jobs_list):
-    for est, (key, benchmark, config, scale, _uc, spec, ckpt) in jobs_list:
-        assert queue.submit(
-            worker_mod.make_payload(key, benchmark, config, scale,
-                                    slice_spec=spec, checkpoint=ckpt),
-            est_work=est)
+def _submit_all(queue, jobs):
+    for job in jobs:
+        assert queue.submit(worker_mod.make_payload(job), est_work=job.work)
 
 
 def _assert_resolved_from_cache(reference, shards=1):
@@ -122,9 +119,9 @@ class TestCrashMatrix:
     @pytest.mark.parametrize("point", CRASH_POINTS)
     def test_crash_at_every_protocol_step_loses_nothing(
             self, isolated_cache, point):
-        reference, jobs_list = _reference_then_cold()
+        reference, jobs = _reference_then_cold()
         queue = JobQueue(isolated_cache / "queue", lease_ttl=LEASE_TTL)
-        _submit_all(queue, jobs_list)
+        _submit_all(queue, jobs)
         install_plan(FaultPlan.parse(f"point:{point}:nth=1:crash"))
 
         if point == "mid-heartbeat":
@@ -133,15 +130,15 @@ class TestCrashMatrix:
             # before publishing, since its lease may have gone stale).
             summary = worker_mod.run_worker(
                 queue=queue, cache=ResultCache(), worker_id="crashy",
-                max_jobs=len(jobs_list), poll_interval=0.02,
+                max_jobs=len(jobs), poll_interval=0.02,
                 idle_timeout=0.5)
-            assert summary.executed == len(jobs_list)
+            assert summary.executed == len(jobs)
             assert summary.fenced == 0
         else:
             with pytest.raises(SimulatedCrash):
                 worker_mod.run_worker(
                     queue=queue, cache=ResultCache(), worker_id="crashy",
-                    max_jobs=len(jobs_list), poll_interval=0.02,
+                    max_jobs=len(jobs), poll_interval=0.02,
                     idle_timeout=0.5)
             reset_plan()
             time.sleep(LEASE_TTL + 0.05)       # the lease goes stale
@@ -149,28 +146,28 @@ class TestCrashMatrix:
                 queue=queue, cache=ResultCache(), worker_id="rescue",
                 poll_interval=0.02, idle_timeout=0.5)
             assert rescue.reclaimed >= 1
-            assert rescue.jobs_done == len(jobs_list)
+            assert rescue.jobs_done == len(jobs)
             if point == "after-publish-before-done":
                 # The result survived the crash: the rescue worker must
                 # resolve it from the cache, not re-simulate.
-                assert rescue.cache_hits == len(jobs_list)
+                assert rescue.cache_hits == len(jobs)
 
-        assert _drained(queue.status(), done=len(jobs_list))
+        assert _drained(queue.status(), done=len(jobs))
         _assert_resolved_from_cache(reference)
 
     def test_sharded_crash_merges_bit_identical(self, isolated_cache):
         """The crash lands mid-way through a sharded sweep; the merged
         SimStats must still match the fault-free reference exactly."""
-        reference, jobs_list = _reference_then_cold(shards=2)
-        assert len(jobs_list) >= 2              # one job per slice
+        reference, jobs = _reference_then_cold(shards=2)
+        assert len(jobs) >= 2              # one job per slice
         queue = JobQueue(isolated_cache / "queue", lease_ttl=LEASE_TTL)
-        _submit_all(queue, jobs_list)
+        _submit_all(queue, jobs)
         install_plan(
             FaultPlan.parse("point:after-publish-before-done:nth=1:crash"))
         with pytest.raises(SimulatedCrash):
             worker_mod.run_worker(
                 queue=queue, cache=ResultCache(), worker_id="crashy",
-                max_jobs=len(jobs_list), poll_interval=0.02,
+                max_jobs=len(jobs), poll_interval=0.02,
                 idle_timeout=0.5)
         reset_plan()
         time.sleep(LEASE_TTL + 0.05)
@@ -178,7 +175,7 @@ class TestCrashMatrix:
             queue=queue, cache=ResultCache(), worker_id="rescue",
             poll_interval=0.02, idle_timeout=0.5)
         assert rescue.reclaimed >= 1
-        assert _drained(queue.status(), done=len(jobs_list))
+        assert _drained(queue.status(), done=len(jobs))
         _assert_resolved_from_cache(reference, shards=2)
 
 
@@ -191,7 +188,7 @@ class TestDataFaults:
         """A torn result write passes silently at publish time, the
         integrity check quarantines it at read time, and the waiting
         submitter resubmits the job behind the stale done marker."""
-        reference, jobs_list = _reference_then_cold()
+        reference, jobs = _reference_then_cold()
         runner.telemetry.reset()
         install_plan(FaultPlan.parse("write:@cache:nth=1:torn"))
         backend = DistributedBackend(queue_dir=isolated_cache / "queue",
@@ -210,7 +207,7 @@ class TestDataFaults:
 
     def test_transient_queue_eio_is_absorbed_by_retry(self,
                                                       isolated_cache):
-        reference, jobs_list = _reference_then_cold()
+        reference, jobs = _reference_then_cold()
         runner.telemetry.reset()
         install_plan(FaultPlan.parse(
             "write:@queue:nth=1:eio;fsync:@queue:nth=1:eio"))
@@ -320,10 +317,10 @@ class TestFleetEndToEnd:
         """`repro fleet` against a one-shot crash plan: the first worker
         dies at the claim step, the supervisor restarts it with the fault
         plan stripped, and the restarted worker drains the queue."""
-        reference, jobs_list = _reference_then_cold()
+        reference, jobs = _reference_then_cold()
         queue_dir = isolated_cache / "queue"
         queue = JobQueue(queue_dir, lease_ttl=LEASE_TTL)
-        _submit_all(queue, jobs_list)
+        _submit_all(queue, jobs)
 
         env = dict(os.environ)
         env["REPRO_CACHE_DIR"] = str(isolated_cache)
@@ -339,5 +336,5 @@ class TestFleetEndToEnd:
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert "restarting" in proc.stderr      # the crash was supervised
-        assert _drained(queue.status(), done=len(jobs_list))
+        assert _drained(queue.status(), done=len(jobs))
         _assert_resolved_from_cache(reference)

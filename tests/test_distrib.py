@@ -4,9 +4,10 @@ Covers the tentpole acceptance criteria:
 
 * the filesystem queue never double-claims under concurrency (hypothesis),
   reclaims crashed workers' leases, and dead-letters after bounded retry;
-* serial, pool and distributed backends produce identical merged SimStats;
+* the local backend on one and on two workers and the distributed backend
+  produce identical merged SimStats;
 * a sweep submitted via ``repro submit`` and drained by two independent
-  worker *processes* (sharing only the cache directory) matches the pool
+  worker *processes* (sharing only the cache directory) matches the local
   backend bit for bit, and a killed worker's job is neither lost nor
   duplicated;
 * the satellite command ``repro cache gc`` (age/size bounds, orphaned
@@ -31,14 +32,14 @@ from repro.distrib import worker as worker_mod
 from repro.distrib.backend import (
     BackendError,
     DistributedBackend,
-    PoolBackend,
-    SerialBackend,
+    LocalBackend,
     resolve_backend,
 )
 from repro.distrib.queue import JobQueue, job_id_for
 from repro.experiments import cache as cache_mod
 from repro.experiments import runner
 from repro.experiments.cache import ResultCache
+from repro.experiments.runner import SimJob
 from repro.integration.config import IntegrationConfig
 
 
@@ -253,9 +254,9 @@ class TestBackendEquivalence:
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_serial_pool_distributed_identical(self, isolated_cache, shards):
-        reference = self._run(SerialBackend(), shards=shards)
+        reference = self._run(LocalBackend(1), shards=shards)
         runner.clear_cache(disk=True)
-        pooled = self._run(PoolBackend(2), shards=shards, jobs=2)
+        pooled = self._run(LocalBackend(2), shards=shards, jobs=2)
         runner.clear_cache(disk=True)
         distributed = self._run(
             DistributedBackend(queue_dir=isolated_cache / "q",
@@ -282,7 +283,7 @@ class TestBackendEquivalence:
     def test_distributed_drain_records_simulated_cycles(self,
                                                         isolated_cache):
         """A job the inline drain executes folds its cycle counts into the
-        run telemetry, as the serial and pool backends do (the --verbose
+        run telemetry, as the local backend does (the --verbose
         elided fraction is computed from them)."""
         backend = DistributedBackend(queue_dir=isolated_cache / "q",
                                      poll_interval=0.01)
@@ -299,18 +300,17 @@ class TestBackendEquivalence:
         not in simulations -- keeping the --verbose summary truthful."""
         plan = runner.plan_suite(["gzip"], SUITE_CONFIGS, 0.08, 1, 1.0,
                                  use_cache=True)
-        assert len(plan.jobs_list) == 2
+        assert len(plan.jobs) == 2
         # The "remote worker": resolve the planned jobs out-of-band.
         cache = ResultCache()
-        for _, job in plan.jobs_list:
-            key = job[0]
-            cache.store(key, worker_mod.execute_payload(
-                worker_mod.make_payload(key, job[1], job[2], job[3])))
+        for job in plan.jobs:
+            cache.store(job.key, worker_mod.execute_payload(
+                worker_mod.make_payload(job)))
         runner.telemetry.reset()
         backend = DistributedBackend(queue_dir=isolated_cache / "q",
                                      poll_interval=0.01, drain=False,
                                      timeout=60)
-        outcomes = backend.execute(plan.jobs_list, use_cache=True)
+        outcomes = backend.execute(plan.jobs, use_cache=True)
         assert len(outcomes) == 2
         assert runner.telemetry.remote_jobs == 2
         assert runner.telemetry.simulations == 0
@@ -323,7 +323,7 @@ class TestBackendEquivalence:
         queue = backend.queue()
         plan = runner.plan_suite(["gzip"], SUITE_CONFIGS, 0.08, 1, 1.0,
                                  use_cache=True)
-        backend.submit(plan.jobs_list, use_cache=True)
+        backend.submit(plan.jobs, use_cache=True)
         crashed = queue.claim("crashed-worker")
         assert crashed is not None
         time.sleep(0.1)                  # let the lease expire, no heartbeat
@@ -339,8 +339,8 @@ class TestBackendEquivalence:
         history, not hang it."""
         backend = DistributedBackend(queue_dir=isolated_cache / "q",
                                      poll_interval=0.01)
-        bogus = [(1, ("deadbeef" * 8, "no-such-benchmark",
-                      MachineConfig(), 0.1, True, None, None))]
+        bogus = [SimJob("deadbeef" * 8, "no-such-benchmark", MachineConfig(),
+                        0.1, 1)]
         with pytest.raises(RuntimeError, match="dead-lettered"):
             backend.execute(bogus, use_cache=True)
         status = backend.queue().status()
@@ -352,7 +352,7 @@ class TestBackendEquivalence:
         re-probing every pending key after every job."""
         plan = runner.plan_suite(["gzip", "mcf"], SUITE_CONFIGS, 0.02, 4,
                                  1.0, use_cache=True)
-        jobs = len(plan.jobs_list)
+        jobs = len(plan.jobs)
         assert jobs == 16
         loads = []
         real_load = ResultCache.load
@@ -364,7 +364,7 @@ class TestBackendEquivalence:
         monkeypatch.setattr(ResultCache, "load", counting_load)
         backend = DistributedBackend(queue_dir=isolated_cache / "q",
                                      poll_interval=0.01)
-        outcomes = backend.execute(plan.jobs_list, use_cache=True)
+        outcomes = backend.execute(plan.jobs, use_cache=True)
         assert len(outcomes) == jobs
         assert len(loads) <= 2 * jobs + 1
 
@@ -374,12 +374,12 @@ class TestBackendEquivalence:
         plan = runner.plan_suite(["gzip"], SUITE_CONFIGS, 0.02, 1, 1.0,
                                  use_cache=True)
         bogus_key = "deadbeef" * 8
-        bogus = (1 << 40, (bogus_key, "no-such-benchmark", MachineConfig(),
-                           0.1, True, None, None))
+        bogus = SimJob(bogus_key, "no-such-benchmark", MachineConfig(), 0.1,
+                       1 << 40)
         backend = DistributedBackend(queue_dir=isolated_cache / "q",
                                      poll_interval=0.01, timeout=60)
         with pytest.raises(RuntimeError, match="dead-lettered") as raised:
-            backend.execute(plan.jobs_list + [bogus], use_cache=True)
+            backend.execute([bogus] + plan.jobs, use_cache=True)
         assert bogus_key[:16] in str(raised.value)
         assert backend.queue().status().dead == 1
 
@@ -412,7 +412,7 @@ class TestBackendEquivalence:
                                  use_cache=True)
         started = time.time()
         with pytest.raises(TimeoutError, match="no progress"):
-            backend.execute(plan.jobs_list, use_cache=True)
+            backend.execute(plan.jobs, use_cache=True)
         assert time.time() - started < 10
 
     def test_distributed_requires_the_disk_cache(self, isolated_cache):
@@ -423,21 +423,24 @@ class TestBackendEquivalence:
 
     def test_resolve_backend_names_and_fallbacks(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert isinstance(resolve_backend(None, jobs=1), SerialBackend)
-        assert isinstance(resolve_backend(None, jobs=4), PoolBackend)
-        assert isinstance(resolve_backend("serial", jobs=4), SerialBackend)
-        assert isinstance(resolve_backend("pool", jobs=2), PoolBackend)
+        assert resolve_backend(None, jobs=1).jobs == 1
+        assert resolve_backend(None, jobs=4).jobs == 4
+        local = resolve_backend("local", jobs=2)
+        assert isinstance(local, LocalBackend) and local.jobs == 2
         assert isinstance(resolve_backend("distributed", jobs=1),
                           DistributedBackend)
-        instance = SerialBackend()
+        instance = LocalBackend(1)
         assert resolve_backend(instance, jobs=8) is instance
-        with pytest.raises(BackendError):
-            resolve_backend("bogus", jobs=1)
-        monkeypatch.setenv("REPRO_BACKEND", "serial")
-        assert isinstance(resolve_backend(None, jobs=4), SerialBackend)
-        monkeypatch.setenv("REPRO_BACKEND", "nonsense")
-        with pytest.raises(runner.EnvVarError):
-            resolve_backend(None, jobs=1)
+        for name in ("bogus", "serial", "pool"):
+            with pytest.raises(BackendError, match="local, distributed"):
+                resolve_backend(name, jobs=1)
+        monkeypatch.setenv("REPRO_BACKEND", "local")
+        from_env = resolve_backend(None, jobs=4)
+        assert isinstance(from_env, LocalBackend) and from_env.jobs == 4
+        for name in ("nonsense", "serial", "pool"):
+            monkeypatch.setenv("REPRO_BACKEND", name)
+            with pytest.raises(runner.EnvVarError):
+                resolve_backend(None, jobs=1)
 
 
 # ----------------------------------------------------------------------
@@ -448,7 +451,7 @@ class TestWorkerLoop:
         backend = DistributedBackend(queue_dir=isolated_cache / "q")
         plan = runner.plan_suite(["gzip"], SUITE_CONFIGS, 0.08, 1, 1.0,
                                  use_cache=True)
-        submitted = backend.submit(plan.jobs_list, use_cache=True)
+        submitted = backend.submit(plan.jobs, use_cache=True)
         assert len(submitted) == 2
         summary = worker_mod.run_worker(
             queue=backend.queue(), cache=ResultCache(),
@@ -469,7 +472,7 @@ class TestWorkerLoop:
         plan = runner.plan_suite(["gzip"], SUITE_CONFIGS, 0.08, 1, 1.0,
                                  use_cache=False)   # bypass probe: 2 jobs
         DistributedBackend(queue_dir=queue.root).submit(
-            plan.jobs_list, use_cache=True)
+            plan.jobs, use_cache=True)
         summary = worker_mod.run_worker(queue=queue, cache=ResultCache(),
                                         idle_timeout=0.2, poll_interval=0.02)
         assert summary.cache_hits == 2 and summary.executed == 0
@@ -478,7 +481,8 @@ class TestWorkerLoop:
     def test_worker_dead_letters_poison_job(self, isolated_cache):
         queue = JobQueue(isolated_cache / "q", max_attempts=2)
         queue.submit({"key": "k1", "benchmark": "no-such-benchmark",
-                      "scale": 0.1, "config": MachineConfig().to_dict()})
+                      "scale": 0.1, "config": MachineConfig().to_dict(),
+                      "work": 1})
         summary = worker_mod.run_worker(queue=queue, cache=ResultCache(),
                                         idle_timeout=0.2, poll_interval=0.02)
         assert summary.failed == 2                 # initial + one retry
@@ -487,23 +491,20 @@ class TestWorkerLoop:
         assert dead.attempts == 2
 
     def test_payload_roundtrip_slice_and_whole(self, isolated_cache):
-        from repro.experiments import sharding
         from repro.workloads import build_workload
 
-        plan = runner.plan_suite(["gzip"], {"none": SUITE_CONFIGS["none"]},
-                                 0.08, 2, 1.0, use_cache=True)
-        assert plan.jobs_list, "sharded plan should expand into slice jobs"
-        _, job = plan.jobs_list[-1]
-        key, benchmark, config, scale, _, spec, checkpoint = job
-        payload = worker_mod.make_payload(key, benchmark, config, scale,
-                                          slice_spec=spec,
-                                          checkpoint=checkpoint)
-        payload = json.loads(json.dumps(payload))     # through JSON, as disk
-        stats = worker_mod.execute_payload(payload)
-        direct = sharding.simulate_slice(
-            build_workload(benchmark, scale=scale),
-            config, spec, checkpoint, name=benchmark)
-        assert stats == direct
+        for shards in (1, 2):
+            plan = runner.plan_suite(["gzip"],
+                                     {"none": SUITE_CONFIGS["none"]},
+                                     0.08, shards, 1.0, use_cache=True)
+            job = plan.jobs[-1]
+            assert (job.slice_spec is None) == (shards == 1)
+            payload = worker_mod.make_payload(job)
+            payload = json.loads(json.dumps(payload))   # through JSON
+            assert worker_mod.job_from_payload(payload) == job
+            direct = runner.run_job(
+                job, build_workload(job.benchmark, scale=job.scale))
+            assert worker_mod.execute_payload(payload) == direct
 
 
 # ----------------------------------------------------------------------
@@ -518,7 +519,7 @@ class TestMultiprocessFleet:
         plan = runner.plan_suite(["gzip"], SUITE_CONFIGS, 0.06, 1, 1.0,
                                  use_cache=True)
         backend = DistributedBackend(queue_dir=isolated_cache / "queue")
-        assert len(backend.submit(plan.jobs_list, use_cache=True)) == 2
+        assert len(backend.submit(plan.jobs, use_cache=True)) == 2
 
         env = dict(os.environ)
         env["REPRO_CACHE_DIR"] = str(isolated_cache)
@@ -657,7 +658,9 @@ class TestCli:
         rc = main(["submit", "--benchmarks", "gzip", "--scale", "0.06",
                    "--no-wait"])
         assert rc == 0
-        assert "submitted 2 job(s)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "submitted 2 job(s)" in out
+        assert "(0 result(s) already cached)" in out
 
         assert main(["status"]) == 0
         out = capsys.readouterr().out
@@ -671,6 +674,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "pending:  0" in out and "done:     2" in out
         assert "jobs/min" in out
+
+        # Resubmitting the drained sweep finds every cell cached.
+        assert main(["submit", "--benchmarks", "gzip", "--scale", "0.06",
+                     "--no-wait"]) == 0
+        out = capsys.readouterr().out
+        assert "submitted 0 job(s)" in out
+        assert "(2 result(s) already cached)" in out
 
         # Blocking submit on the warm cache: zero simulations, real table.
         runner._MEMORY_CACHE.clear()

@@ -265,11 +265,13 @@ def test_env_var_missing_docs_file(tmp_path):
     assert any("not found" in f.message for f in report.findings)
 
 
-@pytest.mark.parametrize("knob", ["REPRO_KERNEL", "REPRO_FAST_PATH"])
+@pytest.mark.parametrize("knob", ["REPRO_KERNEL", "REPRO_FAST_PATH",
+                                  "REPRO_MEMCACHE_MAX"])
 def test_env_var_retired_knob_is_flagged(tmp_path, knob):
-    # REPRO_KERNEL was removed with the compiled scheduler backend and
-    # REPRO_FAST_PATH with the second driver loop: neither has an accessor
-    # or a docs row, so reading one again must not pass lint.
+    # REPRO_KERNEL was removed with the compiled scheduler backend,
+    # REPRO_FAST_PATH with the second driver loop and REPRO_MEMCACHE_MAX
+    # with the settable memo capacity: none has an accessor or a docs
+    # row, so reading one again must not pass lint.
     tree = make_tree(tmp_path, {
         "src/repro/revived.py": (
             "import os\n\n\n"

@@ -34,6 +34,8 @@ from repro.distrib.queue import JobQueue, LeaseLostError
 from repro.experiments import cache as cache_mod
 from repro.experiments import runner
 from repro.experiments.cache import ResultCache, seal_entry, unseal_entry
+from repro.experiments.runner import SimJob
+from repro.integration.config import IntegrationConfig
 from repro.reliability import (
     FaultPlan,
     FaultSpecError,
@@ -562,12 +564,8 @@ class TestBackendResilience:
         backend = DistributedBackend(queue_dir=isolated_cache / "q",
                                      poll_interval=0.05, drain=False)
         key1, key2 = "aa" * 32, "bb" * 32
-        jobs_list = [
-            (1, (key1, "irrelevant", MachineConfig(), 0.1, True, None,
-                 None)),
-            (1, (key2, "irrelevant", MachineConfig(), 0.1, True, None,
-                 None)),
-        ]
+        jobs = [SimJob(key1, "irrelevant", MachineConfig(), 0.1, 1),
+                SimJob(key2, "irrelevant", MachineConfig(), 0.1, 1)]
         cache = ResultCache()
         sleeps = []
 
@@ -583,12 +581,13 @@ class TestBackendResilience:
 
         monkeypatch.setattr(backend_mod.time, "sleep", fake_sleep)
         with pytest.raises(_Enough):
-            backend.execute(jobs_list, use_cache=True)
+            backend.execute(jobs, use_cache=True)
         # Exponential idle backoff, reset by the mid-wait progress.
         assert sleeps == [0.05, 0.1, 0.2, 0.05, 0.1, 0.2]
 
     def test_unusable_queue_root_falls_back_to_pool(self, isolated_cache,
                                                     capsys):
+        """An unusable queue root degrades the run to the local backend."""
         blocker = isolated_cache / "blocker"
         blocker.write_bytes(b"not a directory")
         backend = DistributedBackend(queue_dir=blocker / "q",
@@ -597,12 +596,30 @@ class TestBackendResilience:
             ["gzip"],
             {"none": MachineConfig()},
             0.06, 1, 1.0, use_cache=True)
-        outcomes = backend.execute(plan.jobs_list, use_cache=True)
+        outcomes = backend.execute(plan.jobs, use_cache=True)
         assert len(outcomes) == 1
         assert next(iter(outcomes.values())).retired > 0
         err = capsys.readouterr().err
         assert "queue root unusable" in err
-        assert "falling back to the pool backend" in err
+        assert "falling back to the local backend" in err
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_cache_writes_are_reported(self, isolated_cache,
+                                              monkeypatch, capsys, jobs):
+        """Every job whose disk-cache write fails is counted and warned
+        about, whether it ran in this process or in a pool child."""
+        monkeypatch.setenv("REPRO_RETRY_MAX", "0")
+        install_plan(FaultPlan.parse("write:@cache:always:eio"))
+        configs = {
+            "none": MachineConfig().with_integration(
+                IntegrationConfig.disabled()),
+            "full": MachineConfig().with_integration(IntegrationConfig.full()),
+        }
+        results = runner.run_suite(["gzip"], configs, scale=0.06, jobs=jobs)
+        assert results["full"]["gzip"].retired > 0
+        assert runner.telemetry.cache_degraded == 2
+        err = capsys.readouterr().err
+        assert err.count("disk cache write failed") == 2
 
 
 # ----------------------------------------------------------------------

@@ -276,9 +276,9 @@ class TestShardPlans:
         assert again.to_dict() == plan.to_dict()
         assert cache.hits >= 1   # second build came from disk
 
-    def test_run_sharded_shards2_is_exact(self, isolated_cache):
+    def test_sharded_benchmark_shards2_is_exact(self, isolated_cache):
         whole = simulate(build_workload("gzip", scale=0.3), FULL, name="gzip")
-        merged = sharding.run_sharded("gzip", FULL, scale=0.3, shards=2)
+        merged = runner.run_benchmark("gzip", FULL, scale=0.3, shards=2)
         assert_stats_equal_modulo_occupancy(merged, whole)
 
 
@@ -303,9 +303,6 @@ class TestShardedSuite:
                                   jobs=1, shards=2)["full"][bench]
         assert merged.retired == whole.retired
         assert merged.ipc == pytest.approx(whole.ipc, rel=0.02)
-        report = sharding.cold_start_report(whole, merged)
-        assert report["retired_match"]
-        assert report["ipc_delta_fraction"] <= 0.02
 
     def test_higher_shard_counts_keep_instruction_counters_exact(
             self, isolated_cache):
@@ -406,35 +403,27 @@ class TestShardedSuite:
 # runner satellites: LRU memo + longest-first estimates
 # ----------------------------------------------------------------------
 class TestMemoryCacheBound:
-    def test_lru_eviction_is_bounded_and_counted(self, isolated_cache,
-                                                 monkeypatch):
-        monkeypatch.setenv("REPRO_MEMCACHE_MAX", "2")
+    def test_lru_eviction_is_bounded_and_counted(self, isolated_cache):
         runner.telemetry.reset()
+        memo = runner._LruMemo(2)
         a, b, c = SimStats(retired=1), SimStats(retired=2), SimStats(retired=3)
-        runner._MEMORY_CACHE["a"] = a
-        runner._MEMORY_CACHE["b"] = b
+        memo["a"] = a
+        memo["b"] = b
         assert runner.telemetry.memory_evictions == 0
-        runner._MEMORY_CACHE["c"] = c
+        memo["c"] = c
         assert runner.telemetry.memory_evictions == 1
-        assert "a" not in runner._MEMORY_CACHE      # least-recent dropped
-        assert runner._MEMORY_CACHE.get("b") is b
-        assert runner._MEMORY_CACHE.get("c") is c
+        assert "a" not in memo                      # least-recent dropped
+        assert memo.get("b") is b
+        assert memo.get("c") is c
 
-    def test_lru_get_refreshes_recency(self, isolated_cache, monkeypatch):
-        monkeypatch.setenv("REPRO_MEMCACHE_MAX", "2")
-        runner._MEMORY_CACHE["a"] = SimStats(retired=1)
-        runner._MEMORY_CACHE["b"] = SimStats(retired=2)
-        runner._MEMORY_CACHE.get("a")               # refresh "a"
-        runner._MEMORY_CACHE["c"] = SimStats(retired=3)
-        assert "a" in runner._MEMORY_CACHE
-        assert "b" not in runner._MEMORY_CACHE
-
-    def test_zero_disables_the_bound(self, isolated_cache, monkeypatch):
-        monkeypatch.setenv("REPRO_MEMCACHE_MAX", "0")
-        for i in range(50):
-            runner._MEMORY_CACHE[f"k{i}"] = SimStats(retired=i)
-        assert len(runner._MEMORY_CACHE) == 50
-        assert runner.telemetry.memory_evictions == 0
+    def test_lru_get_refreshes_recency(self, isolated_cache):
+        memo = runner._LruMemo(2)
+        memo["a"] = SimStats(retired=1)
+        memo["b"] = SimStats(retired=2)
+        memo.get("a")                               # refresh "a"
+        memo["c"] = SimStats(retired=3)
+        assert "a" in memo
+        assert "b" not in memo
 
 
 class TestLongestFirstEstimates:
