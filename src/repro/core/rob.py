@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterator, List, Optional
+from typing import Deque, Iterator, List
 
 from repro.isa.instruction import DynInst
 
@@ -14,7 +14,8 @@ class ReorderBuffer:
     Instructions enter at rename and leave either at retirement (from the
     head) or during a squash (from the tail, youngest first) -- the squash
     order is what lets the renamer undo map-table and reference-count
-    updates serially.
+    updates serially.  The rename stage appends to ``_entries`` directly,
+    after its own ``size`` check, and retirement pops its head.
     """
 
     def __init__(self, size: int):
@@ -26,25 +27,6 @@ class ReorderBuffer:
 
     def __iter__(self) -> Iterator[DynInst]:
         return iter(self._entries)
-
-    @property
-    def full(self) -> bool:
-        return len(self._entries) >= self.size
-
-    @property
-    def empty(self) -> bool:
-        return not self._entries
-
-    def push(self, dyn: DynInst) -> None:
-        if self.full:
-            raise RuntimeError("ROB overflow")
-        self._entries.append(dyn)
-
-    def head(self) -> Optional[DynInst]:
-        return self._entries[0] if self._entries else None
-
-    def pop_head(self) -> DynInst:
-        return self._entries.popleft()
 
     def squash_younger_than(self, seq: int) -> List[DynInst]:
         """Remove (and return, youngest first) every instruction with a

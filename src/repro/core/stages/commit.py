@@ -47,8 +47,7 @@ class CommitDiva:
     # ------------------------------------------------------------------
     def tick(self) -> None:
         state = self.state
-        rob = state.rob
-        rob_entries = rob._entries
+        rob_entries = state.rob._entries
         if not rob_entries:
             return
         budget = state.retire_budget
@@ -56,7 +55,7 @@ class CommitDiva:
         cycle = state.cycle
         prf_ready = state.prf.ready
         prf_values = state.prf.values
-        renamer = state.renamer
+        release = state.prf.release
         diva = state.diva
         tracer = state.tracer
         retired = 0
@@ -100,9 +99,14 @@ class CommitDiva:
             if fault is not None:
                 self._handle_diva_fault(dyn, step, fault)
 
-            # Retirement bookkeeping.
-            rob.pop_head()
-            renamer.commit(dyn)
+            # Retirement bookkeeping.  The mapping the instruction's
+            # destination shadowed stops being visible and drops one
+            # reference; the instruction's own output keeps its reference
+            # (it is now the retired architectural mapping).
+            rob_entries.popleft()
+            old = dyn.old_dest_preg
+            if old is not None:
+                release(old)
             if dyn.in_lsq:
                 state.lsq.remove(dyn)
             dyn.retire_cycle = cycle

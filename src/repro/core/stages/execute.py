@@ -49,32 +49,41 @@ class IssueExecute:
         cycle = state.cycle
         wakeups = self.wakeup_events.pop(cycle, None)
         if wakeups:
-            set_value = state.prf.set_value
+            # PhysicalRegisterFile.set_value, inlined: write the value and
+            # fire the scheduler's wakeup on the not-ready -> ready edge.
+            prf = state.prf
+            values = prf.values
+            ready = prf.ready
+            on_ready = prf.on_ready
             for dyn, value in wakeups:
-                if dyn.squashed or dyn.dest_preg is None:
+                preg = dyn.dest_preg
+                # ``not preg``: no destination (None) or the zero register.
+                if dyn.squashed or not preg:
                     continue
-                set_value(dyn.dest_preg, value)
+                values[preg] = value
+                if not ready[preg]:
+                    ready[preg] = True
+                    if on_ready is not None:
+                        on_ready(preg)
         completions = self.complete_events.pop(cycle, None)
         if completions:
+            tracer = state.tracer
             for dyn in completions:
                 if dyn.squashed:
                     continue
-                self._complete(dyn)
-
-    def _complete(self, dyn: DynInst) -> None:
-        dyn.completed = True
-        dyn.executed = True
-        dyn.complete_cycle = self.state.cycle
-        tracer = self.state.tracer
-        if tracer is not None:
-            tracer.on_complete(dyn, self.state.cycle)
-        cls = dyn.cls
-        if cls is OpClass.COND_BRANCH:
-            self._resolve_branch(dyn)
-        elif cls is OpClass.STORE:
-            self._resolve_store(dyn)
-        elif dyn.info.is_indirect_ctl:
-            self._resolve_indirect(dyn)
+                dyn.completed = True
+                dyn.executed = True
+                dyn.complete_cycle = cycle
+                if tracer is not None:
+                    tracer.on_complete(dyn, cycle)
+                # Branches, stores and indirect jumps resolve on completion.
+                kind = dyn.info.kind_code
+                if kind == KIND_BRANCH:
+                    self._resolve_branch(dyn)
+                elif kind == KIND_STORE:
+                    self._resolve_store(dyn)
+                elif kind == KIND_INDIRECT:
+                    self._resolve_indirect(dyn)
 
     # ------------------------------------------------------------------
     def _resolve_branch(self, dyn: DynInst) -> None:
@@ -119,11 +128,75 @@ class IssueExecute:
     # issue + execute
     # ==================================================================
     def tick(self) -> None:
-        selected = self.state.rs.select(self._load_can_issue)
-        if selected:
-            execute = self._execute
-            for dyn in selected:
-                execute(dyn)
+        state = self.state
+        selected = state.rs.select(self._load_can_issue)
+        if not selected:
+            return
+        config = state.config
+        cycle = state.cycle
+        stats = state.stats
+        tracer = state.tracer
+        prf_values = state.prf.values
+        regread = config.regread_stages
+        wb = config.writeback_stages
+        schedule = self._schedule
+        # Execute the issue group: dispatch on the precomputed kind code and
+        # schedule each result's wakeup and completion.
+        for dyn in selected:
+            dyn.issued = True
+            stats.issued += 1
+            if tracer is not None:
+                tracer.on_issue(dyn, cycle)
+            inst = dyn.inst
+            info = dyn.info
+            kind = info.kind_code
+            srcs = dyn.src_pregs
+            nsrc = len(srcs)
+            a = prf_values[srcs[0]] if nsrc else 0
+            if kind == KIND_ALU:                        # ALU / FP
+                b = prf_values[srcs[1]] if nsrc > 1 else 0
+                if info.eval_is_fp:
+                    result = info.eval_fn(a, b, inst.imm)
+                else:
+                    # Wrong-path execution can feed an integer operation a
+                    # register that last held a float; truncate (the result
+                    # is discarded at the squash anyway).
+                    if type(a) is float:
+                        a = int(a)
+                    if type(b) is float:
+                        b = int(b)
+                    result = info.eval_fn(a, b, inst.imm)
+                dyn.result = result
+                latency = info.latency
+                schedule(dyn, latency, result, regread + latency + wb)
+            elif kind == KIND_BRANCH:                   # conditional branch
+                taken = info.branch_fn(semantics.to_signed(int(a)))
+                dyn.branch_taken = taken
+                dyn.next_pc = inst.target if taken else inst.pc + INST_SIZE
+                schedule(dyn, None, None, regread + 1 + wb)
+            elif kind == KIND_INDIRECT:                 # indirect control
+                target = int(a) & _MASK64
+                dyn.next_pc = target
+                if (dyn.cls is OpClass.CALL_INDIRECT
+                        and dyn.dest_preg is not None):
+                    link = inst.pc + INST_SIZE
+                    dyn.result = link
+                    schedule(dyn, 1, link, regread + 1 + wb)
+                else:
+                    schedule(dyn, None, None, regread + 1 + wb)
+            elif kind == KIND_LOAD:
+                self._execute_load(dyn, a)
+            elif kind == KIND_STORE:
+                b = prf_values[srcs[1]] if nsrc > 1 else 0
+                addr = (int(b) + inst.imm) & _MASK64
+                dyn.eff_addr = addr
+                dyn.store_value = (int(a) & semantics.MASK32
+                                   if info.is_stl else a)
+                stats.executed_stores += 1
+                agen = config.memsys.address_generation_latency
+                schedule(dyn, None, None, regread + agen + wb)
+            else:  # pragma: no cover - such classes never enter the RS
+                raise SimulationError(f"unexpected issue of {dyn}")
 
     def _load_can_issue(self, dyn: DynInst) -> bool:
         state = self.state
@@ -143,69 +216,6 @@ class IssueExecute:
         dyn.issue_probe = (state.cycle, addr,
                            state.lsq.forward_from(dyn, addr))
         return True
-
-    def _execute(self, dyn: DynInst) -> None:
-        state = self.state
-        config = state.config
-        dyn.issued = True
-        cycle = state.cycle
-        state.stats.issued += 1
-        tracer = state.tracer
-        if tracer is not None:
-            tracer.on_issue(dyn, cycle)
-        inst = dyn.inst
-        info = dyn.info
-        kind = info.kind_code
-        prf_values = state.prf.values
-        srcs = dyn.src_pregs
-        nsrc = len(srcs)
-        a = prf_values[srcs[0]] if nsrc else 0
-        regread = config.regread_stages
-        wb = config.writeback_stages
-
-        if kind == KIND_ALU:                        # ALU / FP
-            b = prf_values[srcs[1]] if nsrc > 1 else 0
-            if info.eval_is_fp:
-                result = info.eval_fn(a, b, inst.imm)
-            else:
-                # Wrong-path execution can feed an integer operation a
-                # register that last held a float; truncate (the result is
-                # discarded at the squash anyway).
-                if type(a) is float:
-                    a = int(a)
-                if type(b) is float:
-                    b = int(b)
-                result = info.eval_fn(a, b, inst.imm)
-            dyn.result = result
-            latency = info.latency
-            self._schedule_wakeup(dyn, latency, result)
-            self._schedule_complete(dyn, regread + latency + wb)
-        elif kind == KIND_BRANCH:                   # conditional branch
-            taken = info.branch_fn(semantics.to_signed(int(a)))
-            dyn.branch_taken = taken
-            dyn.next_pc = inst.target if taken else inst.pc + INST_SIZE
-            self._schedule_complete(dyn, regread + 1 + wb)
-        elif kind == KIND_INDIRECT:                 # indirect control
-            target = int(a) & _MASK64
-            dyn.next_pc = target
-            if dyn.cls is OpClass.CALL_INDIRECT and dyn.dest_preg is not None:
-                link = inst.pc + INST_SIZE
-                dyn.result = link
-                self._schedule_wakeup(dyn, 1, link)
-            self._schedule_complete(dyn, regread + 1 + wb)
-        elif kind == KIND_LOAD:
-            self._execute_load(dyn, a)
-        elif kind == KIND_STORE:
-            b = prf_values[srcs[1]] if nsrc > 1 else 0
-            addr = (int(b) + inst.imm) & _MASK64
-            dyn.eff_addr = addr
-            dyn.store_value = (int(a) & semantics.MASK32
-                               if info.is_stl else a)
-            state.stats.executed_stores += 1
-            agen = config.memsys.address_generation_latency
-            self._schedule_complete(dyn, regread + agen + wb)
-        else:  # pragma: no cover - such classes never enter the RS
-            raise SimulationError(f"unexpected issue of {dyn}")
 
     def _execute_load(self, dyn: DynInst, base) -> None:
         state = self.state
@@ -234,26 +244,32 @@ class IssueExecute:
             value = semantics.to_unsigned(
                 semantics.to_signed(int(value) & semantics.MASK32, 32))
         dyn.result = value
-        self._schedule_wakeup(dyn, latency, value)
-        self._schedule_complete(dyn, config.regread_stages + latency
-                                + config.writeback_stages)
+        self._schedule(dyn, latency, value, config.regread_stages + latency
+                       + config.writeback_stages)
 
-    def _schedule_wakeup(self, dyn: DynInst, delay: int, value) -> None:
-        cycle = self.state.cycle + (delay if delay > 1 else 1)
-        bucket = self.wakeup_events.get(cycle)
+    def _schedule(self, dyn: DynInst, wake_delay, value,
+                  complete_delay: int) -> None:
+        """Schedule ``dyn``'s completion ``complete_delay`` cycles from now
+        and, unless ``wake_delay`` is None, the write of ``value`` to its
+        destination (which wakes its consumers) ``wake_delay`` cycles from
+        now.  Both delays count at least one cycle."""
+        now = self.state.cycle
+        wakeup_events = self.wakeup_events
+        complete_events = self.complete_events
+        if wake_delay is not None:
+            cycle = now + (wake_delay if wake_delay > 1 else 1)
+            bucket = wakeup_events.get(cycle)
+            if bucket is None:
+                wakeup_events[cycle] = [(dyn, value)]
+                if cycle not in complete_events:
+                    heappush(self.event_cycles, cycle)
+            else:
+                bucket.append((dyn, value))
+        cycle = now + (complete_delay if complete_delay > 1 else 1)
+        bucket = complete_events.get(cycle)
         if bucket is None:
-            self.wakeup_events[cycle] = [(dyn, value)]
-            if cycle not in self.complete_events:
-                heappush(self.event_cycles, cycle)
-        else:
-            bucket.append((dyn, value))
-
-    def _schedule_complete(self, dyn: DynInst, delay: int) -> None:
-        cycle = self.state.cycle + (delay if delay > 1 else 1)
-        bucket = self.complete_events.get(cycle)
-        if bucket is None:
-            self.complete_events[cycle] = [dyn]
-            if cycle not in self.wakeup_events:
+            complete_events[cycle] = [dyn]
+            if cycle not in wakeup_events:
                 heappush(self.event_cycles, cycle)
         else:
             bucket.append(dyn)

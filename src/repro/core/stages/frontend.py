@@ -40,8 +40,8 @@ class FrontEnd:
             return
         fetch_pc = self.fetch_pc
         program_at = state.program.at
-        first = program_at(fetch_pc)
-        if first is None:
+        inst = program_at(fetch_pc)
+        if inst is None:
             self.fetch_halted = True
             return
         access = state.mem.ifetch(fetch_pc, cycle)
@@ -58,11 +58,8 @@ class FrontEnd:
         snap = None
         fetched = 0
         tracer = state.tracer
-        for _ in range(config.fetch_width):
-            inst = program_at(fetch_pc)
-            if inst is None:
-                self.fetch_halted = True
-                break
+        width = config.fetch_width
+        while True:
             state.seq += 1
             dyn = DynInst(state.seq, inst)
             dyn.fetch_cycle = cycle
@@ -85,6 +82,12 @@ class FrontEnd:
                 if prediction.taken:
                     fetch_pc = prediction.target
                     break
+            if fetched == width:
+                break
+            inst = program_at(fetch_pc)
+            if inst is None:
+                self.fetch_halted = True
+                break
         self.fetch_pc = fetch_pc
         state.stats.fetched += fetched
 

@@ -6,13 +6,15 @@ points the instruction at an existing physical register (integration: the
 instruction leaves the pipeline here, never issuing) or allocates a fresh
 destination and dispatches it to the out-of-order engine.
 
-Renaming is one loop over the front-end queue.  Each instruction's sources
-are looked up once (:meth:`~repro.rename.renamer.Renamer.lookup_sources`
-sets ``dyn.src_key``), and the integration probe and entry creation both
-work from that key.  The integration preconditions (enabled, integrable
-opcode) are tested before calling into the integration logic, and the
-destination rename uses the allocation-free
-:meth:`~repro.rename.renamer.Renamer.rename_dest` code path.
+Renaming is one loop over the front-end queue, and it holds the rename
+rules themselves.  Each instruction's sources are looked up once from the
+map table's arrays, setting ``dyn.src_pregs`` and ``dyn.src_key``, and the
+integration probe and entry creation both work from that key.  The
+integration preconditions (enabled, integrable opcode) are tested before
+calling into the integration logic.  A destination that does not integrate
+claims a register from
+:meth:`~repro.rename.physical.PhysicalRegisterFile.allocate` and records
+the mapping it shadows, which retirement releases.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.isa import semantics
 from repro.isa.instruction import DynInst
 from repro.isa.opcodes import OpClass
 from repro.isa.program import INST_SIZE
+from repro.isa.registers import REG_FZERO, REG_ZERO
 
 
 class RenameIntegrate:
@@ -47,9 +50,8 @@ class RenameIntegrate:
         fetch_queue = self.frontend.fetch_queue
         if not fetch_queue:
             return
-        rob = state.rob
-        rob_entries = rob._entries
-        rob_size = rob.size
+        rob_entries = state.rob._entries
+        rob_size = state.rob.size
         rs = state.rs
         rs_waiting = rs._waiting
         rs_entries = rs.entries
@@ -57,9 +59,10 @@ class RenameIntegrate:
         lsq_by_seq = lsq._by_seq
         lsq_size = lsq.size
         stats = state.stats
-        renamer = state.renamer
-        lookup_sources = renamer.lookup_sources
-        rename_dest = renamer.rename_dest
+        allocate = state.prf.allocate
+        prf_gen = state.prf.gen
+        mt_pregs = state.map_table._pregs
+        mt_gens = state.map_table._gens
         # Looked up on the instance every tick: a harness may wrap them.
         integration = state.integration
         consider = integration.consider
@@ -83,7 +86,28 @@ class RenameIntegrate:
             # it: an integrated branch that redirects fetch flushes the queue
             # and must not flush itself.
             fetch_queue.popleft()
-            lookup_sources(dyn)
+            # Source lookup: ``src_pregs`` are the registers the scheduler
+            # waits on (a list: tuples measured a higher peak RSS), and
+            # ``src_key`` is the flat ``(preg, gen[, preg, gen])`` tuple the
+            # integration table matches and builds entries from.  The zero
+            # registers need no special case: nothing ever remaps them, so
+            # they read ``(ZERO_PREG, 0)`` like any other mapping.
+            inst = dyn.inst
+            srcs = inst.srcs
+            if len(srcs) == 1:
+                a = srcs[0]
+                pa = mt_pregs[a]
+                dyn.src_pregs = [pa]
+                dyn.src_key = (pa, mt_gens[a])
+            elif srcs:
+                a, b = srcs
+                pa = mt_pregs[a]
+                pb = mt_pregs[b]
+                dyn.src_pregs = [pa, pb]
+                dyn.src_key = (pa, mt_gens[a], pb, mt_gens[b])
+            else:
+                dyn.src_pregs = []
+                dyn.src_key = ()
             integrated = False
             if int_enabled and info.integrable:
                 decision = consider(dyn, dyn.call_depth, oracle)
@@ -94,33 +118,47 @@ class RenameIntegrate:
                     if not integrated:
                         stats.refcount_saturation_failures += 1
             if not integrated:
-                code = rename_dest(dyn)
-                if code < 0:
-                    fetch_queue.appendleft((dyn, ready_cycle))
-                    break
-                if code > 0:
-                    preg_producer[dyn.dest_preg] = dyn
-                inst = dyn.inst
+                # Conventional rename: claim a free register and shadow the
+                # destination's previous mapping (released at retirement).
+                # Stores, branches and zero-register writes map nothing.
+                dest = inst.dest
+                if dest is None or dest == REG_ZERO or dest == REG_FZERO:
+                    dyn.dest_preg = None
+                else:
+                    preg = allocate()
+                    if preg is None:
+                        fetch_queue.appendleft((dyn, ready_cycle))
+                        break
+                    gen = prf_gen[preg]
+                    dyn.old_dest_preg = mt_pregs[dest]
+                    dyn.old_dest_gen = mt_gens[dest]
+                    dyn.dest_preg = preg
+                    dyn.dest_gen = gen
+                    mt_pregs[dest] = preg
+                    mt_gens[dest] = gen
+                    preg_producer[preg] = dyn
                 if int_enabled and inst.it_creates:
                     create_entries(dyn, dyn.call_depth)
                 if info.rename_complete:
-                    # Direct jumps/calls, syscalls and nops finish here; a
-                    # call also writes its link register.
+                    # A direct call writes its link register here.
                     if dyn.cls is OpClass.CALL_DIRECT:
                         link = inst.pc + INST_SIZE
                         if dyn.dest_preg is not None:
                             state.prf.set_value(dyn.dest_preg, link)
                         dyn.result = link
-                    dyn.executed = True
-                    dyn.completed = True
-                    dyn.complete_cycle = cycle
                 else:
                     rs.insert(dyn)
                     if info.is_mem:
                         lsq.insert(dyn)
                     dyn.dispatch_cycle = cycle
+            if integrated or info.rename_complete:
+                # Integrated instructions, direct jumps/calls, syscalls and
+                # nops finish at rename.
+                dyn.executed = True
+                dyn.completed = True
+                dyn.complete_cycle = cycle
             dyn.rename_cycle = cycle
-            rob.push(dyn)
+            rob_entries.append(dyn)
             stats.renamed += 1
             renamed += 1
             if tracer is not None:
@@ -131,15 +169,10 @@ class RenameIntegrate:
                 break
 
     # ------------------------------------------------------------------
-    def _mark_rename_complete(self, dyn: DynInst) -> None:
-        dyn.executed = True
-        dyn.completed = True
-        dyn.complete_cycle = self.state.cycle
-
-    # ------------------------------------------------------------------
     def _apply_integration(self, dyn: DynInst, entry) -> bool:
         """Point the instruction at the matched IT entry's result; False
-        when the register's reference count is saturated."""
+        when the register's reference count is saturated.  The caller marks
+        an integrated instruction complete."""
         state = self.state
         if dyn.info.is_cond_branch:
             self._integrate_branch(dyn, entry)
@@ -152,7 +185,6 @@ class RenameIntegrate:
         dyn.integration_distance = max(0, dyn.seq - entry.creator_seq)
         dyn.integration_status = status
         dyn.integration_refcount = state.prf.refcount[entry.out]
-        self._mark_rename_complete(dyn)
         return True
 
     def _integrate_branch(self, dyn: DynInst, entry) -> None:
@@ -165,7 +197,6 @@ class RenameIntegrate:
         dyn.integration_distance = max(0, dyn.seq - entry.creator_seq)
         dyn.branch_taken = outcome
         dyn.next_pc = inst.target if outcome else inst.pc + INST_SIZE
-        self._mark_rename_complete(dyn)
         prediction = state.predictions.get(dyn.seq)
         if prediction is None:
             return

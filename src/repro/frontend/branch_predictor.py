@@ -141,7 +141,8 @@ class ReturnAddressStack:
     The stack is kept as an immutable tuple so that checkpointing it -- which
     the front end does for every fetched instruction -- is a reference copy
     instead of an O(depth) list copy; pushes and pops (calls and returns,
-    which are far rarer than fetches) pay the copy instead.
+    which are far rarer than fetches) pay the copy instead.  The tuple
+    ``stack`` is therefore its own snapshot.
     """
 
     def __init__(self, entries: int):
@@ -164,9 +165,6 @@ class ReturnAddressStack:
             self.stack = stack[:-1]
             return stack[-1]
         return None
-
-    def snapshot(self) -> Tuple[int, ...]:
-        return self.stack
 
     def restore(self, snap: Tuple[int, ...]) -> None:
         self.stack = tuple(snap)
@@ -211,7 +209,7 @@ class BranchPredictor:
 
     def snapshot(self) -> tuple:
         """Checkpoint the speculative front-end state (history + RAS)."""
-        return self.history, self.ras.snapshot()
+        return self.history, self.ras.stack
 
     def restore(self, snap: tuple) -> None:
         self.history, ras_snap = snap[0], snap[1]

@@ -16,7 +16,8 @@ from repro.isa.instruction import StaticInst
 from repro.isa.opcodes import OPINFO, OpClass
 from repro.isa.program import INST_SIZE
 from repro.isa import semantics
-from repro.isa.registers import RETURN_VALUE_REG, ARG_REGS
+from repro.isa.registers import (ARG_REGS, REG_FZERO, REG_ZERO,
+                                 RETURN_VALUE_REG)
 
 # System-call service codes.
 SYS_EXIT = 0
@@ -62,7 +63,9 @@ def _step_alu(state: ArchState, inst: StaticInst) -> StepResult:
         if type(b) is float:
             b = int(b)
     value = info.eval_fn(a, b, inst.imm)
-    state.write_reg(inst.rd, value)
+    rd = inst.rd
+    if rd != REG_ZERO and rd != REG_FZERO:     # ArchState.write_reg, inlined
+        regs[rd] = value
     next_pc = inst.pc + INST_SIZE
     state.pc = next_pc
     state.inst_count += 1
@@ -75,7 +78,9 @@ def _step_load(state: ArchState, inst: StaticInst) -> StepResult:
     if inst.info.is_ldl:
         value = semantics.to_unsigned(
             semantics.to_signed(int(value) & _MASK32, 32))
-    state.write_reg(inst.rd, value)
+    rd = inst.rd
+    if rd != REG_ZERO and rd != REG_FZERO:     # ArchState.write_reg, inlined
+        state.regs[rd] = value
     next_pc = inst.pc + INST_SIZE
     state.pc = next_pc
     state.inst_count += 1

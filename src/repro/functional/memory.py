@@ -12,6 +12,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Tuple
 
 WORD_SIZE = 8
+#: ``addr & _WORD_MASK`` rounds ``addr`` down to its containing word.
+_WORD_MASK = ~(WORD_SIZE - 1)
 
 
 class SparseMemory:
@@ -26,15 +28,15 @@ class SparseMemory:
     @staticmethod
     def align(addr: int) -> int:
         """Round ``addr`` down to its containing word address."""
-        return addr & ~(WORD_SIZE - 1)
+        return addr & _WORD_MASK
 
     def read(self, addr: int):
         """Read the word containing ``addr`` (0 if never written)."""
-        return self._words.get(self.align(addr), 0)
+        return self._words.get(addr & _WORD_MASK, 0)
 
     def write(self, addr: int, value) -> None:
         """Write ``value`` to the word containing ``addr``."""
-        self._words[self.align(addr)] = value
+        self._words[addr & _WORD_MASK] = value
 
     def snapshot(self) -> Dict[int, int]:
         """Return a copy of all written words (for checkpoint/compare)."""
@@ -47,7 +49,7 @@ class SparseMemory:
         return len(self._words)
 
     def __contains__(self, addr: int) -> bool:
-        return self.align(addr) in self._words
+        return (addr & _WORD_MASK) in self._words
 
     def copy(self) -> "SparseMemory":
         mem = SparseMemory()

@@ -21,6 +21,7 @@ from repro.integration.config import IntegrationConfig, LispMode
 from repro.integration.lisp import LoadIntegrationSuppressionPredictor
 from repro.integration.table import IntegrationTable, ITEntry
 from repro.isa.instruction import DynInst
+from repro.isa.program import INST_SIZE
 from repro.isa.registers import REG_SP
 from repro.rename.physical import PhysicalRegisterFile
 
@@ -87,9 +88,9 @@ class IntegrationLogic:
                  ) -> IntegrationDecision:
         """Decide whether ``dyn`` can integrate an existing result.
 
-        ``dyn`` must already have its sources looked up
-        (:meth:`~repro.rename.renamer.Renamer.lookup_sources` sets
-        ``src_key``).  ``oracle_allow`` implements oracle load-suppression
+        ``dyn`` must already have its sources looked up (the rename
+        stage, :meth:`~repro.core.stages.rename.RenameIntegrate.tick`,
+        sets ``src_key``).  ``oracle_allow`` implements oracle load-suppression
         when the configuration asks for it.
 
         The indexed set is walked from its most recently used end, checking
@@ -114,9 +115,18 @@ class IntegrationLogic:
 
         table = self.table
         table.stats.lookups += 1
-        cache_set = table._sets[table.index_of(pc, inst.it_key, call_depth)]
-        inputs = dyn.src_key
+        # The set index, as IntegrationTable.insert places entries: the PC
+        # under PC indexing, else the opcode/immediate key, with the call
+        # depth XORed in under the enhanced scheme.
         pc_scheme = table._pc_scheme
+        if pc_scheme:
+            index = pc // INST_SIZE
+        elif table._depth_in_index:
+            index = inst.it_key ^ call_depth
+        else:
+            index = inst.it_key
+        cache_set = table._sets[index % table.num_sets]
+        inputs = dyn.src_key
         op = inst.op
         imm = inst.imm
         is_branch_op = info.is_cond_branch

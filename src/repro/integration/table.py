@@ -89,28 +89,25 @@ class IntegrationTable:
         self.stats = ITStats()
 
     # ------------------------------------------------------------------
-    # index function (paper Section 2.3)
+    # placement (paper Section 2.3)
     # ------------------------------------------------------------------
-    def index_of(self, pc: int, key: int, call_depth: int) -> int:
-        """Set index of an entry or probe.
+    def insert(self, entry: ITEntry, key: int, call_depth: int) -> ITEntry:
+        """Insert ``entry`` as its set's most recently used entry, evicting
+        the least recently used one if the set is full.
 
         ``key`` is the operation's precomputed opcode/immediate key
-        (``StaticInst.it_key`` or ``it_reverse_key``); PC indexing uses the
-        PC instead, the enhanced scheme XORs in the call depth.  The tag
-        compared within the set is minimal: the PC under PC indexing, else
-        opcode + immediate (so different call depths can match in a set).
+        (``StaticInst.it_key`` or ``it_reverse_key``).  The set index is
+        that key, or the PC under PC indexing, with the call depth XORed in
+        under the enhanced scheme; ``IntegrationLogic.consider`` probes the
+        same set.  The tag compared within the set is minimal: the PC under
+        PC indexing, else opcode + immediate (so different call depths can
+        match in a set).
         """
         if self._pc_scheme:
-            key = pc // INST_SIZE
+            key = entry.pc // INST_SIZE
         elif self._depth_in_index:
             key ^= call_depth
-        return key % self.num_sets
-
-    def insert(self, entry: ITEntry, key: int, call_depth: int) -> ITEntry:
-        """Insert ``entry`` under index ``key`` (see :meth:`index_of`) as
-        its set's most recently used entry, evicting the least recently
-        used one if the set is full."""
-        cache_set = self._sets[self.index_of(entry.pc, key, call_depth)]
+        cache_set = self._sets[key % self.num_sets]
         stats = self.stats
         stats.insertions += 1
         if entry.is_reverse:

@@ -161,7 +161,8 @@ class DynInst:
         self.call_depth = 0
         self.src_pregs: Sequence[int] = ()
         #: The flat ``(preg, gen[, preg, gen])`` source key the integration
-        #: table matches on (set by ``Renamer.lookup_sources``).
+        #: table matches on (set by the rename stage,
+        #: ``RenameIntegrate.tick``).
         self.src_key: Tuple[int, ...] = ()
         self.dest_preg: Optional[int] = None
         self.dest_gen: int = 0

@@ -8,7 +8,8 @@ assembler and by the synthetic SPEC-like workload generators.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Union)
 
 from repro.isa.instruction import StaticInst
 from repro.isa.opcodes import Opcode, OPINFO, OpClass, opcode_from_name
@@ -40,17 +41,17 @@ class Program:
         self.data = dict(data or {})
         self.name = name
         self._by_pc = {inst.pc: inst for inst in self._insts}
+        #: ``at(pc)``: the instruction at ``pc``, or ``None`` if it falls
+        #: outside the program (the pipeline treats that as the end of the
+        #: run).  It is the dict's own ``get``, so fetch looks instructions
+        #: up without a Python-level call.
+        self.at: Callable[[int], Optional[StaticInst]] = self._by_pc.get
 
     def __len__(self) -> int:
         return len(self._insts)
 
     def __iter__(self) -> Iterator[StaticInst]:
         return iter(self._insts)
-
-    def at(self, pc: int) -> Optional[StaticInst]:
-        """Return the instruction at ``pc`` or ``None`` if it falls outside
-        the program (the pipeline treats that as the end of the run)."""
-        return self._by_pc.get(pc)
 
     def contains(self, pc: int) -> bool:
         return pc in self._by_pc

@@ -10,16 +10,16 @@ extension-1 machinery:
   bit distinguishing the two zero-reference states (``0/F`` garbage vs
   ``0/T`` integration-eligible), per-register generation counters, and the
   circular (FIFO) free list,
-* :class:`Renamer` -- the rename-stage operations used by the pipeline:
-  source lookup, destination allocation, destination *integration* (mapping
-  a logical register onto an existing physical register and bumping its
-  reference count), retirement release of shadowed registers, and serial
-  walk-back squash recovery.
+* :class:`Renamer` -- the rename operations outside the per-instruction
+  loop: the initial mappings, destination *integration* (mapping a logical
+  register onto an existing physical register and bumping its reference
+  count) and serial walk-back squash recovery.  Source lookup, destination
+  allocation and the retirement release run inline in the pipeline stages.
 """
 
 from repro.rename.map_table import MapTable, Mapping
 from repro.rename.physical import PhysicalRegisterFile, PhysRegState, ZERO_PREG
-from repro.rename.renamer import Renamer, RenameResult
+from repro.rename.renamer import Renamer
 
 __all__ = [
     "MapTable",
@@ -28,5 +28,4 @@ __all__ = [
     "PhysRegState",
     "ZERO_PREG",
     "Renamer",
-    "RenameResult",
 ]

@@ -59,8 +59,10 @@ class PhysicalRegisterFile:
         self.valid: List[bool] = [False] * num_pregs
         self.gen: List[int] = [0] * num_pregs
         self.zero_via_squash: List[bool] = [False] * num_pregs
-        self._in_free_queue: List[bool] = [False] * num_pregs
-        self._free_queue: Deque[int] = deque()
+        # Every register but the zero register starts on the free queue.
+        self._in_free_queue: List[bool] = [True] * num_pregs
+        self._in_free_queue[ZERO_PREG] = False
+        self._free_queue: Deque[int] = deque(range(1, num_pregs))
         #: Optional not-ready -> ready transition hook; the pipeline wires
         #: this to the scheduler's wakeup so operand readiness is tracked by
         #: events instead of per-cycle scans.
@@ -75,16 +77,6 @@ class PhysicalRegisterFile:
         self.ready[ZERO_PREG] = True
         self.valid[ZERO_PREG] = True
         self.refcount[ZERO_PREG] = 1
-        for preg in range(1, num_pregs):
-            self._push_free(preg)
-
-    # ------------------------------------------------------------------
-    # free-list management
-    # ------------------------------------------------------------------
-    def _push_free(self, preg: int) -> None:
-        if not self._in_free_queue[preg]:
-            self._free_queue.append(preg)
-            self._in_free_queue[preg] = True
 
     # ------------------------------------------------------------------
     # mapping operations
@@ -136,17 +128,23 @@ class PhysicalRegisterFile:
 
         When the count reaches zero the register enters ``0/T`` if its value
         was produced (integration-eligible) or ``0/F`` if the producing
-        instruction never executed, and it joins the FIFO free queue.
+        instruction never executed, and it joins the FIFO free queue
+        unless it is still queued from an earlier release (it was
+        integrated while it waited there).
         """
         if preg == ZERO_PREG:
             return
-        if self.refcount[preg] <= 0:
+        refcount = self.refcount
+        count = refcount[preg] - 1
+        if count < 0:
             raise RuntimeError(f"reference underflow on p{preg}")
-        self.refcount[preg] -= 1
-        if self.refcount[preg] == 0:
-            self.valid[preg] = self.ready[preg]
-            self.zero_via_squash[preg] = via_squash and self.valid[preg]
-            self._push_free(preg)
+        refcount[preg] = count
+        if count == 0:
+            valid = self.valid[preg] = self.ready[preg]
+            self.zero_via_squash[preg] = via_squash and valid
+            if not self._in_free_queue[preg]:
+                self._free_queue.append(preg)
+                self._in_free_queue[preg] = True
 
     # ------------------------------------------------------------------
     # values
@@ -196,7 +194,16 @@ class PhysicalRegisterFile:
     def total_references(self) -> int:
         return sum(self.refcount[1:])
 
-    def check_no_leak(self, live_references: int) -> bool:
-        """True when the number of references equals the expected number of
-        live mappings -- i.e. no physical register has been leaked."""
-        return self.total_references() == live_references
+    def check_no_leak(self, live_references: int,
+                      shadowed_references: int) -> bool:
+        """True when every reference belongs to a mapping -- i.e. no physical
+        register has been leaked.
+
+        ``live_references`` counts the map table's mappings
+        (:meth:`Renamer.live_map_references`); ``shadowed_references``
+        counts the older mappings in-flight instructions shadow
+        (:meth:`Renamer.shadowed_references` over the reorder buffer), which
+        hold their reference until those instructions retire.
+        """
+        return (self.total_references()
+                == live_references + shadowed_references)

@@ -116,7 +116,7 @@ class OracleBranchPredictor(BranchPredictor):
     # checkpointing: the cursor travels with the front-end snapshot
     # ------------------------------------------------------------------
     def snapshot(self) -> tuple:
-        return (self.history, self.ras.snapshot(), self._cursor)
+        return (self.history, self.ras.stack, self._cursor)
 
     def restore(self, snap: tuple) -> None:
         super().restore(snap)

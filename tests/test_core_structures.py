@@ -12,12 +12,14 @@ from repro.core import (
     ReorderBuffer,
     ReservationStations,
 )
+from repro.core import Processor
 from repro.core.config import MachineConfig
 from repro.core.diva import SimulationError
 from repro.functional import ArchState
 from repro.isa import Opcode, StaticInst
 from repro.isa.instruction import DynInst
 from repro.rename.physical import PhysicalRegisterFile
+from repro.workloads import build_workload
 
 
 def dyn(seq, op=Opcode.ADDQ, **kwargs):
@@ -26,33 +28,58 @@ def dyn(seq, op=Opcode.ADDQ, **kwargs):
     return DynInst(seq, StaticInst(op=op, **defaults))
 
 
+def filled_rob(size, seqs):
+    """A reorder buffer holding ``seqs`` in order, appended as the rename
+    stage appends."""
+    rob = ReorderBuffer(size)
+    rob._entries.extend(dyn(seq) for seq in seqs)
+    return rob
+
+
 class TestReorderBuffer:
     def test_fifo_order_and_capacity(self):
-        rob = ReorderBuffer(4)
-        for seq in range(1, 5):
-            rob.push(dyn(seq))
-        assert rob.full
-        with pytest.raises(RuntimeError):
-            rob.push(dyn(5))
-        assert rob.head().seq == 1
-        assert rob.pop_head().seq == 1
-        assert len(rob) == 3
+        """Rename fills the ROB in program order up to ``size`` and no
+        further, and retirement drains it from the head."""
+        processor = Processor(build_workload("gzip", 0.02),
+                              MachineConfig(rob_size=4))
+        rob = processor.rob
+        rename_tick = processor.rename_integrate.tick
+        commit_tick = processor.commit_diva.tick
+        seen = {"full": 0, "retired": []}
+
+        def rename():
+            rename_tick()
+            assert len(rob) <= rob.size == 4
+            seqs = [d.seq for d in rob]
+            assert seqs == sorted(seqs)
+            seen["full"] += len(rob) == rob.size
+
+        def commit():
+            before = list(rob)
+            commit_tick()
+            gone = len(before) - len(rob)
+            # Retired from the head: what is left is the old tail.
+            assert list(rob) == before[gone:]
+            seen["retired"] += [d.seq for d in before[:gone]]
+
+        processor.rename_integrate.tick = rename
+        processor.commit_diva.tick = commit
+        stats = processor.run()
+        assert seen["full"] > 0
+        assert len(seen["retired"]) == stats.retired
+        assert seen["retired"] == sorted(seen["retired"])
 
     def test_squash_younger_than(self):
-        rob = ReorderBuffer(8)
-        for seq in range(1, 7):
-            rob.push(dyn(seq))
+        rob = filled_rob(8, range(1, 7))
         squashed = rob.squash_younger_than(3)
         assert [d.seq for d in squashed] == [6, 5, 4]   # youngest first
         assert [d.seq for d in rob] == [1, 2, 3]
 
     def test_squash_all(self):
-        rob = ReorderBuffer(8)
-        for seq in range(1, 4):
-            rob.push(dyn(seq))
+        rob = filled_rob(8, range(1, 4))
         squashed = rob.squash_all()
         assert [d.seq for d in squashed] == [3, 2, 1]
-        assert rob.empty
+        assert len(rob) == 0
 
 
 def bound_rs(entries=16, ports=None, combined_ldst_port=False):

@@ -21,6 +21,7 @@ from repro.isa.instruction import DynInst
 from repro.isa.opcodes import load_counterpart, op_info
 from repro.isa.registers import REG_FZERO, REG_SP, REG_ZERO
 from repro.rename import MapTable, PhysicalRegisterFile, Renamer
+from rename_reference import lookup_sources, rename_dest
 
 
 # ----------------------------------------------------------------------
@@ -43,7 +44,7 @@ def ref_index(table, pc, opcode, imm, call_depth):
 
 
 def set_sources(dyn, *sources):
-    """Give ``dyn`` renamed sources, as ``Renamer.lookup_sources`` would:
+    """Give ``dyn`` renamed sources, as the rename stage would:
     ``sources`` are ``(preg, gen)`` pairs."""
     dyn.src_pregs = [preg for preg, _ in sources]
     dyn.src_key = tuple(x for pair in sources for x in pair)
@@ -397,10 +398,37 @@ def metadata_cases():
                              imm=imm)
 
 
+def placed(table, inst, key, tag, depth, index):
+    """Does ``table.insert`` put an entry for ``inst`` with operation
+    ``tag`` under ``key`` into set ``index`` (and nowhere else)?"""
+    e = ITEntry(inst.pc, tag[0], tag[1], (), 9, 0)
+    table.insert(e, key, depth)
+    found = table._sets[index] == [e]
+    table._sets[index].clear()
+    return found and table.occupancy() == 0
+
+
+def probed(logic, inst, depth, index):
+    """Does ``consider`` find a matching entry planted only in set
+    ``index``?"""
+    branch = inst.info.is_cond_branch
+    e = ITEntry(inst.pc, inst.op, inst.imm, (), None if branch else 9, 0)
+    e.branch_outcome = True if branch else None
+    logic.table._sets[index].append(e)
+    dyn = DynInst(1, inst)
+    dyn.src_key = ()
+    decision = logic.consider(dyn, depth)
+    logic.table._sets[index].clear()
+    return decision.entry is e
+
+
 class TestStaticInstMetadata:
     def test_keys_select_the_reference_sets(self):
+        """``IntegrationTable.insert`` places, and ``consider`` probes, the
+        set the reference index names, for direct and reverse keys."""
         tables = [IntegrationTable(1024, 4, scheme) for scheme in IndexScheme]
         tables.append(IntegrationTable(64, 2, IndexScheme.OPCODE_IMM))
+        logics = [probe_logic(table) for table in tables]
         for inst in metadata_cases():
             info = op_info(inst.op)
             if info.is_store:
@@ -412,16 +440,21 @@ class TestStaticInstMetadata:
                 reverse = None
             assert inst.it_reverse_tag == reverse, inst
             assert (inst.it_reverse_key is None) == (reverse is None), inst
-            for table in tables:
+            for logic in logics:
+                table = logic.table
                 for depth in (0, 3):
-                    assert (table.index_of(inst.pc, inst.it_key, depth)
-                            == ref_index(table, inst.pc, inst.op, inst.imm,
-                                         depth)), (inst, table.scheme)
+                    want = ref_index(table, inst.pc, inst.op, inst.imm, depth)
+                    assert placed(table, inst, inst.it_key,
+                                  (inst.op, inst.imm), depth, want), (
+                        inst, table.scheme)
                     if reverse is not None:
-                        assert (table.index_of(inst.pc, inst.it_reverse_key,
-                                               depth)
-                                == ref_index(table, inst.pc, reverse[0],
-                                             reverse[1], depth)), inst
+                        assert placed(table, inst, inst.it_reverse_key,
+                                      reverse, depth,
+                                      ref_index(table, inst.pc, reverse[0],
+                                                reverse[1], depth)), inst
+                    if inst.info.integrable:
+                        assert probed(logic, inst, depth, want), (
+                            inst, table.scheme)
 
     def test_type_matches_integration_type(self):
         for inst in metadata_cases():
@@ -436,11 +469,11 @@ class TestStaticInstMetadata:
         config = IntegrationConfig.full(reverse_sp_only=False)
         for inst in metadata_cases():
             logic, prf = make_logic(config)
-            renamer = Renamer(MapTable(), prf)
-            renamer.initialize_from_values([0] * 64)
+            mt = MapTable()
+            Renamer(mt, prf).initialize_from_values([0] * 64)
             dyn = DynInst(1, inst)
-            renamer.lookup_sources(dyn)
-            renamer.rename_dest(dyn)
+            lookup_sources(mt, dyn)
+            rename_dest(mt, prf, dyn)
             info = inst.info
             assert inst.it_creates == (info.is_store or (info.integrable and (
                 info.is_cond_branch or dyn.dest_preg is not None))), inst
@@ -463,11 +496,11 @@ class TestCreatedEntries:
         config = IntegrationConfig.full(reverse_sp_only=False)
         for inst in metadata_cases():
             logic, prf = make_logic(config)
-            renamer = Renamer(MapTable(), prf)
-            renamer.initialize_from_values([0] * 64)
+            mt = MapTable()
+            Renamer(mt, prf).initialize_from_values([0] * 64)
             dyn = DynInst(7, inst)
-            key = renamer.lookup_sources(dyn)
-            renamer.rename_dest(dyn)
+            key = lookup_sources(mt, dyn)
+            rename_dest(mt, prf, dyn)
             logic.create_entries(dyn, call_depth=0)
             direct = [e for e in logic.table if not e.is_reverse]
             reverse = [e for e in logic.table if e.is_reverse]
