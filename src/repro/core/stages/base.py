@@ -20,8 +20,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.isa.instruction import DynInst
-from repro.isa.opcodes import OpClass
-from repro.isa.program import INST_SIZE
 from repro.obs.cpi import CPI_SQUASH_RECOVERY
 
 if TYPE_CHECKING:
@@ -140,17 +138,9 @@ class RecoveryController:
     def recover_predictor_after(self, dyn: DynInst, taken: bool,
                                 target: int) -> None:
         """Restore the front-end prediction state to "just after ``dyn``"."""
-        if dyn.map_checkpoint is None:
-            return
-        predictor = self.state.predictor
-        predictor.restore(dyn.map_checkpoint)
-        cls = dyn.inst.info.cls
-        if cls is OpClass.COND_BRANCH:
-            predictor._push_history(taken)
-        elif cls in (OpClass.CALL_DIRECT, OpClass.CALL_INDIRECT):
-            predictor.ras.push(dyn.inst.pc + INST_SIZE)
-        elif cls is OpClass.RETURN:
-            predictor.ras.pop()
+        if dyn.map_checkpoint is not None:
+            self.state.predictor.recover_after(dyn.map_checkpoint, dyn.inst,
+                                               taken)
 
     def recover_predictor_before(self, dyn: DynInst) -> None:
         if dyn.map_checkpoint is not None:

@@ -13,7 +13,7 @@ from typing import Optional
 
 from repro.core.diva import DivaFault, SimulationError
 from repro.core.stages.base import PipelineState, RecoveryController
-from repro.core.stats import IntegrationType, ResultStatus, distance_bucket
+from repro.core.stats import IntegrationType, distance_bucket
 from repro.isa.instruction import DynInst, StaticInst
 from repro.isa.opcodes import OpClass
 from repro.isa.registers import REG_SP

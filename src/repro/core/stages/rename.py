@@ -108,15 +108,14 @@ class RenameIntegrate:
             else:
                 dyn.src_pregs = []
                 dyn.src_key = ()
-            integrated = False
+            integrated = suppressed = saturated = False
             if int_enabled and info.integrable:
                 decision = consider(dyn, dyn.call_depth, oracle)
-                if decision.suppressed_by_lisp or decision.suppressed_by_oracle:
-                    stats.lisp_suppressed += 1
+                suppressed = (decision.suppressed_by_lisp
+                              or decision.suppressed_by_oracle)
                 if decision.integrate:
                     integrated = self._apply_integration(dyn, decision.entry)
-                    if not integrated:
-                        stats.refcount_saturation_failures += 1
+                    saturated = not integrated
             if not integrated:
                 # Conventional rename: claim a free register and shadow the
                 # destination's previous mapping (released at retirement).
@@ -127,6 +126,7 @@ class RenameIntegrate:
                 else:
                     preg = allocate()
                     if preg is None:
+                        # Retried next cycle: its outcome counts only then.
                         fetch_queue.appendleft((dyn, ready_cycle))
                         break
                     gen = prf_gen[preg]
@@ -151,6 +151,10 @@ class RenameIntegrate:
                     if info.is_mem:
                         lsq.insert(dyn)
                     dyn.dispatch_cycle = cycle
+            if suppressed:
+                stats.lisp_suppressed += 1
+            if saturated:
+                stats.refcount_saturation_failures += 1
             if integrated or info.rename_complete:
                 # Integrated instructions, direct jumps/calls, syscalls and
                 # nops finish at rename.

@@ -4,7 +4,8 @@ A *job payload* is a :class:`~repro.experiments.runner.SimJob` as
 self-contained JSON: benchmark name, workload scale, the full canonical
 :class:`~repro.core.MachineConfig` dict (which carries the variant), the
 estimated work, and -- for sharded work units -- the slice geometry plus
-the architectural checkpoint to resume from.  :func:`make_payload` and
+the architectural checkpoint to resume from and the warm cache and
+predictor state to restore.  :func:`make_payload` and
 :func:`job_from_payload` are the only conversions.  Self-containment is
 the point: a worker needs nothing but the payload and the shared cache
 directory; it never re-plans checkpoints or talks to the submitter.
@@ -48,6 +49,7 @@ from repro.distrib.queue import (
 from repro.experiments.cache import ResultCache
 from repro.experiments.runner import SimJob, run_job, telemetry
 from repro.experiments.sharding import SliceSpec
+from repro.experiments.warming import WarmState
 from repro.functional.emulator import Checkpoint
 from repro.obs import metrics
 from repro.reliability.faults import SimulatedCrash, crashpoint
@@ -73,6 +75,7 @@ def make_payload(job: SimJob) -> Dict[str, Any]:
         payload["slice"] = job.slice_spec.to_dict()
         payload["slice"]["checkpoint"] = (job.checkpoint.to_dict()
                                           if job.checkpoint else None)
+        payload["slice"]["warm"] = job.warm.to_dict() if job.warm else None
     return payload
 
 
@@ -82,10 +85,12 @@ def job_from_payload(payload: Dict[str, Any]) -> SimJob:
     spec = SliceSpec.from_dict(sliced) if sliced else None
     checkpoint = (Checkpoint.from_dict(sliced["checkpoint"])
                   if sliced and sliced.get("checkpoint") else None)
+    warm = (WarmState.from_dict(sliced["warm"])
+            if sliced and sliced.get("warm") else None)
     return SimJob(key=payload["key"], benchmark=payload["benchmark"],
                   config=MachineConfig.from_dict(payload["config"]),
                   scale=float(payload["scale"]), work=int(payload["work"]),
-                  slice_spec=spec, checkpoint=checkpoint)
+                  slice_spec=spec, checkpoint=checkpoint, warm=warm)
 
 
 def execute_payload(payload: Dict[str, Any]) -> SimStats:

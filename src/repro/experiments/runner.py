@@ -37,6 +37,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.core import MachineConfig, SimStats, simulate
 from repro.experiments import sharding
 from repro.experiments.cache import ResultCache, disk_cache_enabled, result_key
+from repro.experiments.warming import WarmState
 from repro.functional.emulator import Checkpoint
 from repro.isa.program import Program
 from repro.obs.metrics import REGISTRY, MetricsRegistry
@@ -204,8 +205,8 @@ def default_shards(shards: Optional[int] = None) -> int:
 
 
 def default_warmup_fraction() -> float:
-    """Slice warm-up length as a fraction of the slice, from the
-    ``REPRO_SHARD_WARMUP`` env var (default 1.0 = one full slice)."""
+    """Detailed slice warm-up as a fraction of the slice, from the
+    ``REPRO_SHARD_WARMUP`` env var (default 0.25)."""
     return env_float("REPRO_SHARD_WARMUP",
                      str(sharding.DEFAULT_WARMUP_FRACTION))
 
@@ -325,7 +326,8 @@ class SimJob:
     ``key`` is the content address the result is cached under; ``work``
     estimates the job's length in instructions, which orders jobs
     longest-first so short jobs backfill around the stragglers.
-    ``slice_spec`` and ``checkpoint`` are None for a whole-program job.
+    ``slice_spec`` and ``checkpoint`` are None for a whole-program job;
+    ``warm`` is None for it and for a slice that starts at instruction 0.
     """
 
     key: str
@@ -335,6 +337,7 @@ class SimJob:
     work: int
     slice_spec: Optional[sharding.SliceSpec] = None
     checkpoint: Optional[Checkpoint] = None
+    warm: Optional[WarmState] = None
 
 
 def run_job(job: SimJob, program: Program) -> SimStats:
@@ -347,7 +350,8 @@ def run_job(job: SimJob, program: Program) -> SimStats:
         stats = simulate(program, job.config, name=job.benchmark)
     else:
         stats = sharding.simulate_slice(program, job.config, job.slice_spec,
-                                        job.checkpoint, name=job.benchmark)
+                                        job.checkpoint, job.warm,
+                                        name=job.benchmark)
     return _record_simulation(stats)
 
 
@@ -511,15 +515,11 @@ def _expand_slices(plan: SuitePlan, warmup_fraction: float) -> None:
     """Turn each pending benchmark x config into its uncached slice jobs."""
     scale, shards = plan.scale, plan.shards
     disk = _disk_cache() if plan.use_cache else None
-    shard_plans: Dict[str, sharding.ShardPlan] = {}
-    for _, benchmark, _ in plan.pending:
-        if benchmark not in shard_plans:
-            shard_plans[benchmark] = sharding.build_plan(
-                benchmark, scale, shards, warmup_fraction, cache=disk)
-
     plan.gathered = {key: {} for key, _, _ in plan.pending}
     for key, benchmark, config in plan.pending:
-        shard_plan = shard_plans[benchmark]
+        # Memoised: configs sharing a memory system and predictor share it.
+        shard_plan = sharding.build_plan(benchmark, scale, shards, config,
+                                         warmup_fraction, cache=disk)
         for spec in shard_plan.slices:
             skey = sharding.slice_key(benchmark, scale, config, shards,
                                       warmup_fraction, spec.index)
@@ -529,7 +529,8 @@ def _expand_slices(plan: SuitePlan, warmup_fraction: float) -> None:
                 plan.jobs.append(SimJob(
                     skey, benchmark, config, scale, spec.work,
                     slice_spec=spec,
-                    checkpoint=shard_plan.checkpoint_for(spec)))
+                    checkpoint=shard_plan.checkpoint_for(spec),
+                    warm=shard_plan.warm_for(spec)))
             else:
                 plan.gathered[key][spec.index] = stats
 
@@ -593,7 +594,8 @@ def run_suite(benchmarks: Iterable[str],
     slices which are scheduled as independent jobs (see
     :mod:`repro.experiments.sharding`): per-slice results are cached under
     content keys of their own, checkpoints are built once per benchmark and
-    shared across every config, and the merged stats are cached under a
+    shared across every config with the same memory system and branch
+    predictor, and the merged stats are cached under a
     shard-aware key so they can never shadow an unsharded result.
 
     ``variant`` re-targets every configuration at one registered machine
@@ -604,7 +606,8 @@ def run_suite(benchmarks: Iterable[str],
     cache distinguish variants with no further plumbing: the variant
     participates in ``MachineConfig.fingerprint()``.  Checkpoint plans stay
     variant-independent (the architectural stream is shared by every
-    variant) and are reused across the whole matrix.
+    variant) and are reused across the whole matrix by every config with
+    the same memory system and branch predictor, which the plan warms.
     """
     from repro.distrib.backend import resolve_backend
 

@@ -5,38 +5,46 @@ is a single serial cycle loop, so the wall-clock time of a sweep is pinned
 to its longest benchmark.  This module cuts that tail latency by splitting
 one simulation into ``shards`` independently schedulable *slices*:
 
-1. the functional emulator fast-forwards the program once and captures an
-   architectural checkpoint (registers + sparse memory + PC + retired
-   instruction count) at every slice start;
-2. each slice resumes the timing core from its checkpoint, runs a
-   stats-discarded detailed *warm-up* (default: the full previous slice, so
-   caches, branch predictor and integration table are hot when counting
-   starts), then counts exactly ``budget`` retirements;
+1. the functional emulator fast-forwards the program once to size it, then
+   again up to the last slice start, capturing an architectural checkpoint
+   (registers + sparse memory + PC + retired instruction count) at every
+   slice start.  The second pass also drives the caches, TLBs and branch
+   predictor with the committed stream and stores their state beside each
+   checkpoint after instruction 0 (functional warming, see
+   :mod:`repro.experiments.warming`);
+2. each slice resumes the timing core from its checkpoint, restores the
+   warm cache and predictor state, runs a stats-discarded detailed
+   *warm-up* (default: a quarter of a slice, which rebuilds the pipeline,
+   integration table, CHT, LISP and register file), then counts exactly
+   ``budget`` retirements;
 3. the per-slice :class:`~repro.core.stats.SimStats` recombine losslessly
    with :meth:`SimStats.merge` -- retired-instruction counts tile the
    program exactly, so all rate metrics keep their true denominators.
 
-Checkpoints depend only on (benchmark, scale, slice starts) -- never on the
-machine configuration *or the machine variant* (every variant retires the
-same architectural stream; DIVA guarantees it) -- so one checkpoint set is
-built per benchmark and reused by *every* config and variant in a sweep; it
-is content-addressed on disk next to the result cache.  Slice and merged
+Plans depend only on (benchmark, scale, slice starts, memory-system and
+predictor configuration) -- never on the integration configuration *or the
+machine variant* (every variant retires the same architectural stream;
+DIVA guarantees it) -- so one plan is built per benchmark and reused by
+*every* config and variant in a sweep that shares those two parts; it is
+content-addressed on disk next to the result cache.  Slice and merged
 results, by contrast, are cycle-level and therefore variant-specific:
 :func:`slice_key` and :func:`merged_key` hash the full
 ``MachineConfig.fingerprint()``, which includes the variant name, so two
 variants of the same configuration can never shadow each other's entries.
 
-Accuracy: ``shards=1`` is the unsharded engine (bit-identical stats).  With
-the default warm-up (one full slice), ``shards=2`` is exact -- slice 1's
-warm-up replays slice 0 from reset, so the counted region starts from the
-true machine state and every architectural counter and the cycle count
-match the whole run (only the per-cycle RS-occupancy accumulator can drift
-by a few samples at the seam).  For higher shard counts each slice only
-warms over its immediate predecessor, leaving a small cold-start delta in
-cycle-accurate metrics (IPC); retired-instruction counters (integration
-counts, retired mixes and every rate denominator) tile exactly at *any*
-shard count.  Memory-bound,
-history-sensitive workloads (``mcf``) show the largest IPC deltas.
+Accuracy: ``shards=1`` is the unsharded engine (bit-identical stats).  A
+slice that starts at instruction 0 needs no warm state: with
+``warmup_fraction >= 1.0``, ``shards=2`` is therefore exact -- slice 1's
+warm-up replays slice 0 from reset, so every architectural counter and the
+cycle count match the whole run (only the per-cycle RS-occupancy
+accumulator can drift by a few samples at the seam).  A slice that starts
+later restores functionally warmed caches and predictor, which leaves a
+small delta in cycle-accurate metrics (IPC): at ``shards=4`` and the
+default warm-up, within 1.5% of the whole run on perfbench's sweep
+benchmarks at scale 0.05, and within 4% at scale 0.3 under full
+integration, whose tables only the detailed warm-up rebuilds.
+Retired-instruction counters (integration counts, retired mixes and every
+rate denominator) tile exactly at *any* shard count.
 """
 
 from __future__ import annotations
@@ -45,8 +53,9 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core import MachineConfig, SimStats, simulate
+from repro.core import MachineConfig, Processor, SimStats
 from repro.experiments.cache import PayloadCache, code_version
+from repro.experiments.warming import WarmState, warm_checkpoints
 from repro.functional.emulator import Checkpoint, collect_checkpoints
 from repro.isa.program import Program
 from repro.workloads import build_workload
@@ -55,9 +64,10 @@ from repro.workloads import build_workload
 #: for the synthetic workloads and would drown the run in warm-up work).
 MAX_SHARDS = 64
 
-#: Default warm-up, as a fraction of the slice length.  1.0 = each slice
-#: re-executes its full predecessor in detail before counting.
-DEFAULT_WARMUP_FRACTION = 1.0
+#: Default detailed warm-up, as a fraction of the slice length.  Caches,
+#: TLBs and the branch predictor arrive warm from the plan; the warm-up
+#: rebuilds the state that depends on timing and physical registers.
+DEFAULT_WARMUP_FRACTION = 0.25
 
 
 # ----------------------------------------------------------------------
@@ -105,9 +115,14 @@ class ShardPlan:
     total_insts: int
     slices: Sequence[SliceSpec]
     checkpoints: Dict[int, Checkpoint]   # keyed by SliceSpec.start
+    warm: Dict[int, WarmState]           # keyed by SliceSpec.start > 0
 
     def checkpoint_for(self, spec: SliceSpec) -> Checkpoint:
         return self.checkpoints[spec.start]
+
+    def warm_for(self, spec: SliceSpec) -> Optional[WarmState]:
+        """The warm cache and predictor state, None for a start at 0."""
+        return self.warm.get(spec.start)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -120,6 +135,8 @@ class ShardPlan:
                        for s in self.slices],
             "checkpoints": {str(start): cp.to_dict()
                             for start, cp in self.checkpoints.items()},
+            "warm": {str(start): warm.to_dict()
+                     for start, warm in self.warm.items()},
         }
 
     @classmethod
@@ -134,6 +151,8 @@ class ShardPlan:
                          for i, s, b, n in data["slices"]),
             checkpoints={int(start): Checkpoint.from_dict(cp)
                          for start, cp in data["checkpoints"].items()},
+            warm={int(start): WarmState.from_dict(warm)
+                  for start, warm in data["warm"].items()},
         )
 
 
@@ -170,31 +189,34 @@ _PLAN_MEMO: Dict[str, ShardPlan] = {}
 
 
 def plan_key(benchmark: str, scale: float, shards: int,
-             warmup_fraction: float) -> str:
-    """Content address of a checkpoint plan (config-independent)."""
+             warmup_fraction: float, config: MachineConfig) -> str:
+    """Content address of a checkpoint plan.  Of the configuration only the
+    memory system and the branch predictor, which the plan warms, count."""
     material = "|".join((
         "shard-plan", benchmark, repr(float(scale)), str(int(shards)),
-        repr(float(warmup_fraction)), code_version(),
+        repr(float(warmup_fraction)), config.memsys.fingerprint(),
+        config.branch_predictor.fingerprint(), code_version(),
     ))
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
 def build_plan(benchmark: str, scale: float, shards: int,
+               config: MachineConfig,
                warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
                program: Optional[Program] = None,
                cache: Optional[PayloadCache] = None) -> ShardPlan:
-    """Build (or recall) the checkpoint plan for one benchmark x scale.
+    """Build (or recall) the checkpoint plan for one benchmark x scale,
+    warmed with ``config``'s memory system and branch predictor.
 
     The functional fast-forward runs at most twice (once to size the
-    program, once to capture checkpoints at the computed slice starts) and
-    the result is memoised in-process and content-addressed on disk, so a
-    sweep over many machine configurations pays for it once.  Plans are
-    built serially in the parent (the checkpoints must be in the parent
-    anyway to parameterise the slice jobs); at ~15x the speed of detailed
-    simulation and amortised across configs and warm runs, this has not
-    been worth parallelising.
+    program, once up to the last slice start to capture checkpoints and
+    warm state) and the result is memoised in-process and content-addressed
+    on disk, so a sweep over many machine configurations pays for it once.
+    Plans are built serially in the parent (the checkpoints must be in the
+    parent anyway to parameterise the slice jobs); amortised across configs
+    and warm runs, this has not been worth parallelising.
     """
-    key = plan_key(benchmark, scale, shards, warmup_fraction)
+    key = plan_key(benchmark, scale, shards, warmup_fraction, config)
     plan = _PLAN_MEMO.get(key)
     if plan is not None:
         return plan
@@ -213,14 +235,15 @@ def build_plan(benchmark: str, scale: float, shards: int,
     # Pass 1: exact dynamic length (needed to place the boundaries).
     total, _ = collect_checkpoints(program, ())
     slices = plan_boundaries(total, shards, warmup_fraction)
-    # Pass 2: capture the checkpoints at every distinct slice start.
-    starts = sorted({s.start for s in slices})
-    _, checkpoints = collect_checkpoints(program, starts)
+    # Pass 2: checkpoints and warm state at every distinct slice start.
+    checkpoints, warm = warm_checkpoints(
+        program, [s.start for s in slices], config.memsys,
+        config.branch_predictor)
     plan = ShardPlan(
         benchmark=benchmark, scale=scale, shards=shards,
         warmup_fraction=warmup_fraction, total_insts=total,
         slices=tuple(slices),
-        checkpoints={cp.insts: cp for cp in checkpoints},
+        checkpoints={cp.insts: cp for cp in checkpoints}, warm=warm,
     )
     _PLAN_MEMO[key] = plan
     if cache is not None:
@@ -264,17 +287,24 @@ def merged_key(benchmark: str, scale: float, config: MachineConfig,
 
 def simulate_slice(program: Program, config: MachineConfig,
                    spec: SliceSpec, checkpoint: Checkpoint,
+                   warm: Optional[WarmState],
                    name: Optional[str] = None) -> SimStats:
-    """Simulate one slice: resume, warm up (stats discarded), count.
+    """Simulate one slice: resume, restore ``warm``, warm up (stats
+    discarded), count.
 
-    The budget is exact (the commit stage stops on the boundary), so the
-    counted regions of consecutive slices tile the program without overlap.
+    ``warm`` is what :meth:`ShardPlan.warm_for` gives for the slice (None
+    for a start at 0), from a plan built with ``config``'s memory system
+    and predictor.  The budget is exact (the commit stage stops on the
+    boundary), so the counted regions of consecutive slices tile the
+    program without overlap.
     """
     initial_state = checkpoint.state() if spec.start else None
-    return simulate(program, config, name=name or program.name,
-                    initial_state=initial_state,
-                    max_instructions=spec.budget,
-                    warmup_instructions=spec.warmup)
+    processor = Processor(program, config, name=name or program.name,
+                          initial_state=initial_state)
+    if warm is not None:
+        warm.restore(processor.mem, processor.predictor)
+    return processor.run(max_instructions=spec.budget,
+                         warmup_instructions=spec.warmup)
 
 
 def merge_slices(parts: Sequence[SimStats]) -> SimStats:

@@ -16,8 +16,8 @@ Components:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.serialization import SerializableConfig
 
@@ -26,8 +26,18 @@ from repro.isa.opcodes import OpClass
 from repro.isa.program import INST_SIZE
 
 
+#: Reset value of every 2-bit counter (direction and chooser): weakly taken.
+WEAKLY_TAKEN = 2
+
+
 def _saturate(value: int, delta: int, lo: int = 0, hi: int = 3) -> int:
     return max(lo, min(hi, value + delta))
+
+
+def _trained(table: List[int]) -> List[List[int]]:
+    """``[index, value]`` of every counter that left its reset value."""
+    return [[index, value] for index, value in enumerate(table)
+            if value != WEAKLY_TAKEN]
 
 
 @dataclass(frozen=True)
@@ -47,7 +57,7 @@ class BimodalPredictor:
 
     def __init__(self, entries: int):
         self.entries = entries
-        self.table = [2] * entries  # weakly taken
+        self.table = [WEAKLY_TAKEN] * entries
 
     def _index(self, pc: int) -> int:
         return (pc // INST_SIZE) % self.entries
@@ -67,7 +77,7 @@ class GSharePredictor:
         self.entries = entries
         self.history_bits = history_bits
         self.history_mask = (1 << history_bits) - 1
-        self.table = [2] * entries
+        self.table = [WEAKLY_TAKEN] * entries
 
     def index(self, pc: int, history: int) -> int:
         return ((pc // INST_SIZE) ^ (history & self.history_mask)) % self.entries
@@ -87,7 +97,8 @@ class HybridPredictor:
         self.config = config
         self.bimodal = BimodalPredictor(config.bimodal_entries)
         self.gshare = GSharePredictor(config.gshare_entries, config.history_bits)
-        self.chooser = [2] * config.chooser_entries  # >=2 selects gshare
+        # A counter >= WEAKLY_TAKEN selects gshare.
+        self.chooser = [WEAKLY_TAKEN] * config.chooser_entries
 
     def _chooser_index(self, pc: int) -> int:
         return (pc // INST_SIZE) % self.config.chooser_entries
@@ -214,6 +225,53 @@ class BranchPredictor:
     def restore(self, snap: tuple) -> None:
         self.history, ras_snap = snap[0], snap[1]
         self.ras.restore(ras_snap)
+
+    def recover_after(self, snap: tuple, inst: StaticInst,
+                      taken: bool) -> None:
+        """Repair a misprediction of ``inst``: restore ``snap`` (taken just
+        before ``inst`` was predicted), then apply its actual outcome to the
+        history and the return-address stack."""
+        self.restore(snap)
+        cls = inst.info.cls
+        if cls is OpClass.COND_BRANCH:
+            self._push_history(taken)
+        elif cls is OpClass.CALL_DIRECT or cls is OpClass.CALL_INDIRECT:
+            self.ras.push(inst.pc + INST_SIZE)
+        elif cls is OpClass.RETURN:
+            self.ras.pop()
+
+    # ------------------------------------------------------------------
+    def warm_state(self) -> Dict[str, Any]:
+        """The long-lived predictor state: the counters that left their
+        reset value, the valid BTB entries, the global history and the
+        RAS.  Statistics are left out."""
+        hybrid = self.hybrid
+        btb = self.btb
+        return {
+            "bimodal": _trained(hybrid.bimodal.table),
+            "gshare": _trained(hybrid.gshare.table),
+            "chooser": _trained(hybrid.chooser),
+            "btb": [[index, tag, btb.targets[index]]
+                    for index, tag in enumerate(btb.tags) if tag is not None],
+            "history": self.history,
+            "ras": list(self.ras.stack),
+        }
+
+    def load_warm_state(self, warm: Dict[str, Any]) -> None:
+        """Install :meth:`warm_state` output into a freshly built predictor
+        of the same geometry."""
+        hybrid = self.hybrid
+        for table, trained in ((hybrid.bimodal.table, warm["bimodal"]),
+                               (hybrid.gshare.table, warm["gshare"]),
+                               (hybrid.chooser, warm["chooser"])):
+            for index, value in trained:
+                table[index] = value
+        btb = self.btb
+        for index, tag, target in warm["btb"]:
+            btb.tags[index] = tag
+            btb.targets[index] = target
+        self.history = warm["history"]
+        self.ras.restore(warm["ras"])
 
     # ------------------------------------------------------------------
     def predict(self, inst: StaticInst) -> BranchPrediction:

@@ -8,11 +8,10 @@ assembler and by the synthetic SPEC-like workload generators.
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Union)
+from typing import Callable, Dict, Iterator, List, Optional, Union
 
 from repro.isa.instruction import StaticInst
-from repro.isa.opcodes import Opcode, OPINFO, OpClass, opcode_from_name
+from repro.isa.opcodes import Opcode, opcode_from_name
 from repro.isa.registers import REG_RA, reg_index
 
 INST_SIZE = 4

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.serialization import SerializableConfig
@@ -144,6 +144,30 @@ class Cache:
         done = [tag for tag, when in self._mshrs.items() if when <= cycle]
         for tag in done:
             del self._mshrs[tag]
+
+    # ------------------------------------------------------------------
+    def warm_lines(self) -> List[List[int]]:
+        """Resident lines as ``[tag, dirty]`` pairs, set by set, each set
+        least recently used first: the tag and replacement state without
+        the cycle numbers, MSHRs or statistics."""
+        lines: List[List[int]] = []
+        for cache_set in self._sets:
+            if cache_set:
+                for line in sorted(cache_set.values(),
+                                   key=lambda line: line.last_use):
+                    lines.append([line.tag, int(line.dirty)])
+        return lines
+
+    def load_warm_lines(self, lines: List[List[int]]) -> None:
+        """Install :meth:`warm_lines` output into an empty cache.  Restored
+        lines keep their order and rank older than any access at cycle 0 or
+        later."""
+        sets = self._sets
+        num_sets = self._num_sets
+        for age, (tag, dirty) in enumerate(lines, start=-len(lines)):
+            line = _Line(tag, age)
+            line.dirty = bool(dirty)
+            sets[tag % num_sets][tag] = line
 
     def reset_stats(self) -> None:
         self.stats = CacheStats()

@@ -16,8 +16,8 @@ model only perturbs absolute IPC, not the integration comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.memsys.cache import Cache, CacheConfig
 from repro.memsys.tlb import TLB, TLBConfig
@@ -120,3 +120,20 @@ class MemoryHierarchy:
     def reset_stats(self) -> None:
         for unit in (self.il1, self.dl1, self.l2, self.itlb, self.dtlb):
             unit.reset_stats()
+
+    # ------------------------------------------------------------------
+    def warm_state(self) -> Dict[str, List]:
+        """The long-lived state of every cache and TLB (see
+        :meth:`Cache.warm_lines`); MSHRs, the write buffer and statistics
+        are left out."""
+        return {"il1": self.il1.warm_lines(), "dl1": self.dl1.warm_lines(),
+                "l2": self.l2.warm_lines(), "itlb": self.itlb.warm_pages(),
+                "dtlb": self.dtlb.warm_pages()}
+
+    def load_warm_state(self, warm: Dict[str, List]) -> None:
+        """Install :meth:`warm_state` output into a freshly built
+        hierarchy of the same geometry."""
+        for name in ("il1", "dl1", "l2"):
+            getattr(self, name).load_warm_lines(warm[name])
+        self.itlb.load_warm_pages(warm["itlb"])
+        self.dtlb.load_warm_pages(warm["dtlb"])

@@ -63,5 +63,21 @@ class TLB:
         tlb_set[page] = cycle
         return self.config.miss_latency, False
 
+    def warm_pages(self) -> List[int]:
+        """Resident pages, set by set, each set least recently used first."""
+        pages: List[int] = []
+        for tlb_set in self._sets:
+            if tlb_set:
+                pages.extend(sorted(tlb_set, key=tlb_set.__getitem__))
+        return pages
+
+    def load_warm_pages(self, pages: List[int]) -> None:
+        """Install :meth:`warm_pages` output into an empty TLB, ranked older
+        than any access at cycle 0 or later."""
+        sets = self._sets
+        num_sets = self._num_sets
+        for age, page in enumerate(pages, start=-len(pages)):
+            sets[page % num_sets][page] = age
+
     def reset_stats(self) -> None:
         self.stats = TLBStats()

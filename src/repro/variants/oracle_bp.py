@@ -124,7 +124,7 @@ class OracleBranchPredictor(BranchPredictor):
             self._cursor = snap[2]
 
     def _push_history(self, taken: bool) -> None:
-        """Advancing here keeps recovery exact: ``recover_predictor_after``
+        """Advancing here keeps recovery exact: :meth:`recover_after`
         restores the checkpoint (cursor = the branch itself) and replays the
         branch's history push, which must move the cursor past it."""
         super()._push_history(taken)

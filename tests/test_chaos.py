@@ -85,7 +85,8 @@ def _reference_then_cold(shards=1):
                                  shards=shards)
     runner.clear_cache(disk=True)
     runner._MEMORY_CACHE.clear()
-    plan = runner.plan_suite(["gzip"], SUITE, SCALE, shards, 1.0,
+    # ``None``: the default warm-up, the one ``run_suite`` resolves.
+    plan = runner.plan_suite(["gzip"], SUITE, SCALE, shards, None,
                              use_cache=True)
     assert plan.jobs
     return reference, plan.jobs

@@ -252,7 +252,7 @@ class TestBackendEquivalence:
         return runner.run_suite(["gzip", "mcf"], SUITE_CONFIGS, scale=0.08,
                                 jobs=jobs, shards=shards, backend=backend)
 
-    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_serial_pool_distributed_identical(self, isolated_cache, shards):
         reference = self._run(LocalBackend(1), shards=shards)
         runner.clear_cache(disk=True)
@@ -505,6 +505,26 @@ class TestWorkerLoop:
             direct = runner.run_job(
                 job, build_workload(job.benchmark, scale=job.scale))
             assert worker_mod.execute_payload(payload) == direct
+
+    def test_payload_roundtrip_keeps_warm_state(self, isolated_cache):
+        from repro.workloads import build_workload
+
+        plan = runner.plan_suite(["gzip"], {"none": SUITE_CONFIGS["none"]},
+                                 0.08, 4, 0.25, use_cache=True)
+        warm_jobs = [job for job in plan.jobs if job.warm is not None]
+        # Every slice but the first starts after instruction 0.
+        assert len(warm_jobs) == 3
+        for job in warm_jobs:
+            payload = json.loads(json.dumps(worker_mod.make_payload(job)))
+            clone = worker_mod.job_from_payload(payload)
+            assert clone == job
+            assert clone.warm.to_dict() == job.warm.to_dict()
+        job = warm_jobs[0]
+        direct = runner.run_job(
+            job, build_workload(job.benchmark, scale=job.scale))
+        payload = json.loads(json.dumps(worker_mod.make_payload(job)))
+        assert (worker_mod.execute_payload(payload).to_dict()
+                == direct.to_dict())
 
 
 # ----------------------------------------------------------------------

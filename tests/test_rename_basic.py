@@ -3,6 +3,8 @@ physical register file, the rename rules (source lookup, allocation,
 integration, retirement, squash; paper Section 2.2), and the rename stage
 checked against the test-local reference rules."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import MachineConfig, Processor
@@ -400,6 +402,66 @@ class TestRenameStage:
             assert counts["integrated"] > 0
         if config_name == "pregs72":
             assert counts["stalls"] > 0
+
+
+RETRY_CONFIGS = {
+    "pregs72": IntegrationConfig.full(num_physical_regs=72),
+    # 1-bit reference counts: integrations often find a saturated count.
+    "pregs72-refcount1": IntegrationConfig.full(num_physical_regs=72,
+                                                refcount_bits=1),
+}
+
+
+class TestRenameRetry:
+    @pytest.mark.parametrize("config_name", sorted(RETRY_CONFIGS))
+    def test_integration_outcomes_count_once_per_renamed_instruction(
+            self, config_name):
+        """With 72 registers rename often stalls for a register after the
+        integration test already ran, and the instruction retries next
+        cycle.  ``lisp_suppressed`` and ``refcount_saturation_failures``
+        still count each renamed instruction once, by the decision it
+        renamed with."""
+        processor = Processor(
+            build_workload("crafty", 0.02),
+            MachineConfig(integration=RETRY_CONFIGS[config_name]))
+        integration = processor.integration
+        consider = integration.consider
+        decisions = {}
+        probes = Counter()
+
+        def recording_consider(dyn, *args):
+            decision = consider(dyn, *args)
+            decisions[dyn.seq] = decision
+            probes[dyn.seq] += 1
+            return decision
+
+        integration.consider = recording_consider
+        stage = processor.rename_integrate
+        stage_tick = stage.tick
+        rob = processor.rob
+        renamed = []
+
+        def tick():
+            before = len(rob)
+            stage_tick()
+            renamed.extend(list(rob)[before:])
+
+        stage.tick = tick
+        stats = processor.run()
+        assert len(renamed) == stats.renamed
+        assert max(probes.values()) > 1   # some instruction was retried
+        outcomes = [(decisions[dyn.seq], dyn) for dyn in renamed
+                    if dyn.seq in decisions]
+        suppressed = sum(1 for decision, _ in outcomes
+                         if decision.suppressed_by_lisp
+                         or decision.suppressed_by_oracle)
+        saturated = sum(1 for decision, dyn in outcomes
+                        if decision.integrate and not dyn.integrated)
+        assert suppressed > 0
+        if config_name == "pregs72-refcount1":
+            assert saturated > 0
+        assert stats.lisp_suppressed == suppressed
+        assert stats.refcount_saturation_failures == saturated
 
 
 #: Where the conservation-law runs stop: mid-run budgets, then halt.

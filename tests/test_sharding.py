@@ -4,13 +4,14 @@
   identity) and merge-of-slices reproduces the whole run's counters;
 * functional fast-forward is deterministic (emulate N then continue ==
   run straight through) and checkpoints round-trip through JSON;
-* ``shards=1`` is bit-identical to the plain engine; ``shards=2`` with the
-  default warm-up is exactly lossless end to end; higher shard counts keep
-  instruction-level counters exact and merged IPC within the documented
-  cold-start envelope;
+* ``shards=1`` is bit-identical to the plain engine; ``shards=2`` with a
+  full-slice warm-up is exactly lossless end to end; every shard count
+  keeps instruction-level counters exact, and with functionally warmed
+  caches and predictor the merged IPC stays within 3% of the whole run at
+  ``shards=4`` on the benchmarks that drift the most;
 * the runner satellites: LRU-bounded in-process memo with eviction
   telemetry, longest-first estimates, checkpoint plans shared across
-  configs and cached on disk.
+  configs with the same memory system and predictor and cached on disk.
 """
 
 import dataclasses
@@ -262,23 +263,41 @@ class TestShardPlans:
         assert sum(s.budget for s in slices) == 3
         assert [s.boundary for s in slices] == [0, 1, 2]
 
-    def test_plan_key_is_config_independent(self):
-        key = sharding.plan_key("gzip", 0.2, 4, 1.0)
-        assert key == sharding.plan_key("gzip", 0.2, 4, 1.0)
-        assert key != sharding.plan_key("gzip", 0.2, 8, 1.0)
-        assert key != sharding.plan_key("mcf", 0.2, 4, 1.0)
+    def test_plan_key_depends_only_on_warmed_config_parts(self):
+        key = sharding.plan_key("gzip", 0.2, 4, 1.0, FULL)
+        # The integration config and the variant do not shape the plan...
+        assert key == sharding.plan_key("gzip", 0.2, 4, 1.0, NONE)
+        assert key == sharding.plan_key("gzip", 0.2, 4, 1.0,
+                                        FULL.with_variant("oracle-bp"))
+        # ...the memory system and the branch predictor, which it warms, do.
+        slow_memory = dataclasses.replace(
+            FULL, memsys=dataclasses.replace(FULL.memsys,
+                                             memory_latency=400))
+        small_btb = dataclasses.replace(
+            FULL, branch_predictor=dataclasses.replace(
+                FULL.branch_predictor, btb_entries=512))
+        assert key != sharding.plan_key("gzip", 0.2, 4, 1.0, slow_memory)
+        assert key != sharding.plan_key("gzip", 0.2, 4, 1.0, small_btb)
+        assert key != sharding.plan_key("gzip", 0.2, 8, 1.0, FULL)
+        assert key != sharding.plan_key("mcf", 0.2, 4, 1.0, FULL)
 
     def test_plan_roundtrips_through_disk_cache(self, isolated_cache):
         cache = cache_mod.PayloadCache()
-        plan = sharding.build_plan("gzip", 0.1, 3, cache=cache)
+        plan = sharding.build_plan("gzip", 0.1, 3, FULL, cache=cache)
+        assert sorted(plan.warm) == [s.start for s in plan.slices[1:]]
         sharding.clear_plan_memo()
-        again = sharding.build_plan("gzip", 0.1, 3, cache=cache)
+        again = sharding.build_plan("gzip", 0.1, 3, FULL, cache=cache)
         assert again.to_dict() == plan.to_dict()
+        assert again.warm == plan.warm
         assert cache.hits >= 1   # second build came from disk
 
     def test_sharded_benchmark_shards2_is_exact(self, isolated_cache):
+        # With a full-slice warm-up slice 1 starts at instruction 0, so it
+        # replays slice 0 from reset and needs no warm state.
         whole = simulate(build_workload("gzip", scale=0.3), FULL, name="gzip")
-        merged = runner.run_benchmark("gzip", FULL, scale=0.3, shards=2)
+        merged = runner.run_suite(["gzip"], {"full": FULL}, scale=0.3, jobs=1,
+                                  shards=2,
+                                  warmup_fraction=1.0)["full"]["gzip"]
         assert_stats_equal_modulo_occupancy(merged, whole)
 
 
@@ -293,10 +312,11 @@ class TestShardedSuite:
     @pytest.mark.parametrize("bench", runner.SMOKE_BENCHMARKS)
     def test_merged_ipc_within_2_percent_of_unsharded(self, isolated_cache,
                                                       bench):
-        """The acceptance criterion: sharded smoke-benchmark IPC within 2%.
+        """Sharded smoke-benchmark IPC within 2% at ``shards=2``.
 
-        With the default warm-up (one full slice) ``shards=2`` is exactly
-        lossless, so this also pins the merge plumbing end to end."""
+        With the default quarter-slice warm-up, slice 1 starts after
+        instruction 0 from functionally warmed caches and predictor, so
+        this checks the warm state as well as the merge plumbing."""
         whole = runner.run_suite([bench], {"full": FULL}, scale=0.3,
                                  jobs=1, shards=1)["full"][bench]
         merged = runner.run_suite([bench], {"full": FULL}, scale=0.3,
@@ -311,7 +331,7 @@ class TestShardedSuite:
         merged = runner.run_suite(["gzip"], {"full": FULL}, scale=0.3,
                                   jobs=1, shards=4)["full"]["gzip"]
         # Instruction-level counters tile exactly at any shard count; only
-        # cycle-accurate metrics carry the (documented) cold-start delta.
+        # cycle-accurate metrics carry the (documented) warm-up delta.
         assert merged.retired == whole.retired
         assert merged.ipc == pytest.approx(whole.ipc, rel=0.10)
 
@@ -328,11 +348,14 @@ class TestShardedSuite:
     def test_checkpoints_shared_across_configs(self, isolated_cache):
         configs = {"none": NONE, "full": FULL}
         runner.run_suite(["gzip"], configs, scale=0.2, jobs=1, shards=3)
-        # One plan serves both configs: exactly one plan payload on disk
-        # next to the slice/merged results.
-        cache = cache_mod.PayloadCache()
-        key = sharding.plan_key("gzip", 0.2, 3, runner.default_warmup_fraction())
-        assert cache.load_payload(key) is not None
+        # One plan serves both configs (they share the memory system and
+        # predictor): one plan in memory, its payload on disk next to the
+        # slice/merged results.
+        warmup = runner.default_warmup_fraction()
+        key = sharding.plan_key("gzip", 0.2, 3, warmup, NONE)
+        assert key == sharding.plan_key("gzip", 0.2, 3, warmup, FULL)
+        assert list(sharding._PLAN_MEMO) == [key]
+        assert cache_mod.PayloadCache().load_payload(key) is not None
         assert runner.telemetry.slices_simulated == 6   # 3 slices x 2 configs
 
     def test_warm_sharded_sweep_runs_zero_simulations(self, isolated_cache):
@@ -355,9 +378,29 @@ class TestShardedSuite:
         # The unsharded request re-simulated instead of returning the
         # sharded approximation.
         assert runner.telemetry.simulations == 1
-        assert whole.cycles < sharded.cycles   # sharded carries cold starts
+        assert whole.to_dict() == simulate(build_workload("gzip", scale=0.2),
+                                           FULL, name="gzip").to_dict()
 
-    def test_run_benchmark_accepts_shards(self, isolated_cache):
+    @pytest.mark.parametrize("config_name", ["none", "full"])
+    @pytest.mark.parametrize("bench", ["mcf", "perl.d", "perl.s", "eon.k"])
+    def test_four_shards_within_3_percent_of_unsharded(
+            self, isolated_cache, bench, config_name):
+        """At ``shards=4`` and the default warm-up, the merged IPC of the
+        benchmarks with the largest cold-start error (9-15% before the
+        caches and predictor were warmed during planning) stays within 3%
+        of the whole run, and ``retired`` is exact."""
+        config = {"none": NONE, "full": FULL}[config_name]
+        whole = simulate(build_workload(bench, scale=0.05), config,
+                         name=bench)
+        merged = runner.run_suite([bench], {config_name: config},
+                                  scale=0.05, jobs=1,
+                                  shards=4)[config_name][bench]
+        assert merged.retired == whole.retired
+        assert abs(merged.ipc / whole.ipc - 1) <= 0.03
+
+    def test_run_benchmark_accepts_shards(self, isolated_cache, monkeypatch):
+        # A full-slice warm-up makes shards=2 exact (see above).
+        monkeypatch.setenv("REPRO_SHARD_WARMUP", "1.0")
         stats = runner.run_benchmark("gzip", FULL, scale=0.2, shards=2)
         direct = simulate(build_workload("gzip", scale=0.2), FULL,
                           name="gzip")

@@ -385,16 +385,22 @@ class TestVariantsEndToEnd:
             assert results[name]["gzip"].variant == name
 
     def test_sharded_equals_unsharded_per_variant(self, isolated_cache):
-        """shards=2 with full warm-up stays exact for every variant."""
+        """shards=2 with full warm-up stays exact for every variant, and
+        the variant's own predictor takes the warm state at shards=4."""
         for name in ("oracle-bp", "inorder-issue"):
             config = MachineConfig().with_variant(name)
             whole = runner.run_benchmark("gzip", config, scale=0.1,
                                          use_cache=False)
-            merged = runner.run_benchmark("gzip", config, scale=0.1,
-                                          shards=2)
+            merged = runner.run_suite(["gzip"], {name: config}, scale=0.1,
+                                      jobs=1, shards=2,
+                                      warmup_fraction=1.0)[name]["gzip"]
             assert merged.retired == whole.retired
             assert merged.cycles == whole.cycles
             assert merged.integrated == whole.integrated
+            warmed = runner.run_benchmark("gzip", config, scale=0.1,
+                                          shards=4)
+            assert warmed.retired == whole.retired
+            assert warmed.ipc == pytest.approx(whole.ipc, rel=0.03)
 
     def test_scenario_matrix_covers_registry(self, isolated_cache):
         result = scenario_matrix.run(benchmarks=["gzip"], scale=0.1, jobs=1)
