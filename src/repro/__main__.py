@@ -11,7 +11,6 @@ Subcommands::
     repro status   -- queue depth, lease ages, per-worker throughput
     repro variants -- list the registered machine variants
     repro cache    -- inspect, clear or garbage-collect the result cache
-    repro lint     -- check the project invariants statically
 
 ``--jobs`` fans simulations out over a process pool; ``--backend`` (or
 ``REPRO_BACKEND``) picks the execution backend -- ``local`` (this machine,
@@ -537,64 +536,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    """Run the project-invariant static analyzer (see repro/lint/).
-
-    Exit status 0 when no *new* findings exist (inline ``lint-ok``
-    suppressions and the committed baseline are honoured), 1 otherwise.
-    """
-    import json
-
-    from repro import lint
-    from repro.lint.rules import ALL_RULES, RULES_BY_ID
-
-    root = Path(args.root) if args.root else lint.default_root()
-    if not (root / "src" / "repro").is_dir():
-        raise SystemExit(f"repro lint: {root} does not look like a "
-                         f"repository checkout (no src/repro)")
-
-    rules = None
-    if args.rules:
-        wanted = [name.strip() for name in args.rules.split(",")
-                  if name.strip()]
-        unknown = [name for name in wanted if name not in RULES_BY_ID]
-        if unknown:
-            raise SystemExit(
-                f"unknown lint rules: {', '.join(unknown)} "
-                f"(available: {', '.join(r.id for r in ALL_RULES)})")
-        rules = [RULES_BY_ID[name] for name in wanted]
-
-    baseline_path = (Path(args.baseline) if args.baseline
-                     else root / lint.BASELINE_NAME)
-    try:
-        baseline_keys = lint.load_baseline(baseline_path)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-
-    report = lint.run_lint(root, rules=rules, baseline_keys=baseline_keys)
-
-    if args.write_baseline:
-        count = lint.write_baseline(baseline_path, report.findings)
-        print(f"wrote {count} baseline entr{'y' if count == 1 else 'ies'} "
-              f"to {baseline_path}")
-        return 0
-
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        return 0 if report.ok else 1
-
-    for finding in report.findings:
-        print(finding.render())
-    ran = ", ".join(report.rules) or "none"
-    summary = (f"{len(report.findings)} new finding(s), "
-               f"{report.suppressed} suppressed, "
-               f"{report.baselined} baselined (rules: {ran})")
-    if report.skipped_rules:
-        summary += f"; skipped: {', '.join(report.skipped_rules)}"
-    print(("FAIL: " if not report.ok else "ok: ") + summary)
-    return 0 if report.ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -749,25 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="gc: sweep orphaned *.tmp files older than "
                               "M minutes (default: 60)")
     p_cache.set_defaults(func=_cmd_cache)
-
-    p_lint = sub.add_parser(
-        "lint", help="check the project invariants statically")
-    p_lint.add_argument("--json", action="store_true",
-                        help="emit the machine-readable report instead of "
-                             "the human listing")
-    p_lint.add_argument("--baseline", default=None, metavar="PATH",
-                        help="baseline file of grandfathered findings "
-                             "(default: <root>/lint-baseline.txt)")
-    p_lint.add_argument("--write-baseline", action="store_true",
-                        help="rewrite the baseline from the current new "
-                             "findings instead of failing on them")
-    p_lint.add_argument("--rules", default=None, metavar="LIST",
-                        help="comma-separated rule ids to run (default: "
-                             "all five; see docs/ARCHITECTURE.md)")
-    p_lint.add_argument("--root", default=None, metavar="DIR",
-                        help="repository checkout to lint (default: the "
-                             "tree this package was imported from)")
-    p_lint.set_defaults(func=_cmd_lint)
     return parser
 
 

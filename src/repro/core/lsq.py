@@ -33,7 +33,7 @@ from repro.functional.memory import WORD_SIZE
 from repro.isa.instruction import DynInst
 from repro.isa.program import INST_SIZE
 
-#: Word alignment as a plain mask (``SparseMemory.align`` without the call).
+#: ``addr & _ALIGN_MASK`` rounds ``addr`` down to its containing word.
 _ALIGN_MASK = ~(WORD_SIZE - 1)
 
 

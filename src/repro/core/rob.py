@@ -35,9 +35,3 @@ class ReorderBuffer:
         while self._entries and self._entries[-1].seq > seq:
             squashed.append(self._entries.pop())
         return squashed
-
-    def squash_all(self) -> List[DynInst]:
-        """Remove every instruction (youngest first)."""
-        squashed = list(reversed(self._entries))
-        self._entries.clear()
-        return squashed

@@ -25,11 +25,6 @@ class SparseMemory:
             for addr, value in initial.items():
                 self.write(addr, value)
 
-    @staticmethod
-    def align(addr: int) -> int:
-        """Round ``addr`` down to its containing word address."""
-        return addr & _WORD_MASK
-
     def read(self, addr: int):
         """Read the word containing ``addr`` (0 if never written)."""
         return self._words.get(addr & _WORD_MASK, 0)

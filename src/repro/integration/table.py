@@ -118,20 +118,6 @@ class IntegrationTable:
         cache_set.append(entry)
         return entry
 
-    def invalidate_output(self, preg: int) -> int:
-        """Drop every entry whose output is ``preg``.
-
-        The paper notes this 'complete solution' to register mis-integration
-        is too expensive in hardware (associative search); it is provided
-        here for tests and the generation-counter ablation.
-        """
-        removed = 0
-        for cache_set in self._sets:
-            keep = [entry for entry in cache_set if entry.out != preg]
-            removed += len(cache_set) - len(keep)
-            cache_set[:] = keep
-        return removed
-
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)
 

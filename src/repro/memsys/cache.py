@@ -39,10 +39,6 @@ class CacheStats:
     writebacks: int = 0
     mshr_merges: int = 0
 
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
 
 class _Line:
     __slots__ = ("tag", "dirty", "last_use")

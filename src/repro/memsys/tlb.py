@@ -31,10 +31,6 @@ class TLBStats:
     accesses: int = 0
     misses: int = 0
 
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
 
 class TLB:
     """Set-associative TLB; misses are filled by hardware in a fixed latency."""

@@ -184,7 +184,7 @@ class TestSparseMemory:
         mem = SparseMemory()
         mem.write(0x1004, 9)
         assert mem.read(0x1000) == 9
-        assert SparseMemory.align(0x1007) == 0x1000
+        assert mem.read(0x1007) == 9
 
     def test_default_zero_and_copy(self):
         mem = SparseMemory({0x20: 5})

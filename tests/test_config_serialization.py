@@ -8,6 +8,8 @@ fingerprint hashes the *whole* field tree, so any field difference anywhere
 must produce a distinct fingerprint.
 """
 
+import dataclasses
+import enum
 from dataclasses import replace
 
 import pytest
@@ -17,7 +19,7 @@ from repro.core.config import IssuePortConfig
 from repro.frontend.branch_predictor import BranchPredictorConfig
 from repro.integration.config import IndexScheme, IntegrationConfig, LispMode
 from repro.memsys.hierarchy import MemSysConfig
-from repro.serialization import from_dict, to_dict
+from repro.serialization import SerializableConfig, from_dict, to_dict
 
 
 class TestRoundTrip:
@@ -66,6 +68,72 @@ class TestRoundTrip:
         assert from_dict(IntegrationConfig, to_dict(config)) == config
 
 
+def _flipped(value):
+    """A different value of the same type, or None when there is none."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "~"
+    if isinstance(value, enum.Enum):
+        return next((m for m in type(value) if m is not value), None)
+    return None
+
+
+def _blind_leaves(root):
+    """Dotted paths of the leaves of ``root`` whose flip leaves the root
+    fingerprint or its owner's fingerprint unchanged, or repeats another
+    flip's root fingerprint.  A flip the constructor rejects is skipped."""
+    seen = {root.fingerprint()}
+    blind = []
+
+    def visit(config, path, rebuild):
+        owner_fp = config.fingerprint()
+        for field in dataclasses.fields(config):
+            value = getattr(config, field.name)
+            if dataclasses.is_dataclass(value):
+                visit(value, f"{path}{field.name}.",
+                      lambda v, f=field.name, c=config: rebuild(
+                          dataclasses.replace(c, **{f: v})))
+                continue
+            new = _flipped(value)
+            if new is None:
+                continue
+            try:
+                owner = dataclasses.replace(config, **{field.name: new})
+            except (TypeError, ValueError):
+                continue
+            fp = rebuild(owner).fingerprint()
+            if fp in seen or owner.fingerprint() == owner_fp:
+                blind.append(path + field.name)
+            seen.add(fp)
+
+    visit(root, "", lambda v: v)
+    return blind
+
+
+@dataclasses.dataclass(frozen=True)
+class _HandKeyedCache(SerializableConfig):
+    """The old ``_config_key`` shape: a hand-kept key tuple that
+    forgets a field, so configs differing only in ``assoc`` collide."""
+
+    size: int = 64
+    assoc: int = 2
+
+    def fingerprint(self):
+        return repr((self.size,))
+
+
+@dataclasses.dataclass(frozen=True)
+class _HandKeyedParent(SerializableConfig):
+    """Fingerprints every field itself, but its sub-config key does not."""
+
+    width: int = 4
+    cache: _HandKeyedCache = dataclasses.field(
+        default_factory=_HandKeyedCache)
+
+
 class TestFingerprint:
     def test_fingerprint_is_stable(self):
         assert MachineConfig().fingerprint() == MachineConfig().fingerprint()
@@ -101,41 +169,20 @@ class TestFingerprint:
             base.branch_predictor, btb_entries=512))
         assert other.fingerprint() != base.fingerprint()
 
-    def test_every_scalar_field_participates(self):
+    @pytest.mark.parametrize("root, blind", [
+        (MachineConfig(), []),
+        (MachineConfig().reduced_both(20).with_integration(
+            IntegrationConfig.disabled()), []),
+        (_HandKeyedCache(), ["assoc"]),
+        (_HandKeyedParent(), ["cache.assoc"]),
+    ], ids=["default", "reduced-disabled", "hand-kept-key", "sub-config-key"])
+    def test_every_scalar_field_participates(self, root, blind):
         """Flip every scalar leaf of the config tree one at a time; each
-        flip must change the fingerprint."""
-        base = MachineConfig()
-        seen = {base.fingerprint()}
-
-        def flipped(value):
-            if isinstance(value, bool):
-                return not value
-            if isinstance(value, int):
-                return value + 1
-            if isinstance(value, float):
-                return value + 1.0
-            return None
-
-        import dataclasses
-
-        def visit(config, rebuild):
-            for field in dataclasses.fields(config):
-                value = getattr(config, field.name)
-                if dataclasses.is_dataclass(value):
-                    visit(value, lambda v, f=field: rebuild(
-                        dataclasses.replace(config, **{f.name: v})))
-                    continue
-                new = flipped(value)
-                if new is None:
-                    continue
-                variant = rebuild(
-                    dataclasses.replace(config, **{field.name: new}))
-                fp = variant.fingerprint()
-                assert fp not in seen, (
-                    f"fingerprint collision flipping {field.name}")
-                seen.add(fp)
-
-        visit(base, lambda v: v)
+        flip must give a new root fingerprint and change the fingerprint of
+        the sub-config that owns the leaf, because checkpoint plans key on
+        ``memsys`` and ``branch_predictor`` fingerprints alone.  The last
+        two roots are broken on purpose and must be caught."""
+        assert _blind_leaves(root) == blind
 
 
 class TestElidedDefaults:

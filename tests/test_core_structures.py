@@ -75,12 +75,6 @@ class TestReorderBuffer:
         assert [d.seq for d in squashed] == [6, 5, 4]   # youngest first
         assert [d.seq for d in rob] == [1, 2, 3]
 
-    def test_squash_all(self):
-        rob = filled_rob(8, range(1, 4))
-        squashed = rob.squash_all()
-        assert [d.seq for d in squashed] == [3, 2, 1]
-        assert len(rob) == 0
-
 
 def bound_rs(entries=16, ports=None, combined_ldst_port=False):
     """Reservation stations bound to a fresh PRF (the only mode)."""

@@ -167,13 +167,6 @@ class TestIntegrationTable:
                             src_gen=gen)
             assert logic.consider(dyn, 0).integrate is expected
 
-    def test_invalidate_output(self):
-        table = IntegrationTable(16, 4, IndexScheme.OPCODE_IMM)
-        put(table, entry(out=7))
-        put(table, entry(imm=2, out=8))
-        assert table.invalidate_output(7) == 1
-        assert table.occupancy() == 1
-
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):
             IntegrationTable(10, 4)

@@ -18,7 +18,7 @@ from repro.core.pipeline import Processor
 from repro.core.scheduler import IssuePortConfig, ReservationStations
 from repro.experiments import runner
 from repro.functional import Emulator
-from repro.functional.memory import SparseMemory
+from repro.functional.memory import WORD_SIZE
 from repro.integration.config import IntegrationConfig
 from repro.isa import Opcode, StaticInst, assemble
 from repro.isa.instruction import DynInst
@@ -120,6 +120,11 @@ class _NaiveEntry:
         self.executed = False
 
 
+def _align(addr):
+    """Round ``addr`` down to its containing word."""
+    return addr & ~(WORD_SIZE - 1)
+
+
 class NaiveLSQ:
     """Reference model: the seed's O(n)-scan load/store queue."""
 
@@ -151,7 +156,7 @@ class NaiveLSQ:
         entry = self._find(dyn)
         if entry is None:
             return []
-        entry.addr = SparseMemory.align(addr)
+        entry.addr = _align(addr)
         entry.executed = True
         violations = [e.dyn for e in self._entries
                       if (not e.is_store and e.executed
@@ -162,11 +167,11 @@ class NaiveLSQ:
     def record_load(self, dyn, addr):
         entry = self._find(dyn)
         if entry is not None:
-            entry.addr = SparseMemory.align(addr)
+            entry.addr = _align(addr)
             entry.executed = True
 
     def forward_from(self, dyn, addr):
-        aligned = SparseMemory.align(addr)
+        aligned = _align(addr)
         best = None
         for e in self._entries:
             if e.is_store and e.dyn.seq < dyn.seq and e.addr == aligned:

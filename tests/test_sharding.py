@@ -15,6 +15,7 @@
 """
 
 import dataclasses
+import typing
 from collections import Counter
 
 import pytest
@@ -135,6 +136,16 @@ class TestMergeMonoid:
                 assert got == (mine or theirs)
             else:
                 assert got == mine + theirs
+
+    def test_every_field_has_a_merge_rule(self):
+        """merge() sums int and Counter fields and keeps the first
+        non-empty str.  A float would make the merged result depend on the
+        grouping of slices, and any other type has no merge rule."""
+        hints = typing.get_type_hints(SimStats)
+        unmergeable = {f.name: hints[f.name]
+                       for f in dataclasses.fields(SimStats)
+                       if hints[f.name] not in (int, Counter, str)}
+        assert unmergeable == {}
 
     def test_merge_all_empty_is_identity(self):
         assert SimStats.merge_all([]).to_dict() == SimStats().to_dict()

@@ -1,0 +1,326 @@
+"""Source-level invariants of ``src/repro`` that no simulation samples.
+
+Two properties are checked on the parsed sources, because a run only
+breaks on them by chance:
+
+* **determinism** -- inside the packages that build and simulate the
+  machine (:data:`ENGINE_DIRS`) nothing iterates a set, reads the global
+  ``random`` module or a wall clock, builds an unseeded ``Random`` or
+  calls ``id()``.  Each makes two runs of one config diverge, and the
+  result cache, sharded merging and the golden tests all assume they
+  cannot.
+* **env-var** -- each ``REPRO_*`` variable is read only inside its
+  accessor in :data:`ACCESSOR_REGISTRY` (or, for a dynamic name, inside a
+  generic helper), and the variables named in the sources are exactly the
+  rows of the environment-variable table in ``docs/ARCHITECTURE.md``.
+
+Each check is a plain function from a parsed module to ``(line,
+message)`` findings.  The tests run it over the live tree, over one small
+source per construct it must flag, and over sources it must pass.
+"""
+
+import ast
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = REPO_ROOT / "src" / "repro"
+DOCS_MD = REPO_ROOT / "docs" / "ARCHITECTURE.md"
+
+#: Packages whose state must replay bit-identically.  The experiment,
+#: distributed, reliability and observability layers read clocks on
+#: purpose.
+ENGINE_DIRS = ("core", "frontend", "functional", "integration", "isa",
+               "memsys", "rename", "variants", "workloads")
+
+#: variable -> the functions allowed to read it, as
+#: "path/under/src/repro.py::function".
+ACCESSOR_REGISTRY = {
+    "REPRO_VARIANT": {"experiments/runner.py::default_variant"},
+    "REPRO_CACHE_DIR": {"experiments/cache.py::cache_dir"},
+    "REPRO_DISK_CACHE": {"experiments/cache.py::disk_cache_enabled"},
+    "REPRO_QUEUE_DIR": {"distrib/queue.py::default_queue_dir"},
+    "REPRO_BACKEND": {"distrib/backend.py::default_backend"},
+    "REPRO_ELIDE": {"core/pipeline.py::elision_enabled"},
+    "REPRO_FAULTS": {"reliability/faults.py::faults_spec"},
+    "REPRO_RETRY_MAX": {"reliability/retry.py::default_retry_max"},
+    "REPRO_RETRY_BASE": {"reliability/retry.py::default_retry_base"},
+    "REPRO_TRACE": {"obs/trace.py::default_trace_prefix"},
+    "REPRO_METRICS_INTERVAL": {
+        "obs/metrics.py::default_metrics_interval"},
+}
+
+#: The validating helpers that read a non-literal variable name; every
+#: numeric accessor is built on them.
+GENERIC_ACCESSORS = {"experiments/runner.py::env_float",
+                     "experiments/runner.py::_env_int"}
+
+ENV_NAME_RE = re.compile(r"^REPRO_[A-Z][A-Z0-9_]*$")
+_DOC_NAME_RE = re.compile(r"`(REPRO_[A-Z][A-Z0-9_]*)`")
+
+_SET_METHODS = {"union", "intersection", "difference",
+                "symmetric_difference"}
+_CLOCKS = {("time", name) for name in (
+    "time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
+    "perf_counter_ns", "process_time", "localtime")} | {
+    ("datetime", name) for name in ("now", "utcnow", "today")}
+
+
+def _sources(*dirs):
+    """``(path relative to src/repro, parsed module)`` for every file."""
+    roots = [PACKAGE / d for d in dirs] if dirs else [PACKAGE]
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            yield (path.relative_to(PACKAGE).as_posix(),
+                   ast.parse(path.read_text(encoding="utf-8")))
+
+
+def _is_set(node):
+    """Whether iterating ``node`` walks a set in hash order."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name):
+            return func.id in ("set", "frozenset")
+        return isinstance(func, ast.Attribute) and func.attr in _SET_METHODS
+    return False
+
+
+def determinism_findings(tree):
+    """Constructs in ``tree`` that make a replay diverge."""
+    found = []
+    for node in ast.walk(tree):
+        iters = []
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            iters = [node.iter]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                               ast.GeneratorExp)):
+            iters = [gen.iter for gen in node.generators]
+        found += [(it.lineno, "iterates an unordered set; use sorted(...)")
+                  for it in iters if _is_set(it)]
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)):
+            pair = (node.value.id, node.attr)
+            if pair[0] == "random" and pair[1] != "Random":
+                found.append((node.lineno, f"global `random.{node.attr}` "
+                               f"is unseeded; pass a seeded Random"))
+            elif pair in _CLOCKS:
+                found.append((node.lineno, f"wall-clock read "
+                              f"`{pair[0]}.{pair[1]}`"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            if name == "id" and isinstance(func, ast.Name):
+                found.append((node.lineno, "`id(...)` varies across runs"))
+            elif name == "Random" and not node.args and not node.keywords:
+                found.append((node.lineno, "`Random()` without a seed"))
+    return sorted(found)
+
+
+def _environ_reads(tree):
+    """``(line, variable or None, enclosing function)`` for every read of
+    the environment: ``os.environ.get(X)``, ``os.environ[X]`` and
+    ``os.getenv(X)``.  ``X`` resolves through module-level string
+    constants; a name that does not resolve is None (a dynamic read)."""
+    constants = {
+        node.targets[0].id: node.value.value for node in tree.body
+        if isinstance(node, ast.Assign) and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, str)}
+
+    def resolve(arg):
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+            return arg.value
+        return constants.get(arg.id) if isinstance(arg, ast.Name) else None
+
+    def is_environ(node):
+        return ((isinstance(node, ast.Attribute) and node.attr == "environ")
+                or (isinstance(node, ast.Name) and node.id == "environ"))
+
+    reads = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            scope = (child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+            if (isinstance(child, ast.Call) and child.args
+                    and isinstance(child.func, ast.Attribute)
+                    and ((child.func.attr == "get"
+                          and is_environ(child.func.value))
+                         or (child.func.attr == "getenv"
+                             and isinstance(child.func.value, ast.Name)
+                             and child.func.value.id == "os"))):
+                reads.append((child.lineno, resolve(child.args[0]), scope))
+            elif (isinstance(child, ast.Subscript)
+                    and isinstance(child.ctx, ast.Load)
+                    and is_environ(child.value)):
+                reads.append((child.lineno, resolve(child.slice), scope))
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return reads
+
+
+def env_var_findings(tree, rel, registry=ACCESSOR_REGISTRY,
+                     generic=GENERIC_ACCESSORS):
+    """Environment reads in module ``rel`` outside the accessor
+    convention.  Writes are allowed anywhere."""
+    found = []
+    for lineno, var, function in _environ_reads(tree):
+        where = f"{rel}::{function}"
+        if var is None:
+            if where not in generic:
+                found.append((lineno, f"dynamic environment read in "
+                              f"{function}() outside the generic helpers"))
+        elif not ENV_NAME_RE.match(var):
+            continue
+        elif var not in registry:
+            found.append((lineno, f"{var} has no registered accessor"))
+        elif where not in registry[var]:
+            found.append((lineno, f"{var} must be read through "
+                          f"{', '.join(sorted(registry[var]))}, not in "
+                          f"{function}()"))
+    return found
+
+
+def env_names(tree):
+    """Every exact ``REPRO_*`` string literal in ``tree``."""
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and ENV_NAME_RE.match(node.value)}
+
+
+def documented_env_names(markdown):
+    """``REPRO_*`` names with a row in a markdown table."""
+    return {name for line in markdown.splitlines()
+            if line.lstrip().startswith("|")
+            for name in _DOC_NAME_RE.findall(line)}
+
+
+def _render(rel, findings):
+    return [f"{rel}:{line}: {message}" for line, message in findings]
+
+
+# ---------------------------------------------------------------------------
+# determinism
+
+def test_engine_sources_are_deterministic():
+    scanned, errors = [], []
+    for rel, tree in _sources(*ENGINE_DIRS):
+        scanned.append(rel)
+        errors += _render(rel, determinism_findings(tree))
+    assert "core/pipeline.py" in scanned
+    assert errors == []
+
+
+@pytest.mark.parametrize("source, needle", [
+    ("for x in set(items):\n    pass\n", "unordered set"),
+    ("for x in {a, b}:\n    pass\n", "unordered set"),
+    ("order = [x for x in items.union(extra)]\n", "unordered set"),
+    ("jitter = random.random()\n", "random.random"),
+    ("stamp = time.time()\n", "time.time"),
+    ("stamp = datetime.now()\n", "datetime.now"),
+    ("rng = random.Random()\n", "Random()"),
+    ("rng = Random()\n", "Random()"),
+    ("tie = id(items)\n", "id(...)"),
+], ids=["set-call", "set-literal", "set-method", "global-random", "clock",
+        "datetime", "unseeded-random", "unseeded-bare-random", "id"])
+def test_determinism_flags(source, needle):
+    (finding,) = determinism_findings(ast.parse(source))
+    assert needle in finding[1]
+
+
+@pytest.mark.parametrize("source", [
+    "for x in sorted(set(items)):\n    pass\n",
+    "merged = [x for x in sorted(items.union(extra))]\n",
+    "rng = random.Random(1234)\nvalue = rng.random()\n",
+], ids=["sorted-set", "sorted-set-method", "seeded-random"])
+def test_determinism_allows(source):
+    assert determinism_findings(ast.parse(source)) == []
+
+
+# ---------------------------------------------------------------------------
+# env-var
+
+_KNOB = {"REPRO_TEST_KNOB": {"knobs.py::test_knob"}}
+_HELPERS = {"knobs.py::env_int"}
+
+
+def test_env_reads_go_through_accessors():
+    errors = []
+    for rel, tree in _sources():
+        errors += _render(rel, env_var_findings(tree, rel))
+    assert errors == []
+
+
+def test_env_table_matches_sources():
+    mentioned = set().union(*(env_names(tree) for _, tree in _sources()))
+    documented = documented_env_names(DOCS_MD.read_text(encoding="utf-8"))
+    assert sorted(mentioned - documented) == [], "undocumented"
+    assert sorted(documented - mentioned) == [], "documented but unused"
+
+
+@pytest.mark.parametrize("source, needle", [
+    ("def sneaky():\n    return os.environ.get('REPRO_TEST_KNOB')\n",
+     "must be read through knobs.py::test_knob"),
+    ("KNOB = 'REPRO_TEST_KNOB'\n\n\ndef sneaky():\n"
+     "    return os.environ.get(KNOB, '0')\n",
+     "must be read through knobs.py::test_knob"),
+    ("def sneaky():\n    return os.environ['REPRO_TEST_KNOB']\n",
+     "must be read through knobs.py::test_knob"),
+    ("def mystery():\n    return os.getenv('REPRO_MYSTERY_KNOB')\n",
+     "REPRO_MYSTERY_KNOB has no registered accessor"),
+    ("def dynamic(name):\n    return os.environ[name]\n",
+     "dynamic environment read in dynamic()"),
+], ids=["get", "via-constant", "subscript", "unregistered", "dynamic"])
+def test_env_var_flags(source, needle):
+    (finding,) = env_var_findings(ast.parse(source), "knobs.py",
+                                  registry=_KNOB, generic=_HELPERS)
+    assert needle in finding[1]
+
+
+@pytest.mark.parametrize("source", [
+    "KNOB = 'REPRO_TEST_KNOB'\n\n\ndef test_knob():\n"
+    "    return os.environ.get(KNOB, '0')\n",
+    "def route():\n    os.environ['REPRO_TEST_KNOB'] = '1'\n",
+    "def home():\n    return os.environ.get('HOME')\n",
+    "def env_int(name):\n    return int(os.environ.get(name, '0'))\n",
+], ids=["accessor", "write", "foreign", "generic-helper"])
+def test_env_var_allows(source):
+    assert env_var_findings(ast.parse(source), "knobs.py",
+                            registry=_KNOB, generic=_HELPERS) == []
+
+
+@pytest.mark.parametrize("knob", ["REPRO_KERNEL", "REPRO_FAST_PATH",
+                                  "REPRO_MEMCACHE_MAX"])
+def test_retired_knob_is_flagged(knob):
+    # REPRO_KERNEL went with the compiled scheduler backend,
+    # REPRO_FAST_PATH with the second driver loop and REPRO_MEMCACHE_MAX
+    # with the settable memo capacity.  None has an accessor or a docs
+    # row, so reading one again must fail.
+    tree = ast.parse(f"def knob():\n    return os.environ.get('{knob}')\n")
+    (finding,) = env_var_findings(tree, "revived.py")
+    assert "no registered accessor" in finding[1]
+    assert knob in env_names(tree)
+    assert knob not in documented_env_names(
+        DOCS_MD.read_text(encoding="utf-8"))
+
+
+# ---------------------------------------------------------------------------
+# typing
+
+def test_mypy_strict_modules_clean():
+    # mypy is an optional (CI-installed) dependency; the staged config in
+    # pyproject.toml holds these modules to strict annotations.
+    pytest.importorskip("mypy")
+    files = ["src/repro/serialization.py", "src/repro/distrib/queue.py"]
+    proc = subprocess.run([sys.executable, "-m", "mypy", *files],
+                          cwd=REPO_ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
