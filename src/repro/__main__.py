@@ -105,15 +105,11 @@ def _queue_from(args: argparse.Namespace):
 
 
 def _print_summary(verbose: bool = False) -> None:
-    """The post-run provenance line(s): who computed what.
+    """The post-run provenance line(s): who computed what, from the
+    process-wide :data:`repro.experiments.runner.telemetry`."""
+    from repro.experiments.runner import format_run_summary, telemetry
 
-    Rendered by the shared formatter from the process-wide metrics
-    registry (:mod:`repro.obs.metrics`) -- the same source the worker
-    exit line uses -- so every surface reports identical numbers.
-    """
-    from repro.obs import metrics
-
-    print(metrics.format_run_summary(verbose))
+    print(format_run_summary(telemetry, verbose))
 
 
 def _check_shards(args: argparse.Namespace) -> None:
@@ -388,7 +384,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     """
     from repro.core import MachineConfig, simulate
     from repro.experiments import runner
-    from repro.obs.trace import PipelineTracer, default_trace_prefix
+    from repro.obs.trace import PipelineTracer
     from repro.workloads import build_workload
 
     if args.benchmark not in runner.DEFAULT_BENCHMARKS:
@@ -404,9 +400,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if variant is not None:
         config = config.with_variant(variant)
         print(f"variant: {variant}")
-    prefix = args.out if args.out else default_trace_prefix()
-    jsonl_path = None if args.no_jsonl else f"{prefix}.jsonl"
-    konata_path = None if args.no_konata else f"{prefix}.kanata"
+    jsonl_path = None if args.no_jsonl else f"{args.out}.jsonl"
+    konata_path = None if args.no_konata else f"{args.out}.kanata"
     program = build_workload(args.benchmark, scale=scale)
     with PipelineTracer(jsonl_path=jsonl_path,
                         konata_path=konata_path) as tracer:
@@ -577,10 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="N",
                       help="stop after N retired instructions (default: "
                            "run to completion)")
-    p_tr.add_argument("--out", default=None, metavar="PREFIX",
+    p_tr.add_argument("--out", default="trace", metavar="PREFIX",
                       help="output path prefix for PREFIX.jsonl and "
-                           "PREFIX.kanata (default: REPRO_TRACE or "
-                           "'trace')")
+                           "PREFIX.kanata (default: 'trace')")
     p_tr.add_argument("--no-jsonl", action="store_true",
                       help="skip the JSON-lines event stream")
     p_tr.add_argument("--no-konata", action="store_true",

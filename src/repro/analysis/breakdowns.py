@@ -70,18 +70,6 @@ def refcount_breakdown(stats: SimStats) -> Dict[int, float]:
             for count, value in sorted(stats.integration_refcount.items())}
 
 
-def sharing_degree_fractions(stats: SimStats) -> Dict[str, float]:
-    """Summary of simultaneous sharing: how many integrations happened while
-    the result was still actively mapped, and how many needed more than a
-    2-bit reference counter."""
-    total = sum(stats.integration_refcount.values())
-    if not total:
-        return {"active_share": 0.0, "beyond_2bit": 0.0}
-    active = sum(v for k, v in stats.integration_refcount.items() if k >= 2)
-    beyond = sum(v for k, v in stats.integration_refcount.items() if k > 3)
-    return {"active_share": active / total, "beyond_2bit": beyond / total}
-
-
 def full_breakdown_report(stats: SimStats) -> str:
     """Human-readable report of all four Figure 5 breakdowns for one run."""
     lines = [f"Integration stream breakdowns -- {stats.benchmark} "

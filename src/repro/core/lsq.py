@@ -44,27 +44,17 @@ class CollisionHistoryTable:
     def __init__(self, entries: int = 256):
         self.entries = entries
         self._tags: List[Optional[int]] = [None] * entries
-        self.trainings = 0
-        #: Dynamic loads whose issue was constrained by a prediction --
-        #: counted once per dynamic load by the issue stage, not per poll.
-        self.hits = 0
 
     def predicts_collision(self, pc: int) -> bool:
         """Pure lookup: does the table predict a collision for this PC?
 
         Deliberately side-effect free -- a stalled load is re-polled by the
-        scheduler every cycle, so counting here would inflate ``hits`` with
-        poll attempts.  The issue stage records the hit once per dynamic
-        load via :meth:`record_hit`.
+        scheduler every cycle; the issue stage counts ``SimStats.cht_hits``
+        once per dynamic load.
         """
         return self._tags[(pc // INST_SIZE) % self.entries] == pc
 
-    def record_hit(self) -> None:
-        """Count one dynamic load constrained by a collision prediction."""
-        self.hits += 1
-
     def train(self, pc: int) -> None:
-        self.trainings += 1
         self._tags[(pc // INST_SIZE) % self.entries] = pc
 
 

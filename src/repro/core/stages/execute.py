@@ -120,7 +120,9 @@ class IssueExecute:
             return
         victim = violations[0]
         victim.mem_mispeculated = True
-        state.stats.memory_order_violations += 1
+        stats = state.stats
+        stats.memory_order_violations += 1
+        stats.cht_trainings += 1
         state.cht.train(victim.inst.pc)
         self.recovery.squash_from(victim, redirect_pc=victim.pc)
 
@@ -208,7 +210,7 @@ class IssueExecute:
             # a stalled load.
             if not dyn.cht_counted:
                 dyn.cht_counted = True
-                state.cht.record_hit()
+                state.stats.cht_hits += 1
             if state.lsq.older_stores_unresolved(dyn):
                 return False
         # Cache the probe for _execute_load: nothing between select and

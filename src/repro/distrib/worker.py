@@ -33,6 +33,8 @@ double-finished by its original, slept-through-the-TTL owner.
 
 from __future__ import annotations
 
+import math
+import os
 import threading
 import time
 import traceback
@@ -47,16 +49,38 @@ from repro.distrib.queue import (
     worker_identity,
 )
 from repro.experiments.cache import ResultCache
-from repro.experiments.runner import SimJob, run_job, telemetry
+from repro.experiments.runner import EnvVarError, SimJob, run_job, telemetry
 from repro.experiments.sharding import SliceSpec
 from repro.experiments.warming import WarmState
 from repro.functional.emulator import Checkpoint
-from repro.obs import metrics
 from repro.reliability.faults import SimulatedCrash, crashpoint
 from repro.workloads import build_workload
 
 #: Fraction of the lease TTL between heartbeats while a job runs.
 HEARTBEAT_FRACTION = 0.25
+
+#: Snapshot cadence fallback (seconds) when ``REPRO_METRICS_INTERVAL`` is
+#: unset.
+DEFAULT_METRICS_INTERVAL = 5.0
+
+
+def default_metrics_interval() -> float:
+    """Validated accessor for ``REPRO_METRICS_INTERVAL`` (the only place
+    it is read): seconds between the periodic metric snapshots a worker
+    appends for the ``repro status --watch`` dashboard (default 5)."""
+    raw = os.environ.get("REPRO_METRICS_INTERVAL",
+                         str(DEFAULT_METRICS_INTERVAL)).strip()
+    if not raw:
+        return DEFAULT_METRICS_INTERVAL
+    try:
+        value = float(raw)
+    except ValueError:
+        raise EnvVarError("REPRO_METRICS_INTERVAL", raw,
+                          "a number of seconds (e.g. 5)") from None
+    if not math.isfinite(value) or value <= 0:
+        raise EnvVarError("REPRO_METRICS_INTERVAL", raw,
+                          "a positive finite number of seconds (e.g. 5)")
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -131,6 +155,12 @@ class WorkerSummary:
             "io_errors": self.io_errors,
             "started_at": self.started_at,
         }
+
+    def exit_line(self) -> str:
+        """The drain loop's closing log line."""
+        return (f"worker {self.worker} exiting: {self.executed} executed, "
+                f"{self.cache_hits} cache hits, {self.failed} failed, "
+                f"{self.reclaimed} leases reclaimed")
 
 
 class _HeartbeatThread:
@@ -266,19 +296,8 @@ def run_worker(queue: Optional[JobQueue] = None,
     summary = WorkerSummary(worker=worker_id or worker_identity())
     idle_since: Optional[float] = None
     emit = log or (lambda message: None)
-    registry = metrics.REGISTRY
-    snapshot_interval = metrics.default_metrics_interval()
+    snapshot_interval = default_metrics_interval()
     last_snapshot = time.time()
-
-    def mirror() -> None:
-        """Mirror the summary into ``worker.*`` registry counters (the
-        source the shared exit-line formatter renders from)."""
-        for name, value in summary.to_dict().items():
-            if name == "started_at":
-                registry.set_gauge("worker.started_at", value)
-            else:
-                registry.set_counter(f"worker.{name}", int(value))
-        registry.set_counter("worker.jobs_done", summary.jobs_done)
 
     def maybe_snapshot(force: bool = False) -> None:
         """Append a metrics snapshot for the status dashboard's
@@ -299,7 +318,6 @@ def run_worker(queue: Optional[JobQueue] = None,
         except OSError:
             pass
 
-    mirror()
     emit(f"worker {summary.worker} draining {queue.root}")
     try:
         while max_jobs is None or summary.jobs_done < max_jobs:
@@ -328,18 +346,16 @@ def run_worker(queue: Optional[JobQueue] = None,
             emit(f"  job {job.key[:16]} "
                  f"({job.payload.get('benchmark', '?')})")
             process_one(queue, cache, job, summary)
-            mirror()
             try:
                 queue.record_worker(summary.worker, summary.to_dict())
             except OSError:
                 pass                    # stats are advisory, never fatal
     except KeyboardInterrupt:
         emit(f"worker {summary.worker} interrupted")
-    mirror()
     maybe_snapshot(force=True)
     try:
         queue.record_worker(summary.worker, summary.to_dict())
     except OSError:
         pass
-    emit(metrics.format_worker_exit(summary.worker))
+    emit(summary.exit_line())
     return summary

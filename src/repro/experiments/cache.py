@@ -20,9 +20,9 @@ and the atomic rename, or a short write on a full disk -- is detected at
 load time.  Entries that fail verification (or decoding) are *quarantined*
 to ``<root>/corrupt/`` rather than silently unlinked: the evidence
 survives for inspection, the load is a plain miss, and the event is
-counted in ``RunTelemetry.corrupt_quarantined``.  Trailer-less entries
-from older cache layouts still load (the key's ``code_version`` component
-retires them naturally).
+counted in ``RunTelemetry.corrupt_quarantined``.  An entry without the
+trailer is corrupt too: every key hashes :func:`code_version`, so no
+entry this code wrote can lack one.
 
 The cache directory defaults to ``~/.cache/repro`` (respecting
 ``XDG_CACHE_HOME``) and can be redirected with ``REPRO_CACHE_DIR``; setting
@@ -122,22 +122,18 @@ def seal_entry(body: bytes) -> bytes:
     return body + INTEGRITY_TRAILER + digest
 
 
-def unseal_entry(raw: bytes) -> tuple[Optional[bytes], bool]:
-    """Split an entry into (body, verified).
-
-    Returns ``(None, False)`` when the trailer is present but the digest
-    does not match (torn or tampered entry), and ``(raw, False)`` for
-    trailer-less legacy entries (accepted, but unverified).
-    """
+def unseal_entry(raw: bytes) -> Optional[bytes]:
+    """The body of a sealed entry, or None when the trailer is missing or
+    its digest does not match (a torn, tampered or foreign entry)."""
     idx = raw.rfind(INTEGRITY_TRAILER)
     if idx < 0:
-        return raw, False
+        return None
     body = raw[:idx]
     digest = raw[idx + len(INTEGRITY_TRAILER):].strip().decode(
         "ascii", "replace")
     if hashlib.sha256(body).hexdigest() != digest:
-        return None, False
-    return body, True
+        return None
+    return body
 
 
 class PayloadCache:
@@ -150,9 +146,6 @@ class PayloadCache:
 
     def __init__(self, root: Optional[Path] = None):
         self.root = Path(root) if root is not None else cache_dir()
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
 
     # ------------------------------------------------------------------
     def path_for(self, key: str) -> Path:
@@ -192,12 +185,10 @@ class PayloadCache:
         try:
             raw = fs.read_bytes(path, "cache")
         except OSError:
-            self.misses += 1
             return None
-        body, _verified = unseal_entry(raw)
+        body = unseal_entry(raw)
         if body is None:
-            self._quarantine(path, "sha256 mismatch")
-            self.misses += 1
+            self._quarantine(path, "failed integrity check")
             return None
         try:
             payload = json.loads(body.decode("utf-8"))
@@ -205,9 +196,7 @@ class PayloadCache:
                 raise ValueError("cache entry is not a JSON object")
         except Exception:
             self._quarantine(path, "undecodable entry")
-            self.misses += 1
             return None
-        self.hits += 1
         return payload
 
     def store_payload(self, key: str, payload: Dict[str, Any]) -> bool:
@@ -251,7 +240,6 @@ class PayloadCache:
             except OSError:
                 pass
             raise
-        self.stores += 1
         return True
 
     # ------------------------------------------------------------------
@@ -378,8 +366,6 @@ class ResultCache(PayloadCache):
         except Exception:
             # Stale schema: quarantine the entry and treat it as a miss.
             self._quarantine(self.path_for(key), "stale schema")
-            self.hits -= 1
-            self.misses += 1
             return None
 
     def store(self, key: str, result: SimStats) -> bool:

@@ -26,10 +26,6 @@ class Figure5Result:
         return {name: breakdowns.type_breakdown(s)
                 for name, s in self.stats.items()}
 
-    def sharing_summary(self) -> Dict[str, Dict[str, float]]:
-        return {name: breakdowns.sharing_degree_fractions(s)
-                for name, s in self.stats.items()}
-
 
 def run(benchmarks: Optional[Iterable[str]] = None,
         scale: Optional[float] = None,

@@ -40,7 +40,6 @@ from repro.experiments.cache import ResultCache, disk_cache_enabled, result_key
 from repro.experiments.warming import WarmState
 from repro.functional.emulator import Checkpoint
 from repro.isa.program import Program
-from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.variants import get_builder, variant_names
 from repro.workloads import workload_names
 from repro.workloads.spec_like import estimate_dynamic_insts
@@ -60,12 +59,22 @@ SMOKE_BENCHMARKS: Tuple[str, ...] = ("gzip", "crafty", "mcf")
 _DISK_CACHE: Optional[ResultCache] = None
 
 
-#: The run-telemetry counter names, in ``--verbose`` print order.
-_TELEMETRY_FIELDS = (
-    "simulations", "cycles_simulated", "cycles_elided", "memory_hits",
-    "disk_hits", "memory_evictions", "slices_simulated", "remote_jobs",
-    "leases_reclaimed", "corrupt_quarantined", "io_retries",
-    "cache_degraded", "fenced",
+#: The run-telemetry counters and their ``--verbose`` labels, in print
+#: order.
+RUN_COUNTERS: Tuple[Tuple[str, str], ...] = (
+    ("simulations", "local simulations"),
+    ("cycles_simulated", "cycles simulated"),
+    ("cycles_elided", "cycles elided"),
+    ("slices_simulated", "slices simulated"),
+    ("remote_jobs", "remote jobs"),
+    ("leases_reclaimed", "leases reclaimed"),
+    ("memory_hits", "memory hits"),
+    ("disk_hits", "disk hits"),
+    ("memory_evictions", "memory evictions"),
+    ("io_retries", "io retries"),
+    ("corrupt_quarantined", "corrupt quarantined"),
+    ("cache_degraded", "cache degraded"),
+    ("fenced", "fenced publishes"),
 )
 
 
@@ -85,39 +94,48 @@ class RunTelemetry:
     ``cache_degraded`` disk-cache writes that failed outright and fell
     back to memory-only, and ``fenced`` jobs abandoned un-published after
     this process lost its lease.
-
-    The values live in the process-wide metrics registry
-    (:data:`repro.obs.metrics.REGISTRY`, names ``run.<field>``) so every
-    reporting surface reads the same numbers; this class is an attribute
-    proxy preserving the ``telemetry.simulations += 1`` call sites.
     """
 
-    FIELDS = _TELEMETRY_FIELDS
-    __slots__ = ("_registry",)
+    __slots__ = tuple(name for name, _ in RUN_COUNTERS)
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        object.__setattr__(self, "_registry",
-                           registry if registry is not None else REGISTRY)
-
-    def __getattr__(self, name: str) -> int:
-        if name in _TELEMETRY_FIELDS:
-            return self._registry.counter("run." + name)
-        raise AttributeError(name)
-
-    def __setattr__(self, name: str, value: int) -> None:
-        if name not in _TELEMETRY_FIELDS:
-            raise AttributeError(f"unknown telemetry counter {name!r}")
-        self._registry.set_counter("run." + name, int(value))
+    def __init__(self) -> None:
+        self.reset()
 
     def reset(self) -> None:
-        self._registry.reset("run.")
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def to_dict(self) -> Dict[str, int]:
-        return {name: self._registry.counter("run." + name)
-                for name in _TELEMETRY_FIELDS}
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 telemetry = RunTelemetry()
+
+
+def format_run_summary(run: RunTelemetry, verbose: bool = False) -> str:
+    """The post-run provenance line(s) behind ``repro run``/``submit``/
+    ``figures``: the headline names who computed what, and ``verbose``
+    appends the full aligned breakdown."""
+    sliced = run.slices_simulated
+    line = (f"\n{run.simulations} simulations"
+            + (f" ({sliced} slices)" if sliced else "") + ", "
+            f"{run.memory_hits} memory hits, {run.disk_hits} disk hits")
+    if run.remote_jobs:
+        line += f", {run.remote_jobs} remote jobs"
+    if run.leases_reclaimed:
+        line += f", {run.leases_reclaimed} leases reclaimed"
+    if run.corrupt_quarantined:
+        line += f", {run.corrupt_quarantined} corrupt quarantined"
+    if not verbose:
+        return line
+    lines = [line]
+    for name, label in RUN_COUNTERS:
+        value = f"{getattr(run, name)}"
+        if name == "cycles_elided" and run.cycles_simulated:
+            fraction = run.cycles_elided / run.cycles_simulated
+            value += f" ({fraction:.1%} elided)"
+        lines.append(f"  {label + ':':<21}{value}")
+    return "\n".join(lines)
 
 
 class EnvVarError(SystemExit):

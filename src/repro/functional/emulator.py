@@ -110,7 +110,10 @@ class Emulator:
 
 def run_program(program: Program,
                 max_instructions: int = 2_000_000) -> EmulationResult:
-    """Convenience wrapper: functionally execute ``program`` from scratch."""
+    """Convenience wrapper: functionally execute ``program`` from scratch.
+
+    The reference run that the functional, sharding and variant tests and
+    perfbench's retired-count check compare the timing core against."""
     return Emulator(program).run(max_instructions=max_instructions)
 
 

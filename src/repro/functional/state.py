@@ -94,6 +94,10 @@ class ArchState:
         return state
 
     def registers_snapshot(self) -> Dict[int, object]:
-        """Non-zero architectural register values, for compact comparisons."""
+        """Non-zero architectural register values, for compact comparisons.
+
+        The test API for architectural equality: the end-to-end and
+        sharding tests compare a timing run's registers to the emulator's
+        with it."""
         return {i: v for i, v in enumerate(self.regs)
                 if not is_zero_reg(i) and v not in (0, 0.0)}

@@ -19,7 +19,7 @@ The integration machinery lives entirely around the rename stage:
 """
 
 from repro.integration.config import IntegrationConfig, IndexScheme, LispMode
-from repro.integration.table import IntegrationTable, ITEntry, ITStats
+from repro.integration.table import IntegrationTable, ITEntry
 from repro.integration.lisp import LoadIntegrationSuppressionPredictor
 from repro.integration.logic import IntegrationLogic, IntegrationDecision
 
@@ -29,7 +29,6 @@ __all__ = [
     "LispMode",
     "IntegrationTable",
     "ITEntry",
-    "ITStats",
     "LoadIntegrationSuppressionPredictor",
     "IntegrationLogic",
     "IntegrationDecision",

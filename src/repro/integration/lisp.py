@@ -9,17 +9,9 @@ which costs a full pipeline flush (paper Section 3.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.isa.program import INST_SIZE
-
-
-@dataclass
-class LispStats:
-    queries: int = 0
-    suppressions: int = 0
-    insertions: int = 0
 
 
 class LoadIntegrationSuppressionPredictor:
@@ -39,19 +31,16 @@ class LoadIntegrationSuppressionPredictor:
         # each set maps pc -> last-touch tick (LRU)
         self._sets: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
         self._tick = 0
-        self.stats = LispStats()
 
     def _index(self, pc: int) -> int:
         return (pc // INST_SIZE) % self.num_sets
 
     def suppresses(self, pc: int) -> bool:
         """True if integration of the load at ``pc`` should be suppressed."""
-        self.stats.queries += 1
         lisp_set = self._sets[self._index(pc)]
         if pc in lisp_set:
             self._tick += 1
             lisp_set[pc] = self._tick
-            self.stats.suppressions += 1
             return True
         return False
 
@@ -59,7 +48,6 @@ class LoadIntegrationSuppressionPredictor:
         """Record a load mis-integration at ``pc``."""
         lisp_set = self._sets[self._index(pc)]
         self._tick += 1
-        self.stats.insertions += 1
         if pc in lisp_set:
             lisp_set[pc] = self._tick
             return

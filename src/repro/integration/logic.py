@@ -114,7 +114,6 @@ class IntegrationLogic:
             oracle = None
 
         table = self.table
-        table.stats.lookups += 1
         # The set index, as IntegrationTable.insert places entries: the PC
         # under PC indexing, else the opcode/immediate key, with the call
         # depth XORed in under the enhanced scheme.
@@ -159,7 +158,6 @@ class IntegrationLogic:
             break
         if not tag_hit:
             return NO_INTEGRATION
-        table.stats.tag_hits += 1
         if best is None:
             return _TAG_HIT_ORACLE_SUPPRESSED if suppressed else _TAG_HIT
         cache_set.remove(best)

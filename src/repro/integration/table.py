@@ -18,7 +18,6 @@ squash-reuse design (paper Section 2.2, implementation issues).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.integration.config import IndexScheme
@@ -56,15 +55,6 @@ class ITEntry:
                 f"in={self.inputs} out={self.out}>")
 
 
-@dataclass
-class ITStats:
-    lookups: int = 0
-    tag_hits: int = 0
-    insertions: int = 0
-    reverse_insertions: int = 0
-    evictions: int = 0
-
-
 class IntegrationTable:
     """Set-associative, LRU-replaced integration table."""
 
@@ -86,7 +76,6 @@ class IntegrationTable:
         self._depth_in_index = scheme is IndexScheme.OPCODE_IMM_CALLDEPTH
         #: Each set in recency order, least recently used first.
         self._sets: List[List[ITEntry]] = [[] for _ in range(self.num_sets)]
-        self.stats = ITStats()
 
     # ------------------------------------------------------------------
     # placement (paper Section 2.3)
@@ -108,13 +97,8 @@ class IntegrationTable:
         elif self._depth_in_index:
             key ^= call_depth
         cache_set = self._sets[key % self.num_sets]
-        stats = self.stats
-        stats.insertions += 1
-        if entry.is_reverse:
-            stats.reverse_insertions += 1
         if len(cache_set) >= self.assoc:
             del cache_set[0]
-            stats.evictions += 1
         cache_set.append(entry)
         return entry
 

@@ -79,10 +79,6 @@ class StaticInst:
                                         and dest != REG_FZERO))),
             itype=info.itype_sp if ra == REG_SP else info.itype)
 
-    def src_regs(self) -> Tuple[int, ...]:
-        """Logical source registers actually read by this instruction."""
-        return self.srcs
-
     def dest_reg(self) -> Optional[int]:
         """Logical destination register, or ``None``."""
         return self.dest

@@ -56,6 +56,8 @@ class Program:
         return pc in self._by_pc
 
     def label_pc(self, name: str) -> int:
+        """The PC of a label; the assembler tests check label resolution
+        with it."""
         return self.labels[name]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -92,7 +94,8 @@ class ProgramBuilder:
         return pc
 
     def set_data(self, addr: int, value: int) -> None:
-        """Pre-initialise a data-memory word."""
+        """Pre-initialise a data-memory word; the functional tests seed
+        memory with it."""
         self._data[addr] = value
 
     def emit(self, op: Union[Opcode, str], rd: Optional[RegLike] = None,

@@ -130,13 +130,6 @@ def narrow_load_value(op: Opcode, value):
     return value
 
 
-def narrow_store_value(op: Opcode, value):
-    """Apply the store-width semantics (``stl`` keeps the low 32 bits)."""
-    if op is Opcode.STL:
-        return int(value) & MASK32
-    return value
-
-
 # ----------------------------------------------------------------------
 # Precomputed per-opcode dispatch, attached to the shared OpInfo records.
 #

@@ -1,4 +1,5 @@
-"""Observability: pipeline tracing, CPI stall stacks and fleet metrics.
+"""Observability: pipeline tracing, CPI stall stacks and the fleet
+dashboard.
 
 Three layers, documented in docs/ARCHITECTURE.md ("Observability"):
 
@@ -6,9 +7,8 @@ Three layers, documented in docs/ARCHITECTURE.md ("Observability"):
   (JSON-lines and Konata pipetrace output) behind ``repro trace``;
 * :mod:`repro.obs.cpi` -- the per-cycle top-of-ROB blame taxonomy that
   fills ``SimStats.cpi_stack``;
-* :mod:`repro.obs.metrics` / :mod:`repro.obs.dashboard` -- the
-  counter/gauge/histogram registry behind ``RunTelemetry`` and the
-  ``repro status --watch`` live fleet dashboard.
+* :mod:`repro.obs.dashboard` -- the ``repro status --watch`` live fleet
+  dashboard, rendered from the queue's worker stats and snapshots.
 
 :mod:`repro.obs.cpi` is imported by the core engine and must stay
 dependency-free; the other modules sit above the core and may import it.

@@ -16,9 +16,7 @@ degrades its line, never tracebacks the CLI.
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional
-
-from repro.obs.metrics import sliding_rate
+from typing import Any, Callable, Iterable, List, Mapping, Optional
 
 #: Snapshots consulted for the sliding-window rate (each spaced
 #: ``REPRO_METRICS_INTERVAL`` apart, so the default window covers the
@@ -35,6 +33,33 @@ def _num(value: object, cast, default):
         return cast(value)
     except (TypeError, ValueError):
         return default
+
+
+def sliding_rate(snapshots: Iterable[Mapping[str, Any]],
+                 value_key: str = "jobs_done",
+                 time_key: str = "t",
+                 window: int = RATE_WINDOW) -> Optional[float]:
+    """Per-minute rate over the last ``window`` snapshots (None when
+    fewer than two usable snapshots exist or no time has passed).
+
+    The sliding-window companion to the lifetime jobs/min rate: a worker
+    that was fast an hour ago but is wedged now shows a sagging window
+    rate long before the lifetime average notices.
+    """
+    usable = []
+    for snap in snapshots:
+        try:
+            usable.append((float(snap[time_key]), float(snap[value_key])))
+        except (KeyError, TypeError, ValueError):
+            continue
+    usable = usable[-window:]
+    if len(usable) < 2:
+        return None
+    (t0, v0), (t1, v1) = usable[0], usable[-1]
+    elapsed = t1 - t0
+    if elapsed <= 0:
+        return None
+    return 60.0 * (v1 - v0) / elapsed
 
 
 def render_status(queue, now: Optional[float] = None,

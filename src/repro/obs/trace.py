@@ -27,7 +27,6 @@ Two output formats, both optional:
 from __future__ import annotations
 
 import json
-import os
 from typing import Any, Dict, List, Optional, Tuple
 
 #: Konata stage labels, in pipeline order.
@@ -35,14 +34,6 @@ _STAGE_FETCH = "F"
 _STAGE_RENAME = "R"
 _STAGE_EXECUTE = "X"
 _STAGE_WAIT = "W"
-
-
-def default_trace_prefix() -> str:
-    """Validated accessor for ``REPRO_TRACE`` (the only place it is
-    read): the output path prefix ``repro trace`` writes
-    ``<prefix>.jsonl`` / ``<prefix>.kanata`` next to when ``--out`` is
-    not given.  Any non-empty string is a valid prefix."""
-    return os.environ.get("REPRO_TRACE", "").strip() or "trace"
 
 
 class PipelineTracer:

@@ -90,8 +90,6 @@ class FaultRule:
     delay: float = 0.0
     #: matching operations seen so far (the deterministic "schedule clock")
     hits: int = 0
-    #: how many times this rule actually fired
-    fired: int = 0
 
     def matches(self, op: str, path: str, category: str) -> bool:
         if self.op != "any" and self.op != op:
@@ -106,16 +104,12 @@ class FaultRule:
         """Count one matching call; return whether the rule fires on it."""
         self.hits += 1
         if self.selector == "always":
-            fire = True
-        elif self.selector == "nth":
-            fire = self.hits == self.sel_n
-        elif self.selector == "after":
-            fire = self.hits > self.sel_n
-        else:  # every
-            fire = self.hits % self.sel_n == 0
-        if fire:
-            self.fired += 1
-        return fire
+            return True
+        if self.selector == "nth":
+            return self.hits == self.sel_n
+        if self.selector == "after":
+            return self.hits > self.sel_n
+        return self.hits % self.sel_n == 0     # every
 
     def describe(self) -> str:
         sel = (self.selector if self.selector == "always"
@@ -195,9 +189,6 @@ class FaultPlan:
                 if fired is None:
                     fired = rule
         return fired
-
-    def total_fired(self) -> int:
-        return sum(rule.fired for rule in self.rules)
 
 
 def fire(rule: FaultRule, op: str, path: str) -> None:

@@ -67,11 +67,6 @@ class PhysicalRegisterFile:
         #: this to the scheduler's wakeup so operand readiness is tracked by
         #: events instead of per-cycle scans.
         self.on_ready: Optional[Callable[[int], None]] = None
-        # Statistics.
-        self.allocations = 0
-        self.integrations = 0
-        self.refcount_saturations = 0
-        self.allocation_failures = 0
 
         # Zero register.
         self.ready[ZERO_PREG] = True
@@ -96,7 +91,6 @@ class PhysicalRegisterFile:
                 # The register was re-referenced (integrated) while it sat on
                 # the free queue; it is no longer allocatable.
                 continue
-            self.allocations += 1
             self.gen[preg] = (self.gen[preg] + 1) & self.gen_mask
             self.refcount[preg] = 1
             self.valid[preg] = True
@@ -104,7 +98,6 @@ class PhysicalRegisterFile:
             self.values[preg] = value
             self.zero_via_squash[preg] = False
             return preg
-        self.allocation_failures += 1
         return None
 
     def add_ref(self, preg: int) -> bool:
@@ -117,10 +110,8 @@ class PhysicalRegisterFile:
         if preg == ZERO_PREG:
             return True
         if self.refcount[preg] >= self.max_refcount:
-            self.refcount_saturations += 1
             return False
         self.refcount[preg] += 1
-        self.integrations += 1
         return True
 
     def release(self, preg: int, via_squash: bool = False) -> None:
@@ -165,6 +156,10 @@ class PhysicalRegisterFile:
     # integration support
     # ------------------------------------------------------------------
     def state_of(self, preg: int) -> PhysRegState:
+        """The paper's register state (Figure 2) of ``preg``.
+
+        The test API for the free/eligible/active partition: the rename
+        tests read it, and the partition invariant is stated with it."""
         if self.refcount[preg] > 0:
             return PhysRegState.ACTIVE
         return PhysRegState.ELIGIBLE if self.valid[preg] else PhysRegState.FREE

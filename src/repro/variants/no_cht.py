@@ -7,8 +7,8 @@ issues speculatively every time, and every collision costs a full squash --
 which is the classic "naive speculation" control for the CHT's value.  The
 table object stays in place (the issue stage still consults the slot), but
 it never predicts and never learns, so ``cht_hits`` is structurally zero
-while ``cht_trainings`` keeps counting the violations the filter would have
-absorbed.
+while ``cht_trainings``, counted by the execute stage at each violation,
+keeps counting the violations the filter would have absorbed.
 """
 
 from __future__ import annotations
@@ -20,18 +20,14 @@ from repro.variants import register
 
 
 class NeverPredictCHT(CollisionHistoryTable):
-    """A collision history table that never constrains a load.
-
-    ``train`` still counts violations (the statistic is how the scenario
-    matrix quantifies the squash traffic the real table suppresses) but
-    stores no tags, and ``predicts_collision`` is constantly False.
-    """
+    """A collision history table that never constrains a load: ``train``
+    stores no tags, and ``predicts_collision`` is constantly False."""
 
     def predicts_collision(self, pc: int) -> bool:
         return False
 
     def train(self, pc: int) -> None:
-        self.trainings += 1
+        pass
 
 
 @register

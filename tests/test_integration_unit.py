@@ -12,7 +12,6 @@ from repro.integration import (
     IntegrationLogic,
     IntegrationTable,
     ITEntry,
-    ITStats,
     LispMode,
     LoadIntegrationSuppressionPredictor,
 )
@@ -132,7 +131,6 @@ class TestIntegrationTable:
         assert table._sets[0] == [first, third]
         assert found(logic, 0x00) is first
         assert found(logic, 0x10) is None
-        assert table.stats.evictions == 1
 
     def test_probe_prefers_most_recently_used(self):
         table = IntegrationTable(16, 4, IndexScheme.OPCODE_IMM)
@@ -180,7 +178,6 @@ class TestLisp:
         assert not lisp.suppresses(0x40)
         lisp.train(0x40)
         assert lisp.suppresses(0x40)
-        assert lisp.stats.suppressions == 1
 
     def test_capacity_is_bounded(self):
         lisp = LoadIntegrationSuppressionPredictor(entries=2, assoc=2)
@@ -543,7 +540,6 @@ class TickTable:
         self.sets = [[] for _ in range(self.num_sets)]
         self.ticks = {}
         self.now = 0
-        self.stats = ITStats()
 
     def _touch(self, e):
         self.now += 1
@@ -552,13 +548,10 @@ class TickTable:
     def insert(self, e, call_depth):
         cache_set = self.sets[ref_index(self, e.pc, e.opcode, e.imm,
                                         call_depth)]
-        self.stats.insertions += 1
-        self.stats.reverse_insertions += e.is_reverse
         if len(cache_set) >= self.assoc:
             victim = min(range(len(cache_set)),
                          key=lambda i: self.ticks[id(cache_set[i])])
             cache_set[victim] = e
-            self.stats.evictions += 1
         else:
             cache_set.append(e)
         self._touch(e)
@@ -569,7 +562,6 @@ class TickTable:
         info = dyn.info
         if not info.integrable:
             return False, None, False, False
-        self.stats.lookups += 1
         cache_set = self.sets[ref_index(self, inst.pc, inst.op, inst.imm,
                                         call_depth)]
         if self.scheme is IndexScheme.PC:
@@ -579,7 +571,6 @@ class TickTable:
                       if e.opcode is inst.op and e.imm == inst.imm]
         if not tagged:
             return False, None, False, False
-        self.stats.tag_hits += 1
         passing = [e for e in tagged if e.inputs == dyn.src_key and (
             e.branch_outcome is not None if info.is_cond_branch
             else e.out is not None and prf.integration_eligible(
@@ -681,5 +672,4 @@ class TestRecencyOrderedTable:
                         got.suppressed_by_oracle) == want
                 assert not got.suppressed_by_lisp
                 assert calls[table] == calls[reference]
-            assert table.stats == reference.stats
             assert table._sets == reference.recency_sets()

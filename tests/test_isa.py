@@ -143,17 +143,17 @@ class TestOpcodes:
 class TestStaticInst:
     def test_alu_operands(self):
         inst = StaticInst(pc=0, op=Opcode.ADDQ, rd=1, ra=2, rb=3)
-        assert inst.src_regs() == (2, 3)
+        assert inst.srcs == (2, 3)
         assert inst.dest_reg() == 1
 
     def test_store_has_no_destination(self):
         inst = StaticInst(pc=0, op=Opcode.STQ, ra=1, rb=30, imm=8)
         assert inst.dest_reg() is None
-        assert inst.src_regs() == (1, 30)
+        assert inst.srcs == (1, 30)
 
     def test_branch_sources(self):
         inst = StaticInst(pc=0, op=Opcode.BEQ, ra=4, imm=16, target=20)
-        assert inst.src_regs() == (4,)
+        assert inst.srcs == (4,)
         assert inst.dest_reg() is None
 
 
@@ -206,9 +206,6 @@ class TestSemantics:
             semantics.branch_taken(Opcode.ADDQ, 0)
 
     def test_narrowing(self):
-        wide = 0x1_2345_6789
-        assert semantics.narrow_store_value(Opcode.STL, wide) == 0x2345_6789
-        assert semantics.narrow_store_value(Opcode.STQ, wide) == wide
         negative32 = 0xFFFF_FFFF
         assert semantics.narrow_load_value(Opcode.LDL, negative32) == \
             semantics.to_unsigned(-1)

@@ -451,12 +451,9 @@ class TestCHTAccounting:
     def test_predicts_collision_is_pure(self):
         cht = CollisionHistoryTable(16)
         cht.train(0x40)
-        assert cht.hits == 0
         assert cht.predicts_collision(0x40)
-        assert cht.predicts_collision(0x40)
-        assert cht.hits == 0            # pure lookup: no stat side effect
-        cht.record_hit()
-        assert cht.hits == 1
+        assert cht.predicts_collision(0x40)   # a lookup changes nothing
+        assert not cht.predicts_collision(0x44)
 
     def test_stalled_load_counts_one_hit_despite_repolling(self):
         """A CHT-predicted load is re-polled by select() every cycle while
@@ -481,9 +478,9 @@ class TestCHTAccounting:
         proc.cht.train(load_pc)
         stats = proc.run()
         assert stats.retired > 0
-        assert proc.cht.hits == 1
         assert stats.cht_hits == 1
-        assert stats.cht_trainings == proc.cht.trainings
+        # Only a violation trains (and counts); the preset tag does not.
+        assert stats.cht_trainings == stats.memory_order_violations
 
     def test_cht_counters_round_trip_serialization(self):
         from repro.core.stats import SimStats

@@ -10,9 +10,9 @@ Three properties anchor the layer:
   exactly one bucket, so the stack sums to ``cycles`` and is
   bit-identical across elision settings and scheduling
   (pool vs serial, sharded vs not for the same geometry);
-* **the metrics registry is the single source of truth** -- the run
-  telemetry proxy, the worker mirror and the dashboard all render from
-  it, and the sliding-window rate is a pure function of the snapshots.
+* **each counter has one home** -- run telemetry is a plain record the
+  ``--verbose`` summary renders directly, and the dashboard's
+  sliding-window rate is a pure function of the worker's snapshots.
 """
 
 import json
@@ -27,12 +27,8 @@ from repro.distrib.queue import JobQueue
 from repro.integration.config import IntegrationConfig
 from repro.isa import ProgramBuilder
 from repro.obs.cpi import CPI_BUCKETS, CPI_RETIRED, classify_stall
-from repro.obs.metrics import (
-    MetricsRegistry,
-    format_run_summary,
-    sliding_rate,
-)
-from repro.obs.trace import PipelineTracer, default_trace_prefix
+from repro.obs.dashboard import sliding_rate
+from repro.obs.trace import PipelineTracer
 from repro.workloads import build_workload
 
 FULL = MachineConfig().with_integration(IntegrationConfig.full())
@@ -169,12 +165,6 @@ class TestTracing:
         assert (tmp_path / "cli.jsonl").exists()
         assert (tmp_path / "cli.kanata").exists()
 
-    def test_default_prefix_env(self):
-        with _env(REPRO_TRACE="  spool/x  "):
-            assert default_trace_prefix() == "spool/x"
-        with _env(REPRO_TRACE=None):
-            assert default_trace_prefix() == "trace"
-
 
 # ----------------------------------------------------------------------
 # Level 2: CPI stall stacks
@@ -267,46 +257,35 @@ class TestCpiStack:
 
 
 # ----------------------------------------------------------------------
-# Level 3: metrics registry and dashboard
+# Level 3: run telemetry and dashboard
 # ----------------------------------------------------------------------
 class TestMetrics:
-    def test_registry_counters_gauges_histograms(self):
-        reg = MetricsRegistry()
-        reg.inc("a.x")
-        reg.inc("a.x", 4)
-        reg.set_gauge("a.g", 2.5)
-        reg.observe("a.h", 1.0)
-        reg.observe("a.h", 3.0)
-        assert reg.counter("a.x") == 5
-        assert reg.gauge("a.g") == 2.5
-        assert reg.histogram("a.h")["mean"] == 2.0
-        assert reg.counters("a.") == {"x": 5}
-        reg.reset("a.")
-        assert reg.counter("a.x") == 0
+    def test_run_telemetry_record(self):
+        from repro.experiments.runner import RUN_COUNTERS, RunTelemetry
 
-    def test_run_telemetry_is_registry_backed(self):
-        from repro.experiments.runner import RunTelemetry
-
-        reg = MetricsRegistry()
-        telemetry = RunTelemetry(registry=reg)
+        telemetry = RunTelemetry()
         telemetry.simulations += 3
         telemetry.memory_hits = 2
-        assert reg.counter("run.simulations") == 3
         assert telemetry.to_dict()["memory_hits"] == 2
+        assert list(telemetry.to_dict()) == [name for name, _ in RUN_COUNTERS]
         with pytest.raises(AttributeError):
             telemetry.bogus_counter = 1
         telemetry.reset()
         assert telemetry.simulations == 0
 
     def test_format_run_summary_headline(self):
-        reg = MetricsRegistry()
-        reg.set_counter("run.simulations", 4)
-        reg.set_counter("run.memory_hits", 1)
-        reg.set_counter("run.disk_hits", 2)
-        text = format_run_summary(registry=reg)
+        from repro.experiments.runner import RunTelemetry, format_run_summary
+
+        counts = RunTelemetry()
+        counts.simulations = 4
+        counts.memory_hits = 1
+        counts.disk_hits = 2
+        text = format_run_summary(counts)
         # The leading blank line separates the summary from run output.
         assert text.lstrip("\n").startswith("4 simulations")
         assert "1 memory hits" in text and "2 disk hits" in text
+        verbose = format_run_summary(counts, verbose=True)
+        assert "  local simulations:   4" in verbose.splitlines()
 
     def test_sliding_rate(self):
         snaps = [{"t": 0.0, "jobs_done": 0},

@@ -122,8 +122,8 @@ class TestDiskCache:
         stats = runner.run_benchmark("gzip", SUITE_CONFIGS["none"], scale=0.1)
         paths = list(isolated_cache.rglob("*.json"))
         assert len(paths) == 1
-        body, verified = unseal_entry(paths[0].read_bytes())
-        assert verified                              # trailer present, valid
+        body = unseal_entry(paths[0].read_bytes())
+        assert body is not None                      # trailer present, valid
         payload = json.loads(body)                   # plain JSON underneath
         from repro.core import SimStats
 

@@ -132,7 +132,6 @@ class TestFaultSpec:
         second = plan.check("write", "p", "cache")
         assert second is not None and second.action == "enospc"
         assert plan.check("write", "p", "cache") is None
-        assert plan.total_fired() == 2
 
     def test_plan_from_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
@@ -285,11 +284,10 @@ class TestCacheIntegrity:
     def test_seal_unseal_roundtrip_and_tamper_detection(self):
         body = b'{"x": 1}'
         sealed = seal_entry(body)
-        assert unseal_entry(sealed) == (body, True)
+        assert unseal_entry(sealed) == body
         tampered = sealed.replace(b'"x": 1', b'"x": 2')
-        assert unseal_entry(tampered) == (None, False)
-        # Legacy trailer-less entries still load, just unverified.
-        assert unseal_entry(body) == (body, False)
+        assert unseal_entry(tampered) is None
+        assert unseal_entry(body) is None             # no trailer: unverified
 
     def test_torn_write_is_quarantined_then_recomputed(self, tmp_path,
                                                        capsys):
@@ -308,6 +306,21 @@ class TestCacheIntegrity:
         assert cache.load_payload(key) == {"x": 1}
         info = cache.info()
         assert info["corrupt"] == 1 and info["entries"] == 1
+
+    def test_trailerless_entry_is_quarantined(self, tmp_path, capsys):
+        # Every key hashes the code version, so no entry this code wrote
+        # lacks the trailer: a bare JSON body is corrupt, never a hit.
+        cache = ResultCache(tmp_path)
+        runner.telemetry.reset()
+        key = "bb" * 32
+        path = cache.path_for(key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b'{"x": 1}')
+        assert cache.load_payload(key) is None
+        assert runner.telemetry.corrupt_quarantined == 1
+        assert "quarantined corrupt entry" in capsys.readouterr().err
+        assert not path.exists()
+        assert cache.info()["corrupt"] == 1
 
     def test_persistent_write_failure_returns_false(self, tmp_path,
                                                     monkeypatch):

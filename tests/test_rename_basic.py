@@ -90,7 +90,7 @@ class TestPhysicalRegisterFile:
         for _ in range(prf.max_refcount - 1):
             assert prf.add_ref(preg)
         assert not prf.add_ref(preg)
-        assert prf.refcount_saturations == 1
+        assert prf.refcount[preg] == prf.max_refcount
 
     def test_generation_mismatch_blocks_integration(self):
         prf = make_prf()
@@ -243,7 +243,7 @@ class TestRenamer:
                 break
             allocated.append(dyn)
         assert len(allocated) == 3
-        assert prf.allocation_failures >= 1
+        assert prf.allocate() is None
 
 
 class TestPaperWorkingExample:

@@ -292,15 +292,18 @@ class TestShardPlans:
         assert key != sharding.plan_key("gzip", 0.2, 8, 1.0, FULL)
         assert key != sharding.plan_key("mcf", 0.2, 4, 1.0, FULL)
 
-    def test_plan_roundtrips_through_disk_cache(self, isolated_cache):
+    def test_plan_roundtrips_through_disk_cache(self, isolated_cache,
+                                                monkeypatch):
         cache = cache_mod.PayloadCache()
         plan = sharding.build_plan("gzip", 0.1, 3, FULL, cache=cache)
         assert sorted(plan.warm) == [s.start for s in plan.slices[1:]]
         sharding.clear_plan_memo()
+        # The second build must come from disk, not a fresh functional pass.
+        monkeypatch.setattr(sharding, "collect_checkpoints",
+                            lambda *args: pytest.fail("plan rebuilt"))
         again = sharding.build_plan("gzip", 0.1, 3, FULL, cache=cache)
         assert again.to_dict() == plan.to_dict()
         assert again.warm == plan.warm
-        assert cache.hits >= 1   # second build came from disk
 
     def test_sharded_benchmark_shards2_is_exact(self, isolated_cache):
         # With a full-slice warm-up slice 1 starts at instruction 0, so it

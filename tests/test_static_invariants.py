@@ -49,9 +49,8 @@ ACCESSOR_REGISTRY = {
     "REPRO_FAULTS": {"reliability/faults.py::faults_spec"},
     "REPRO_RETRY_MAX": {"reliability/retry.py::default_retry_max"},
     "REPRO_RETRY_BASE": {"reliability/retry.py::default_retry_base"},
-    "REPRO_TRACE": {"obs/trace.py::default_trace_prefix"},
     "REPRO_METRICS_INTERVAL": {
-        "obs/metrics.py::default_metrics_interval"},
+        "distrib/worker.py::default_metrics_interval"},
 }
 
 #: The validating helpers that read a non-literal variable name; every
@@ -299,12 +298,13 @@ def test_env_var_allows(source):
 
 
 @pytest.mark.parametrize("knob", ["REPRO_KERNEL", "REPRO_FAST_PATH",
-                                  "REPRO_MEMCACHE_MAX"])
+                                  "REPRO_MEMCACHE_MAX", "REPRO_TRACE"])
 def test_retired_knob_is_flagged(knob):
     # REPRO_KERNEL went with the compiled scheduler backend,
-    # REPRO_FAST_PATH with the second driver loop and REPRO_MEMCACHE_MAX
-    # with the settable memo capacity.  None has an accessor or a docs
-    # row, so reading one again must fail.
+    # REPRO_FAST_PATH with the second driver loop, REPRO_MEMCACHE_MAX
+    # with the settable memo capacity and REPRO_TRACE with the second way
+    # to set ``repro trace --out``.  None has an accessor or a docs row,
+    # so reading one again must fail.
     tree = ast.parse(f"def knob():\n    return os.environ.get('{knob}')\n")
     (finding,) = env_var_findings(tree, "revived.py")
     assert "no registered accessor" in finding[1]
