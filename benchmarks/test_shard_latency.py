@@ -27,7 +27,6 @@ import time
 from repro.core import MachineConfig, simulate
 from repro.experiments import sharding
 from repro.integration.config import IntegrationConfig
-from repro.workloads import build_workload
 
 #: The longest benchmark in the suite (exact dynamic-length profile).
 LONGEST = "vortex"
@@ -51,7 +50,7 @@ def _lpt_makespan(durations, workers: int) -> float:
 def test_sharded_slices_cut_tail_latency():
     """The acceptance criterion: >= 2x wall-clock reduction on the longest
     benchmark at jobs >= 4, slices vs whole run."""
-    program = build_workload(LONGEST, scale=SHARD_SCALE)
+    program = sharding.program_for(LONGEST, SHARD_SCALE)
 
     # Whole-program baseline (best of 2 to shed scheduler noise).
     whole_times = []
@@ -65,7 +64,7 @@ def test_sharded_slices_cut_tail_latency():
     # Checkpoint plan, built cold (cached + config-shared in real sweeps).
     sharding.clear_plan_memo()
     plan = sharding.build_plan(LONGEST, SHARD_SCALE, SHARDS, _CONFIG,
-                               WARMUP_FRACTION, program=program)
+                               WARMUP_FRACTION)
 
     # Every slice, timed individually (this is the real per-job work a pool
     # worker performs, minus process spawn).

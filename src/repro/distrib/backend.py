@@ -7,8 +7,7 @@ an :class:`ExecutionBackend`.  Two implementations cover one machine and
 one fleet:
 
 * :class:`LocalBackend` -- this process when there is one worker or one
-  job, sharing one :class:`Program` per benchmark across its jobs;
-  otherwise a ``multiprocessing`` pool whose ``imap_unordered`` over the
+  job; otherwise a ``multiprocessing`` pool whose ``imap_unordered`` over the
   longest-first list lets short jobs backfill stragglers.
 * :class:`DistributedBackend` -- publish every job into the durable
   filesystem :class:`~repro.distrib.queue.JobQueue` and block until every
@@ -20,7 +19,9 @@ one fleet:
   external workers -- they just make it faster.
 
 Either way a job is simulated by
-:func:`repro.experiments.runner.run_job`.  Selection:
+:func:`repro.experiments.runner.run_job`, on the program
+:func:`repro.experiments.sharding.program_for` built for the checkpoint
+plan or for an earlier job on the same benchmark.  Selection:
 ``run_suite(backend=...)`` accepts a backend instance or a name; ``None``
 falls back to ``REPRO_BACKEND`` and finally to the local backend.
 
@@ -43,8 +44,7 @@ from repro.core import SimStats
 from repro.distrib.queue import JobQueue, job_id_for, worker_identity
 from repro.experiments import runner
 from repro.experiments.runner import SimJob
-from repro.isa.program import Program
-from repro.workloads import build_workload
+from repro.experiments.sharding import program_for
 
 BACKEND_NAMES = ("local", "distributed")
 ENV_BACKEND = "REPRO_BACKEND"
@@ -84,8 +84,7 @@ def _pool_job(job: SimJob,
         stats = disk.load(job.key)
         if isinstance(stats, SimStats):
             return job.key, False, stats, True
-    stats = runner.run_job(job, build_workload(job.benchmark,
-                                               scale=job.scale))
+    stats = runner.run_job(job, program_for(job.benchmark, job.scale))
     stored = disk is None or disk.store(job.key, stats)
     return job.key, True, stats, stored
 
@@ -130,14 +129,8 @@ class LocalBackend:
     def _run_here(jobs: List[SimJob],
                   use_cache: bool) -> Dict[str, SimStats]:
         outcomes: Dict[str, SimStats] = {}
-        # One Program per benchmark and scale, shared by every job on it.
-        programs: Dict[Tuple[str, float], Program] = {}
         for job in jobs:
-            program = programs.get((job.benchmark, job.scale))
-            if program is None:
-                program = build_workload(job.benchmark, scale=job.scale)
-                programs[(job.benchmark, job.scale)] = program
-            stats = runner.run_job(job, program)
+            stats = runner.run_job(job, program_for(job.benchmark, job.scale))
             if use_cache:
                 runner._cache_store(job.key, stats)
             outcomes[job.key] = stats

@@ -50,11 +50,13 @@ from repro.distrib.queue import (
 )
 from repro.experiments.cache import ResultCache
 from repro.experiments.runner import EnvVarError, SimJob, run_job, telemetry
-from repro.experiments.sharding import SliceSpec
+from repro.experiments.sharding import SliceSpec, program_for
 from repro.experiments.warming import WarmState
 from repro.functional.emulator import Checkpoint
 from repro.reliability.faults import SimulatedCrash, crashpoint
-from repro.workloads import build_workload
+# Unused here: perfbench's span instrumentation wraps
+# ``worker.build_workload`` by name.
+from repro.workloads import build_workload  # noqa: F401
 
 #: Fraction of the lease TTL between heartbeats while a job runs.
 HEARTBEAT_FRACTION = 0.25
@@ -120,7 +122,7 @@ def job_from_payload(payload: Dict[str, Any]) -> SimJob:
 def execute_payload(payload: Dict[str, Any]) -> SimStats:
     """Run the simulation a payload describes (no cache interaction)."""
     job = job_from_payload(payload)
-    return run_job(job, build_workload(job.benchmark, scale=job.scale))
+    return run_job(job, program_for(job.benchmark, job.scale))
 
 
 # ----------------------------------------------------------------------

@@ -321,10 +321,12 @@ def _disk_cache() -> Optional[ResultCache]:
 
 
 def clear_cache(disk: bool = False) -> int:
-    """Drop the in-process memos (and optionally the on-disk cache)."""
+    """Drop the in-process memos -- results, checkpoint plans and built
+    programs -- and optionally the on-disk cache."""
     global _DISK_CACHE
     _MEMORY_CACHE.clear()
     sharding.clear_plan_memo()
+    sharding.program_for.cache_clear()
     removed = 0
     if disk:
         cache = _disk_cache()

@@ -49,6 +49,7 @@ rate denominator) tile exactly at *any* shard count.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
@@ -183,6 +184,24 @@ def plan_boundaries(total: int, shards: int,
 
 
 # ----------------------------------------------------------------------
+# built programs (per benchmark x scale, shared by the plan and the jobs)
+# ----------------------------------------------------------------------
+#: Built programs kept in memory.  Jobs run longest first, so one
+#: benchmark's slices run back to back and two entries let them, and the
+#: plan built just before, share one build.
+PROGRAM_MEMO_ENTRIES = 2
+
+
+@functools.lru_cache(maxsize=PROGRAM_MEMO_ENTRIES)
+def program_for(benchmark: str, scale: float, /) -> Program:
+    """``benchmark`` built at ``scale``, memoised for the planner and every
+    job on it; ``runner.clear_cache`` empties the memo.  Sharing is safe
+    because nothing writes to a built program: each run copies its initial
+    data into memory of its own."""
+    return build_workload(benchmark, scale=scale)
+
+
+# ----------------------------------------------------------------------
 # checkpoint cache (per benchmark x scale, shared across configs)
 # ----------------------------------------------------------------------
 _PLAN_MEMO: Dict[str, ShardPlan] = {}
@@ -203,7 +222,6 @@ def plan_key(benchmark: str, scale: float, shards: int,
 def build_plan(benchmark: str, scale: float, shards: int,
                config: MachineConfig,
                warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
-               program: Optional[Program] = None,
                cache: Optional[PayloadCache] = None) -> ShardPlan:
     """Build (or recall) the checkpoint plan for one benchmark x scale,
     warmed with ``config``'s memory system and branch predictor.
@@ -230,8 +248,7 @@ def build_plan(benchmark: str, scale: float, shards: int,
             if plan is not None:
                 _PLAN_MEMO[key] = plan
                 return plan
-    if program is None:
-        program = build_workload(benchmark, scale=scale)
+    program = program_for(benchmark, scale)
     # Pass 1: exact dynamic length (needed to place the boundaries).
     total, _ = collect_checkpoints(program, ())
     slices = plan_boundaries(total, shards, warmup_fraction)

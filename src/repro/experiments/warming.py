@@ -23,8 +23,8 @@ snapshot is sparse and canonically ordered -- resident lines and pages in
 LRU order with their dirty bits, the predictor counters that differ from
 reset, the valid BTB entries, the global history and the RAS -- so it is
 plain JSON, equal across processes, and about the size of the checkpoint
-itself.  MSHRs, the write buffer and statistics are never captured: a
-restored machine starts them empty and at zero.
+itself.  MSHRs and the write buffer are never captured: a restored
+machine starts them empty.
 """
 
 from __future__ import annotations

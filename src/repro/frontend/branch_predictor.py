@@ -194,13 +194,6 @@ class BranchPrediction:
     checkpoint: Optional[tuple] = None
 
 
-@dataclass
-class BranchPredictorStats:
-    cond_predictions: int = 0
-    cond_mispredictions: int = 0
-    target_mispredictions: int = 0
-
-
 class BranchPredictor:
     """Front-end prediction unit: direction, target, and return prediction."""
 
@@ -210,7 +203,6 @@ class BranchPredictor:
         self.btb = BranchTargetBuffer(self.config.btb_entries)
         self.ras = ReturnAddressStack(self.config.ras_entries)
         self.history = 0
-        self.stats = BranchPredictorStats()
 
     # ------------------------------------------------------------------
     @property
@@ -244,7 +236,7 @@ class BranchPredictor:
     def warm_state(self) -> Dict[str, Any]:
         """The long-lived predictor state: the counters that left their
         reset value, the valid BTB entries, the global history and the
-        RAS.  Statistics are left out."""
+        RAS."""
         hybrid = self.hybrid
         btb = self.btb
         return {
@@ -281,7 +273,6 @@ class BranchPredictor:
         fallthrough = pc + INST_SIZE
         checkpoint = self.snapshot()
         if cls is OpClass.COND_BRANCH:
-            self.stats.cond_predictions += 1
             taken = self.hybrid.predict(pc, self.history)
             target = inst.target if taken else fallthrough
             pred = BranchPrediction(pc, taken, target, self.history, True,
@@ -332,12 +323,9 @@ class BranchPredictor:
         if prediction.is_cond:
             if taken != prediction.taken:
                 mispredicted = True
-                self.stats.cond_mispredictions += 1
             self.hybrid.update(inst.pc, prediction.history, taken)
         if taken and target != prediction.target:
             mispredicted = True
-            if not prediction.is_cond:
-                self.stats.target_mispredictions += 1
         if taken and inst.info.cls in (OpClass.CALL_INDIRECT,
                                        OpClass.INDIRECT_JUMP,
                                        OpClass.RETURN):

@@ -8,14 +8,13 @@ in the architectural memory of :mod:`repro.functional`, mirroring the
 functional/timing split of SimpleScalar-style simulators.
 """
 
-from repro.memsys.cache import Cache, CacheConfig, CacheStats
+from repro.memsys.cache import Cache, CacheConfig
 from repro.memsys.tlb import TLB, TLBConfig
 from repro.memsys.hierarchy import MemoryHierarchy, MemSysConfig, AccessResult
 
 __all__ = [
     "Cache",
     "CacheConfig",
-    "CacheStats",
     "TLB",
     "TLBConfig",
     "MemoryHierarchy",

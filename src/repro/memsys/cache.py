@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Tuple
 
 from repro.serialization import SerializableConfig
 
@@ -28,18 +29,6 @@ class CacheConfig(SerializableConfig):
         return sets
 
 
-@dataclass
-class CacheStats:
-    """Counters maintained by a :class:`Cache`."""
-
-    accesses: int = 0
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    writebacks: int = 0
-    mshr_merges: int = 0
-
-
 class _Line:
     __slots__ = ("tag", "dirty", "last_use")
 
@@ -47,6 +36,12 @@ class _Line:
         self.tag = tag
         self.dirty = False
         self.last_use = cycle
+
+
+#: The one set every never-filled set of every cache points at.  It is
+#: read-only, so a write that skipped the first-fill check raises instead
+#: of filling every empty set at once.
+_NO_LINES: Mapping[int, _Line] = MappingProxyType({})
 
 
 class Cache:
@@ -58,22 +53,24 @@ class Cache:
     line so that accesses arriving while a fill is in flight are merged into
     the existing MSHR and only pay the remaining latency, modelling a
     non-blocking cache.
+
+    A set gets its own dict on its first fill; until then it is the shared
+    empty :data:`_NO_LINES`, so building a cache costs one list, not one
+    dict per set, and lookups need no test for a missing set.
     """
 
     def __init__(self, config: CacheConfig):
         self.config = config
-        self.stats = CacheStats()
         # Geometry resolved once: every access indexes with these.
         self._line_bytes = config.line_bytes
         self._num_sets = config.num_sets
-        self._sets: List[Dict[int, _Line]] = [
-            dict() for _ in range(self._num_sets)]
+        self._sets: List[Mapping[int, _Line]] = [_NO_LINES] * self._num_sets
         # line address -> cycle at which the outstanding fill completes
         self._mshrs: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def probe(self, addr: int) -> bool:
-        """Check for presence without updating LRU state or statistics."""
+        """Check for presence without updating LRU state."""
         tag = addr // self._line_bytes
         return tag in self._sets[tag % self._num_sets]
 
@@ -86,13 +83,11 @@ class Cache:
         Returns ``(total_latency, hit)``.
         """
         cfg = self.config
-        self.stats.accesses += 1
         tag = addr // self._line_bytes
         index = tag % self._num_sets
         cache_set = self._sets[index]
         line = cache_set.get(tag)
         if line is not None:
-            self.stats.hits += 1
             line.last_use = cycle
             if is_write:
                 line.dirty = cfg.writeback
@@ -100,15 +95,12 @@ class Cache:
             # MSHR completes, so the access waits for the remaining latency.
             fill_done = self._mshrs.get(tag)
             if fill_done is not None and fill_done > cycle:
-                self.stats.mshr_merges += 1
                 return max(cfg.hit_latency, fill_done - cycle), True
             return cfg.hit_latency, True
 
-        self.stats.misses += 1
         # MSHR merge: a fill for this line is already in flight.
         fill_done = self._mshrs.get(tag)
         if fill_done is not None and fill_done > cycle:
-            self.stats.mshr_merges += 1
             latency = max(cfg.hit_latency, fill_done - cycle)
             return latency, False
 
@@ -125,12 +117,12 @@ class Cache:
     # ------------------------------------------------------------------
     def _fill(self, index: int, tag: int, cycle: int, is_write: bool) -> None:
         cache_set = self._sets[index]
+        if not isinstance(cache_set, dict):      # the set's first fill
+            cache_set = {}
+            self._sets[index] = cache_set
         if len(cache_set) >= self.config.associativity:
             victim_tag = min(cache_set, key=lambda t: cache_set[t].last_use)
-            victim = cache_set.pop(victim_tag)
-            self.stats.evictions += 1
-            if victim.dirty:
-                self.stats.writebacks += 1
+            del cache_set[victim_tag]
         line = _Line(tag, cycle)
         if is_write and self.config.writeback:
             line.dirty = True
@@ -145,7 +137,7 @@ class Cache:
     def warm_lines(self) -> List[List[int]]:
         """Resident lines as ``[tag, dirty]`` pairs, set by set, each set
         least recently used first: the tag and replacement state without
-        the cycle numbers, MSHRs or statistics."""
+        the cycle numbers or MSHRs."""
         lines: List[List[int]] = []
         for cache_set in self._sets:
             if cache_set:
@@ -163,7 +155,8 @@ class Cache:
         for age, (tag, dirty) in enumerate(lines, start=-len(lines)):
             line = _Line(tag, age)
             line.dirty = bool(dirty)
-            sets[tag % num_sets][tag] = line
-
-    def reset_stats(self) -> None:
-        self.stats = CacheStats()
+            cache_set = sets[tag % num_sets]
+            if not isinstance(cache_set, dict):
+                cache_set = {}
+                sets[tag % num_sets] = cache_set
+            cache_set[tag] = line

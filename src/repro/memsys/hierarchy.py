@@ -117,15 +117,11 @@ class MemoryHierarchy:
     def _drain_write_buffer(self, cycle: int) -> None:
         self._write_buffer = [c for c in self._write_buffer if c > cycle]
 
-    def reset_stats(self) -> None:
-        for unit in (self.il1, self.dl1, self.l2, self.itlb, self.dtlb):
-            unit.reset_stats()
-
     # ------------------------------------------------------------------
     def warm_state(self) -> Dict[str, List]:
         """The long-lived state of every cache and TLB (see
-        :meth:`Cache.warm_lines`); MSHRs, the write buffer and statistics
-        are left out."""
+        :meth:`Cache.warm_lines`); MSHRs and the write buffer are left
+        out."""
         return {"il1": self.il1.warm_lines(), "dl1": self.dl1.warm_lines(),
                 "l2": self.l2.warm_lines(), "itlb": self.itlb.warm_pages(),
                 "dtlb": self.dtlb.warm_pages()}

@@ -26,18 +26,11 @@ class TLBConfig(SerializableConfig):
         return sets
 
 
-@dataclass
-class TLBStats:
-    accesses: int = 0
-    misses: int = 0
-
-
 class TLB:
     """Set-associative TLB; misses are filled by hardware in a fixed latency."""
 
     def __init__(self, config: TLBConfig):
         self.config = config
-        self.stats = TLBStats()
         # Geometry resolved once: every access indexes with these.
         self._page_bytes = config.page_bytes
         self._num_sets = config.num_sets
@@ -46,13 +39,11 @@ class TLB:
 
     def access(self, addr: int, cycle: int) -> Tuple[int, bool]:
         """Translate ``addr``; returns ``(extra_latency, hit)``."""
-        self.stats.accesses += 1
         page = addr // self._page_bytes
         tlb_set = self._sets[page % self._num_sets]
         if page in tlb_set:
             tlb_set[page] = cycle
             return 0, True
-        self.stats.misses += 1
         if len(tlb_set) >= self.config.associativity:
             victim = min(tlb_set, key=lambda p: tlb_set[p])
             del tlb_set[victim]
@@ -74,6 +65,3 @@ class TLB:
         num_sets = self._num_sets
         for age, page in enumerate(pages, start=-len(pages)):
             sets[page % num_sets][page] = age
-
-    def reset_stats(self) -> None:
-        self.stats = TLBStats()

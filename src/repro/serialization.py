@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import typing
@@ -73,15 +74,23 @@ def from_dict(cls: Type[T], data: Dict[str, Any]) -> T:
     """
     if not dataclasses.is_dataclass(cls):
         raise TypeError(f"{cls!r} is not a dataclass")
-    hints = typing.get_type_hints(cls)
-    field_names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - field_names
+    types = _field_types(cls)
+    unknown = data.keys() - types.keys()
     if unknown:
         raise ValueError(
             f"unknown {cls.__name__} fields: {sorted(unknown)}")
-    kwargs = {name: _coerce(hints[name], value)
+    kwargs = {name: _coerce(types[name], value)
               for name, value in data.items()}
     return cls(**kwargs)
+
+
+@functools.lru_cache(maxsize=None)
+def _field_types(cls: type) -> Dict[str, Any]:
+    """Field name -> resolved annotation of a dataclass, decoded once per
+    class: resolving string annotations is most of a cold
+    :func:`from_dict`."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
 def _coerce(annotation: Any, value: Any) -> Any:

@@ -153,7 +153,6 @@ class OracleBranchPredictor(BranchPredictor):
         _, taken, target = truth
 
         if cls is OpClass.COND_BRANCH:
-            self.stats.cond_predictions += 1
             pred = BranchPrediction(pc, taken, target, self.history, True,
                                     checkpoint)
             self._push_history(taken)      # advances the cursor

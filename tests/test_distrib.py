@@ -37,10 +37,11 @@ from repro.distrib.backend import (
 )
 from repro.distrib.queue import JobQueue, job_id_for
 from repro.experiments import cache as cache_mod
-from repro.experiments import runner
+from repro.experiments import runner, sharding
 from repro.experiments.cache import ResultCache
 from repro.experiments.runner import SimJob
 from repro.integration.config import IntegrationConfig
+from repro.workloads import spec_like
 
 
 @pytest.fixture()
@@ -441,6 +442,66 @@ class TestBackendEquivalence:
             monkeypatch.setenv("REPRO_BACKEND", name)
             with pytest.raises(runner.EnvVarError):
                 resolve_backend(None, jobs=1)
+
+
+# ----------------------------------------------------------------------
+# built programs
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def build_calls(monkeypatch):
+    """Benchmarks passed to ``build_workload``, whichever module calls it."""
+    calls = []
+    real = spec_like.build_workload
+
+    def counting(name, scale=1.0):
+        calls.append(name)
+        return real(name, scale=scale)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("repro")
+                and getattr(module, "build_workload", None) is real):
+            monkeypatch.setattr(module, "build_workload", counting)
+    sharding.program_for.cache_clear()
+    yield calls
+    sharding.program_for.cache_clear()
+
+
+class TestProgramMemo:
+    def test_distributed_sweep_builds_each_program_once(self, isolated_cache,
+                                                        build_calls):
+        """Planning and all 16 slice jobs of 2 benchmarks x 2 configs x 4
+        shards share one build per benchmark."""
+        backend = DistributedBackend(queue_dir=isolated_cache / "q",
+                                     poll_interval=0.01)
+        results = runner.run_suite(["gzip", "mcf"], SUITE_CONFIGS,
+                                   scale=0.05, shards=4, backend=backend)
+        assert runner.telemetry.slices_simulated == 16
+        assert results["full"]["mcf"].retired > 0
+        assert sorted(build_calls) == ["gzip", "mcf"]
+        # Nothing wrote to the shared programs.
+        for name in ("gzip", "mcf"):
+            shared = sharding.program_for(name, 0.05)
+            fresh = spec_like.build_workload(name, scale=0.05)
+            assert shared.data == fresh.data
+            assert list(shared) == list(fresh)
+
+    def test_clear_cache_empties_the_memo(self, build_calls):
+        first = sharding.program_for("gzip", 0.02)
+        assert sharding.program_for("gzip", 0.02) is first
+        assert sharding.program_for.cache_info().currsize == 1
+        runner.clear_cache()
+        assert sharding.program_for.cache_info().currsize == 0
+        assert sharding.program_for("gzip", 0.02) is not first
+        assert build_calls == ["gzip", "gzip"]
+
+    def test_memo_holds_at_most_its_bound(self, build_calls):
+        names = ["gzip", "mcf", "crafty", "gzip"]
+        for name in names:
+            sharding.program_for(name, 0.02)
+            assert (sharding.program_for.cache_info().currsize
+                    <= sharding.PROGRAM_MEMO_ENTRIES)
+        # gzip was the least recently used when crafty arrived.
+        assert build_calls == names
 
 
 # ----------------------------------------------------------------------

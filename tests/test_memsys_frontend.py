@@ -12,6 +12,7 @@ from repro.frontend import (
     ReturnAddressStack,
 )
 from repro.isa import Opcode, StaticInst
+from repro.memsys import cache as cache_module
 from repro.memsys import (
     Cache,
     CacheConfig,
@@ -44,23 +45,53 @@ class TestCache:
         cache.access(0x020, 1)
         cache.access(0x000, 2)               # touch line 0
         cache.access(0x040, 3)               # evicts line at 0x020 (LRU)
-        assert cache.probe(0x000)
-        assert not cache.probe(0x020)
-        assert cache.stats.evictions == 1
+        assert [cache.probe(a) for a in (0x000, 0x020, 0x040)] == \
+            [True, False, True]
+        _, hit = cache.access(0x020, 4)      # the victim misses again
+        assert not hit
 
     def test_mshr_merge(self):
         cache = small_cache()
         first_latency, _ = cache.access(0x200, cycle=0, fill_latency=80)
-        latency, _ = cache.access(0x208, cycle=10, fill_latency=80)
+        latency, hit = cache.access(0x208, cycle=10, fill_latency=80)
         # Merged into the in-flight fill: waits only for the remainder.
-        assert latency == first_latency - 10
-        assert cache.stats.mshr_merges == 1
+        assert hit and latency == first_latency - 10
+        # Once the fill has landed the line answers at the hit latency.
+        assert cache.access(0x208, cycle=first_latency) == (2, True)
 
-    def test_writeback_counted(self):
+    def test_dirty_bit_tracks_writes(self):
         cache = small_cache(size_bytes=64, line_bytes=32, associativity=1)
         cache.access(0x000, 0, is_write=True)
-        cache.access(0x040, 1)               # evicts dirty line
-        assert cache.stats.writebacks == 1
+        assert cache.warm_lines() == [[0, 1]]
+        cache.access(0x040, 1)               # evicts the dirty line
+        assert cache.warm_lines() == [[2, 0]]
+        cache.access(0x044, 2, is_write=True)
+        assert cache.warm_lines() == [[2, 1]]
+
+    def test_untouched_cache_holds_nothing(self):
+        cache = small_cache()
+        assert not any(cache.probe(addr) for addr in range(0, 4096, 32))
+        assert cache.warm_lines() == []
+
+    def test_warm_lines_round_trip_through_an_untouched_cache(self):
+        cache = small_cache()
+        for cycle, addr in enumerate((0x000, 0x200, 0x040, 0x400, 0x200)):
+            cache.access(addr, cycle, is_write=addr == 0x040)
+        restored = small_cache()
+        restored.load_warm_lines(cache.warm_lines())
+        assert restored.warm_lines() == cache.warm_lines()
+        assert restored.probe(0x400) and not restored.probe(0x600)
+
+    def test_filling_one_set_leaves_the_shared_empty_set_empty(self):
+        cache = small_cache()
+        other = small_cache()
+        cache.access(0x020, 0, is_write=True)
+        assert cache.warm_lines() == [[1, 1]]
+        assert len(cache_module._NO_LINES) == 0
+        assert other.warm_lines() == [] and not other.probe(0x020)
+        assert not cache.probe(0x000) and not cache.probe(0x040)
+        with pytest.raises(TypeError):
+            cache_module._NO_LINES[0] = None
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
@@ -80,9 +111,8 @@ class TestTLB:
     def test_capacity_eviction(self):
         tlb = TLB(TLBConfig("dtlb", entries=2, associativity=2,
                             page_bytes=4096))
-        for page in range(3):
-            tlb.access(page * 4096, page)
-        assert tlb.stats.misses == 3
+        latencies = [tlb.access(page * 4096, page)[0] for page in range(3)]
+        assert latencies == [tlb.config.miss_latency] * 3
         # The least recently used page was evicted.
         _, hit = tlb.access(0, 10)
         assert not hit
@@ -184,7 +214,9 @@ class TestBranchPredictorUnit:
         mispredicted = bp.resolve(inst, pred, taken=not pred.taken,
                                   target=0x80 if not pred.taken else 0x104)
         assert mispredicted
-        assert bp.stats.cond_mispredictions == 1
+        pred = bp.predict(inst)
+        assert not bp.resolve(inst, pred, taken=pred.taken,
+                              target=pred.target)
 
     def test_call_and_return_use_ras(self):
         bp = BranchPredictor()

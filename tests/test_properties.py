@@ -149,11 +149,13 @@ class TestCacheProperties:
         cache = Cache(CacheConfig("c", size_bytes=2048, line_bytes=32,
                                   associativity=2, hit_latency=2))
         for cycle, addr in enumerate(addresses * 2):
+            resident = cache.probe(addr)
             latency, hit = cache.access(addr, cycle * 10, fill_latency=50)
             assert latency >= cache.config.hit_latency
             assert latency <= 2 + 50 + 52          # hit + fill + mshr wait
-        assert cache.stats.accesses == 2 * len(addresses)
-        assert cache.stats.hits + cache.stats.misses == cache.stats.accesses
+            assert hit == resident and cache.probe(addr)
+        capacity = cache.config.num_sets * cache.config.associativity
+        assert len(cache.warm_lines()) <= capacity
 
 
 @st.composite

@@ -119,14 +119,19 @@ class TestRestoredState:
         assert restored_mem.warm_state() == mem.warm_state()
         assert restored_predictor.warm_state() == predictor.warm_state()
 
-    def test_restored_machine_starts_with_empty_buffers_and_zero_stats(self):
+    def test_restored_machine_starts_with_empty_buffers(self):
         mem, predictor = fresh()
         drive(mem, predictor, committed_stream("gcc", 2000), 0)
         restored, _ = fresh()
         restored.load_warm_state(mem.warm_state())
-        assert restored.dl1._mshrs == {} and restored._write_buffer == []
-        assert restored.l2.stats.accesses == 0
-        assert restored.dtlb.stats.accesses == 0
+        assert restored._write_buffer == []
+        for cache in (restored.il1, restored.dl1, restored.l2):
+            assert cache._mshrs == {}
+        # A restored line answers at the hit latency: no fill in flight.
+        tag, _ = mem.warm_state()["dl1"][-1]
+        addr = tag * mem.config.dl1.line_bytes
+        assert restored.dl1.access(addr, 0) == (mem.config.dl1.hit_latency,
+                                                True)
 
 
 class TestWarmPlans:
