@@ -12,7 +12,7 @@ architectural state is the reference state of the simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence
 
 from repro.functional.executor import StepResult
 from repro.functional.state import ArchState
@@ -28,10 +28,11 @@ class DivaFault:
     """A value/control disagreement detected by the checker."""
 
     dyn: DynInst
-    kind: str                      # "value", "branch", "store"
+    kind: str                      # "value", "branch", "indirect", "store"
+    #: The architecturally correct execution of ``dyn``.
+    step: StepResult
     correct_value: Optional[object] = None
     observed_value: Optional[object] = None
-    correct_next_pc: Optional[int] = None
 
 
 class DivaChecker:
@@ -39,20 +40,18 @@ class DivaChecker:
 
     def __init__(self, arch: ArchState):
         self.arch = arch
-        self.checked = 0
-        self.faults = 0
 
-    def check_and_commit(self, dyn: DynInst, observed_value,
-                         observed_taken: Optional[bool],
-                         observed_next_pc: Optional[int]
-                         ) -> Tuple[StepResult, Optional[DivaFault]]:
-        """Re-execute ``dyn`` on architectural state and compare.
+    def check_and_commit(self, dyn: DynInst,
+                         prf_values: Sequence) -> Optional[DivaFault]:
+        """Re-execute ``dyn`` on architectural state and compare it with
+        what the timing core produced; returns the fault, or ``None``.
 
-        Returns ``(step_result, fault_or_None)``.  The architectural state is
-        always advanced with the *correct* values, so recovery after a fault
-        simply re-fetches from ``arch.pc``.  Compared: a store's value, a
-        branch's direction, an indirect target, else the destination value
-        (syscalls, nops and direct jumps have none).
+        The architectural state is always advanced with the *correct*
+        values, so recovery after a fault simply re-fetches from
+        ``arch.pc``.  One dispatch on the instruction's class picks what is
+        observed and compares it: a store's value, a branch's direction, an
+        indirect target, else the destination value read from
+        ``prf_values`` (syscalls, nops and direct jumps have none).
         """
         inst = dyn.inst
         arch = self.arch
@@ -60,27 +59,26 @@ class DivaChecker:
             raise SimulationError(
                 f"retirement stream diverged: architectural PC "
                 f"{arch.pc:#x} but retiring {inst.pc:#x} (seq {dyn.seq})")
-        self.checked += 1
         info = inst.info
         step = info.step(arch, inst)
-        fault = None
         if info.is_store:
-            if (observed_value is not None
-                    and step.store_value != observed_value):
-                fault = DivaFault(dyn, "store", step.store_value,
-                                  observed_value, step.next_pc)
+            observed = dyn.store_value
+            if observed is not None and step.store_value != observed:
+                return DivaFault(dyn, "store", step, step.store_value,
+                                 observed)
         elif info.is_cond_branch:
-            if observed_taken is not None and observed_taken != step.taken:
-                fault = DivaFault(dyn, "branch", step.taken, observed_taken,
-                                  step.next_pc)
+            observed = dyn.branch_taken
+            if observed is not None and observed != step.taken:
+                return DivaFault(dyn, "branch", step, step.taken, observed)
         elif info.is_indirect_ctl:
-            if (observed_next_pc is not None
-                    and observed_next_pc != step.next_pc):
-                fault = DivaFault(dyn, "branch", None, None, step.next_pc)
-        elif inst.dest is not None and (observed_value is None
-                                        or step.dest_value != observed_value):
-            fault = DivaFault(dyn, "value", step.dest_value, observed_value,
-                              step.next_pc)
-        if fault is not None:
-            self.faults += 1
-        return step, fault
+            observed = dyn.next_pc
+            if observed is not None and observed != step.next_pc:
+                return DivaFault(dyn, "indirect", step, step.next_pc,
+                                 observed)
+        elif inst.dest is not None:
+            preg = dyn.dest_preg
+            observed = None if preg is None else prf_values[preg]
+            if observed is None or step.dest_value != observed:
+                return DivaFault(dyn, "value", step, step.dest_value,
+                                 observed)
+        return None

@@ -59,7 +59,7 @@ from repro.experiments.cache import PayloadCache, code_version
 from repro.experiments.warming import WarmState, warm_checkpoints
 from repro.functional.emulator import Checkpoint, collect_checkpoints
 from repro.isa.program import Program
-from repro.workloads import build_workload
+from repro.workloads import SPEC_WORKLOADS, build_workload
 
 #: Hard ceiling on the shard count (more slices than this is never useful
 #: for the synthetic workloads and would drown the run in warm-up work).
@@ -186,10 +186,12 @@ def plan_boundaries(total: int, shards: int,
 # ----------------------------------------------------------------------
 # built programs (per benchmark x scale, shared by the plan and the jobs)
 # ----------------------------------------------------------------------
-#: Built programs kept in memory.  Jobs run longest first, so one
-#: benchmark's slices run back to back and two entries let them, and the
-#: plan built just before, share one build.
-PROGRAM_MEMO_ENTRIES = 2
+#: Built programs kept in memory: one per registered benchmark.  The
+#: queue hands out slices longest first across every benchmark of a
+#: sweep, so one benchmark's slices interleave with the others'; with an
+#: entry for each, a sweep at one scale builds every program once.  A
+#: program is 0.1-0.4 MB at any scale.
+PROGRAM_MEMO_ENTRIES = len(SPEC_WORKLOADS)
 
 
 @functools.lru_cache(maxsize=PROGRAM_MEMO_ENTRIES)

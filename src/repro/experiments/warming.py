@@ -77,7 +77,8 @@ def warm_checkpoints(program: Program, starts: Iterable[int],
     state).  Starts past the program's end are skipped.
     """
     wanted = sorted(set(int(s) for s in starts))
-    emulator = Emulator(program)
+    state = Emulator(program).state
+    at = program.at
     mem = MemoryHierarchy(memsys)
     predictor = BranchPredictor(predictor_config)
     ifetch, load, store = mem.ifetch, mem.load, mem.store
@@ -94,12 +95,15 @@ def warm_checkpoints(program: Program, starts: Iterable[int],
     warm: Dict[int, WarmState] = {}
     for start in wanted:
         while executed < start:
-            result = emulator.step()
-            if result is None:
+            # Emulator.step, inlined.
+            if state.halted:
                 return checkpoints, warm
+            pc = state.pc
+            inst = at(pc)
+            if inst is None:
+                return checkpoints, warm
+            result = inst.info.step(state, inst)
             executed += 1
-            inst = result.inst
-            pc = inst.pc
             if pc // line_bytes != line:
                 line = pc // line_bytes
                 cycle += step
@@ -117,7 +121,7 @@ def warm_checkpoints(program: Program, starts: Iterable[int],
                     predictor.recover_after(prediction.checkpoint, inst,
                                             result.taken)
         checkpoints.append(Checkpoint(
-            insts=executed, snapshot=emulator.state.to_snapshot()))
+            insts=executed, snapshot=state.to_snapshot()))
         if executed:
             warm[executed] = WarmState(memory=mem.warm_state(),
                                        predictor=predictor.warm_state())

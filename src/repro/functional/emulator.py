@@ -180,17 +180,24 @@ def collect_checkpoints(program: Program, boundaries: Iterable[int],
     checkpoints)``.
     """
     wanted = sorted(set(int(b) for b in boundaries))
-    emulator = Emulator(program)
+    state = Emulator(program).state
+    at = program.at
     checkpoints: List[Checkpoint] = []
     executed = 0
     next_idx = 0
     while True:
         while next_idx < len(wanted) and wanted[next_idx] == executed:
             checkpoints.append(Checkpoint(
-                insts=executed, snapshot=emulator.state.to_snapshot()))
+                insts=executed, snapshot=state.to_snapshot()))
             next_idx += 1
-        if emulator.step() is None:
+        # Emulator.step, inlined: this loop steps every instruction of
+        # the program once per plan.
+        if state.halted:
             break
+        inst = at(state.pc)
+        if inst is None:
+            break
+        inst.info.step(state, inst)
         executed += 1
         if executed > max_instructions:
             raise EmulationLimitExceeded(

@@ -8,8 +8,7 @@ the DIVA checker stage of the timing core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.functional.state import ArchState
 from repro.isa.instruction import StaticInst
@@ -25,9 +24,12 @@ SYS_PUTINT = 1
 SYS_BRK = 2
 
 
-@dataclass(slots=True)
-class StepResult:
-    """What one architectural step did (used by DIVA and by tests)."""
+class StepResult(NamedTuple):
+    """What one architectural step did (used by DIVA, planning and tests).
+
+    The step handlers build it with a bare ``tuple.__new__``, which runs
+    no Python frame; they give every field, so the defaults serve other
+    callers only."""
 
     inst: StaticInst
     next_pc: int
@@ -38,8 +40,13 @@ class StepResult:
     halted: bool = False
 
 
+_result = tuple.__new__
+
+
 _MASK64 = semantics.MASK64
 _MASK32 = semantics.MASK32
+_SIGN64 = 1 << 63
+_WRAP64 = 1 << 64
 
 
 def execute_step(state: ArchState, inst: StaticInst) -> StepResult:
@@ -69,7 +76,8 @@ def _step_alu(state: ArchState, inst: StaticInst) -> StepResult:
     next_pc = inst.pc + INST_SIZE
     state.pc = next_pc
     state.inst_count += 1
-    return StepResult(inst, next_pc, value)
+    return _result(StepResult,
+                   (inst, next_pc, value, None, None, None, False))
 
 
 def _step_load(state: ArchState, inst: StaticInst) -> StepResult:
@@ -84,7 +92,8 @@ def _step_load(state: ArchState, inst: StaticInst) -> StepResult:
     next_pc = inst.pc + INST_SIZE
     state.pc = next_pc
     state.inst_count += 1
-    return StepResult(inst, next_pc, value, eff_addr)
+    return _result(StepResult,
+                   (inst, next_pc, value, eff_addr, None, None, False))
 
 
 def _step_store(state: ArchState, inst: StaticInst) -> StepResult:
@@ -96,16 +105,20 @@ def _step_store(state: ArchState, inst: StaticInst) -> StepResult:
     next_pc = inst.pc + INST_SIZE
     state.pc = next_pc
     state.inst_count += 1
-    return StepResult(inst, next_pc, None, eff_addr, store_value)
+    return _result(StepResult, (inst, next_pc, None, eff_addr, store_value,
+                                None, False))
 
 
 def _step_cond_branch(state: ArchState, inst: StaticInst) -> StepResult:
-    taken = inst.info.branch_fn(
-        semantics.to_signed(int(state.regs[inst.ra])))
+    value = int(state.regs[inst.ra]) & _MASK64  # semantics.to_signed, inlined
+    if value & _SIGN64:
+        value -= _WRAP64
+    taken = inst.info.branch_fn(value)
     next_pc = inst.target if taken else inst.pc + INST_SIZE
     state.pc = next_pc
     state.inst_count += 1
-    return StepResult(inst, next_pc, None, None, None, taken)
+    return _result(StepResult,
+                   (inst, next_pc, None, None, None, taken, False))
 
 
 def _step_jump(state: ArchState, inst: StaticInst) -> StepResult:
@@ -116,10 +129,13 @@ def _step_jump(state: ArchState, inst: StaticInst) -> StepResult:
     link = None
     if info.writes_dest:
         link = inst.pc + INST_SIZE
-        state.write_reg(inst.rd, link)
+        rd = inst.rd
+        if rd != REG_ZERO and rd != REG_FZERO:  # ArchState.write_reg, inlined
+            state.regs[rd] = link
     state.pc = next_pc
     state.inst_count += 1
-    return StepResult(inst, next_pc, link, None, None, True)
+    return _result(StepResult,
+                   (inst, next_pc, link, None, None, True, False))
 
 
 def _step_system(state: ArchState, inst: StaticInst) -> StepResult:
@@ -131,7 +147,8 @@ def _step_system(state: ArchState, inst: StaticInst) -> StepResult:
     state.inst_count += 1
     if halted:
         state.halted = True
-    return StepResult(inst, next_pc, None, None, None, None, halted)
+    return _result(StepResult,
+                   (inst, next_pc, None, None, None, None, halted))
 
 
 _STEP_BY_CLASS = {

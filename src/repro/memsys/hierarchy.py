@@ -17,6 +17,7 @@ model only perturbs absolute IPC, not the integration comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
 from repro.memsys.cache import Cache, CacheConfig
@@ -64,7 +65,8 @@ class MemoryHierarchy:
         self.l2 = Cache(cfg.l2)
         self.itlb = TLB(cfg.itlb)
         self.dtlb = TLB(cfg.dtlb)
-        # Write buffer: completion cycles of stores drained to the cache.
+        # Write buffer: completion cycles of stores drained to the cache,
+        # a min-heap, so the earliest to complete is always at index 0.
         self._write_buffer: List[int] = []
 
     # ------------------------------------------------------------------
@@ -101,21 +103,19 @@ class MemoryHierarchy:
         write buffer unless it is full, in which case retirement must stall
         for ``stall_cycles`` before retrying.
         """
-        self._drain_write_buffer(cycle)
-        if len(self._write_buffer) >= self.config.write_buffer_entries:
-            stall = max(0, min(self._write_buffer) - cycle)
-            return max(stall, 1), False
+        write_buffer = self._write_buffer
+        while write_buffer and write_buffer[0] <= cycle:
+            heappop(write_buffer)          # drained to the cache
+        if len(write_buffer) >= self.config.write_buffer_entries:
+            return write_buffer[0] - cycle, False
         tlb_latency, _ = self.dtlb.access(addr, cycle)
         below, _ = (0, True)
         if not self.dl1.probe(addr):
             below, _ = self._l2_and_memory(addr, cycle, is_write=True)
         latency, _ = self.dl1.access(addr, cycle, is_write=True,
                                      fill_latency=below)
-        self._write_buffer.append(cycle + latency + tlb_latency)
+        heappush(write_buffer, cycle + latency + tlb_latency)
         return 0, True
-
-    def _drain_write_buffer(self, cycle: int) -> None:
-        self._write_buffer = [c for c in self._write_buffer if c > cycle]
 
     # ------------------------------------------------------------------
     def warm_state(self) -> Dict[str, List]:

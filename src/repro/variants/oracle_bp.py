@@ -78,10 +78,6 @@ class OracleBranchPredictor(BranchPredictor):
         self._emulated = 0
         self._exhausted = False
         self._cursor = 0
-        #: Predictions served from the learned tables because the fetch PC
-        #: disagreed with the stream (transient wrong path downstream of a
-        #: mis-integrated value).
-        self.fallback_predictions = 0
 
     # ------------------------------------------------------------------
     # lazy reference emulation
@@ -146,9 +142,10 @@ class OracleBranchPredictor(BranchPredictor):
         checkpoint = self.snapshot()
         truth = self._truth(pc)
         if truth is None:
-            # Off-stream fetch: behave like the baseline predictor (which
-            # also advances history/RAS consistently with recovery replay).
-            self.fallback_predictions += 1
+            # Off-stream fetch (a transient wrong path downstream of a
+            # mis-integrated value, or a truncated stream): behave like the
+            # baseline predictor, which also advances history/RAS
+            # consistently with recovery replay.
             return super().predict(inst)
         _, taken, target = truth
 

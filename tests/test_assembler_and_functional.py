@@ -3,10 +3,12 @@ emulator (including the micro-kernels used throughout the suite)."""
 
 import pytest
 
-from repro.functional import ArchState, Emulator, SparseMemory, execute_step
+from repro.functional import (ArchState, Emulator, SparseMemory, StepResult,
+                              execute_step)
 from repro.functional.emulator import EmulationLimitExceeded, run_program
 from repro.isa import AssemblerError, Opcode, ProgramBuilder, assemble
 from repro.isa.program import INST_SIZE
+from repro.isa.registers import REG_SP
 from repro.workloads import (
     array_sum,
     counted_loop,
@@ -177,6 +179,36 @@ class TestEmulator:
             inst = prog.at(state.pc)
             execute_step(state, inst)
         assert state.read_reg(2) == 123       # t1
+
+    def test_steps_report_what_they_did_by_attribute(self):
+        """Every step handler gives the whole :class:`StepResult`; DIVA,
+        planning and the oracle predictor read it by attribute."""
+        prog = assemble("""
+            li t0, 123
+            stq t0, 8(sp)
+            ldq t1, 8(sp)
+            beq zero, done
+            nop
+        done:
+            syscall 0
+        """)
+        emulator = Emulator(prog)
+        steps = []
+        while (result := emulator.step()) is not None:
+            assert isinstance(result, StepResult)
+            steps.append(result)
+        li, stq, ldq, beq, exit_ = steps
+        sp = emulator.state.read_reg(REG_SP)
+        assert [s.inst.pc for s in steps] == [0, 4, 8, 12, 20]
+        assert (li.next_pc, li.dest_value, li.eff_addr, li.taken) == (
+            4, 123, None, None)
+        assert (stq.eff_addr, stq.store_value, stq.dest_value) == (
+            sp + 8, 123, None)
+        assert (ldq.eff_addr, ldq.dest_value) == (sp + 8, 123)
+        assert (beq.taken, beq.next_pc) == (True, 20)
+        assert exit_.halted and not beq.halted
+        assert StepResult(li.inst, 4) == (li.inst, 4, None, None, None,
+                                         None, False)
 
 
 class TestSparseMemory:

@@ -320,43 +320,84 @@ class TestCollisionHistoryTable:
         assert not cht.predicts_collision(0x40)
 
 
+def _retiring(op, observe, **fields):
+    """A DIVA checker at pc 0 with r1 = 7, r2 = 0x1000, and the dynamic
+    instruction ``op`` retiring there; ``observe(dyn)`` sets what the timing
+    core produced."""
+    arch = ArchState(pc=0)
+    arch.write_reg(1, 7)
+    arch.write_reg(2, 0x1000)
+    d = DynInst(1, StaticInst(pc=0, op=op, **fields))
+    observe(d)
+    return arch, DivaChecker(arch), d
+
+
+#: Per fault kind: the instruction, the observation DIVA accepts, a wrong
+#: one, and the correct value the fault reports.  The value case reads the
+#: destination from ``prf_values`` through ``dest_preg`` 0.
+DIVA_CASES = {
+    "store": (dict(op=Opcode.STQ, ra=1, rb=2, imm=8),
+              lambda d: setattr(d, "store_value", 7),
+              lambda d: setattr(d, "store_value", 8), 7),
+    "branch": (dict(op=Opcode.BEQ, ra=31, imm=16, target=20),
+               lambda d: setattr(d, "branch_taken", True),
+               lambda d: setattr(d, "branch_taken", False), True),
+    "indirect": (dict(op=Opcode.JMP, ra=2),
+                 lambda d: setattr(d, "next_pc", 0x1000),
+                 lambda d: setattr(d, "next_pc", 0x1004), 0x1000),
+    "value": (dict(op=Opcode.ADDQI, rd=3, ra=1, imm=5),
+              lambda d: setattr(d, "dest_preg", 0),
+              lambda d: setattr(d, "dest_preg", 1), 12),
+}
+PRF_VALUES = [12, 99]
+
+
 class TestDivaChecker:
-    def test_detects_wrong_value(self):
-        arch = ArchState(pc=0)
-        checker = DivaChecker(arch)
-        inst = StaticInst(pc=0, op=Opcode.ADDQI, rd=1, ra=31, imm=5)
-        d = DynInst(1, inst)
-        step, fault = checker.check_and_commit(d, observed_value=99,
-                                               observed_taken=None,
-                                               observed_next_pc=None)
-        assert fault is not None and fault.kind == "value"
-        assert step.dest_value == 5
-        assert arch.read_reg(1) == 5           # architectural state corrected
+    @pytest.mark.parametrize("kind", sorted(DIVA_CASES))
+    def test_accepts_the_correct_observation(self, kind):
+        fields, right, _, _ = DIVA_CASES[kind]
+        arch, checker, d = _retiring(observe=right, **fields)
+        assert checker.check_and_commit(d, PRF_VALUES) is None
+        assert arch.inst_count == 1 and arch.pc != 0
 
-    def test_accepts_correct_value_and_advances_pc(self):
-        arch = ArchState(pc=0)
-        checker = DivaChecker(arch)
-        inst = StaticInst(pc=0, op=Opcode.ADDQI, rd=1, ra=31, imm=5)
-        _, fault = checker.check_and_commit(DynInst(1, inst), 5, None, None)
-        assert fault is None
-        assert arch.pc == 4
+    @pytest.mark.parametrize("kind", sorted(DIVA_CASES))
+    def test_detects_a_wrong_observation(self, kind):
+        fields, _, wrong, correct = DIVA_CASES[kind]
+        arch, checker, d = _retiring(observe=wrong, **fields)
+        fault = checker.check_and_commit(d, PRF_VALUES)
+        assert fault is not None and fault.kind == kind
+        assert fault.dyn is d and fault.correct_value == correct
+        assert fault.observed_value != correct
+        # The architectural state advances with the correct execution.
+        assert arch.pc == fault.step.next_pc and arch.inst_count == 1
 
-    def test_detects_wrong_branch_direction(self):
-        arch = ArchState(pc=0)
-        checker = DivaChecker(arch)
-        inst = StaticInst(pc=0, op=Opcode.BEQ, ra=31, imm=16, target=20)
-        _, fault = checker.check_and_commit(DynInst(1, inst), None,
-                                            observed_taken=False,
-                                            observed_next_pc=None)
-        assert fault is not None and fault.kind == "branch"
-        assert fault.correct_next_pc == 20
+    def test_store_fault_reports_the_correct_store(self):
+        arch, checker, d = _retiring(
+            observe=lambda d: setattr(d, "store_value", 8),
+            **DIVA_CASES["store"][0])
+        fault = checker.check_and_commit(d, PRF_VALUES)
+        assert fault.step.store_value == 7 and fault.step.eff_addr == 0x1008
+        assert arch.memory.read(0x1008) == 7   # the correct value
+
+    def test_missing_destination_register_is_a_value_fault(self):
+        fields = DIVA_CASES["value"][0]
+        arch, checker, d = _retiring(observe=lambda d: None, **fields)
+        fault = checker.check_and_commit(d, PRF_VALUES)
+        assert fault.kind == "value" and fault.observed_value is None
+        assert arch.read_reg(3) == 12          # architectural state corrected
+
+    def test_branch_fault_carries_the_correct_next_pc(self):
+        _, checker, d = _retiring(
+            observe=DIVA_CASES["branch"][2], **DIVA_CASES["branch"][0])
+        assert checker.check_and_commit(d, PRF_VALUES).step.next_pc == 20
 
     def test_pc_divergence_is_a_simulator_bug(self):
         arch = ArchState(pc=100)
         checker = DivaChecker(arch)
         inst = StaticInst(pc=0, op=Opcode.NOP)
         with pytest.raises(SimulationError):
-            checker.check_and_commit(DynInst(1, inst), None, None, None)
+            checker.check_and_commit(DynInst(1, inst), PRF_VALUES)
+        assert arch.pc == 100 and arch.inst_count == 0
 
 
 class TestMachineConfigPresets:

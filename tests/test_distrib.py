@@ -469,17 +469,19 @@ def build_calls(monkeypatch):
 class TestProgramMemo:
     def test_distributed_sweep_builds_each_program_once(self, isolated_cache,
                                                         build_calls):
-        """Planning and all 16 slice jobs of 2 benchmarks x 2 configs x 4
-        shards share one build per benchmark."""
+        """Planning and all 24 slice jobs of 3 benchmarks x 2 configs x 4
+        shards share one build per benchmark, although the queue hands the
+        slices out longest first across the benchmarks."""
+        names = ["gzip", "mcf", "vpr.r"]
         backend = DistributedBackend(queue_dir=isolated_cache / "q",
                                      poll_interval=0.01)
-        results = runner.run_suite(["gzip", "mcf"], SUITE_CONFIGS,
+        results = runner.run_suite(names, SUITE_CONFIGS,
                                    scale=0.05, shards=4, backend=backend)
-        assert runner.telemetry.slices_simulated == 16
+        assert runner.telemetry.slices_simulated == 24
         assert results["full"]["mcf"].retired > 0
-        assert sorted(build_calls) == ["gzip", "mcf"]
+        assert sorted(build_calls) == names
         # Nothing wrote to the shared programs.
-        for name in ("gzip", "mcf"):
+        for name in names:
             shared = sharding.program_for(name, 0.05)
             fresh = spec_like.build_workload(name, scale=0.05)
             assert shared.data == fresh.data
@@ -495,13 +497,20 @@ class TestProgramMemo:
         assert build_calls == ["gzip", "gzip"]
 
     def test_memo_holds_at_most_its_bound(self, build_calls):
-        names = ["gzip", "mcf", "crafty", "gzip"]
-        for name in names:
+        """The memo keeps every registered benchmark at one scale, and
+        evicts the least recently used program beyond that."""
+        names = spec_like.workload_names()
+        assert len(names) == sharding.PROGRAM_MEMO_ENTRIES
+        for name in names + names:
             sharding.program_for(name, 0.02)
-            assert (sharding.program_for.cache_info().currsize
-                    <= sharding.PROGRAM_MEMO_ENTRIES)
-        # gzip was the least recently used when crafty arrived.
         assert build_calls == names
+        sharding.program_for(names[0], 0.03)
+        assert (sharding.program_for.cache_info().currsize
+                == sharding.PROGRAM_MEMO_ENTRIES)
+        # names[0] at 0.02 was the least recently used.
+        sharding.program_for(names[1], 0.02)
+        sharding.program_for(names[0], 0.02)
+        assert build_calls == names + [names[0], names[0]]
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ equivalence of the timing core for randomly generated straight-line
 programs."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core import MachineConfig, simulate
 from repro.functional import Emulator
@@ -145,15 +145,33 @@ class TestIntegrationTableProperties:
 class TestCacheProperties:
     @given(addresses=st.lists(st.integers(min_value=0, max_value=1 << 20),
                               min_size=1, max_size=100))
+    # Three lines of one 2-way set: the access to 544 at cycle 30 finds
+    # its line evicted (at cycle 20) while the line's fill is still in
+    # flight, and merges into that fill.
+    @example(addresses=[544, 1568, 3616])
     def test_latency_bounds_and_hit_rate_sanity(self, addresses):
         cache = Cache(CacheConfig("c", size_bytes=2048, line_bytes=32,
                                   associativity=2, hit_latency=2))
+        #: line -> cycle its latest fill completes, as the accesses report.
+        fill_done = {}
         for cycle, addr in enumerate(addresses * 2):
+            now = cycle * 10
+            line = addr // 32
             resident = cache.probe(addr)
-            latency, hit = cache.access(addr, cycle * 10, fill_latency=50)
+            latency, hit = cache.access(addr, now, fill_latency=50)
             assert latency >= cache.config.hit_latency
             assert latency <= 2 + 50 + 52          # hit + fill + mshr wait
-            assert hit == resident and cache.probe(addr)
+            assert hit == resident
+            if not resident and fill_done.get(line, now) > now:
+                # A miss that merges into the in-flight fill of an evicted
+                # line pays the fill's remaining time and does not
+                # re-install the line.
+                assert latency == max(2, fill_done[line] - now)
+                assert not cache.probe(addr)
+                continue
+            if not hit:
+                fill_done[line] = now + latency
+            assert cache.probe(addr)
         capacity = cache.config.num_sets * cache.config.associativity
         assert len(cache.warm_lines()) <= capacity
 

@@ -210,17 +210,23 @@ class TestOracleBP:
 
     def test_truncated_stream_warns_and_falls_back(self):
         """If the reference-emulation budget runs out before the program
-        halts, the oracle must say so loudly, not silently degrade."""
-        from repro.frontend.branch_predictor import BranchPredictorConfig
+        halts, the oracle must say so loudly, not silently degrade; the
+        off-stream prediction is the learned predictor's."""
+        from repro.frontend.branch_predictor import (BranchPredictor,
+                                                     BranchPredictorConfig)
         from repro.variants.oracle_bp import OracleBranchPredictor
 
         program = build_workload("gzip", scale=0.1)
         predictor = OracleBranchPredictor(BranchPredictorConfig(), program,
                                           max_instructions=0)
+        learned = BranchPredictor(BranchPredictorConfig())
         branch = next(inst for inst in program if inst.info.is_branch)
         with pytest.warns(RuntimeWarning, match="truncated"):
-            predictor.predict(branch)
-        assert predictor.fallback_predictions == 1
+            prediction = predictor.predict(branch)
+        expected = learned.predict(branch)
+        assert (prediction.taken, prediction.target, prediction.is_cond) == (
+            expected.taken, expected.target, expected.is_cond)
+        assert predictor.history == learned.history
 
     def test_stream_extends_lazily(self):
         """A short detailed run must not emulate the whole program: sliced
