@@ -90,11 +90,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _add_queue_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--queue-dir", default=None, metavar="DIR",
-                        help="work queue directory (default: "
-                             "REPRO_QUEUE_DIR or <cache root>/queue)")
+                        help="work queue directory "
+                             "(default: <cache root>/queue)")
     parser.add_argument("--lease-ttl", type=float, default=None, metavar="S",
                         help="seconds before an unheartbeated claim may be "
-                             "reclaimed (default: REPRO_LEASE_TTL or 60)")
+                             "reclaimed (default: 60)")
 
 
 def _queue_from(args: argparse.Namespace):
@@ -419,11 +419,25 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_figures(args: argparse.Namespace) -> int:
     import os
+    from unittest import mock
 
+    # The figure modules call run_suite without a shards or backend
+    # argument, so both resolve through REPRO_SHARDS and REPRO_BACKEND.
+    # Route the CLI flags there for this command only: the previous
+    # environment comes back on every exit path.
+    routed = {}
+    if args.shards is not None:
+        routed["REPRO_SHARDS"] = str(args.shards)
+    if args.backend is not None:
+        routed["REPRO_BACKEND"] = args.backend
+    with mock.patch.dict(os.environ, routed):
+        return _run_figures(args)
+
+
+def _run_figures(args: argparse.Namespace) -> int:
     from repro.experiments import (ablations, cpistack, diagnostics,
                                    scenario_matrix)
     from repro.experiments import figure4, figure5, figure6, figure7
-    from repro.experiments import runner
 
     _check_shards(args)
     if args.plot_dir is not None:
@@ -432,15 +446,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
         if not plots.matplotlib_available():
             raise plots.MissingDependencyError("matplotlib", "--plot-dir")
-    if args.shards is not None:
-        # The figure modules call run_suite without a shards argument, so
-        # it resolves through REPRO_SHARDS; route the CLI flag there.
-        os.environ["REPRO_SHARDS"] = str(args.shards)
-    if args.backend is not None:
-        # Same routing for the execution backend: the figure modules call
-        # run_suite without a backend argument, which falls back to
-        # REPRO_BACKEND.
-        os.environ["REPRO_BACKEND"] = args.backend
     benchmarks = _parse_benchmarks(args.benchmarks)
     variant = _resolve_variant(args)
     common = dict(benchmarks=benchmarks, scale=args.scale, jobs=args.jobs)
@@ -505,7 +510,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if args.cache_action == "info":
         info = cache.info()
         print(f"cache root:   {info['root']}")
-        print(f"enabled:      {info['enabled']}")
         print(f"entries:      {info['entries']}")
         if info.get("corrupt"):
             print(f"corrupt:      {info['corrupt']} (quarantined)")

@@ -40,7 +40,6 @@ from repro.distrib.queue import (
     JobQueue,
     LeaseLostError,
     QueueStatus,
-    default_queue_dir,
 )
 from repro.distrib.worker import WorkerSummary, execute_payload, run_worker
 
@@ -55,7 +54,6 @@ __all__ = [
     "QueueStatus",
     "WorkerSummary",
     "default_backend",
-    "default_queue_dir",
     "execute_payload",
     "resolve_backend",
     "run_worker",

@@ -178,13 +178,12 @@ class DistributedBackend:
                use_cache: bool) -> Dict[str, SimJob]:
         """Enqueue every job (deduplicating); returns ``{key: job}``."""
         from repro.distrib.worker import make_payload
-        from repro.experiments.cache import disk_cache_enabled
 
-        if not use_cache or not disk_cache_enabled():
+        if not use_cache:
             raise BackendError(
                 "the distributed backend requires the shared disk cache "
                 "(it is the result plane); do not combine it with "
-                "--no-cache / REPRO_DISK_CACHE=0")
+                "--no-cache")
         queue = self.queue()
         submitted: Dict[str, SimJob] = {}
         for job in jobs:

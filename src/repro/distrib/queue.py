@@ -15,7 +15,8 @@ and no database:
         leases/<job-id>.json     the owner's lease: worker id + heartbeat
         done/<job-id>.json       terminal: result published to the cache
         dead/<job-id>.json       terminal: failed max_attempts times
-        workers/<worker>.json    per-worker throughput stats (status only)
+        workers/<worker>.json    per-worker throughput stats and rate
+                                 samples (status only)
 
 *Claiming* is ``rename(pending/X, claimed/X)``: the filesystem guarantees
 exactly one of N concurrent claimers wins (the rest see ``FileNotFoundError``
@@ -61,9 +62,6 @@ from repro.reliability import fs
 from repro.reliability.faults import crashpoint
 from repro.reliability.retry import with_retries
 
-ENV_QUEUE_DIR = "REPRO_QUEUE_DIR"
-ENV_LEASE_TTL = "REPRO_LEASE_TTL"
-
 #: Seconds a claimed job may go without a heartbeat before any other
 #: process may reclaim it.  Heartbeats run at a fraction of this, so only a
 #: genuinely dead (or badly wedged) worker ever loses a lease.
@@ -72,6 +70,11 @@ DEFAULT_LEASE_TTL = 60.0
 #: Attempts (initial execution + retries, including crash reclaims) before
 #: a job is dead-lettered.
 DEFAULT_MAX_ATTEMPTS = 3
+
+#: ``(t, jobs_done)`` samples a worker's stats file keeps, one per
+#: :meth:`JobQueue.record_worker`; ``repro status`` measures each
+#: worker's window rate over them.
+RATE_WINDOW = 8
 
 _STATES = ("pending", "claimed", "done", "dead")
 
@@ -85,26 +88,6 @@ class LeaseLostError(Exception):
     worker must treat the job as lost -- no publish, no done-rename, no
     lease writes -- and let the new owner finish it.
     """
-
-
-def default_queue_dir() -> Path:
-    """Queue root: ``REPRO_QUEUE_DIR`` or ``<cache root>/queue``.
-
-    Living under the cache root is deliberate: pointing a fleet at one
-    ``REPRO_CACHE_DIR`` gives the workers both the queue and the result
-    namespaces with a single knob.
-    """
-    env = os.environ.get(ENV_QUEUE_DIR)
-    if env:
-        return Path(env).expanduser()
-    return cache_dir() / "queue"
-
-
-def default_lease_ttl() -> float:
-    """Lease TTL in seconds, overridable with ``REPRO_LEASE_TTL``."""
-    from repro.experiments.runner import env_float
-
-    return env_float(ENV_LEASE_TTL, str(DEFAULT_LEASE_TTL))
 
 
 def worker_identity() -> str:
@@ -198,13 +181,18 @@ class QueueStatus:
 
 
 class JobQueue:
-    """One queue directory; every method is safe under fleet concurrency."""
+    """One queue directory; every method is safe under fleet concurrency.
+
+    The root defaults to ``<cache root>/queue``: pointing a fleet at one
+    ``REPRO_CACHE_DIR`` gives the workers both the queue and the result
+    namespaces with a single knob.
+    """
 
     def __init__(self, root: Optional[Path] = None,
                  lease_ttl: Optional[float] = None,
                  max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> None:
-        self.root = Path(root) if root is not None else default_queue_dir()
-        self.lease_ttl = (default_lease_ttl() if lease_ttl is None
+        self.root = Path(root) if root is not None else cache_dir() / "queue"
+        self.lease_ttl = (DEFAULT_LEASE_TTL if lease_ttl is None
                           else float(lease_ttl))
         self.max_attempts = max(1, int(max_attempts))
 
@@ -590,51 +578,26 @@ class JobQueue:
         return removed
 
     def record_worker(self, worker: str, stats: Dict[str, Any]) -> None:
-        """Publish one worker's throughput counters for ``repro status``."""
-        self._ensure_layout()
-        body = dict(stats)
-        body["worker"] = worker
-        body["updated_at"] = time.time()
-        self._write_json(self.root / "workers" / f"{worker}.json", body,
-                         category="workers")
+        """Publish one worker's throughput counters for ``repro status``.
 
-    def record_worker_metrics(self, worker: str,
-                              snapshot: Dict[str, Any]) -> None:
-        """Append one metrics snapshot next to the worker's stats file.
-
-        ``workers/<id>.metrics.jsonl`` feeds the ``repro status --watch``
-        sliding-window rates.  The owning worker is the only writer of
-        its own file, so a plain append is safe; readers tolerate a torn
-        tail line.  Cleaned up with the stats files by
-        :meth:`prune_terminal` and :meth:`purge`.
+        Each call also appends a ``[t, jobs_done]`` sample to the ones the
+        previous call wrote, keeping the last :data:`RATE_WINDOW`.  The
+        worker is the only writer of its own file, so the read-modify-
+        write needs no lock; an unreadable previous file starts afresh.
         """
         self._ensure_layout()
-        body = dict(snapshot)
+        path = self.root / "workers" / f"{worker}.json"
+        now = time.time()
+        samples = (self._read_json(path) or {}).get("samples")
+        if not isinstance(samples, list):
+            samples = []
+        done = (_as_int(stats.get("executed", 0), 0)
+                + _as_int(stats.get("cache_hits", 0), 0))
+        body = dict(stats)
         body["worker"] = worker
-        body.setdefault("t", time.time())
-        path = self.root / "workers" / f"{worker}.metrics.jsonl"
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(body, sort_keys=True) + "\n")
-
-    def read_worker_metrics(self, worker: str,
-                            last: int = 32) -> List[Dict[str, Any]]:
-        """The last ``last`` metric snapshots a worker appended (oldest
-        first; empty when the worker never snapshotted)."""
-        path = self.root / "workers" / f"{worker}.metrics.jsonl"
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except OSError:
-            return []
-        snapshots: List[Dict[str, Any]] = []
-        for line in lines[-max(0, last):]:
-            try:
-                body = json.loads(line)
-            except ValueError:
-                continue                    # torn tail line mid-append
-            if isinstance(body, dict):
-                snapshots.append(body)
-        return snapshots
+        body["updated_at"] = now
+        body["samples"] = (samples + [[now, done]])[-RATE_WINDOW:]
+        self._write_json(path, body, category="workers")
 
     def status(self, now: Optional[float] = None) -> QueueStatus:
         now = time.time() if now is None else now

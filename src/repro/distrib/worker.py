@@ -20,8 +20,11 @@ sweep) costs at most wasted CPU, never wrong or double-counted results.
 
 The loop heartbeats its lease from a daemon thread while the (long,
 synchronous) simulation call runs, reclaims expired leases of crashed
-peers on every idle poll, and publishes throughput counters for
-``repro status``.
+peers on every idle poll, and after every job rewrites its
+``workers/<id>.json`` for ``repro status``: the counters of its
+:class:`WorkerSummary` plus the recent ``(t, jobs_done)`` samples the
+dashboard's window rate is measured over (see
+:meth:`~repro.distrib.queue.JobQueue.record_worker`).
 
 Fencing: the heartbeat thread tracks its own health (consecutive write
 failures, a lease observed to belong to someone else), and a worker whose
@@ -33,8 +36,6 @@ double-finished by its original, slept-through-the-TTL owner.
 
 from __future__ import annotations
 
-import math
-import os
 import threading
 import time
 import traceback
@@ -49,7 +50,7 @@ from repro.distrib.queue import (
     worker_identity,
 )
 from repro.experiments.cache import ResultCache
-from repro.experiments.runner import EnvVarError, SimJob, run_job, telemetry
+from repro.experiments.runner import SimJob, run_job, telemetry
 from repro.experiments.sharding import SliceSpec, program_for
 from repro.experiments.warming import WarmState
 from repro.functional.emulator import Checkpoint
@@ -60,30 +61,6 @@ from repro.workloads import build_workload  # noqa: F401
 
 #: Fraction of the lease TTL between heartbeats while a job runs.
 HEARTBEAT_FRACTION = 0.25
-
-#: Snapshot cadence fallback (seconds) when ``REPRO_METRICS_INTERVAL`` is
-#: unset.
-DEFAULT_METRICS_INTERVAL = 5.0
-
-
-def default_metrics_interval() -> float:
-    """Validated accessor for ``REPRO_METRICS_INTERVAL`` (the only place
-    it is read): seconds between the periodic metric snapshots a worker
-    appends for the ``repro status --watch`` dashboard (default 5)."""
-    raw = os.environ.get("REPRO_METRICS_INTERVAL",
-                         str(DEFAULT_METRICS_INTERVAL)).strip()
-    if not raw:
-        return DEFAULT_METRICS_INTERVAL
-    try:
-        value = float(raw)
-    except ValueError:
-        raise EnvVarError("REPRO_METRICS_INTERVAL", raw,
-                          "a number of seconds (e.g. 5)") from None
-    if not math.isfinite(value) or value <= 0:
-        raise EnvVarError("REPRO_METRICS_INTERVAL", raw,
-                          "a positive finite number of seconds (e.g. 5)")
-    return value
-
 
 # ----------------------------------------------------------------------
 # job payloads
@@ -298,35 +275,12 @@ def run_worker(queue: Optional[JobQueue] = None,
     summary = WorkerSummary(worker=worker_id or worker_identity())
     idle_since: Optional[float] = None
     emit = log or (lambda message: None)
-    snapshot_interval = default_metrics_interval()
-    last_snapshot = time.time()
-
-    def maybe_snapshot(force: bool = False) -> None:
-        """Append a metrics snapshot for the status dashboard's
-        sliding-window rates (advisory: IO errors are swallowed)."""
-        nonlocal last_snapshot
-        now = time.time()
-        if not force and now - last_snapshot < snapshot_interval:
-            return
-        last_snapshot = now
-        try:
-            queue.record_worker_metrics(summary.worker, {
-                "t": now,
-                "jobs_done": summary.jobs_done,
-                "executed": summary.executed,
-                "cache_hits": summary.cache_hits,
-                "failed": summary.failed,
-            })
-        except OSError:
-            pass
-
     emit(f"worker {summary.worker} draining {queue.root}")
     try:
         while max_jobs is None or summary.jobs_done < max_jobs:
             if stop is not None and stop.is_set():
                 emit(f"worker {summary.worker} stop requested; draining out")
                 break
-            maybe_snapshot()
             try:
                 summary.reclaimed += queue.reclaim_expired()
                 job = queue.claim(summary.worker)
@@ -354,7 +308,6 @@ def run_worker(queue: Optional[JobQueue] = None,
                 pass                    # stats are advisory, never fatal
     except KeyboardInterrupt:
         emit(f"worker {summary.worker} interrupted")
-    maybe_snapshot(force=True)
     try:
         queue.record_worker(summary.worker, summary.to_dict())
     except OSError:

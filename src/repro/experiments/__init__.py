@@ -39,7 +39,6 @@ from repro.experiments.runner import (
     default_scale,
     default_shards,
     default_variant,
-    default_warmup_fraction,
     finish_suite,
     plan_suite,
     run_benchmark,
@@ -62,7 +61,6 @@ __all__ = [
     "default_scale",
     "default_shards",
     "default_variant",
-    "default_warmup_fraction",
     "finish_suite",
     "plan_suite",
     "result_key",

@@ -25,9 +25,9 @@ trailer is corrupt too: every key hashes :func:`code_version`, so no
 entry this code wrote can lack one.
 
 The cache directory defaults to ``~/.cache/repro`` (respecting
-``XDG_CACHE_HOME``) and can be redirected with ``REPRO_CACHE_DIR``; setting
-``REPRO_DISK_CACHE=0`` disables the disk layer entirely (the in-process
-memoization in :mod:`repro.experiments.runner` still applies).
+``XDG_CACHE_HOME``) and can be redirected with ``REPRO_CACHE_DIR``.  A
+run that must not touch it passes ``use_cache=False`` (``--no-cache``),
+which bypasses the in-process memo too.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from repro.reliability import fs
 from repro.reliability.retry import with_retries
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
-ENV_DISK_CACHE = "REPRO_DISK_CACHE"
 
 #: Top-level cache subdirectories that garbage collection must never touch:
 #: the distributed work queue (see :mod:`repro.distrib.queue`) keeps its
@@ -78,11 +77,6 @@ def cache_dir() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg).expanduser() if xdg else Path.home() / ".cache"
     return base / "repro"
-
-
-def disk_cache_enabled() -> bool:
-    return os.environ.get(ENV_DISK_CACHE, "1").lower() not in (
-        "0", "false", "no", "off")
 
 
 def code_version() -> str:
@@ -396,7 +390,6 @@ class ResultCache(PayloadCache):
                 pass
         return {
             "root": str(self.root),
-            "enabled": disk_cache_enabled(),
             "entries": entries,
             "corrupt": corrupt,
             "bytes": total_bytes,

@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core import MachineConfig, SimStats, simulate
 from repro.experiments import sharding
-from repro.experiments.cache import ResultCache, disk_cache_enabled, result_key
+from repro.experiments.cache import ResultCache, result_key
 from repro.experiments.warming import WarmState
 from repro.functional.emulator import Checkpoint
 from repro.isa.program import Program
@@ -154,21 +154,9 @@ class EnvVarError(SystemExit):
             f"(unset it or fix the value)")
 
 
-def env_float(name: str, default: str) -> float:
-    """Read a positive, finite float from the environment (or ``default``)."""
-    raw = os.environ.get(name, default).strip() or default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise EnvVarError(name, raw, "a number (e.g. 0.5)") from None
-    if not math.isfinite(value) or value <= 0:
-        raise EnvVarError(name, raw, "a positive finite number (e.g. 0.5)")
-    return value
-
-
-def _env_int(name: str, default: str,
-             expected: str = "an integer") -> int:
-    raw = os.environ.get(name, default).strip() or default
+def _parse_count(name: str, raw: str, expected: str) -> int:
+    """Parse the raw value of count knob ``name`` (blank = 1)."""
+    raw = raw.strip() or "1"
     try:
         return int(raw)
     except ValueError:
@@ -183,7 +171,15 @@ def default_scale() -> float:
     proportionally.  A malformed value raises :class:`EnvVarError` with a
     clear message instead of a bare ``ValueError`` traceback.
     """
-    return env_float("REPRO_SCALE", "0.5")
+    raw = os.environ.get("REPRO_SCALE", "").strip() or "0.5"
+    try:
+        value = float(raw)
+    except ValueError:
+        raise EnvVarError("REPRO_SCALE", raw, "a number (e.g. 0.5)") from None
+    if not math.isfinite(value) or value <= 0:
+        raise EnvVarError("REPRO_SCALE", raw,
+                          "a positive finite number (e.g. 0.5)")
+    return value
 
 
 def default_jobs(jobs: Optional[int] = None) -> int:
@@ -194,8 +190,8 @@ def default_jobs(jobs: Optional[int] = None) -> int:
     message instead of a bare ``ValueError`` traceback.
     """
     if jobs is None:
-        jobs = _env_int("REPRO_JOBS", "1",
-                        "an integer (0 = one worker per CPU)")
+        jobs = _parse_count("REPRO_JOBS", os.environ.get("REPRO_JOBS", ""),
+                            "an integer (0 = one worker per CPU)")
     if jobs <= 0:
         jobs = os.cpu_count() or 1
     return max(1, jobs)
@@ -211,8 +207,9 @@ def default_shards(shards: Optional[int] = None) -> int:
     the caller's bug and raises :class:`ValueError`.
     """
     if shards is None:
-        shards = _env_int("REPRO_SHARDS", "1",
-                          "a positive shard count (1 = unsharded)")
+        shards = _parse_count("REPRO_SHARDS",
+                              os.environ.get("REPRO_SHARDS", ""),
+                              "a positive shard count (1 = unsharded)")
         if shards < 1:
             raise EnvVarError("REPRO_SHARDS", str(shards),
                               "a positive shard count (1 = unsharded)")
@@ -220,13 +217,6 @@ def default_shards(shards: Optional[int] = None) -> int:
         raise ValueError(f"shards must be >= 1 (got {shards}); "
                          f"1 means unsharded")
     return min(shards, sharding.MAX_SHARDS)
-
-
-def default_warmup_fraction() -> float:
-    """Detailed slice warm-up as a fraction of the slice, from the
-    ``REPRO_SHARD_WARMUP`` env var (default 0.25)."""
-    return env_float("REPRO_SHARD_WARMUP",
-                     str(sharding.DEFAULT_WARMUP_FRACTION))
 
 
 def default_variant() -> Optional[str]:
@@ -310,11 +300,9 @@ class _LruMemo:
 _MEMORY_CACHE = _LruMemo(MEMO_ENTRIES)
 
 
-def _disk_cache() -> Optional[ResultCache]:
-    """The process-wide disk cache (None when disabled)."""
+def _disk_cache() -> ResultCache:
+    """The process-wide disk cache."""
     global _DISK_CACHE
-    if not disk_cache_enabled():
-        return None
     if _DISK_CACHE is None:
         _DISK_CACHE = ResultCache()
     return _DISK_CACHE
@@ -327,11 +315,7 @@ def clear_cache(disk: bool = False) -> int:
     _MEMORY_CACHE.clear()
     sharding.clear_plan_memo()
     sharding.program_for.cache_clear()
-    removed = 0
-    if disk:
-        cache = _disk_cache()
-        if cache is not None:
-            removed = cache.clear()
+    removed = _disk_cache().clear() if disk else 0
     _DISK_CACHE = None
     return removed
 
@@ -395,22 +379,18 @@ def _cache_lookup(key: str) -> Optional[SimStats]:
     if stats is not None:
         telemetry.memory_hits += 1
         return stats
-    disk = _disk_cache()
-    if disk is not None:
-        stats = disk.load(key)
-        if isinstance(stats, SimStats):
-            telemetry.disk_hits += 1
-            _MEMORY_CACHE[key] = stats
-            return stats
+    stats = _disk_cache().load(key)
+    if isinstance(stats, SimStats):
+        telemetry.disk_hits += 1
+        _MEMORY_CACHE[key] = stats
+        return stats
     return None
 
 
 def _cache_store(key: str, stats: SimStats, to_disk: bool = True) -> None:
     _MEMORY_CACHE[key] = stats
-    if to_disk:
-        disk = _disk_cache()
-        if disk is not None and not disk.store(key, stats):
-            _disk_write_failed(key)
+    if to_disk and not _disk_cache().store(key, stats):
+        _disk_write_failed(key)
 
 
 def _disk_write_failed(key: str) -> None:
@@ -479,11 +459,12 @@ def plan_suite(benchmarks: Iterable[str],
                use_cache: bool = True) -> SuitePlan:
     """Plan a suite: dedupe cells, probe the caches, expand slices.
 
-    ``None`` for ``scale``, ``shards`` or ``warmup_fraction`` resolves
-    through :func:`default_scale`, :func:`default_shards` and
-    :func:`default_warmup_fraction`.  Every config's variant is validated
-    up front: an unregistered name aborts here with the one-line error,
-    not in a pool worker later.  The returned plan's ``jobs`` are exactly
+    ``None`` for ``scale`` or ``shards`` resolves through
+    :func:`default_scale` or :func:`default_shards`, and for
+    ``warmup_fraction`` means
+    :data:`~repro.experiments.sharding.DEFAULT_WARMUP_FRACTION`.  Every
+    config's variant is validated up front: an unregistered name aborts
+    here with the one-line error, not in a pool worker later.  The returned plan's ``jobs`` are exactly
     the simulations no cache could answer, longest first, with sharded
     benchmarks expanded into per-slice jobs parameterised by their
     checkpoint.
@@ -493,7 +474,7 @@ def plan_suite(benchmarks: Iterable[str],
     scale = default_scale() if scale is None else scale
     shards = default_shards(shards)
     if warmup_fraction is None:
-        warmup_fraction = default_warmup_fraction()
+        warmup_fraction = sharding.DEFAULT_WARMUP_FRACTION
     benchmarks = list(benchmarks)
     results: Dict[str, Dict[str, SimStats]] = {name: {} for name in configs}
     # One simulation per unique content key, however many names point at it.

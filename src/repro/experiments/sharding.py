@@ -92,8 +92,8 @@ class SliceSpec:
         """Detailed-simulation work in instructions (warm-up + counted)."""
         return self.warmup + self.budget
 
-    # The distributed job queue ships slices inside self-contained JSON
-    # payloads (see :mod:`repro.distrib.worker`).
+    # The one wire format of a slice: inside a queued job's payload (see
+    # :mod:`repro.distrib.worker`) and inside a cached ShardPlan.
     def to_dict(self) -> Dict[str, int]:
         return {"index": self.index, "start": self.start,
                 "boundary": self.boundary, "budget": self.budget}
@@ -132,8 +132,7 @@ class ShardPlan:
             "shards": self.shards,
             "warmup_fraction": self.warmup_fraction,
             "total_insts": self.total_insts,
-            "slices": [[s.index, s.start, s.boundary, s.budget]
-                       for s in self.slices],
+            "slices": [spec.to_dict() for spec in self.slices],
             "checkpoints": {str(start): cp.to_dict()
                             for start, cp in self.checkpoints.items()},
             "warm": {str(start): warm.to_dict()
@@ -148,8 +147,8 @@ class ShardPlan:
             shards=int(data["shards"]),
             warmup_fraction=float(data["warmup_fraction"]),
             total_insts=int(data["total_insts"]),
-            slices=tuple(SliceSpec(index=i, start=s, boundary=b, budget=n)
-                         for i, s, b, n in data["slices"]),
+            slices=tuple(SliceSpec.from_dict(spec)
+                         for spec in data["slices"]),
             checkpoints={int(start): Checkpoint.from_dict(cp)
                          for start, cp in data["checkpoints"].items()},
             warm={int(start): WarmState.from_dict(warm)

@@ -8,7 +8,7 @@ Three layers, documented in docs/ARCHITECTURE.md ("Observability"):
 * :mod:`repro.obs.cpi` -- the per-cycle top-of-ROB blame taxonomy that
   fills ``SimStats.cpi_stack``;
 * :mod:`repro.obs.dashboard` -- the ``repro status --watch`` live fleet
-  dashboard, rendered from the queue's worker stats and snapshots.
+  dashboard, rendered from the queue's worker stats files.
 
 :mod:`repro.obs.cpi` is imported by the core engine and must stay
 dependency-free; the other modules sit above the core and may import it.

@@ -2,26 +2,25 @@
 
 :func:`render_status` turns one :meth:`~repro.distrib.queue.JobQueue.
 status` observation into the operator text: queue depth, lease ages,
-per-worker throughput -- lifetime jobs/min *and* a sliding-window rate
-over the worker's last few metric snapshots (see
-:meth:`~repro.distrib.queue.JobQueue.record_worker_metrics`) -- the
-fleet-wide cache hit rate, and the dead-letter tail.  ``repro status``
-prints it once; ``repro status --watch`` redraws it every ``--interval``
-seconds via :func:`watch`.
+per-worker throughput -- lifetime jobs/min *and* a window rate over the
+``(t, jobs_done)`` samples the worker's stats file keeps (see
+:meth:`~repro.distrib.queue.JobQueue.record_worker`) -- the fleet-wide
+cache hit rate, and the dead-letter tail.  ``repro status`` prints it
+once; ``repro status --watch`` redraws it every ``--interval`` seconds
+via :func:`watch`.
 
-Rendering is read-only and defensive: a corrupt stats or snapshot file
-degrades its line, never tracebacks the CLI.
+The window rate runs from the oldest sample to the moment of rendering,
+so it falls while a worker is idle or wedged in a job: a worker records
+a sample only after a job and when it exits.
+
+Rendering is read-only and defensive: a corrupt stats file, or one with
+no samples, degrades its line, never tracebacks the CLI.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Iterable, List, Mapping, Optional
-
-#: Snapshots consulted for the sliding-window rate (each spaced
-#: ``REPRO_METRICS_INTERVAL`` apart, so the default window covers the
-#: last ~40 seconds of fleet activity).
-RATE_WINDOW = 8
+from typing import Callable, Iterable, List, Optional, Sequence
 
 #: ANSI clear-screen + cursor-home, prefixed to every ``--watch`` redraw.
 _CLEAR = "\x1b[2J\x1b[H"
@@ -35,35 +34,30 @@ def _num(value: object, cast, default):
         return default
 
 
-def sliding_rate(snapshots: Iterable[Mapping[str, Any]],
-                 value_key: str = "jobs_done",
-                 time_key: str = "t",
-                 window: int = RATE_WINDOW) -> Optional[float]:
-    """Per-minute rate over the last ``window`` snapshots (None when
-    fewer than two usable snapshots exist or no time has passed).
+def sliding_rate(samples: Iterable[Sequence[float]],
+                 now: float) -> Optional[float]:
+    """Per-minute rate over ``(t, count)`` samples, oldest first, from
+    the oldest of them to ``now`` (None when fewer than two usable samples
+    exist or no time has passed).  The samples are the last
+    :data:`~repro.distrib.queue.RATE_WINDOW` a worker recorded.
 
     The sliding-window companion to the lifetime jobs/min rate: a worker
     that was fast an hour ago but is wedged now shows a sagging window
     rate long before the lifetime average notices.
     """
     usable = []
-    for snap in snapshots:
+    for sample in samples:
         try:
-            usable.append((float(snap[time_key]), float(snap[value_key])))
-        except (KeyError, TypeError, ValueError):
+            t, count = sample
+            usable.append((float(t), float(count)))
+        except (TypeError, ValueError):
             continue
-    usable = usable[-window:]
-    if len(usable) < 2:
+    if len(usable) < 2 or now <= usable[0][0]:
         return None
-    (t0, v0), (t1, v1) = usable[0], usable[-1]
-    elapsed = t1 - t0
-    if elapsed <= 0:
-        return None
-    return 60.0 * (v1 - v0) / elapsed
+    return 60.0 * (usable[-1][1] - usable[0][1]) / (now - usable[0][0])
 
 
-def render_status(queue, now: Optional[float] = None,
-                  window: int = RATE_WINDOW) -> str:
+def render_status(queue, now: Optional[float] = None) -> str:
     """One observation of the queue as the operator dashboard text."""
     now = time.time() if now is None else now
     status = queue.status(now=now)
@@ -96,8 +90,9 @@ def render_status(queue, now: Optional[float] = None,
                     + _num(stats.get("cache_hits", 0), int, 0))
             started = _num(stats.get("started_at", now), float, now)
             lifetime = 60.0 * done / max(1e-9, now - started)
-            windowed = sliding_rate(queue.read_worker_metrics(name),
-                                    window=window)
+            samples = stats.get("samples")
+            windowed = sliding_rate(
+                samples if isinstance(samples, list) else [], now)
             window_text = ("-" if windowed is None
                            else f"{windowed:.1f}/min now")
             lines.append(

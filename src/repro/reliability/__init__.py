@@ -28,12 +28,8 @@ from repro.reliability.faults import (
     reset_plan,
 )
 from repro.reliability.retry import (
-    ENV_RETRY_BASE,
-    ENV_RETRY_MAX,
     TRANSIENT_ERRNOS,
     backoff_delay,
-    default_retry_base,
-    default_retry_max,
     with_retries,
 )
 from repro.reliability.supervisor import (
@@ -45,8 +41,6 @@ from repro.reliability.supervisor import (
 __all__ = [
     "CRASH_POINTS",
     "ENV_FAULTS",
-    "ENV_RETRY_BASE",
-    "ENV_RETRY_MAX",
     "FaultPlan",
     "FaultRule",
     "FaultSpecError",
@@ -58,8 +52,6 @@ __all__ = [
     "active_plan",
     "backoff_delay",
     "crashpoint",
-    "default_retry_base",
-    "default_retry_max",
     "install_plan",
     "plan_from_env",
     "reset_plan",

@@ -10,6 +10,10 @@ attempt *k* of operation *op* is scaled by a factor in [0.5, 1.0] derived
 from ``sha256(f"{op}:{k}")``.  Two workers retrying *different* operations
 desynchronise (the point of jitter) while the same program run twice
 retries on the identical schedule (the point of this repo).
+
+The policy is two module constants, :data:`RETRY_MAX` and
+:data:`RETRY_BASE`, which :func:`with_retries` reads at call time, so a
+test can monkeypatch them.
 """
 
 from __future__ import annotations
@@ -19,11 +23,12 @@ import hashlib
 import time
 from typing import Callable, TypeVar
 
-ENV_RETRY_MAX = "REPRO_RETRY_MAX"
-ENV_RETRY_BASE = "REPRO_RETRY_BASE"
+#: Retries after the first attempt; ``0`` disables retrying.
+RETRY_MAX = 3
 
-_DEFAULT_RETRY_MAX = 3
-_DEFAULT_RETRY_BASE = 0.05
+#: Base backoff in seconds: retry *k* waits ``RETRY_BASE * 2**k`` scaled
+#: by the jitter factor.
+RETRY_BASE = 0.05
 
 #: Errnos retried as transient.  ENOENT is deliberately absent: in the
 #: queue protocol a vanished file means another worker won the rename
@@ -38,25 +43,6 @@ TRANSIENT_ERRNOS = frozenset({
 })
 
 T = TypeVar("T")
-
-
-def default_retry_max() -> int:
-    """Retries after the first attempt (``REPRO_RETRY_MAX``, default 3)."""
-    from repro.experiments.runner import EnvVarError, _env_int
-
-    value = _env_int(ENV_RETRY_MAX, str(_DEFAULT_RETRY_MAX),
-                     "a non-negative integer (0 = no retries)")
-    if value < 0:
-        raise EnvVarError(ENV_RETRY_MAX, str(value),
-                          "a non-negative integer (0 = no retries)")
-    return value
-
-
-def default_retry_base() -> float:
-    """Base backoff in seconds (``REPRO_RETRY_BASE``, default 0.05)."""
-    from repro.experiments.runner import env_float
-
-    return env_float(ENV_RETRY_BASE, str(_DEFAULT_RETRY_BASE))
 
 
 def backoff_delay(op: str, attempt: int, base: float) -> float:
@@ -78,13 +64,13 @@ def with_retries(fn: Callable[[], T], *, op: str,
 
     Non-transient OSErrors (and everything else, including
     ``SimulatedCrash``) propagate immediately.  After ``retry_max``
-    retries the last transient error propagates.  Each retry increments
-    ``RunTelemetry.io_retries``.
+    retries (default :data:`RETRY_MAX`) the last transient error
+    propagates.  Each retry increments ``RunTelemetry.io_retries``.
     """
     if retry_max is None:
-        retry_max = default_retry_max()
+        retry_max = RETRY_MAX
     if retry_base is None:
-        retry_base = default_retry_base()
+        retry_base = RETRY_BASE
     attempt = 0
     while True:
         try:

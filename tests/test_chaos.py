@@ -67,7 +67,6 @@ def _clean_fault_plan():
 def isolated_cache(tmp_path, monkeypatch):
     """Fresh cache + queue roots; cold in-process state."""
     monkeypatch.setenv(cache_mod.ENV_CACHE_DIR, str(tmp_path))
-    monkeypatch.delenv("REPRO_QUEUE_DIR", raising=False)
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     monkeypatch.setattr(runner, "_DISK_CACHE", None)
     runner._MEMORY_CACHE.clear()

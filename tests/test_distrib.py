@@ -48,7 +48,6 @@ from repro.workloads import spec_like
 def isolated_cache(tmp_path, monkeypatch):
     """Fresh cache + queue roots; cold in-process state."""
     monkeypatch.setenv(cache_mod.ENV_CACHE_DIR, str(tmp_path))
-    monkeypatch.delenv("REPRO_QUEUE_DIR", raising=False)
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     monkeypatch.setattr(runner, "_DISK_CACHE", None)
     runner._MEMORY_CACHE.clear()
@@ -613,7 +612,6 @@ class TestMultiprocessFleet:
 
         env = dict(os.environ)
         env["REPRO_CACHE_DIR"] = str(isolated_cache)
-        env.pop("REPRO_QUEUE_DIR", None)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         workers = [

@@ -12,7 +12,8 @@ Three properties anchor the layer:
   (pool vs serial, sharded vs not for the same geometry);
 * **each counter has one home** -- run telemetry is a plain record the
   ``--verbose`` summary renders directly, and the dashboard's
-  sliding-window rate is a pure function of the worker's snapshots.
+  sliding-window rate is a pure function of the samples in the worker's
+  stats file and the time of rendering.
 """
 
 import json
@@ -288,31 +289,36 @@ class TestMetrics:
         assert "  local simulations:   4" in verbose.splitlines()
 
     def test_sliding_rate(self):
-        snaps = [{"t": 0.0, "jobs_done": 0},
-                 {"t": 30.0, "jobs_done": 5},
-                 {"t": 60.0, "jobs_done": 20}]
-        assert sliding_rate(snaps) == pytest.approx(20.0)
-        assert sliding_rate(snaps, window=2) == pytest.approx(30.0)
-        assert sliding_rate(snaps[:1]) is None
-        assert sliding_rate([]) is None
+        samples = [[0.0, 0], [30.0, 5], [60.0, 20]]
+        assert sliding_rate(samples, now=60.0) == pytest.approx(20.0)
+        assert sliding_rate(samples[1:], now=60.0) == pytest.approx(30.0)
+        # Measured up to the moment of rendering, not the last sample.
+        assert sliding_rate(samples, now=120.0) == pytest.approx(10.0)
+        assert sliding_rate(samples[:1], now=60.0) is None
+        assert sliding_rate([], now=60.0) is None
+        # Malformed samples are skipped, never raised.
+        assert sliding_rate([None, [0.0, 0], "xy", [1.0], [30.0, 5]],
+                            now=30.0) == pytest.approx(10.0)
         # A frozen clock can't produce a rate.
-        assert sliding_rate([{"t": 5.0, "jobs_done": 1},
-                             {"t": 5.0, "jobs_done": 2}]) is None
+        assert sliding_rate([[5.0, 1], [5.0, 2]], now=5.0) is None
 
-    def test_worker_metrics_snapshots_roundtrip(self, tmp_path):
+    def test_record_worker_keeps_the_last_window_of_samples(self, tmp_path):
+        from repro.distrib.queue import RATE_WINDOW
+
         queue = JobQueue(tmp_path / "q")
-        for i in range(40):
-            queue.record_worker_metrics("w1", {"t": float(i),
-                                               "jobs_done": i})
-        snaps = queue.read_worker_metrics("w1", last=8)
-        assert len(snaps) == 8
-        assert snaps[-1]["jobs_done"] == 39
-        assert snaps[-1]["worker"] == "w1"
-        # A torn tail line degrades to fewer snapshots, never an error.
-        path = queue.root / "workers" / "w1.metrics.jsonl"
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"t": 99, "jobs_do')
-        assert queue.read_worker_metrics("w1", last=4)[-1]["t"] == 39.0
+        for i in range(RATE_WINDOW + 5):
+            queue.record_worker("w1", {"executed": i, "cache_hits": 1})
+        stats = queue.status().workers["w1"]
+        samples = stats["samples"]
+        assert len(samples) == RATE_WINDOW
+        assert [done for _, done in samples] == list(
+            range(6, RATE_WINDOW + 6))           # oldest first
+        assert samples == sorted(samples)
+        assert samples[-1][0] == stats["updated_at"]
+        # An unreadable stats file starts the window afresh.
+        (queue.root / "workers" / "w1.json").write_text("{torn")
+        queue.record_worker("w1", {"executed": 1})
+        assert len(queue.status().workers["w1"]["samples"]) == 1
 
     def test_dashboard_renders_sliding_window(self, tmp_path):
         from repro.obs import dashboard
@@ -320,14 +326,44 @@ class TestMetrics:
         queue = JobQueue(tmp_path / "q")
         queue.record_worker("w1", {"executed": 6, "cache_hits": 2,
                                    "failed": 0, "started_at": 0.0})
-        for i in range(4):
-            queue.record_worker_metrics(
-                "w1", {"t": 10.0 * i, "jobs_done": 2 * i})
-        text = dashboard.render_status(queue, now=60.0)
+        path = queue.root / "workers" / "w1.json"
+        body = json.loads(path.read_text())
+        body["samples"] = [[10.0 * i, 2 * i] for i in range(4)]
+        path.write_text(json.dumps(body))
+        text = dashboard.render_status(queue, now=30.0)
         assert "pending:  0" in text
         assert "w1" in text and "jobs/min" in text
-        assert "12.0/min now" in text     # 6 jobs over 30s of snapshots
+        assert "12.0/min now" in text     # 6 jobs over 30s of samples
         assert "25% hit rate" in text
+
+    def test_idle_worker_window_rate_falls(self, tmp_path):
+        from repro.obs import dashboard
+
+        queue = JobQueue(tmp_path / "q")
+        for done in range(3):
+            queue.record_worker("w1", {"executed": done})
+        first = queue.status().workers["w1"]["samples"][0][0]
+        assert "2.0/min now" in dashboard.render_status(queue,
+                                                        now=first + 60.0)
+        assert "1.0/min now" in dashboard.render_status(queue,
+                                                        now=first + 120.0)
+
+    def test_stats_without_samples_render_a_dash(self, tmp_path):
+        from repro.obs import dashboard
+
+        # The stats file as written before it carried samples.
+        queue = JobQueue(tmp_path / "q")
+        workers = queue.root / "workers"
+        workers.mkdir(parents=True)
+        (workers / "w1.json").write_text(json.dumps({
+            "executed": 3, "cache_hits": 0, "failed": 0, "reclaimed": 0,
+            "lost": 0, "fenced": 0, "io_errors": 0, "started_at": 0.0,
+            "worker": "w1", "updated_at": 30.0}))
+        line = [row for row in dashboard.render_status(
+            queue, now=60.0).splitlines() if row.lstrip().startswith("w1")]
+        assert len(line) == 1
+        assert "3 job(s)" in line[0] and "/min now" not in line[0]
+        assert line[0].split("jobs/min")[1].split()[0] == "-"
 
     def test_watch_bounded_refreshes(self, tmp_path):
         from repro.obs import dashboard

@@ -142,11 +142,13 @@ class TestDiskCache:
         assert results["none"]["gzip"].retired > 0
         assert runner.telemetry.simulations == 2
 
-    def test_disk_cache_can_be_disabled(self, isolated_cache, monkeypatch):
-        monkeypatch.setenv(cache_mod.ENV_DISK_CACHE, "0")
-        monkeypatch.setattr(runner, "_DISK_CACHE", None)
-        runner.run_benchmark("gzip", SUITE_CONFIGS["none"], scale=0.1)
+    def test_disk_cache_can_be_disabled(self, isolated_cache):
+        # ``--no-cache``: neither cache layer is read or written.
+        runner.run_benchmark("gzip", SUITE_CONFIGS["none"], scale=0.1,
+                             use_cache=False)
         assert not list(isolated_cache.rglob("*.json"))
+        assert len(runner._MEMORY_CACHE) == 0
+        assert runner.telemetry.simulations == 1
 
 
 class TestCli:
@@ -165,6 +167,21 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             main(["run", "--benchmarks", "nope", "--scale", "0.1"])
+
+    def test_figures_flags_do_not_leak_into_the_environment(
+            self, isolated_cache, monkeypatch):
+        import os
+
+        from repro.__main__ import main
+
+        monkeypatch.delenv("REPRO_SHARDS", raising=False)
+        monkeypatch.setenv("REPRO_BACKEND", "local")
+        before = dict(os.environ)
+        with pytest.raises(SystemExit, match="unknown figures"):
+            main(["figures", "--figures", "nope", "--shards", "3",
+                  "--backend", "distributed"])
+        assert dict(os.environ) == before
+        assert runner.default_shards() == 1
 
     def test_cache_subcommands(self, isolated_cache, capsys):
         from repro.__main__ import main

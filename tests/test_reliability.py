@@ -7,7 +7,7 @@ semantics it enables in the cache/queue/worker stack:
   category/path matching, deterministic schedules);
 * the fs wrappers (torn writes, injected errnos, ``SimulatedCrash``
   being uncatchable by ``except Exception``);
-* bounded retry with deterministic jitter, and its env knobs;
+* bounded retry with deterministic jitter;
 * sha256 integrity trailers and quarantine-to-``corrupt/`` on the cache;
 * lease fencing: a worker that lost its lease never publishes or
   done-renames a reclaimed job (the done-rename race, directed);
@@ -48,7 +48,7 @@ from repro.reliability import (
     reset_plan,
     with_retries,
 )
-from repro.reliability import fs
+from repro.reliability import fs, retry
 
 
 @pytest.fixture(autouse=True)
@@ -62,7 +62,6 @@ def _clean_fault_plan():
 @pytest.fixture()
 def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv(cache_mod.ENV_CACHE_DIR, str(tmp_path))
-    monkeypatch.delenv("REPRO_QUEUE_DIR", raising=False)
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     monkeypatch.setattr(runner, "_DISK_CACHE", None)
     runner._MEMORY_CACHE.clear()
@@ -256,25 +255,20 @@ class TestRetry:
         assert err.value.errno == errno.ENOSPC
         assert calls["n"] == 3                 # initial + 2 retries
 
-    def test_env_knobs_are_validated(self, monkeypatch):
-        from repro.reliability.retry import (
-            default_retry_base,
-            default_retry_max,
-        )
+    def test_policy_constants_are_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(retry, "RETRY_MAX", 1)
+        monkeypatch.setattr(retry, "RETRY_BASE", 0.5)
+        calls = {"n": 0}
+        slept = []
 
-        monkeypatch.setenv("REPRO_RETRY_MAX", "5")
-        assert default_retry_max() == 5
-        monkeypatch.setenv("REPRO_RETRY_MAX", "-1")
-        with pytest.raises(runner.EnvVarError, match="REPRO_RETRY_MAX"):
-            default_retry_max()
-        monkeypatch.setenv("REPRO_RETRY_MAX", "three")
-        with pytest.raises(runner.EnvVarError, match="REPRO_RETRY_MAX"):
-            default_retry_max()
-        monkeypatch.setenv("REPRO_RETRY_BASE", "0.2")
-        assert default_retry_base() == 0.2
-        monkeypatch.setenv("REPRO_RETRY_BASE", "-1")
-        with pytest.raises(runner.EnvVarError, match="REPRO_RETRY_BASE"):
-            default_retry_base()
+        def hopeless():
+            calls["n"] += 1
+            raise OSError(errno.EIO, "injected")
+
+        with pytest.raises(OSError):
+            with_retries(hopeless, op="t", sleep=slept.append)
+        assert calls["n"] == 2                 # initial + RETRY_MAX
+        assert slept == [backoff_delay("t", 0, 0.5)]
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +318,7 @@ class TestCacheIntegrity:
 
     def test_persistent_write_failure_returns_false(self, tmp_path,
                                                     monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY_MAX", "0")
+        monkeypatch.setattr(retry, "RETRY_MAX", 0)
         install_plan(FaultPlan.parse("write:@cache:always:eio"))
         cache = ResultCache(tmp_path)
         assert cache.store_payload("aa" * 32, {"x": 1}) is False
@@ -621,7 +615,7 @@ class TestBackendResilience:
                                               monkeypatch, capsys, jobs):
         """Every job whose disk-cache write fails is counted and warned
         about, whether it ran in this process or in a pool child."""
-        monkeypatch.setenv("REPRO_RETRY_MAX", "0")
+        monkeypatch.setattr(retry, "RETRY_MAX", 0)
         install_plan(FaultPlan.parse("write:@cache:always:eio"))
         configs = {
             "none": MachineConfig().with_integration(

@@ -365,7 +365,7 @@ class TestShardedSuite:
         # One plan serves both configs (they share the memory system and
         # predictor): one plan in memory, its payload on disk next to the
         # slice/merged results.
-        warmup = runner.default_warmup_fraction()
+        warmup = sharding.DEFAULT_WARMUP_FRACTION
         key = sharding.plan_key("gzip", 0.2, 3, warmup, NONE)
         assert key == sharding.plan_key("gzip", 0.2, 3, warmup, FULL)
         assert list(sharding._PLAN_MEMO) == [key]
@@ -412,13 +412,15 @@ class TestShardedSuite:
         assert merged.retired == whole.retired
         assert abs(merged.ipc / whole.ipc - 1) <= 0.03
 
-    def test_run_benchmark_accepts_shards(self, isolated_cache, monkeypatch):
-        # A full-slice warm-up makes shards=2 exact (see above).
-        monkeypatch.setenv("REPRO_SHARD_WARMUP", "1.0")
+    def test_run_benchmark_accepts_shards(self, isolated_cache):
         stats = runner.run_benchmark("gzip", FULL, scale=0.2, shards=2)
         direct = simulate(build_workload("gzip", scale=0.2), FULL,
                           name="gzip")
-        assert_stats_equal_modulo_occupancy(stats, direct)   # shards=2 exact
+        assert stats.retired == direct.retired               # counts exact
+        runner.clear_cache(disk=True)
+        suite = runner.run_suite(["gzip"], {"full": FULL}, scale=0.2,
+                                 jobs=1, shards=2)["full"]["gzip"]
+        assert stats.to_dict() == suite.to_dict()
 
     def test_cli_accepts_shards(self, isolated_cache, capsys):
         from repro.__main__ import main

@@ -9,10 +9,11 @@ breaks on them by chance:
   calls ``id()``.  Each makes two runs of one config diverge, and the
   result cache, sharded merging and the golden tests all assume they
   cannot.
-* **env-var** -- each ``REPRO_*`` variable is read only inside its
-  accessor in :data:`ACCESSOR_REGISTRY` (or, for a dynamic name, inside a
-  generic helper), and the variables named in the sources are exactly the
-  rows of the environment-variable table in ``docs/ARCHITECTURE.md``.
+* **env-var** -- each ``REPRO_*`` variable is read by its literal name
+  only inside its accessor in :data:`ACCESSOR_REGISTRY`, no variable is
+  read by a computed name, and the variables named in the sources are
+  exactly the rows of the environment-variable table in
+  ``docs/ARCHITECTURE.md``.
 
 Each check is a plain function from a parsed module to ``(line,
 message)`` findings.  The tests run it over the live tree, over one small
@@ -40,23 +41,15 @@ ENGINE_DIRS = ("core", "frontend", "functional", "integration", "isa",
 #: variable -> the functions allowed to read it, as
 #: "path/under/src/repro.py::function".
 ACCESSOR_REGISTRY = {
+    "REPRO_SCALE": {"experiments/runner.py::default_scale"},
+    "REPRO_JOBS": {"experiments/runner.py::default_jobs"},
+    "REPRO_SHARDS": {"experiments/runner.py::default_shards"},
     "REPRO_VARIANT": {"experiments/runner.py::default_variant"},
     "REPRO_CACHE_DIR": {"experiments/cache.py::cache_dir"},
-    "REPRO_DISK_CACHE": {"experiments/cache.py::disk_cache_enabled"},
-    "REPRO_QUEUE_DIR": {"distrib/queue.py::default_queue_dir"},
     "REPRO_BACKEND": {"distrib/backend.py::default_backend"},
     "REPRO_ELIDE": {"core/pipeline.py::elision_enabled"},
     "REPRO_FAULTS": {"reliability/faults.py::faults_spec"},
-    "REPRO_RETRY_MAX": {"reliability/retry.py::default_retry_max"},
-    "REPRO_RETRY_BASE": {"reliability/retry.py::default_retry_base"},
-    "REPRO_METRICS_INTERVAL": {
-        "distrib/worker.py::default_metrics_interval"},
 }
-
-#: The validating helpers that read a non-literal variable name; every
-#: numeric accessor is built on them.
-GENERIC_ACCESSORS = {"experiments/runner.py::env_float",
-                     "experiments/runner.py::_env_int"}
 
 ENV_NAME_RE = re.compile(r"^REPRO_[A-Z][A-Z0-9_]*$")
 _DOC_NAME_RE = re.compile(r"`(REPRO_[A-Z][A-Z0-9_]*)`")
@@ -167,17 +160,15 @@ def _environ_reads(tree):
     return reads
 
 
-def env_var_findings(tree, rel, registry=ACCESSOR_REGISTRY,
-                     generic=GENERIC_ACCESSORS):
+def env_var_findings(tree, rel, registry=ACCESSOR_REGISTRY):
     """Environment reads in module ``rel`` outside the accessor
     convention.  Writes are allowed anywhere."""
     found = []
     for lineno, var, function in _environ_reads(tree):
         where = f"{rel}::{function}"
         if var is None:
-            if where not in generic:
-                found.append((lineno, f"dynamic environment read in "
-                              f"{function}() outside the generic helpers"))
+            found.append((lineno, f"dynamic environment read in "
+                          f"{function}(); read each knob by its name"))
         elif not ENV_NAME_RE.match(var):
             continue
         elif var not in registry:
@@ -249,7 +240,6 @@ def test_determinism_allows(source):
 # env-var
 
 _KNOB = {"REPRO_TEST_KNOB": {"knobs.py::test_knob"}}
-_HELPERS = {"knobs.py::env_int"}
 
 
 def test_env_reads_go_through_accessors():
@@ -264,6 +254,7 @@ def test_env_table_matches_sources():
     documented = documented_env_names(DOCS_MD.read_text(encoding="utf-8"))
     assert sorted(mentioned - documented) == [], "undocumented"
     assert sorted(documented - mentioned) == [], "documented but unused"
+    assert documented == set(ACCESSOR_REGISTRY)
 
 
 @pytest.mark.parametrize("source, needle", [
@@ -281,7 +272,7 @@ def test_env_table_matches_sources():
 ], ids=["get", "via-constant", "subscript", "unregistered", "dynamic"])
 def test_env_var_flags(source, needle):
     (finding,) = env_var_findings(ast.parse(source), "knobs.py",
-                                  registry=_KNOB, generic=_HELPERS)
+                                  registry=_KNOB)
     assert needle in finding[1]
 
 
@@ -290,20 +281,26 @@ def test_env_var_flags(source, needle):
     "    return os.environ.get(KNOB, '0')\n",
     "def route():\n    os.environ['REPRO_TEST_KNOB'] = '1'\n",
     "def home():\n    return os.environ.get('HOME')\n",
-    "def env_int(name):\n    return int(os.environ.get(name, '0'))\n",
-], ids=["accessor", "write", "foreign", "generic-helper"])
+], ids=["accessor", "write", "foreign"])
 def test_env_var_allows(source):
     assert env_var_findings(ast.parse(source), "knobs.py",
-                            registry=_KNOB, generic=_HELPERS) == []
+                            registry=_KNOB) == []
 
 
-@pytest.mark.parametrize("knob", ["REPRO_KERNEL", "REPRO_FAST_PATH",
-                                  "REPRO_MEMCACHE_MAX", "REPRO_TRACE"])
+@pytest.mark.parametrize("knob", [
+    "REPRO_KERNEL", "REPRO_FAST_PATH", "REPRO_MEMCACHE_MAX", "REPRO_TRACE",
+    "REPRO_DISK_CACHE", "REPRO_QUEUE_DIR", "REPRO_LEASE_TTL",
+    "REPRO_RETRY_MAX", "REPRO_RETRY_BASE", "REPRO_SHARD_WARMUP",
+    "REPRO_METRICS_INTERVAL"])
 def test_retired_knob_is_flagged(knob):
     # REPRO_KERNEL went with the compiled scheduler backend,
     # REPRO_FAST_PATH with the second driver loop, REPRO_MEMCACHE_MAX
     # with the settable memo capacity and REPRO_TRACE with the second way
-    # to set ``repro trace --out``.  None has an accessor or a docs row,
+    # to set ``repro trace --out``.  The next seven were never set outside
+    # tests and CI, or repeated a flag or a parameter: ``--no-cache``,
+    # ``--queue-dir``, ``--lease-ttl``, the module constants of
+    # ``reliability/retry.py``, ``run_suite(warmup_fraction=)`` and the
+    # worker's per-job stats write.  None has an accessor or a docs row,
     # so reading one again must fail.
     tree = ast.parse(f"def knob():\n    return os.environ.get('{knob}')\n")
     (finding,) = env_var_findings(tree, "revived.py")
