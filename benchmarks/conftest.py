@@ -7,7 +7,7 @@ three-benchmark smoke set at a reduced workload scale.
 
 import pytest
 
-from repro.experiments.runner import SMOKE_BENCHMARKS
+from repro.experiments.runner import SMOKE_BENCHMARKS, run_suite
 
 #: Workload scale factor the figure benchmarks simulate at.
 BENCH_SCALE = 0.3
@@ -17,3 +17,13 @@ BENCH_SCALE = 0.3
 def suite():
     """The benchmark names and scale used throughout the harness."""
     return {"benchmarks": list(SMOKE_BENCHMARKS), "scale": BENCH_SCALE}
+
+
+@pytest.fixture(scope="session")
+def run_figure(suite):
+    """``run_figure(ResultClass, configs)``: one figure's result over the
+    harness suite, for all or part of its ``configs()`` matrix."""
+    def run(result_class, configs):
+        return result_class(suite["benchmarks"], run_suite(
+            suite["benchmarks"], configs, scale=suite["scale"]))
+    return run

@@ -9,27 +9,21 @@ call-intensive codes.
 
 import pytest
 
-from repro.experiments import ablations
-from repro.integration.config import IndexScheme, IntegrationConfig, LispMode
+from repro.experiments import ablations, figures
 
-_ABLATION_SUBSET = {
-    "full (4b gen, 4b rc)": IntegrationConfig.full(),
-    "gen counters 0b": IntegrationConfig.full(generation_bits=0),
-    "lisp off": IntegrationConfig.full(lisp_mode=LispMode.OFF),
-    "no reverse entries": IntegrationConfig.full(reverse=False),
-    "refcount 1b": IntegrationConfig.full(refcount_bits=1),
-    "pc indexing": IntegrationConfig.full(index_scheme=IndexScheme.PC),
-}
+_ABLATION_SUBSET = ("full (4b gen, 4b rc)", "gen counters 0b", "lisp off",
+                    "no reverse entries", "refcount 1b", "pc indexing")
 
 
 @pytest.fixture(scope="module")
-def ablation_result(suite):
-    return ablations.run(benchmarks=suite["benchmarks"], scale=suite["scale"],
-                         configs=_ABLATION_SUBSET)
+def ablation_result(run_figure):
+    return run_figure(ablations.AblationResult, {
+        label: config for label, config in ablations.configs().items()
+        if label in _ABLATION_SUBSET})
 
 
 def test_ablation_report(ablation_result):
-    table = ablations.report(ablation_result)
+    table = figures.report("ablations", ablation_result)
     print()
     print(table)
 

@@ -7,19 +7,18 @@ The paper reports that integration shortens mis-predicted-branch resolution
 
 import pytest
 
-from repro.experiments import diagnostics
+from repro.experiments import diagnostics, figures
 
 
 @pytest.fixture(scope="module")
-def diag_result(suite):
-    return diagnostics.run(benchmarks=suite["benchmarks"],
-                           scale=suite["scale"])
+def diag_result(run_figure):
+    return run_figure(diagnostics.DiagnosticsResult, diagnostics.configs())
 
 
 def test_branch_resolution_latency(diag_result):
     latency = diag_result.resolution_latency()
     print()
-    print(diagnostics.report(diag_result))
+    print(figures.report("diagnostics", diag_result))
     # Integration must not lengthen branch resolution on average; the paper
     # sees a ~10% reduction.
     assert latency["with"] <= latency["without"] * 1.10

@@ -10,14 +10,15 @@ the authors' SPEC setup).
 
 import pytest
 
-from repro.experiments import figure4
+from repro.experiments import figure4, figures
 from repro.integration.config import LispMode
 
 
 @pytest.fixture(scope="module")
-def fig4_result(suite):
-    return figure4.run(benchmarks=suite["benchmarks"], scale=suite["scale"],
-                       lisp_modes=(LispMode.REALISTIC,))
+def fig4_result(run_figure):
+    return run_figure(figure4.Figure4Result, {
+        label: config for label, config in figure4.configs().items()
+        if config.integration.lisp_mode is not LispMode.ORACLE})
 
 
 def test_fig4_speedups(fig4_result):
@@ -25,7 +26,7 @@ def test_fig4_speedups(fig4_result):
     means = {ext: fig4_result.mean_speedup(ext)
              for ext in figure4.EXTENSION_CONFIGS}
     print()
-    print(figure4.report(fig4_result))
+    print(figures.report("4", fig4_result))
 
     # Paper shape: the full configuration (+reverse) is the best of the four
     # and clearly positive; squash reuse alone is marginal.

@@ -11,14 +11,13 @@ degrees are rare.
 
 import pytest
 
-from repro.analysis import breakdowns
 from repro.core.stats import IntegrationType, ResultStatus
-from repro.experiments import figure5
+from repro.experiments import figure5, figures
 
 
 @pytest.fixture(scope="module")
-def fig5_result(suite):
-    return figure5.run(benchmarks=suite["benchmarks"], scale=suite["scale"])
+def fig5_result(run_figure):
+    return run_figure(figure5.Figure5Result, figure5.configs())
 
 
 def _aggregate(stats_by_bench):
@@ -41,7 +40,7 @@ def _aggregate(stats_by_bench):
 def test_fig5_type_breakdown(fig5_result):
     pooled = _aggregate(fig5_result.stats)
     print()
-    print(figure5.report(fig5_result)[:2000])
+    print(figures.report("5", fig5_result))
     assert pooled["integrated"] > 0
     overall_rate = sum(s.integration_rate for s in fig5_result.stats.values()
                        ) / len(fig5_result.stats)

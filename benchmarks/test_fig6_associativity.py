@@ -13,9 +13,10 @@ from repro.experiments import figure6
 
 
 @pytest.fixture(scope="module")
-def assoc_result(suite):
-    return figure6.run(benchmarks=suite["benchmarks"], scale=suite["scale"],
-                       sizes=())        # associativity half only
+def assoc_result(run_figure):
+    return run_figure(figure6.Figure6Result, {    # associativity half only
+        label: config for label, config in figure6.configs().items()
+        if not label.startswith("size/")})
 
 
 def test_fig6_associativity_sweep(assoc_result):

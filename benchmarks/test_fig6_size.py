@@ -12,9 +12,10 @@ from repro.experiments import figure6
 
 
 @pytest.fixture(scope="module")
-def size_result(suite):
-    return figure6.run(benchmarks=suite["benchmarks"], scale=suite["scale"],
-                       associativities=())     # size half only
+def size_result(run_figure):
+    return run_figure(figure6.Figure6Result, {    # size half only
+        label: config for label, config in figure6.configs().items()
+        if not label.startswith("assoc/")})
 
 
 def test_fig6_size_sweep(size_result):

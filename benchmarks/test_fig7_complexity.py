@@ -11,12 +11,12 @@ station occupancy.
 
 import pytest
 
-from repro.experiments import figure7
+from repro.experiments import figure7, figures
 
 
 @pytest.fixture(scope="module")
-def fig7_result(suite):
-    return figure7.run(benchmarks=suite["benchmarks"], scale=suite["scale"])
+def fig7_result(run_figure):
+    return run_figure(figure7.Figure7Result, figure7.configs())
 
 
 def test_fig7_reduced_complexity(fig7_result):
@@ -24,7 +24,7 @@ def test_fig7_reduced_complexity(fig7_result):
                 for variant in figure7.MACHINE_VARIANTS
                 for integ in ("none", "integration")}
     print()
-    print(figure7.report(fig7_result))
+    print(figures.report("7", fig7_result))
 
     # Complexity reductions hurt the machine without integration.
     assert speedups[("RS", "none")] < 0.0

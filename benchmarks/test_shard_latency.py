@@ -67,15 +67,20 @@ def test_sharded_slices_cut_tail_latency():
                                WARMUP_FRACTION)
 
     # Every slice, timed individually (this is the real per-job work a pool
-    # worker performs, minus process spawn).
+    # worker performs, minus process spawn), best of 2 like the whole run
+    # so noise is shed on both sides of the ratio.
     slice_times = []
     parts = []
     for spec in plan.slices:
-        t0 = time.perf_counter()
-        parts.append(sharding.simulate_slice(
-            program, _CONFIG, spec, plan.checkpoint_for(spec),
-            plan.warm_for(spec), name=LONGEST))
-        slice_times.append(time.perf_counter() - t0)
+        times = []
+        for _ in range(2):
+            t0 = time.perf_counter()
+            part = sharding.simulate_slice(
+                program, _CONFIG, spec, plan.checkpoint_for(spec),
+                plan.warm_for(spec), name=LONGEST)
+            times.append(time.perf_counter() - t0)
+        parts.append(part)
+        slice_times.append(min(times))
     merged = sharding.merge_slices(parts)
 
     # Lossless at the instruction level.

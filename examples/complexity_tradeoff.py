@@ -15,7 +15,7 @@ Usage::
 
 import argparse
 
-from repro.experiments import DEFAULT_BENCHMARKS, FAST_BENCHMARKS, figure7
+from repro.experiments import DEFAULT_BENCHMARKS, FAST_BENCHMARKS, figures
 
 
 def main() -> None:
@@ -26,8 +26,8 @@ def main() -> None:
     args = parser.parse_args()
 
     benchmarks = DEFAULT_BENCHMARKS if args.all else FAST_BENCHMARKS
-    result = figure7.run(benchmarks=benchmarks, scale=args.scale)
-    print(figure7.report(result))
+    result = figures.run(["7"], benchmarks, scale=args.scale)["7"]
+    print(figures.report("7", result))
 
 
 if __name__ == "__main__":

@@ -13,11 +13,10 @@ Run with::
     python examples/memory_bypassing.py
 """
 
-from repro.analysis.breakdowns import (
-    full_breakdown_report,
-    per_type_integration_rates,
-)
+from repro.analysis.breakdowns import per_type_integration_rates
+from repro.analysis.metrics import format_table
 from repro.core import MachineConfig, simulate
+from repro.experiments import figure5
 from repro.integration import IntegrationConfig
 from repro.workloads import fib_recursive, save_restore_chain
 
@@ -46,8 +45,10 @@ def run_one(name, program) -> None:
     print(f"  stack-load integration rate : {rates['load_sp']:.1%}")
     print(f"  other-load integration rate : {rates['load']:.1%}")
     print()
-    print(full_breakdown_report(full))
-    print()
+    breakdowns = figure5.Figure5Result([name], {"full": {name: full}})
+    for title, columns, rows in figure5.tables(breakdowns):
+        print(format_table(title, columns, rows))
+        print()
 
 
 def main() -> None:

@@ -2,9 +2,11 @@
 """Reproduce the paper's Figure 4 (and the Section 3.2 diagnostics).
 
 Runs the four extension configurations (squash reuse, +general reuse,
-+opcode indexing, +reverse integration), each against the no-integration
-baseline, over the synthetic SPEC2000-INT-like suite and prints the
-per-benchmark speedups and integration rates plus their means.
++opcode indexing, +reverse integration), each with a realistic and an
+oracle LISP, against the no-integration baseline over the synthetic
+SPEC2000-INT-like suite, and prints the per-benchmark speedups,
+integration rates and reverse-integration rates with their means.  Both
+figures run as one suite, so the baseline they share simulates once.
 
 Usage::
 
@@ -15,9 +17,7 @@ Usage::
 
 import argparse
 
-from repro.experiments import DEFAULT_BENCHMARKS, FAST_BENCHMARKS
-from repro.experiments import diagnostics, figure4
-from repro.integration.config import LispMode
+from repro.experiments import DEFAULT_BENCHMARKS, FAST_BENCHMARKS, figures
 
 
 def main() -> None:
@@ -26,31 +26,16 @@ def main() -> None:
                         help="run all 16 benchmarks (slower)")
     parser.add_argument("--scale", type=float, default=None,
                         help="workload scale factor (default REPRO_SCALE)")
-    parser.add_argument("--oracle", action="store_true",
-                        help="also run with oracle mis-integration suppression")
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="parallel simulation processes; 0 = one per CPU")
     args = parser.parse_args()
 
     benchmarks = DEFAULT_BENCHMARKS if args.all else FAST_BENCHMARKS
-    lisp_modes = [LispMode.REALISTIC]
-    if args.oracle:
-        lisp_modes.append(LispMode.ORACLE)
-
-    result = figure4.run(benchmarks=benchmarks, scale=args.scale,
-                         lisp_modes=lisp_modes)
-    for mode in lisp_modes:
-        print(figure4.report(result, lisp=mode.value))
+    results = figures.run(["4", "diagnostics"], benchmarks, scale=args.scale,
+                          jobs=args.jobs)
+    for name, result in results.items():
+        print(figures.report(name, result))
         print()
-    print("Means (realistic LISP):")
-    for extension in figure4.EXTENSION_CONFIGS:
-        print(f"  {extension:9s} speedup {result.mean_speedup(extension):+6.1%}"
-              f"  integration rate "
-              f"{result.mean_integration_rate(extension):6.1%}")
-    print(f"  reverse-integration share of +reverse: "
-          f"{result.mean_reverse_rate():.1%}")
-
-    diag = diagnostics.run(benchmarks=benchmarks, scale=args.scale)
-    print()
-    print(diagnostics.report(diag))
 
 
 if __name__ == "__main__":

@@ -418,26 +418,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    import os
-    from unittest import mock
-
-    # The figure modules call run_suite without a shards or backend
-    # argument, so both resolve through REPRO_SHARDS and REPRO_BACKEND.
-    # Route the CLI flags there for this command only: the previous
-    # environment comes back on every exit path.
-    routed = {}
-    if args.shards is not None:
-        routed["REPRO_SHARDS"] = str(args.shards)
-    if args.backend is not None:
-        routed["REPRO_BACKEND"] = args.backend
-    with mock.patch.dict(os.environ, routed):
-        return _run_figures(args)
-
-
-def _run_figures(args: argparse.Namespace) -> int:
-    from repro.experiments import (ablations, cpistack, diagnostics,
-                                   scenario_matrix)
-    from repro.experiments import figure4, figure5, figure6, figure7
+    from repro.experiments import figures
 
     _check_shards(args)
     if args.plot_dir is not None:
@@ -448,44 +429,24 @@ def _run_figures(args: argparse.Namespace) -> int:
             raise plots.MissingDependencyError("matplotlib", "--plot-dir")
     benchmarks = _parse_benchmarks(args.benchmarks)
     variant = _resolve_variant(args)
-    common = dict(benchmarks=benchmarks, scale=args.scale, jobs=args.jobs)
-    # name -> (run, report); scenario_matrix deliberately ignores --variant:
-    # the matrix sweeps every registered variant by construction.
-    available = {
-        "4": (lambda: figure4.run(variant=variant, **common),
-              figure4.report),
-        "5": (lambda: figure5.run(variant=variant, **common),
-              figure5.report),
-        "6": (lambda: figure6.run(variant=variant, **common),
-              figure6.report),
-        "7": (lambda: figure7.run(variant=variant, **common),
-              figure7.report),
-        "diagnostics": (lambda: diagnostics.run(variant=variant, **common),
-                        diagnostics.report),
-        "ablations": (lambda: ablations.run(variant=variant, **common),
-                      ablations.report),
-        "scenarios": (lambda: scenario_matrix.run(**common),
-                      scenario_matrix.report),
-        "cpistack": (lambda: cpistack.run(variant=variant, **common),
-                     cpistack.report),
-    }
-    wanted = args.figures.split(",") if args.figures else ["4", "5", "6", "7"]
-    unknown = [f for f in wanted if f not in available]
+    wanted = (args.figures.split(",") if args.figures
+              else list(figures.DEFAULT_FIGURES))
+    unknown = [f for f in wanted if f not in figures.FIGURES]
     if unknown:
         raise SystemExit(f"unknown figures: {', '.join(unknown)} "
-                         f"(available: {', '.join(available)})")
-    for name in wanted:
-        run_fn, report_fn = available[name]
-        result = run_fn()
-        print(report_fn(result))
+                         f"(available: {', '.join(figures.FIGURES)})")
+    results = figures.run(wanted, benchmarks, scale=args.scale,
+                          jobs=args.jobs, shards=args.shards,
+                          backend=args.backend, variant=variant,
+                          use_cache=not args.no_cache)
+    for name, result in results.items():
+        print(figures.report(name, result))
         print()
         if args.plot_dir is not None:
-            from repro.analysis import plots
-
-            path = plots.render(name, result, args.plot_dir)
-            if path is not None:
-                print(f"wrote {path}")
-                print()
+            path = plots.render(name, figures.FIGURES[name].tables(result),
+                                args.plot_dir)
+            print(f"wrote {path}")
+            print()
     _print_summary(args.verbose)
     return 0
 

@@ -7,7 +7,7 @@ result status at integration time, and reference count at integration time.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.core.stats import (
     DISTANCE_BUCKETS,
@@ -68,30 +68,3 @@ def refcount_breakdown(stats: SimStats) -> Dict[int, float]:
     total = sum(stats.integration_refcount.values())
     return {count: value / total if total else 0.0
             for count, value in sorted(stats.integration_refcount.items())}
-
-
-def full_breakdown_report(stats: SimStats) -> str:
-    """Human-readable report of all four Figure 5 breakdowns for one run."""
-    lines = [f"Integration stream breakdowns -- {stats.benchmark} "
-             f"({stats.config_name})",
-             f"  integration rate: {stats.integration_rate:.1%} "
-             f"(direct {stats.direct_integration_rate:.1%}, "
-             f"reverse {stats.reverse_integration_rate:.1%})"]
-    lines.append("  by type:")
-    for key, value in type_breakdown(stats).items():
-        if not key.endswith("_reverse") and value:
-            lines.append(f"    {key:10s} {value:6.1%}")
-    lines.append("  per-type integration rates:")
-    for key, value in per_type_integration_rates(stats).items():
-        if value:
-            lines.append(f"    {key:10s} {value:6.1%}")
-    lines.append("  by distance (cumulative):")
-    for bucket, value in distance_breakdown(stats).items():
-        lines.append(f"    <= {bucket:5d}   {value:6.1%}")
-    lines.append("  by result status:")
-    for key, value in status_breakdown(stats).items():
-        lines.append(f"    {key:10s} {value:6.1%}")
-    lines.append("  by reference count:")
-    for count, value in refcount_breakdown(stats).items():
-        lines.append(f"    rc={count:<3d}     {value:6.1%}")
-    return "\n".join(lines)

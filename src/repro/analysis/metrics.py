@@ -7,7 +7,7 @@ means of speedups; these helpers follow that convention.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence, Tuple
 
 from repro.core.stats import SimStats
 
@@ -37,31 +37,22 @@ def geometric_mean(values: Iterable[float]) -> float:
     return math.exp(log_sum / len(values)) - 1.0
 
 
-def speedup_table(baselines: Mapping[str, SimStats],
-                  improved: Mapping[str, SimStats]) -> Dict[str, float]:
-    """Per-benchmark speedups plus the ``GMean`` row, as the paper reports."""
-    table = {}
-    for name, base in baselines.items():
-        if name in improved:
-            table[name] = speedup(base, improved[name])
-    table["GMean"] = geometric_mean(table.values())
-    return table
+#: One figure table: ``(title, columns, rows)``, each row a sequence of
+#: cells aligned with ``columns``.  The first column names the row.
+Table = Tuple[str, Sequence[str], Sequence[Sequence]]
 
 
-def format_table(rows: Sequence[Mapping], columns: Sequence[str],
-                 title: str = "") -> str:
-    """Render a list of dict rows as a plain-text table."""
-    widths = {col: max(len(col), *(len(_fmt(row.get(col))) for row in rows))
-              for col in columns}
-    lines = []
-    if title:
-        lines.append(title)
-    header = "  ".join(col.ljust(widths[col]) for col in columns)
-    lines.append(header)
-    lines.append("-" * len(header))
-    for row in rows:
-        lines.append("  ".join(_fmt(row.get(col)).ljust(widths[col])
-                               for col in columns))
+def format_table(title: str, columns: Sequence[str],
+                 rows: Sequence[Sequence]) -> str:
+    """Render a :data:`Table` as plain text (floats to 3 places)."""
+    cells = [[_fmt(value) for value in row] for row in rows]
+    widths = [max(len(col), *(len(row[i]) for row in cells))
+              for i, col in enumerate(columns)]
+    header = "  ".join(col.ljust(w) for col, w in zip(columns, widths))
+    lines = [title] if title else []
+    lines += [header, "-" * len(header)]
+    lines += ["  ".join(cell.ljust(w) for cell, w in zip(row, widths))
+              for row in cells]
     return "\n".join(lines)
 
 

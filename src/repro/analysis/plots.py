@@ -1,9 +1,10 @@
 """Matplotlib-gated rendering of the paper's figure panels.
 
-Every plotter takes the structured ``run()`` result of its experiment module
-and writes one PNG panel; on a warm result cache this renders every figure
-without a single simulation.  The CLI surface is
-``python -m repro figures --plot-dir DIR``.
+One renderer serves every figure: :func:`render` draws the tables a
+figure module's ``tables(result)`` returns -- the same tables ``repro
+figures`` prints -- as grouped bars, one PNG per figure.  On a warm
+result cache this renders every figure without a single simulation.  The
+CLI surface is ``python -m repro figures --plot-dir DIR``.
 
 matplotlib is an *optional* dependency: nothing in this module imports it at
 module scope, and a missing installation produces a one-line
@@ -14,7 +15,9 @@ the ``EnvVarError`` convention) instead of an ``ImportError`` traceback.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional
+from typing import Sequence
+
+from repro.analysis.metrics import Table
 
 
 class MissingDependencyError(SystemExit):
@@ -41,7 +44,7 @@ def _pyplot():
     The Agg backend is selected only when pyplot has not been imported yet
     (the CLI / test path, which must work without a display); an
     interactive session that already chose its backend keeps it -- the
-    plotters only save to files, never show.
+    renderer only saves to files, never shows.
     """
     import sys
 
@@ -55,204 +58,29 @@ def _pyplot():
     return plt
 
 
-def _save(fig, outdir: Path, name: str) -> Path:
-    outdir = Path(outdir)
+def render(name: str, tables: Sequence[Table], plot_dir: Path) -> Path:
+    """Draw figure ``name``'s tables as one PNG, a grouped-bar panel per
+    table: one group per row, one bar per all-numeric column."""
+    plt = _pyplot()
+    fig, axes = plt.subplots(len(tables), 1, squeeze=False,
+                             figsize=(9.0, 3.6 * len(tables)))
+    for (ax,), (title, columns, rows) in zip(axes, tables):
+        series = [i for i in range(1, len(columns))
+                  if all(isinstance(row[i], (int, float)) for row in rows)]
+        width = 0.8 / max(1, len(series))
+        for slot, i in enumerate(series):
+            ax.bar([x + (slot - (len(series) - 1) / 2) * width
+                    for x in range(len(rows))],
+                   [row[i] for row in rows], width=width, label=columns[i])
+        ax.set_xticks(range(len(rows)))
+        ax.set_xticklabels([str(row[0]) for row in rows], rotation=45,
+                           ha="right", fontsize=8)
+        ax.set_title(title, fontsize=9)
+        if series:
+            ax.legend(fontsize=7)
+    outdir = Path(plot_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / name
+    path = outdir / (f"figure{name}.png" if name.isdigit() else f"{name}.png")
     fig.savefig(path, dpi=120, bbox_inches="tight")
-    return path
-
-
-# ----------------------------------------------------------------------
-# one plotter per experiment module
-# ----------------------------------------------------------------------
-def plot_figure4(result, outdir: Path) -> Path:
-    """Grouped speedup bars (top) and integration-rate bars (bottom)."""
-    plt = _pyplot()
-    from repro.experiments.figure4 import EXTENSION_CONFIGS
-
-    benchmarks = result.benchmarks
-    extensions = [e for e in EXTENSION_CONFIGS if e in result.results]
-    fig, (ax_spd, ax_rate) = plt.subplots(
-        2, 1, figsize=(max(7.0, 0.9 * len(benchmarks) + 2), 6.4),
-        sharex=True)
-    positions = range(len(benchmarks))
-    width = 0.8 / max(1, len(extensions))
-    for i, extension in enumerate(extensions):
-        speedups = result.speedups(extension)
-        rates = result.integration_rates(extension)
-        offsets = [p + (i - (len(extensions) - 1) / 2) * width
-                   for p in positions]
-        ax_spd.bar(offsets, [100.0 * speedups[n] for n in benchmarks],
-                   width=width, label=extension)
-        ax_rate.bar(offsets, [100.0 * rates[n] for n in benchmarks],
-                    width=width, label=extension)
-    ax_spd.set_ylabel("speedup over no-integration (%)")
-    ax_spd.legend(fontsize=8)
-    ax_spd.set_title("Figure 4 -- integration extensions")
-    ax_rate.set_ylabel("integration rate (%)")
-    ax_rate.set_xticks(list(positions))
-    ax_rate.set_xticklabels(benchmarks, rotation=45, ha="right", fontsize=8)
-    path = _save(fig, outdir, "figure4.png")
     plt.close(fig)
     return path
-
-
-def plot_figure5(result, outdir: Path) -> Path:
-    """Stacked integration-stream type breakdown per benchmark."""
-    plt = _pyplot()
-    breakdowns = result.type_breakdowns()
-    benchmarks = result.benchmarks
-    categories = sorted({cat for b in breakdowns.values() for cat in b})
-    fig, ax = plt.subplots(
-        figsize=(max(7.0, 0.6 * len(benchmarks) + 2), 4.2))
-    bottoms = [0.0] * len(benchmarks)
-    for category in categories:
-        values = [100.0 * breakdowns[n].get(category, 0.0)
-                  for n in benchmarks]
-        ax.bar(benchmarks, values, bottom=bottoms, label=category)
-        bottoms = [b + v for b, v in zip(bottoms, values)]
-    ax.set_ylabel("fraction of integrations (%)")
-    ax.set_title("Figure 5 -- integration stream by instruction type")
-    ax.legend(fontsize=8)
-    plt.setp(ax.get_xticklabels(), rotation=45, ha="right", fontsize=8)
-    path = _save(fig, outdir, "figure5.png")
-    plt.close(fig)
-    return path
-
-
-def plot_figure6(result, outdir: Path) -> Path:
-    """IT associativity and size sweeps (mean speedup + integration rate)."""
-    plt = _pyplot()
-    fig, (ax_assoc, ax_size) = plt.subplots(1, 2, figsize=(9.0, 3.6))
-
-    assoc_spd = result.assoc_speedups()
-    assoc_rate = result.assoc_integration_rates()
-    labels = list(assoc_spd)
-    ax_assoc.plot(labels, [100.0 * assoc_spd[k] for k in labels],
-                  marker="o", label="speedup")
-    ax_assoc.plot(labels, [100.0 * assoc_rate[k] for k in labels],
-                  marker="s", label="integration rate")
-    ax_assoc.set_xlabel("IT associativity")
-    ax_assoc.set_ylabel("%")
-    ax_assoc.legend(fontsize=8)
-
-    size_spd = result.size_speedups()
-    size_rate = result.size_integration_rates()
-    sizes = sorted(size_spd)
-    ax_size.plot([str(s) for s in sizes],
-                 [100.0 * size_spd[s] for s in sizes],
-                 marker="o", label="speedup")
-    ax_size.plot([str(s) for s in sizes],
-                 [100.0 * size_rate[s] for s in sizes],
-                 marker="s", label="integration rate")
-    ax_size.set_xlabel("IT entries")
-    ax_size.legend(fontsize=8)
-    fig.suptitle("Figure 6 -- integration table geometry")
-    path = _save(fig, outdir, "figure6.png")
-    plt.close(fig)
-    return path
-
-
-def plot_figure7(result, outdir: Path) -> Path:
-    """Mean speedups of the reduced-complexity execution engines."""
-    plt = _pyplot()
-    machine_variants = list(result.results)
-    fig, ax = plt.subplots(figsize=(6.4, 3.6))
-    width = 0.38
-    positions = range(len(machine_variants))
-    without = []
-    with_int = []
-    for variant in machine_variants:
-        without.append(100.0 * result.mean_speedup(variant, "none"))
-        with_int.append(100.0 * result.mean_speedup(variant, "integration"))
-    ax.bar([p - width / 2 for p in positions], without, width=width,
-           label="no integration")
-    ax.bar([p + width / 2 for p in positions], with_int, width=width,
-           label="integration")
-    ax.set_xticks(list(positions))
-    ax.set_xticklabels(machine_variants)
-    ax.set_ylabel("speedup over base machine (%)")
-    ax.set_title("Figure 7 -- reduced-complexity engines")
-    ax.legend(fontsize=8)
-    path = _save(fig, outdir, "figure7.png")
-    plt.close(fig)
-    return path
-
-
-def plot_scenarios(result, outdir: Path) -> Path:
-    """Per-benchmark IPC of every machine variant in the scenario matrix."""
-    plt = _pyplot()
-    benchmarks = result.benchmarks
-    variants = result.variants
-    fig, ax = plt.subplots(
-        figsize=(max(7.0, 0.9 * len(benchmarks) + 2), 4.0))
-    positions = range(len(benchmarks))
-    width = 0.8 / max(1, len(variants))
-    for i, variant in enumerate(variants):
-        offsets = [p + (i - (len(variants) - 1) / 2) * width
-                   for p in positions]
-        ax.bar(offsets, [result.results[variant][n].ipc for n in benchmarks],
-               width=width, label=variant)
-    ax.set_xticks(list(positions))
-    ax.set_xticklabels(benchmarks, rotation=45, ha="right", fontsize=8)
-    ax.set_ylabel("IPC")
-    ax.set_title("Scenario matrix -- machine variants")
-    ax.legend(fontsize=8)
-    path = _save(fig, outdir, "scenarios.png")
-    plt.close(fig)
-    return path
-
-
-def plot_cpistack(result, outdir: Path) -> Path:
-    """Stacked CPI-contribution bars, one pair (none/integration) per
-    benchmark, segmented by stall bucket."""
-    plt = _pyplot()
-    from repro.experiments.cpistack import CONFIGS
-    from repro.obs.cpi import CPI_BUCKETS
-
-    benchmarks = result.benchmarks
-    fig, ax = plt.subplots(
-        figsize=(max(7.0, 1.1 * len(benchmarks) + 2), 4.4))
-    positions = range(len(benchmarks))
-    width = 0.8 / len(CONFIGS)
-    hatches = {"none": None, "integration": "//"}
-    colors = plt.rcParams["axes.prop_cycle"].by_key()["color"]
-    for i, config in enumerate(CONFIGS):
-        offsets = [p + (i - (len(CONFIGS) - 1) / 2) * width
-                   for p in positions]
-        bottoms = [0.0] * len(benchmarks)
-        for j, bucket in enumerate(CPI_BUCKETS):
-            values = [result.stack(config, n)[bucket] for n in benchmarks]
-            ax.bar(offsets, values, width=width, bottom=bottoms,
-                   color=colors[j % len(colors)], hatch=hatches[config],
-                   label=bucket if i == 0 else None)
-            bottoms = [b + v for b, v in zip(bottoms, values)]
-    ax.set_xticks(list(positions))
-    ax.set_xticklabels(benchmarks, rotation=45, ha="right", fontsize=8)
-    ax.set_ylabel("CPI contribution (cycles / retired)")
-    ax.set_title("CPI stall stacks -- plain vs hatched = "
-                 "no-integration vs integration")
-    ax.legend(fontsize=8)
-    path = _save(fig, outdir, "cpistack.png")
-    plt.close(fig)
-    return path
-
-
-#: Figure-name -> plotter, keyed like the CLI ``--figures`` names.
-PLOTTERS = {
-    "4": plot_figure4,
-    "5": plot_figure5,
-    "6": plot_figure6,
-    "7": plot_figure7,
-    "scenarios": plot_scenarios,
-    "cpistack": plot_cpistack,
-}
-
-
-def render(name: str, result, plot_dir: Path) -> Optional[Path]:
-    """Render the panel for figure ``name`` (None when it has no plotter)."""
-    plotter = PLOTTERS.get(name)
-    if plotter is None:
-        return None
-    return plotter(result, Path(plot_dir))

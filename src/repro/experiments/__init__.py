@@ -1,8 +1,11 @@
-"""Experiment harness: one module per table/figure of the paper's evaluation.
+"""Experiment harness: the run engine and one module per table/figure of the
+paper's evaluation.
 
 * :mod:`repro.experiments.runner`     -- the parallel, disk-cached run engine
 * :mod:`repro.experiments.sharding`   -- checkpointed intra-benchmark slices
 * :mod:`repro.experiments.cache`      -- content-addressed on-disk results
+* :mod:`repro.experiments.figures`    -- the figure registry and the runner
+  that executes any set of figures as one ``run_suite`` call
 * :mod:`repro.experiments.figure4`    -- extension-by-extension speedups and
   integration rates (Figure 4), realistic vs oracle LISP
 * :mod:`repro.experiments.figure5`    -- integration-stream breakdowns
@@ -17,8 +20,11 @@
   variant) sweep over the :mod:`repro.variants` registry, with per-variant
   deltas against the baseline machine
 
-Each module exposes ``run(...)`` returning a structured result and
-``report(result)`` returning the paper-style text table.
+Each figure module is data, not a pipeline: ``configs()`` returns its
+matrix of named machine configurations, its ``*Result`` class wraps the
+runs ``results[label][benchmark]`` with the paper's reductions, and
+``tables(result)`` returns ``(title, columns, rows)`` tables that ``repro
+figures`` prints and ``--plot-dir`` draws.
 """
 
 from repro.experiments.cache import (

@@ -14,12 +14,35 @@ These isolate the mechanisms the paper argues for qualitatively:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List
 
-from repro.analysis.metrics import arithmetic_mean, format_table
+from repro.analysis.metrics import Table, arithmetic_mean
 from repro.core import MachineConfig, SimStats
-from repro.experiments.runner import FAST_BENCHMARKS, run_suite
 from repro.integration.config import IndexScheme, IntegrationConfig, LispMode
+
+
+#: The named ablation points.
+ABLATIONS = {
+    "full (4b gen, 4b rc)": IntegrationConfig.full(),
+    "gen counters 0b": IntegrationConfig.full(generation_bits=0),
+    "gen counters 2b": IntegrationConfig.full(generation_bits=2),
+    "refcount 1b": IntegrationConfig.full(refcount_bits=1),
+    "refcount 2b": IntegrationConfig.full(refcount_bits=2),
+    "lisp off": IntegrationConfig.full(lisp_mode=LispMode.OFF),
+    "lisp oracle": IntegrationConfig.full(lisp_mode=LispMode.ORACLE),
+    "no reverse entries": IntegrationConfig.full(reverse=False),
+    "reverse all stores": IntegrationConfig.full(reverse_sp_only=False),
+    "pc indexing": IntegrationConfig.full(index_scheme=IndexScheme.PC),
+    "opcode+imm indexing": IntegrationConfig.full(
+        index_scheme=IndexScheme.OPCODE_IMM),
+}
+
+
+def configs() -> Dict[str, MachineConfig]:
+    """Every ablation point on the baseline machine."""
+    machine = MachineConfig()
+    return {label: machine.with_integration(icfg)
+            for label, icfg in ABLATIONS.items()}
 
 
 @dataclass
@@ -28,68 +51,26 @@ class AblationResult:
     # results[ablation_label][benchmark]
     results: Dict[str, Dict[str, SimStats]]
 
-    def mean_integration_rate(self, label: str) -> float:
+    def _mean(self, label: str, metric: str) -> float:
         runs = self.results[label]
-        return arithmetic_mean(runs[n].integration_rate
+        return arithmetic_mean(getattr(runs[n], metric)
                                for n in self.benchmarks)
+
+    def mean_integration_rate(self, label: str) -> float:
+        return self._mean(label, "integration_rate")
 
     def mean_mis_integrations_per_million(self, label: str) -> float:
-        runs = self.results[label]
-        return arithmetic_mean(runs[n].mis_integrations_per_million
-                               for n in self.benchmarks)
+        return self._mean(label, "mis_integrations_per_million")
 
     def mean_register_mis_integrations(self, label: str) -> float:
-        runs = self.results[label]
-        return arithmetic_mean(runs[n].register_mis_integrations
-                               for n in self.benchmarks)
+        return self._mean(label, "register_mis_integrations")
 
 
-def ablation_configs() -> Dict[str, IntegrationConfig]:
-    """The named ablation points."""
-    return {
-        "full (4b gen, 4b rc)": IntegrationConfig.full(),
-        "gen counters 0b": IntegrationConfig.full(generation_bits=0),
-        "gen counters 2b": IntegrationConfig.full(generation_bits=2),
-        "refcount 1b": IntegrationConfig.full(refcount_bits=1),
-        "refcount 2b": IntegrationConfig.full(refcount_bits=2),
-        "lisp off": IntegrationConfig.full(lisp_mode=LispMode.OFF),
-        "lisp oracle": IntegrationConfig.full(lisp_mode=LispMode.ORACLE),
-        "no reverse entries": IntegrationConfig.full(reverse=False),
-        "reverse all stores": IntegrationConfig.full(reverse_sp_only=False),
-        "pc indexing": IntegrationConfig.full(index_scheme=IndexScheme.PC),
-        "opcode+imm indexing": IntegrationConfig.full(
-            index_scheme=IndexScheme.OPCODE_IMM),
-    }
-
-
-def run(benchmarks: Optional[Iterable[str]] = None,
-        scale: Optional[float] = None,
-        machine: Optional[MachineConfig] = None,
-        configs: Optional[Dict[str, IntegrationConfig]] = None,
-        jobs: Optional[int] = None,
-        variant: Optional[str] = None) -> AblationResult:
-    benchmarks = list(benchmarks or FAST_BENCHMARKS)
-    machine = machine or MachineConfig()
-    configs = configs or ablation_configs()
-    suite_configs = {label: machine.with_integration(icfg)
-                     for label, icfg in configs.items()}
-    results = run_suite(benchmarks, suite_configs, scale=scale, jobs=jobs,
-                        variant=variant)
-    return AblationResult(benchmarks=benchmarks, results=results)
-
-
-def report(result: AblationResult) -> str:
-    rows = []
-    for label in result.results:
-        rows.append({
-            "ablation": label,
-            "mean integration rate": result.mean_integration_rate(label),
-            "mis-integrations/M":
-                result.mean_mis_integrations_per_million(label),
-            "register mis-integrations":
-                result.mean_register_mis_integrations(label),
-        })
-    return format_table(
-        rows, ["ablation", "mean integration rate", "mis-integrations/M",
-               "register mis-integrations"],
-        title="Design-choice ablations")
+def tables(result: AblationResult) -> List[Table]:
+    return [("Design-choice ablations",
+             ["ablation", "mean integration rate", "mis-integrations/M",
+              "register mis-integrations"],
+             [[label, result.mean_integration_rate(label),
+               result.mean_mis_integrations_per_million(label),
+               result.mean_register_mis_integrations(label)]
+              for label in result.results])]

@@ -11,7 +11,7 @@ directly comparable even though the runs take different cycle counts.
 That decomposition is how the paper's speedup is localized: register
 integration shrinks the squash-recovery share (squashed work is
 reacquired by renaming instead of re-execution) rather than uniformly
-scaling the machine.  Like every experiment module, the sweep rides the
+scaling the machine.  Like every figure, its matrix runs through the
 content-addressed :func:`~repro.experiments.runner.run_suite` pool, so a
 warm rerun performs zero simulations.
 """
@@ -19,16 +19,17 @@ warm rerun performs zero simulations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List
 
-from repro.analysis.metrics import format_table
+from repro.analysis.metrics import Table
 from repro.core import MachineConfig, SimStats
-from repro.experiments.runner import FAST_BENCHMARKS, run_suite
 from repro.integration.config import IntegrationConfig
 from repro.obs.cpi import CPI_BUCKETS
 
-#: Config label -> suite key, in presentation order.
-CONFIGS = ("none", "integration")
+def configs() -> Dict[str, MachineConfig]:
+    machine = MachineConfig()
+    return {"none": machine.with_integration(IntegrationConfig.disabled()),
+            "integration": machine.with_integration(IntegrationConfig.full())}
 
 
 @dataclass
@@ -36,7 +37,7 @@ class CpiStackResult:
     """CPI stacks for every (benchmark x integration on/off) run."""
 
     benchmarks: List[str]
-    #: results[config][benchmark] -> SimStats, config in :data:`CONFIGS`.
+    #: results["none"|"integration"][benchmark] -> SimStats
     results: Dict[str, Dict[str, SimStats]]
 
     # ------------------------------------------------------------------
@@ -60,41 +61,14 @@ class CpiStackResult:
         return repair / max(1, stats.cycles)
 
 
-def run(benchmarks: Optional[Iterable[str]] = None,
-        scale: Optional[float] = None,
-        machine: Optional[MachineConfig] = None,
-        jobs: Optional[int] = None,
-        shards: Optional[int] = None,
-        variant: Optional[str] = None,
-        backend: Optional[object] = None) -> CpiStackResult:
-    """Sweep the benchmark set without/with integration on one backend."""
-    benchmarks = list(benchmarks or FAST_BENCHMARKS)
-    machine = machine or MachineConfig()
-    suite = run_suite(
-        benchmarks,
-        {"none": machine.with_integration(IntegrationConfig.disabled()),
-         "integration": machine.with_integration(IntegrationConfig.full())},
-        scale=scale, jobs=jobs, shards=shards, variant=variant,
-        backend=backend)
-    return CpiStackResult(benchmarks=benchmarks, results=suite)
-
-
-def report(result: CpiStackResult) -> str:
+def tables(result: CpiStackResult) -> List[Table]:
     """One row per (benchmark, config): total CPI and every bucket's
     contribution, with the speculation-repair share called out."""
-    rows = []
-    for name in result.benchmarks:
-        for config in CONFIGS:
-            stack = result.stack(config, name)
-            row = {"benchmark": name, "config": config,
-                   "CPI": round(result.cpi(config, name), 3)}
-            for bucket in CPI_BUCKETS:
-                row[bucket] = round(stack[bucket], 3)
-            row["repair%"] = round(
-                100.0 * result.recovery_share(config, name), 1)
-            rows.append(row)
-    return format_table(
-        rows,
-        ["benchmark", "config", "CPI", *CPI_BUCKETS, "repair%"],
-        title="CPI stall stacks -- per-bucket CPI contribution "
-              "(cycles in bucket / retired)")
+    rows = [[name, config, round(result.cpi(config, name), 3)]
+            + [round(value, 3)
+               for value in result.stack(config, name).values()]
+            + [round(100.0 * result.recovery_share(config, name), 1)]
+            for name in result.benchmarks for config in result.results]
+    return [("CPI stall stacks -- per-bucket CPI contribution "
+             "(cycles in bucket / retired)",
+             ["benchmark", "config", "CPI", *CPI_BUCKETS, "repair%"], rows)]

@@ -10,78 +10,63 @@ execution resources, and the number of fetched instructions drops slightly
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List
 
-from repro.analysis.metrics import arithmetic_mean, format_table
+from repro.analysis.metrics import Table, arithmetic_mean
 from repro.core import MachineConfig, SimStats
-from repro.experiments.runner import DEFAULT_BENCHMARKS, run_suite
 from repro.integration.config import IntegrationConfig
+
+
+def configs() -> Dict[str, MachineConfig]:
+    machine = MachineConfig()
+    return {"none": machine.with_integration(IntegrationConfig.disabled()),
+            "integration": machine.with_integration(IntegrationConfig.full())}
 
 
 @dataclass
 class DiagnosticsResult:
     benchmarks: List[str]
-    without: Dict[str, SimStats]
-    with_integration: Dict[str, SimStats]
+    #: results["none"|"integration"][benchmark]
+    results: Dict[str, Dict[str, SimStats]]
 
     def resolution_latency(self) -> Dict[str, float]:
         """Mean mis-predicted-branch resolution latency without/with
         integration."""
         return {
-            "without": arithmetic_mean(
-                self.without[n].avg_branch_resolution_latency
+            label: arithmetic_mean(
+                self.results[config][n].avg_branch_resolution_latency
                 for n in self.benchmarks
-                if self.without[n].retired_mispredicted_branches),
-            "with": arithmetic_mean(
-                self.with_integration[n].avg_branch_resolution_latency
-                for n in self.benchmarks
-                if self.with_integration[n].retired_mispredicted_branches),
-        }
+                if self.results[config][n].retired_mispredicted_branches)
+            for label, config in (("without", "none"),
+                                  ("with", "integration"))}
 
     def fetched_reduction(self) -> float:
         """Mean relative reduction in fetched instructions."""
-        fracs = []
-        for name in self.benchmarks:
-            base = self.without[name].fetched
-            if base:
-                fracs.append(1.0 - self.with_integration[name].fetched / base)
-        return arithmetic_mean(fracs)
+        without = self.results["none"]
+        with_int = self.results["integration"]
+        return arithmetic_mean(1.0 - with_int[n].fetched / without[n].fetched
+                               for n in self.benchmarks if without[n].fetched)
 
 
-def run(benchmarks: Optional[Iterable[str]] = None,
-        scale: Optional[float] = None,
-        machine: Optional[MachineConfig] = None,
-        jobs: Optional[int] = None,
-        variant: Optional[str] = None) -> DiagnosticsResult:
-    benchmarks = list(benchmarks or DEFAULT_BENCHMARKS)
-    machine = machine or MachineConfig()
-    suite = run_suite(
-        benchmarks,
-        {"none": machine.with_integration(IntegrationConfig.disabled()),
-         "integration": machine.with_integration(IntegrationConfig.full())},
-        scale=scale, jobs=jobs, variant=variant)
-    return DiagnosticsResult(benchmarks=benchmarks, without=suite["none"],
-                             with_integration=suite["integration"])
-
-
-def report(result: DiagnosticsResult) -> str:
+def tables(result: DiagnosticsResult) -> List[Table]:
+    without = result.results["none"]
+    with_int = result.results["integration"]
     latency = result.resolution_latency()
-    rows = []
-    for name in result.benchmarks:
-        rows.append({
-            "benchmark": name,
-            "resolution w/o": result.without[name].avg_branch_resolution_latency,
-            "resolution w/": result.with_integration[name]
-            .avg_branch_resolution_latency,
-            "fetched w/o": result.without[name].fetched,
-            "fetched w/": result.with_integration[name].fetched,
-        })
-    table = format_table(
-        rows, ["benchmark", "resolution w/o", "resolution w/",
-               "fetched w/o", "fetched w/"],
-        title="Section 3.2 diagnostics")
-    return (table
-            + f"\n\nmean resolution latency: {latency['without']:.1f} -> "
-              f"{latency['with']:.1f} cycles"
-            + f"\nmean fetched-instruction reduction: "
-              f"{result.fetched_reduction():.2%}")
+    columns = ["benchmark", "w/o integration", "w/ integration"]
+    return [
+        ("Section 3.2 diagnostics -- mis-predicted-branch resolution "
+         "latency (cycles)", columns,
+         [[n, without[n].avg_branch_resolution_latency,
+           with_int[n].avg_branch_resolution_latency]
+          for n in result.benchmarks]),
+        ("Section 3.2 diagnostics -- fetched instructions", columns,
+         [[n, without[n].fetched, with_int[n].fetched]
+          for n in result.benchmarks]),
+        ("Section 3.2 diagnostics -- means", ["metric", "value"],
+         [["mean resolution latency w/o integration (cycles)",
+           latency["without"]],
+          ["mean resolution latency w/ integration (cycles)",
+           latency["with"]],
+          ["mean fetched-instruction reduction (%)",
+           100.0 * result.fetched_reduction()]]),
+    ]

@@ -12,21 +12,21 @@ each bar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.analysis.metrics import (
+    Table,
     arithmetic_mean,
-    format_table,
     geometric_mean,
     speedup,
 )
 from repro.core import MachineConfig, SimStats
-from repro.experiments.runner import DEFAULT_BENCHMARKS, run_suite
 from repro.integration.config import IntegrationConfig, LispMode
 
 #: The four extension configurations, in the paper's bar order.
 EXTENSION_CONFIGS = ("squash", "+general", "+opcode", "+reverse")
+LISP_MODES = (LispMode.REALISTIC, LispMode.ORACLE)
 
 
 def integration_config_for(extension: str,
@@ -45,26 +45,37 @@ def integration_config_for(extension: str,
         raise ValueError(f"unknown extension configuration {extension!r}") from None
 
 
+def configs() -> Dict[str, MachineConfig]:
+    """The no-integration baseline plus every extension under each LISP."""
+    machine = MachineConfig()
+    matrix = {"baseline": machine.with_integration(IntegrationConfig.disabled())}
+    for extension in EXTENSION_CONFIGS:
+        for lisp in LISP_MODES:
+            matrix[f"{extension}/{lisp.value}"] = machine.with_integration(
+                integration_config_for(extension, lisp))
+    return matrix
+
+
 @dataclass
 class Figure4Result:
     """All runs behind Figure 4."""
 
     benchmarks: List[str]
-    baseline: Dict[str, SimStats]
-    # results[extension][lisp_mode][benchmark]
-    results: Dict[str, Dict[str, Dict[str, SimStats]]]
+    #: results[label][benchmark]; labels as in :func:`configs`.
+    results: Dict[str, Dict[str, SimStats]]
 
     def speedups(self, extension: str,
                  lisp: str = "realistic") -> Dict[str, float]:
-        runs = self.results[extension][lisp]
-        table = {name: speedup(self.baseline[name], runs[name])
+        base = self.results["baseline"]
+        runs = self.results[f"{extension}/{lisp}"]
+        table = {name: speedup(base[name], runs[name])
                  for name in self.benchmarks}
         table["GMean"] = geometric_mean(table[n] for n in self.benchmarks)
         return table
 
     def integration_rates(self, extension: str,
                           lisp: str = "realistic") -> Dict[str, float]:
-        runs = self.results[extension][lisp]
+        runs = self.results[f"{extension}/{lisp}"]
         table = {name: runs[name].integration_rate for name in self.benchmarks}
         table["AMean"] = arithmetic_mean(table[n] for n in self.benchmarks)
         return table
@@ -76,71 +87,42 @@ class Figure4Result:
                               lisp: str = "realistic") -> float:
         return self.integration_rates(extension, lisp)["AMean"]
 
-    def mean_reverse_rate(self, extension: str = "+reverse",
-                          lisp: str = "realistic") -> float:
-        runs = self.results[extension][lisp]
-        return arithmetic_mean(runs[n].reverse_integration_rate
-                               for n in self.benchmarks)
+    def reverse_rates(self, lisp: str = "realistic") -> Dict[str, float]:
+        runs = self.results[f"+reverse/{lisp}"]
+        table = {name: runs[name].reverse_integration_rate
+                 for name in self.benchmarks}
+        table["AMean"] = arithmetic_mean(table[n] for n in self.benchmarks)
+        return table
+
+    def mean_reverse_rate(self, lisp: str = "realistic") -> float:
+        return self.reverse_rates(lisp)["AMean"]
 
     def mis_integrations_per_million(self, extension: str,
                                      lisp: str = "realistic"
                                      ) -> Dict[str, float]:
-        runs = self.results[extension][lisp]
+        runs = self.results[f"{extension}/{lisp}"]
         return {name: runs[name].mis_integrations_per_million
                 for name in self.benchmarks}
 
 
-def run(benchmarks: Optional[Iterable[str]] = None,
-        scale: Optional[float] = None,
-        machine: Optional[MachineConfig] = None,
-        lisp_modes: Iterable[LispMode] = (LispMode.REALISTIC, LispMode.ORACLE),
-        jobs: Optional[int] = None,
-        variant: Optional[str] = None,
-        ) -> Figure4Result:
-    """Run the Figure 4 experiment matrix (one job per benchmark/config)."""
-    benchmarks = list(benchmarks or DEFAULT_BENCHMARKS)
-    lisp_modes = tuple(lisp_modes)
-    machine = machine or MachineConfig()
-
-    suite_configs = {
-        "baseline": machine.with_integration(IntegrationConfig.disabled()),
-    }
-    for extension in EXTENSION_CONFIGS:
-        for lisp in lisp_modes:
-            suite_configs[f"{extension}/{lisp.value}"] = machine.with_integration(
-                integration_config_for(extension, lisp))
-    suite = run_suite(benchmarks, suite_configs, scale=scale, jobs=jobs,
-                      variant=variant)
-
-    results: Dict[str, Dict[str, Dict[str, SimStats]]] = {
-        extension: {lisp.value: suite[f"{extension}/{lisp.value}"]
-                    for lisp in lisp_modes}
-        for extension in EXTENSION_CONFIGS}
-    return Figure4Result(benchmarks=benchmarks, baseline=suite["baseline"],
-                         results=results)
-
-
-def report(result: Figure4Result, lisp: str = "realistic") -> str:
-    """Paper-style text rendering of Figure 4."""
-    rows = []
-    for name in result.benchmarks + ["MEAN"]:
-        row = {"benchmark": name}
+def tables(result: Figure4Result) -> List[Table]:
+    """One speedup/rate table per LISP mode in the result, MEAN row last."""
+    out = []
+    for lisp in (mode.value for mode in LISP_MODES):
+        if f"+reverse/{lisp}" not in result.results:
+            continue
+        columns = ["benchmark"]
+        cells = []
         for extension in EXTENSION_CONFIGS:
-            if extension not in result.results:
-                continue
-            speedups = result.speedups(extension, lisp)
-            rates = result.integration_rates(extension, lisp)
-            if name == "MEAN":
-                row[f"{extension} spd"] = speedups["GMean"]
-                row[f"{extension} rate"] = rates["AMean"]
-            else:
-                row[f"{extension} spd"] = speedups[name]
-                row[f"{extension} rate"] = rates[name]
-        rows.append(row)
-    columns = ["benchmark"]
-    for extension in EXTENSION_CONFIGS:
-        columns += [f"{extension} spd", f"{extension} rate"]
-    return format_table(
-        rows, columns,
-        title=f"Figure 4 -- speedup over no-integration baseline and "
-              f"integration rate ({lisp} LISP)")
+            columns += [f"{extension} spd", f"{extension} rate"]
+            cells += [result.speedups(extension, lisp),
+                      result.integration_rates(extension, lisp)]
+        columns.append("+reverse rev.rate")
+        cells.append(result.reverse_rates(lisp))
+        rows = [[name] + [cell[name] for cell in cells]
+                for name in result.benchmarks]
+        rows.append(["MEAN"] + [cell.get("GMean", cell.get("AMean"))
+                                for cell in cells])
+        out.append((f"Figure 4 -- speedup over no-integration baseline and "
+                    f"integration rate ({lisp} LISP)", columns, rows))
+    return out

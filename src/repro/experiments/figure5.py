@@ -9,41 +9,68 @@ count at integration time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List
 
 from repro.analysis import breakdowns
+from repro.analysis.metrics import Table
 from repro.core import MachineConfig, SimStats
-from repro.experiments.runner import FAST_BENCHMARKS, run_suite
 from repro.integration.config import IntegrationConfig
+
+
+def configs() -> Dict[str, MachineConfig]:
+    return {"full": MachineConfig().with_integration(IntegrationConfig.full())}
 
 
 @dataclass
 class Figure5Result:
     benchmarks: List[str]
-    stats: Dict[str, SimStats]
+    #: results["full"][benchmark]
+    results: Dict[str, Dict[str, SimStats]]
+
+    @property
+    def stats(self) -> Dict[str, SimStats]:
+        return self.results["full"]
 
     def type_breakdowns(self) -> Dict[str, Dict[str, float]]:
         return {name: breakdowns.type_breakdown(s)
                 for name, s in self.stats.items()}
 
 
-def run(benchmarks: Optional[Iterable[str]] = None,
-        scale: Optional[float] = None,
-        machine: Optional[MachineConfig] = None,
-        jobs: Optional[int] = None,
-        variant: Optional[str] = None) -> Figure5Result:
-    """Run the breakdown experiment (full integration configuration)."""
-    benchmarks = list(benchmarks or FAST_BENCHMARKS)
-    machine = machine or MachineConfig()
-    cfg = machine.with_integration(IntegrationConfig.full())
-    suite = run_suite(benchmarks, {"full": cfg}, scale=scale, jobs=jobs,
-                      variant=variant)
-    return Figure5Result(benchmarks=benchmarks, stats=suite["full"])
+def _per_benchmark(result: Figure5Result, title: str, breakdown,
+                   label=str) -> Table:
+    """One breakdown as a table: a row per benchmark, a column per key."""
+    values = {name: breakdown(result.stats[name])
+              for name in result.benchmarks}
+    keys = list(dict.fromkeys(key for name in result.benchmarks
+                              for key in values[name]))
+    if all(isinstance(key, int) for key in keys):
+        keys.sort()         # distance buckets and reference counts
+    return (title, ["benchmark"] + [label(key) for key in keys],
+            [[name] + [values[name].get(key) for key in keys]
+             for name in result.benchmarks])
 
 
-def report(result: Figure5Result) -> str:
-    """Per-benchmark textual rendering of all four breakdowns."""
-    sections = [breakdowns.full_breakdown_report(result.stats[name])
-                for name in result.benchmarks]
-    return ("Figure 5 -- integration retirement stream breakdowns\n\n"
-            + "\n\n".join(sections))
+def tables(result: Figure5Result) -> List[Table]:
+    stats = result.stats
+    rates = ("Figure 5 -- integration rate", ["benchmark", "rate", "direct",
+                                              "reverse"],
+             [[name, stats[name].integration_rate,
+               stats[name].direct_integration_rate,
+               stats[name].reverse_integration_rate]
+              for name in result.benchmarks])
+    return [
+        rates,
+        _per_benchmark(result, "Figure 5 -- integrations by instruction type",
+                       breakdowns.type_breakdown),
+        _per_benchmark(result, "Figure 5 -- integration rate within each "
+                       "instruction type",
+                       breakdowns.per_type_integration_rates),
+        _per_benchmark(result, "Figure 5 -- integrations by distance "
+                       "(cumulative)", breakdowns.distance_breakdown,
+                       label=lambda bucket: f"<= {bucket}"),
+        _per_benchmark(result, "Figure 5 -- integrations by result status",
+                       breakdowns.status_breakdown),
+        _per_benchmark(result, "Figure 5 -- integrations by reference count",
+                       breakdowns.refcount_breakdown,
+                       label=lambda count: f"rc={count}"),
+    ]

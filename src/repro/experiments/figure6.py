@@ -3,18 +3,17 @@
 Left: 1-way, 2-way, 4-way and fully associative 1K-entry ITs (with 1K
 physical registers).  Right: fully associative, LRU-managed ITs of 64, 256,
 1K and 4K entries (the 4K configuration also gets 4K physical registers, as
-in the paper).  Both halves are run with a realistic and an oracle LISP.
+in the paper).  Both halves run with a realistic LISP.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
-from repro.analysis.metrics import format_table, geometric_mean, speedup
+from repro.analysis.metrics import Table, geometric_mean, speedup
 from repro.core import MachineConfig, SimStats
-from repro.experiments.runner import FAST_BENCHMARKS, run_suite
-from repro.integration.config import IntegrationConfig, LispMode
+from repro.integration.config import IntegrationConfig
 
 ASSOCIATIVITIES = (1, 2, 4, 0)          # 0 = fully associative
 SIZES = (64, 256, 1024, 4096)
@@ -24,25 +23,48 @@ def _assoc_label(assoc: int) -> str:
     return "full" if assoc == 0 else f"{assoc}-way"
 
 
+def configs() -> Dict[str, MachineConfig]:
+    machine = MachineConfig()
+    matrix = {"baseline": machine.with_integration(IntegrationConfig.disabled())}
+    for assoc in ASSOCIATIVITIES:
+        matrix[f"assoc/{_assoc_label(assoc)}"] = machine.with_integration(
+            IntegrationConfig.full(it_assoc=assoc))
+    for size in SIZES:
+        matrix[f"size/{size}"] = machine.with_integration(
+            IntegrationConfig.full(it_entries=size, it_assoc=0,
+                                   num_physical_regs=max(1024, size)))
+    return matrix
+
+
 @dataclass
 class Figure6Result:
     benchmarks: List[str]
-    baseline: Dict[str, SimStats]
-    # associativity sweep: results[label][benchmark]
-    assoc_results: Dict[str, Dict[str, SimStats]]
-    # size sweep: results[size][benchmark]
-    size_results: Dict[int, Dict[str, SimStats]]
+    #: results[label][benchmark]; labels as in :func:`configs`.
+    results: Dict[str, Dict[str, SimStats]]
+
+    def _sweep(self, prefix: str) -> Dict[str, Dict[str, SimStats]]:
+        return {label[len(prefix):]: runs
+                for label, runs in self.results.items()
+                if label.startswith(prefix)}
+
+    @property
+    def assoc_results(self) -> Dict[str, Dict[str, SimStats]]:
+        return self._sweep("assoc/")
+
+    @property
+    def size_results(self) -> Dict[int, Dict[str, SimStats]]:
+        return {int(size): runs for size, runs in self._sweep("size/").items()}
+
+    def _mean_speedup(self, runs: Dict[str, SimStats]) -> float:
+        return geometric_mean(speedup(self.results["baseline"][n], runs[n])
+                              for n in self.benchmarks)
 
     def assoc_speedups(self) -> Dict[str, float]:
-        return {label: geometric_mean(
-                    speedup(self.baseline[n], runs[n])
-                    for n in self.benchmarks)
+        return {label: self._mean_speedup(runs)
                 for label, runs in self.assoc_results.items()}
 
     def size_speedups(self) -> Dict[int, float]:
-        return {size: geometric_mean(
-                    speedup(self.baseline[n], runs[n])
-                    for n in self.benchmarks)
+        return {size: self._mean_speedup(runs)
                 for size, runs in self.size_results.items()}
 
     def assoc_integration_rates(self) -> Dict[str, float]:
@@ -56,60 +78,17 @@ class Figure6Result:
                 for size, runs in self.size_results.items()}
 
 
-def run(benchmarks: Optional[Iterable[str]] = None,
-        scale: Optional[float] = None,
-        machine: Optional[MachineConfig] = None,
-        lisp: LispMode = LispMode.REALISTIC,
-        associativities: Iterable[int] = ASSOCIATIVITIES,
-        sizes: Iterable[int] = SIZES,
-        jobs: Optional[int] = None,
-        variant: Optional[str] = None) -> Figure6Result:
-    benchmarks = list(benchmarks or FAST_BENCHMARKS)
-    associativities = tuple(associativities)
-    sizes = tuple(sizes)
-    machine = machine or MachineConfig()
-
-    suite_configs = {
-        "baseline": machine.with_integration(IntegrationConfig.disabled()),
-    }
-    for assoc in associativities:
-        icfg = IntegrationConfig.full(it_assoc=assoc, lisp_mode=lisp)
-        suite_configs[f"assoc/{_assoc_label(assoc)}"] = \
-            machine.with_integration(icfg)
-    for size in sizes:
-        pregs = max(1024, size)
-        icfg = IntegrationConfig.full(it_entries=size, it_assoc=0,
-                                      lisp_mode=lisp,
-                                      num_physical_regs=pregs)
-        suite_configs[f"size/{size}"] = machine.with_integration(icfg)
-    suite = run_suite(benchmarks, suite_configs, scale=scale, jobs=jobs,
-                      variant=variant)
-
-    assoc_results = {_assoc_label(assoc): suite[f"assoc/{_assoc_label(assoc)}"]
-                     for assoc in associativities}
-    size_results = {size: suite[f"size/{size}"] for size in sizes}
-    return Figure6Result(benchmarks=benchmarks, baseline=suite["baseline"],
-                         assoc_results=assoc_results,
-                         size_results=size_results)
-
-
-def report(result: Figure6Result) -> str:
-    assoc_rows = [{"IT organisation": label,
-                   "mean speedup": spd,
-                   "mean integration rate":
-                       result.assoc_integration_rates()[label]}
-                  for label, spd in result.assoc_speedups().items()]
-    size_rows = [{"IT entries": size,
-                  "mean speedup": spd,
-                  "mean integration rate":
-                      result.size_integration_rates()[size]}
-                 for size, spd in result.size_speedups().items()]
-    left = format_table(assoc_rows,
-                        ["IT organisation", "mean speedup",
-                         "mean integration rate"],
-                        title="Figure 6 (left) -- IT associativity (1K entries)")
-    right = format_table(size_rows,
-                         ["IT entries", "mean speedup",
-                          "mean integration rate"],
-                         title="Figure 6 (right) -- IT size (fully associative)")
-    return left + "\n\n" + right
+def tables(result: Figure6Result) -> List[Table]:
+    columns = ["mean speedup", "mean integration rate"]
+    assoc_rates = result.assoc_integration_rates()
+    size_rates = result.size_integration_rates()
+    return [
+        ("Figure 6 (left) -- IT associativity (1K entries)",
+         ["IT organisation"] + columns,
+         [[label, spd, assoc_rates[label]]
+          for label, spd in result.assoc_speedups().items()]),
+        ("Figure 6 (right) -- IT size (fully associative)",
+         ["IT entries"] + columns,
+         [[size, spd, size_rates[size]]
+          for size, spd in result.size_speedups().items()]),
+    ]

@@ -12,19 +12,22 @@ reservation-station occupancy) are also collected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List
 
 from repro.analysis.metrics import (
+    Table,
     arithmetic_mean,
-    format_table,
     geometric_mean,
     speedup,
 )
 from repro.core import MachineConfig, SimStats
-from repro.experiments.runner import DEFAULT_BENCHMARKS, run_suite
-from repro.integration.config import IntegrationConfig, LispMode
+from repro.integration.config import IntegrationConfig
 
 MACHINE_VARIANTS = ("base", "RS", "IW", "IW+RS")
+INTEGRATION_CONFIGS = {
+    "none": IntegrationConfig.disabled(),
+    "integration": IntegrationConfig.full(),
+}
 
 
 def machine_variant(base: MachineConfig, variant: str) -> MachineConfig:
@@ -40,18 +43,24 @@ def machine_variant(base: MachineConfig, variant: str) -> MachineConfig:
     raise ValueError(f"unknown machine variant {variant!r}")
 
 
+def configs() -> Dict[str, MachineConfig]:
+    """Every machine organisation without and with integration."""
+    machine = MachineConfig()
+    return {f"{variant}/{int_name}":
+            machine_variant(machine, variant).with_integration(icfg)
+            for variant in MACHINE_VARIANTS
+            for int_name, icfg in INTEGRATION_CONFIGS.items()}
+
+
 @dataclass
 class Figure7Result:
     benchmarks: List[str]
-    # results[variant][("none"|"integration")][benchmark]
-    results: Dict[str, Dict[str, Dict[str, SimStats]]]
-
-    def _baseline(self) -> Dict[str, SimStats]:
-        return self.results["base"]["none"]
+    #: results["<machine>/<none|integration>"][benchmark]
+    results: Dict[str, Dict[str, SimStats]]
 
     def speedups(self, variant: str, integration: str) -> Dict[str, float]:
-        base = self._baseline()
-        runs = self.results[variant][integration]
+        base = self.results["base/none"]
+        runs = self.results[f"{variant}/{integration}"]
         table = {name: speedup(base[name], runs[name])
                  for name in self.benchmarks}
         table["GMean"] = geometric_mean(table[n] for n in self.benchmarks)
@@ -60,80 +69,44 @@ class Figure7Result:
     def mean_speedup(self, variant: str, integration: str) -> float:
         return self.speedups(variant, integration)["GMean"]
 
+    def _reduction(self, counter: str) -> float:
+        """Mean relative drop of ``counter`` that integration brings on the
+        baseline machine (benchmarks where it is zero are skipped)."""
+        without = self.results["base/none"]
+        with_int = self.results["base/integration"]
+        return arithmetic_mean(
+            1.0 - getattr(with_int[n], counter) / getattr(without[n], counter)
+            for n in self.benchmarks if getattr(without[n], counter))
+
     def executed_reduction(self) -> float:
         """Mean reduction in executed (issued) instructions due to
         integration on the baseline machine."""
-        without = self.results["base"]["none"]
-        with_int = self.results["base"]["integration"]
-        fracs = []
-        for name in self.benchmarks:
-            if without[name].issued:
-                fracs.append(1.0 - with_int[name].issued / without[name].issued)
-        return arithmetic_mean(fracs)
+        return self._reduction("issued")
 
     def load_reduction(self) -> float:
-        without = self.results["base"]["none"]
-        with_int = self.results["base"]["integration"]
-        fracs = []
-        for name in self.benchmarks:
-            if without[name].executed_loads:
-                fracs.append(1.0 - with_int[name].executed_loads
-                             / without[name].executed_loads)
-        return arithmetic_mean(fracs)
+        return self._reduction("executed_loads")
 
     def rs_occupancy(self, integration: str) -> float:
-        runs = self.results["base"][integration]
+        runs = self.results[f"base/{integration}"]
         return arithmetic_mean(runs[n].avg_rs_occupancy
                                for n in self.benchmarks)
 
 
-def run(benchmarks: Optional[Iterable[str]] = None,
-        scale: Optional[float] = None,
-        machine: Optional[MachineConfig] = None,
-        lisp: LispMode = LispMode.REALISTIC,
-        variants: Iterable[str] = MACHINE_VARIANTS,
-        jobs: Optional[int] = None,
-        variant: Optional[str] = None) -> Figure7Result:
-    benchmarks = list(benchmarks or DEFAULT_BENCHMARKS)
-    variants = tuple(variants)
-    machine = machine or MachineConfig()
-    integration_cfgs = {
-        "none": IntegrationConfig.disabled(),
-        "integration": IntegrationConfig.full(lisp_mode=lisp),
-    }
-    suite_configs = {
-        f"{variant}/{int_name}":
-            machine_variant(machine, variant).with_integration(icfg)
-        for variant in variants
-        for int_name, icfg in integration_cfgs.items()}
-    suite = run_suite(benchmarks, suite_configs, scale=scale, jobs=jobs,
-                      variant=variant)
-
-    results: Dict[str, Dict[str, Dict[str, SimStats]]] = {
-        variant: {int_name: suite[f"{variant}/{int_name}"]
-                  for int_name in integration_cfgs}
-        for variant in variants}
-    return Figure7Result(benchmarks=benchmarks, results=results)
-
-
-def report(result: Figure7Result) -> str:
-    rows = []
-    for variant in result.results:
-        rows.append({
-            "machine": variant,
-            "speedup w/o integration": result.mean_speedup(variant, "none"),
-            "speedup w/ integration": result.mean_speedup(variant,
-                                                          "integration"),
-        })
-    table = format_table(
-        rows, ["machine", "speedup w/o integration", "speedup w/ integration"],
-        title="Figure 7 -- reduced-complexity execution engines "
-              "(speedups vs. base machine without integration)")
-    extras = (
-        f"\nexecuted-instruction reduction from integration: "
-        f"{result.executed_reduction():.1%}"
-        f"\nexecuted-load reduction from integration: "
-        f"{result.load_reduction():.1%}"
-        f"\nmean RS occupancy: {result.rs_occupancy('none'):.1f} -> "
-        f"{result.rs_occupancy('integration'):.1f}")
-    return table + extras
+def tables(result: Figure7Result) -> List[Table]:
+    return [
+        ("Figure 7 -- reduced-complexity execution engines "
+         "(speedups vs. base machine without integration)",
+         ["machine", "speedup w/o integration", "speedup w/ integration"],
+         [[variant, result.mean_speedup(variant, "none"),
+           result.mean_speedup(variant, "integration")]
+          for variant in MACHINE_VARIANTS]),
+        ("Figure 7 -- execution stream on the base machine",
+         ["metric", "value"],
+         [["executed-instruction reduction from integration (%)",
+           100.0 * result.executed_reduction()],
+          ["executed-load reduction from integration (%)",
+           100.0 * result.load_reduction()],
+          ["mean RS occupancy w/o integration", result.rs_occupancy("none")],
+          ["mean RS occupancy w/ integration",
+           result.rs_occupancy("integration")]]),
+    ]

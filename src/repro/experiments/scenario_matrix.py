@@ -2,7 +2,7 @@
 
 Every registered machine variant (see :mod:`repro.variants`) is run over a
 benchmark set on the shared :func:`~repro.experiments.runner.run_suite`
-pool; the report shows each variant's IPC and integration rate next to its
+pool; its tables show each variant's IPC and integration rate next to its
 delta against the ``baseline`` variant, which is how the differential claims
 of the paper (integration speedup, CHT filtering value, in-order gap,
 control-speculation cost) are quantified in one table.
@@ -17,12 +17,17 @@ matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
-from repro.analysis.metrics import arithmetic_mean, format_table
+from repro.analysis.metrics import Table, arithmetic_mean
 from repro.core import MachineConfig, SimStats
-from repro.experiments.runner import FAST_BENCHMARKS, run_suite
 from repro.variants import DEFAULT_VARIANT, variant_names
+
+
+def configs() -> Dict[str, MachineConfig]:
+    """The baseline machine retargeted at every registered variant."""
+    machine = MachineConfig()
+    return {name: machine.with_variant(name) for name in variant_names()}
 
 
 @dataclass
@@ -30,9 +35,12 @@ class ScenarioMatrixResult:
     """All runs of one (benchmark x variant) sweep."""
 
     benchmarks: List[str]
-    variants: List[str]
     #: results[variant][benchmark] -> SimStats
     results: Dict[str, Dict[str, SimStats]]
+
+    @property
+    def variants(self) -> List[str]:
+        return list(self.results)
 
     # ------------------------------------------------------------------
     def ipc(self, variant: str) -> Dict[str, float]:
@@ -73,61 +81,29 @@ class ScenarioMatrixResult:
             for n in self.benchmarks)
 
 
-def run(benchmarks: Optional[Iterable[str]] = None,
-        variants: Optional[Iterable[str]] = None,
-        scale: Optional[float] = None,
-        machine: Optional[MachineConfig] = None,
-        jobs: Optional[int] = None,
-        shards: Optional[int] = None,
-        backend: Optional[object] = None) -> ScenarioMatrixResult:
-    """Sweep (benchmark x variant) on one backend.
-
-    ``variants`` defaults to every registered variant.  One ``run_suite``
-    call carries the whole matrix, so scheduling interleaves all variants
-    (longest jobs first) and, with sharding, every variant reuses the same
-    per-benchmark checkpoint plans.  ``backend`` routes the matrix's jobs
-    through any :class:`~repro.distrib.backend.ExecutionBackend` --
-    ``"distributed"`` spreads the whole matrix over a worker fleet.
-    """
-    benchmarks = list(benchmarks or FAST_BENCHMARKS)
-    variants = list(variants or variant_names())
-    machine = machine or MachineConfig()
-    configs = {name: machine.with_variant(name) for name in variants}
-    suite = run_suite(benchmarks, configs, scale=scale, jobs=jobs,
-                      shards=shards, backend=backend)
-    return ScenarioMatrixResult(benchmarks=benchmarks, variants=variants,
-                                results=suite)
-
-
-def report(result: ScenarioMatrixResult) -> str:
-    """Per-variant summary table with deltas against the baseline."""
+def tables(result: ScenarioMatrixResult) -> List[Table]:
+    """Per-variant summary with deltas against the baseline, then the
+    per-benchmark IPC of every variant."""
     rows = []
     for variant in result.variants:
         ipc_delta = result.ipc_delta(variant)
         rate_delta = result.integration_rate_delta(variant)
-        rows.append({
-            "variant": variant,
-            "IPC": round(result.mean_ipc(variant), 3),
-            "dIPC%": ("--" if ipc_delta is None
-                      else f"{100.0 * ipc_delta:+.1f}"),
-            "int.rate": round(result.mean_integration_rate(variant), 3),
-            "d rate": ("--" if rate_delta is None
-                       else f"{rate_delta:+.3f}"),
-            "mispred": round(result.mean_misprediction_rate(variant), 4),
-            "violations": round(result.mean_violations(variant), 1),
-        })
-    table = format_table(
-        rows, ["variant", "IPC", "dIPC%", "int.rate", "d rate", "mispred",
-               "violations"],
-        title=f"Scenario matrix -- {len(result.variants)} variants x "
-              f"{len(result.benchmarks)} benchmarks "
-              f"(deltas vs {DEFAULT_VARIANT})")
-    per_bench = []
-    for name in result.benchmarks:
-        row = {"benchmark": name}
-        for variant in result.variants:
-            row[variant] = round(result.results[variant][name].ipc, 3)
-        per_bench.append(row)
-    detail = format_table(per_bench, ["benchmark"] + list(result.variants),
-                          title="Per-benchmark IPC")
-    return table + "\n\n" + detail
+        rows.append([
+            variant,
+            round(result.mean_ipc(variant), 3),
+            "--" if ipc_delta is None else f"{100.0 * ipc_delta:+.1f}",
+            round(result.mean_integration_rate(variant), 3),
+            "--" if rate_delta is None else f"{rate_delta:+.3f}",
+            round(result.mean_misprediction_rate(variant), 4),
+            round(result.mean_violations(variant), 1),
+        ])
+    return [
+        (f"Scenario matrix -- {len(result.variants)} variants x "
+         f"{len(result.benchmarks)} benchmarks (deltas vs {DEFAULT_VARIANT})",
+         ["variant", "IPC", "dIPC%", "int.rate", "d rate", "mispred",
+          "violations"], rows),
+        ("Per-benchmark IPC", ["benchmark"] + result.variants,
+         [[name] + [round(result.results[variant][name].ipc, 3)
+                    for variant in result.variants]
+          for name in result.benchmarks]),
+    ]

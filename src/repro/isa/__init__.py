@@ -39,16 +39,10 @@ from repro.isa.opcodes import (
     OpInfo,
     op_info,
     is_branch,
-    is_call,
     is_cond_branch,
-    is_direct_jump,
-    is_fp,
     is_integrable,
     is_load,
-    is_mem,
-    is_return,
     is_store,
-    is_syscall,
     load_counterpart,
 )
 from repro.isa.instruction import StaticInst, DynInst
@@ -75,16 +69,10 @@ __all__ = [
     "OpInfo",
     "op_info",
     "is_branch",
-    "is_call",
     "is_cond_branch",
-    "is_direct_jump",
-    "is_fp",
     "is_integrable",
     "is_load",
-    "is_mem",
-    "is_return",
     "is_store",
-    "is_syscall",
     "load_counterpart",
     "StaticInst",
     "DynInst",

@@ -352,10 +352,6 @@ def is_store(op: Opcode) -> bool:
     return OPINFO[op].is_store
 
 
-def is_mem(op: Opcode) -> bool:
-    return OPINFO[op].is_mem
-
-
 def is_cond_branch(op: Opcode) -> bool:
     return OPINFO[op].is_cond_branch
 
@@ -363,26 +359,6 @@ def is_cond_branch(op: Opcode) -> bool:
 def is_branch(op: Opcode) -> bool:
     """True for any instruction that can redirect the PC."""
     return OPINFO[op].is_branch
-
-
-def is_call(op: Opcode) -> bool:
-    return OPINFO[op].cls in (OpClass.CALL_DIRECT, OpClass.CALL_INDIRECT)
-
-
-def is_return(op: Opcode) -> bool:
-    return OPINFO[op].cls is OpClass.RETURN
-
-
-def is_direct_jump(op: Opcode) -> bool:
-    return OPINFO[op].cls is OpClass.DIRECT_JUMP
-
-
-def is_syscall(op: Opcode) -> bool:
-    return OPINFO[op].cls is OpClass.SYSCALL
-
-
-def is_fp(op: Opcode) -> bool:
-    return OPINFO[op].fp
 
 
 def is_integrable(op: Opcode) -> bool:

@@ -52,9 +52,6 @@ class Program:
     def __iter__(self) -> Iterator[StaticInst]:
         return iter(self._insts)
 
-    def contains(self, pc: int) -> bool:
-        return pc in self._by_pc
-
     def label_pc(self, name: str) -> int:
         """The PC of a label; the assembler tests check label resolution
         with it."""
@@ -160,10 +157,6 @@ class ProgramBuilder:
     def bsr(self, target: TargetLike, rd: RegLike = REG_RA) -> int:
         """Direct call: writes the return address into ``rd``."""
         return self.emit(Opcode.BSR, rd=rd, target=target)
-
-    def jsr(self, ra: RegLike, rd: RegLike = REG_RA) -> int:
-        """Indirect call through register ``ra``."""
-        return self.emit(Opcode.JSR, rd=rd, ra=ra)
 
     def ret(self, ra: RegLike = REG_RA) -> int:
         return self.emit(Opcode.RET, ra=ra)

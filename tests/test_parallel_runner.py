@@ -70,14 +70,20 @@ class TestDiskCache:
         """The acceptance criterion: a repeated Figure 4 sweep on a warm
         disk cache completes without a single simulation."""
         benchmarks = ["gzip", "mcf"]
-        cold = figure4.run(benchmarks=benchmarks, scale=0.1,
-                           lisp_modes=(LispMode.REALISTIC,), jobs=2)
+        matrix = {label: config
+                  for label, config in figure4.configs().items()
+                  if config.integration.lisp_mode is not LispMode.ORACLE}
+
+        def sweep():
+            return figure4.Figure4Result(benchmarks, runner.run_suite(
+                benchmarks, matrix, scale=0.1, jobs=2))
+
+        cold = sweep()
         assert runner.telemetry.simulations > 0
         # Drop the in-process memo; keep the disk.
         runner.clear_cache(disk=False)
         runner.telemetry.reset()
-        warm = figure4.run(benchmarks=benchmarks, scale=0.1,
-                           lisp_modes=(LispMode.REALISTIC,), jobs=2)
+        warm = sweep()
         assert runner.telemetry.simulations == 0
         assert runner.telemetry.disk_hits > 0
         for ext in figure4.EXTENSION_CONFIGS:
@@ -182,6 +188,56 @@ class TestCli:
                   "--backend", "distributed"])
         assert dict(os.environ) == before
         assert runner.default_shards() == 1
+
+    def test_figures_make_one_suite_call_and_one_execute(
+            self, isolated_cache, monkeypatch, capsys):
+        """Several figures are one plan: ``run_suite`` plans once and the
+        backend executes once, whichever backend runs the jobs."""
+        from repro.__main__ import main
+        from repro.distrib.backend import DistributedBackend, LocalBackend
+
+        calls = []
+
+        def counting(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(runner, "plan_suite")
+        counting(LocalBackend, "execute")
+        counting(DistributedBackend, "execute")
+        assert main(["figures", "--figures", "4,6,7", "--benchmarks", "gzip",
+                     "--scale", "0.05", "--jobs", "1"]) == 0
+        assert "Figure 7" in capsys.readouterr().out
+        assert calls == ["plan_suite", "execute"]
+        assert runner.telemetry.simulations > 0
+
+        from repro.experiments import figures
+
+        calls.clear()
+        runner.clear_cache(disk=True)
+        results = figures.run(["5", "diagnostics", "cpistack"], ["gzip"],
+                              scale=0.05, backend="distributed")
+        assert calls == ["plan_suite", "execute"]
+        assert (results["5"].stats["gzip"]
+                == results["diagnostics"].results["integration"]["gzip"])
+
+    def test_figures_no_cache_simulates_on_a_warm_cache(
+            self, isolated_cache, capsys):
+        from repro.__main__ import main
+
+        argv = ["figures", "--figures", "5", "--benchmarks", "gzip",
+                "--scale", "0.05"]
+        assert main(argv) == 0
+        runner.telemetry.reset()
+        assert main(argv) == 0
+        assert runner.telemetry.simulations == 0
+        assert main(argv + ["--no-cache"]) == 0
+        assert runner.telemetry.simulations == 1
+        assert "1 simulations" in capsys.readouterr().out
 
     def test_cache_subcommands(self, isolated_cache, capsys):
         from repro.__main__ import main

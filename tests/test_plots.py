@@ -38,9 +38,6 @@ class TestGating:
             with pytest.raises(plots.MissingDependencyError):
                 plots._pyplot()
 
-    def test_render_unknown_figure_is_none(self):
-        assert plots.render("diagnostics", object(), "/tmp/nowhere") is None
-
     @pytest.mark.skipif(plots.matplotlib_available(),
                         reason="matplotlib installed: gate cannot trip")
     def test_cli_plot_dir_fails_with_one_liner(self, tmp_path):
@@ -58,25 +55,21 @@ class TestRendering:
         """Render every panel from one small sweep; on a warm cache this
         performs zero additional simulations."""
         pytest.importorskip("matplotlib")
-        from repro.experiments import figure4, figure5, figure6, figure7
-        from repro.experiments import scenario_matrix
+        from repro.experiments import figures
 
-        benchmarks = ["gzip"]
         outdir = tmp_path / "plots"
-        rendered = []
-        for name, module in (("4", figure4), ("5", figure5),
-                             ("6", figure6), ("7", figure7)):
-            result = module.run(benchmarks=benchmarks, scale=0.1, jobs=1)
-            rendered.append(plots.render(name, result, outdir))
-        result = scenario_matrix.run(benchmarks=benchmarks, scale=0.1,
-                                     jobs=1)
-        rendered.append(plots.render("scenarios", result, outdir))
-        for path in rendered:
-            assert path is not None and path.is_file()
-            assert path.stat().st_size > 0
+
+        def render_all():
+            results = figures.run(list(figures.FIGURES), ["gzip"],
+                                  scale=0.1, jobs=1)
+            for name, result in results.items():
+                path = plots.render(
+                    name, figures.FIGURES[name].tables(result), outdir)
+                assert path.is_file() and path.stat().st_size > 0
+
+        render_all()
         # Everything needed is now cached: re-rendering simulates nothing.
         runner.telemetry.reset()
         runner._MEMORY_CACHE.clear()
-        result = figure4.run(benchmarks=benchmarks, scale=0.1, jobs=1)
+        render_all()
         assert runner.telemetry.simulations == 0
-        assert plots.render("4", result, outdir).is_file()

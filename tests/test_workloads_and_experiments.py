@@ -132,8 +132,7 @@ class TestStatsAndAnalysis:
         assert set(summary) >= {"ipc", "integration_rate", "cycles"}
 
     def test_format_table_alignment(self):
-        text = format_table([{"a": 1, "b": 0.5}, {"a": 20, "b": None}],
-                            ["a", "b"], title="T")
+        text = format_table("T", ["a", "b"], [[1, 0.5], [20, None]])
         lines = text.splitlines()
         assert lines[0] == "T"
         assert "a" in lines[1] and "b" in lines[1]
@@ -171,11 +170,16 @@ class TestExperimentHarness:
             figure4.integration_config_for("+magic")
 
     def test_figure4_small_run_and_report(self):
-        result = figure4.run(benchmarks=["gzip"], scale=0.1,
-                             lisp_modes=(LispMode.REALISTIC,))
+        matrix = {label: config
+                  for label, config in figure4.configs().items()
+                  if config.integration.lisp_mode is not LispMode.ORACLE}
+        result = figure4.Figure4Result(
+            ["gzip"], runner.run_suite(["gzip"], matrix, scale=0.1))
         speedups = result.speedups("+reverse")
         assert "gzip" in speedups and "GMean" in speedups
-        text = figure4.report(result)
+        tables = figure4.tables(result)
+        assert len(tables) == 1                 # the realistic LISP only
+        text = format_table(*tables[0])
         assert "gzip" in text and "+reverse spd" in text
 
     def test_default_scale_env_override(self, monkeypatch):
