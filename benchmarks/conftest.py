@@ -7,7 +7,9 @@ three-benchmark smoke set at a reduced workload scale.
 
 import pytest
 
+from repro.experiments import figure4
 from repro.experiments.runner import SMOKE_BENCHMARKS, run_suite
+from repro.integration.config import LispMode
 
 #: Workload scale factor the figure benchmarks simulate at.
 BENCH_SCALE = 0.3
@@ -27,3 +29,12 @@ def run_figure(suite):
         return result_class(suite["benchmarks"], run_suite(
             suite["benchmarks"], configs, scale=suite["scale"]))
     return run
+
+
+@pytest.fixture(scope="session")
+def fig4_result(run_figure):
+    """Figure 4 with the realistic LISP only -- the bars the paper-shape
+    checks read."""
+    return run_figure(figure4.Figure4Result, {
+        label: config for label, config in figure4.configs().items()
+        if config.integration.lisp_mode is not LispMode.ORACLE})

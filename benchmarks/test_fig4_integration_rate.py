@@ -7,17 +7,7 @@ configuration reaches double digits with a visible reverse-integration
 component.
 """
 
-import pytest
-
 from repro.experiments import figure4
-from repro.integration.config import LispMode
-
-
-@pytest.fixture(scope="module")
-def fig4_result(run_figure):
-    return run_figure(figure4.Figure4Result, {
-        label: config for label, config in figure4.configs().items()
-        if config.integration.lisp_mode is not LispMode.ORACLE})
 
 
 def test_fig4_integration_rates(fig4_result):

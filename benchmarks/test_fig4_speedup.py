@@ -8,17 +8,7 @@ absolute numbers (the substrate here is a synthetic-workload simulator, not
 the authors' SPEC setup).
 """
 
-import pytest
-
 from repro.experiments import figure4, figures
-from repro.integration.config import LispMode
-
-
-@pytest.fixture(scope="module")
-def fig4_result(run_figure):
-    return run_figure(figure4.Figure4Result, {
-        label: config for label, config in figure4.configs().items()
-        if config.integration.lisp_mode is not LispMode.ORACLE})
 
 
 def test_fig4_speedups(fig4_result):

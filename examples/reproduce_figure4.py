@@ -26,13 +26,10 @@ def main() -> None:
                         help="run all 16 benchmarks (slower)")
     parser.add_argument("--scale", type=float, default=None,
                         help="workload scale factor (default REPRO_SCALE)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="parallel simulation processes; 0 = one per CPU")
     args = parser.parse_args()
 
     benchmarks = DEFAULT_BENCHMARKS if args.all else FAST_BENCHMARKS
-    results = figures.run(["4", "diagnostics"], benchmarks, scale=args.scale,
-                          jobs=args.jobs)
+    results = figures.run(["4", "diagnostics"], benchmarks, scale=args.scale)
     for name, result in results.items():
         print(figures.report(name, result))
         print()

@@ -60,21 +60,26 @@ def _pyplot():
 
 def render(name: str, tables: Sequence[Table], plot_dir: Path) -> Path:
     """Draw figure ``name``'s tables as one PNG, a grouped-bar panel per
-    table: one group per row, one bar per all-numeric column."""
+    table: one group per row, labelled by the row's non-numeric cells,
+    and one bar per numeric column (a missing value draws no bar)."""
     plt = _pyplot()
     fig, axes = plt.subplots(len(tables), 1, squeeze=False,
                              figsize=(9.0, 3.6 * len(tables)))
     for (ax,), (title, columns, rows) in zip(axes, tables):
         series = [i for i in range(1, len(columns))
-                  if all(isinstance(row[i], (int, float)) for row in rows)]
+                  if all(isinstance(row[i], (int, float)) or row[i] is None
+                         for row in rows)
+                  and any(row[i] is not None for row in rows)]
         width = 0.8 / max(1, len(series))
         for slot, i in enumerate(series):
             ax.bar([x + (slot - (len(series) - 1) / 2) * width
                     for x in range(len(rows))],
-                   [row[i] for row in rows], width=width, label=columns[i])
+                   [float("nan") if row[i] is None else row[i]
+                    for row in rows], width=width, label=columns[i])
         ax.set_xticks(range(len(rows)))
-        ax.set_xticklabels([str(row[0]) for row in rows], rotation=45,
-                           ha="right", fontsize=8)
+        ax.set_xticklabels([" ".join(str(row[j]) for j in range(len(columns))
+                                     if j not in series) for row in rows],
+                           rotation=45, ha="right", fontsize=8)
         ax.set_title(title, fontsize=9)
         if series:
             ax.legend(fontsize=7)

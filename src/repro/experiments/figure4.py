@@ -108,9 +108,9 @@ class Figure4Result:
 def tables(result: Figure4Result) -> List[Table]:
     """One speedup/rate table per LISP mode in the result, MEAN row last."""
     out = []
-    for lisp in (mode.value for mode in LISP_MODES):
-        if f"+reverse/{lisp}" not in result.results:
-            continue
+    for lisp in dict.fromkeys(label.partition("/")[2]
+                              for label in result.results
+                              if label != "baseline"):
         columns = ["benchmark"]
         cells = []
         for extension in EXTENSION_CONFIGS:

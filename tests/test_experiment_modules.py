@@ -150,5 +150,8 @@ class TestEveryFigure:
             assert path.stat().st_size > 0
             assert [ax.title for (ax,) in pyplot.axes] == \
                 [title for title, _, _ in tables]
-            # Every table has at least one numeric column to draw.
-            assert all(ax.series for (ax,) in pyplot.axes), name
+            # Every table has at least one numeric column to draw, and
+            # every bar group in a panel is told apart by its label.
+            for (ax,) in pyplot.axes:
+                assert ax.series, (name, ax.title)
+                assert len(set(ax.labels)) == len(ax.labels), (name, ax.title)
