@@ -72,7 +72,6 @@ class IssueExecute:
                 if dyn.squashed:
                     continue
                 dyn.completed = True
-                dyn.executed = True
                 dyn.complete_cycle = cycle
                 if tracer is not None:
                     tracer.on_complete(dyn, cycle)
@@ -124,7 +123,7 @@ class IssueExecute:
         stats.memory_order_violations += 1
         stats.cht_trainings += 1
         state.cht.train(victim.inst.pc)
-        self.recovery.squash_from(victim, redirect_pc=victim.pc)
+        self.recovery.squash_from(victim, redirect_pc=victim.inst.pc)
 
     # ==================================================================
     # issue + execute
@@ -168,7 +167,6 @@ class IssueExecute:
                     if type(b) is float:
                         b = int(b)
                     result = info.eval_fn(a, b, inst.imm)
-                dyn.result = result
                 latency = info.latency
                 schedule(dyn, latency, result, regread + latency + wb)
             elif kind == KIND_BRANCH:                   # conditional branch
@@ -179,11 +177,9 @@ class IssueExecute:
             elif kind == KIND_INDIRECT:                 # indirect control
                 target = int(a) & _MASK64
                 dyn.next_pc = target
-                if (dyn.cls is OpClass.CALL_INDIRECT
+                if (info.cls is OpClass.CALL_INDIRECT
                         and dyn.dest_preg is not None):
-                    link = inst.pc + INST_SIZE
-                    dyn.result = link
-                    schedule(dyn, 1, link, regread + 1 + wb)
+                    schedule(dyn, 1, inst.pc + INST_SIZE, regread + 1 + wb)
                 else:
                     schedule(dyn, None, None, regread + 1 + wb)
             elif kind == KIND_LOAD:
@@ -204,7 +200,7 @@ class IssueExecute:
         state = self.state
         base = state.prf.values[dyn.src_pregs[0]]
         addr = (int(base) + dyn.inst.imm) & _MASK64
-        if state.cht.predicts_collision(dyn.pc):
+        if state.cht.predicts_collision(dyn.inst.pc):
             # The hit statistic counts dynamic loads whose issue consulted a
             # collision prediction -- once per load, not once per re-poll of
             # a stalled load.
@@ -245,7 +241,6 @@ class IssueExecute:
         if dyn.info.is_ldl:
             value = semantics.to_unsigned(
                 semantics.to_signed(int(value) & semantics.MASK32, 32))
-        dyn.result = value
         self._schedule(dyn, latency, value, config.regread_stages + latency
                        + config.writeback_stages)
 

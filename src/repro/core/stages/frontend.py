@@ -60,16 +60,13 @@ class FrontEnd:
         tracer = state.tracer
         width = config.fetch_width
         while True:
-            state.seq += 1
-            dyn = DynInst(state.seq, inst)
-            dyn.fetch_cycle = cycle
-            if tracer is not None:
-                tracer.on_fetch(dyn, cycle)
             if snap is None:
                 snap = predictor.snapshot()
                 depth = len(snap[1])
-            dyn.call_depth = depth
-            dyn.map_checkpoint = snap
+            state.seq += 1
+            dyn = DynInst(state.seq, inst, cycle, depth, snap)
+            if tracer is not None:
+                tracer.on_fetch(dyn, cycle)
             fetched += 1
             fetch_pc = inst.pc + INST_SIZE
             append((dyn, ready_cycle))

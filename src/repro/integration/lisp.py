@@ -9,13 +9,23 @@ which costs a full pipeline flush (paper Section 3.1).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from types import MappingProxyType
+from typing import List, Mapping
 
 from repro.isa.program import INST_SIZE
 
+#: The shared contents of every LISP set that has not been trained yet.
+_UNTRAINED: Mapping[int, int] = MappingProxyType({})
+
 
 class LoadIntegrationSuppressionPredictor:
-    """Set-associative tag cache of load PCs whose integration is suppressed."""
+    """Set-associative tag cache of load PCs whose integration is suppressed.
+
+    A set gets its own dict on its first training; until then it is the
+    shared empty :data:`_UNTRAINED`, so a machine that never mis-integrates
+    a load (integration disabled, or no load ever trained) pays for one
+    list, not one dict per set.
+    """
 
     def __init__(self, entries: int = 1024, assoc: int = 2):
         if entries <= 0:
@@ -29,15 +39,12 @@ class LoadIntegrationSuppressionPredictor:
         self.assoc = assoc
         self.num_sets = entries // assoc
         # each set maps pc -> last-touch tick (LRU)
-        self._sets: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
+        self._sets: List[Mapping[int, int]] = [_UNTRAINED] * self.num_sets
         self._tick = 0
-
-    def _index(self, pc: int) -> int:
-        return (pc // INST_SIZE) % self.num_sets
 
     def suppresses(self, pc: int) -> bool:
         """True if integration of the load at ``pc`` should be suppressed."""
-        lisp_set = self._sets[self._index(pc)]
+        lisp_set = self._sets[(pc // INST_SIZE) % self.num_sets]
         if pc in lisp_set:
             self._tick += 1
             lisp_set[pc] = self._tick
@@ -46,7 +53,11 @@ class LoadIntegrationSuppressionPredictor:
 
     def train(self, pc: int) -> None:
         """Record a load mis-integration at ``pc``."""
-        lisp_set = self._sets[self._index(pc)]
+        index = (pc // INST_SIZE) % self.num_sets
+        lisp_set = self._sets[index]
+        if not isinstance(lisp_set, dict):      # the set's first training
+            lisp_set = {}
+            self._sets[index] = lisp_set
         self._tick += 1
         if pc in lisp_set:
             lisp_set[pc] = self._tick

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.integration.config import IntegrationConfig, LispMode
+from repro.integration.config import IndexScheme, IntegrationConfig, LispMode
 from repro.integration.lisp import LoadIntegrationSuppressionPredictor
 from repro.integration.table import IntegrationTable, ITEntry
 from repro.isa.instruction import DynInst
@@ -56,22 +56,21 @@ _TAG_HIT_ORACLE_SUPPRESSED = IntegrationDecision(
 
 
 class IntegrationLogic:
-    """The integration test plus IT entry creation."""
+    """The integration test plus IT entry creation and placement."""
 
     def __init__(self, config: IntegrationConfig, prf: PhysicalRegisterFile,
                  table: Optional[IntegrationTable] = None,
                  lisp: Optional[LoadIntegrationSuppressionPredictor] = None):
         self.config = config
         self.prf = prf
-        self.table = table or IntegrationTable(config.it_entries,
-                                               config.it_assoc,
-                                               config.index_scheme)
+        self.table = table = table or IntegrationTable(
+            config.it_entries, config.it_assoc, config.index_scheme)
         if lisp is None and config.lisp_mode is LispMode.REALISTIC:
             lisp = LoadIntegrationSuppressionPredictor(config.lisp_entries,
                                                        config.lisp_assoc)
         self.lisp = lisp
-        # Config-derived constants hoisted out of the per-rename path (the
-        # config is immutable for the lifetime of the logic).
+        # Config-derived constants and the table geometry, hoisted out of
+        # the per-rename path (both are fixed for the logic's lifetime).
         self._enabled = config.enabled
         self._lisp_realistic = (config.lisp_mode is LispMode.REALISTIC
                                 and lisp is not None)
@@ -79,6 +78,12 @@ class IntegrationLogic:
         self._oracle_loads = config.lisp_mode is LispMode.ORACLE
         self._reverse = config.reverse
         self._reverse_sp_only = config.reverse_sp_only
+        self._sets = table._sets
+        self._num_sets = table.num_sets
+        self._assoc = table.assoc
+        self._pc_scheme = table.scheme is IndexScheme.PC
+        self._depth_in_index = (table.scheme
+                                is IndexScheme.OPCODE_IMM_CALLDEPTH)
 
     # ------------------------------------------------------------------
     # the integration test
@@ -99,126 +104,125 @@ class IntegrationLogic:
         it applies, allows.  A successful integration moves its entry to the
         most recently used end of the set.
         """
-        if not self._enabled:
-            return NO_INTEGRATION
         info = dyn.info
-        if not info.integrable:
+        if not self._enabled or not info.integrable:
             return NO_INTEGRATION
         inst = dyn.inst
-        pc = inst.pc
+        oracle = None
         if info.is_load:
-            if self._lisp_realistic and self.lisp.suppresses(pc):
+            if self._lisp_realistic and self.lisp.suppresses(inst.pc):
                 return _LISP_SUPPRESSED
-            oracle = oracle_allow if self._oracle_loads else None
+            if self._oracle_loads:
+                oracle = oracle_allow
+        # The set and tag, as create_entries places entries.
+        if self._pc_scheme:
+            tag = inst.pc
+            index = tag // INST_SIZE
         else:
-            oracle = None
-
-        table = self.table
-        # The set index, as IntegrationTable.insert places entries: the PC
-        # under PC indexing, else the opcode/immediate key, with the call
-        # depth XORed in under the enhanced scheme.
-        pc_scheme = table._pc_scheme
-        if pc_scheme:
-            index = pc // INST_SIZE
-        elif table._depth_in_index:
-            index = inst.it_key ^ call_depth
-        else:
+            tag = inst.it_tag
             index = inst.it_key
-        cache_set = table._sets[index % table.num_sets]
+            if self._depth_in_index:
+                index ^= call_depth
+        cache_set = self._sets[index % self._num_sets]
         inputs = dyn.src_key
-        op = inst.op
-        imm = inst.imm
-        is_branch_op = info.is_cond_branch
-        eligible = self.prf.integration_eligible
-        squash_only = self._squash_only
-        tag_hit = False
-        suppressed = False
-        best = None
+        tag_hit = suppressed = False
         for entry in reversed(cache_set):
-            if pc_scheme:
-                if entry.pc != pc:
-                    continue
-            elif entry.opcode is not op or entry.imm != imm:
+            if entry.tag != tag:
                 continue
             tag_hit = True
             if entry.inputs != inputs:
                 continue
-            if is_branch_op:
+            if info.is_cond_branch:
                 if entry.branch_outcome is None:
                     continue
             else:
                 out = entry.out
-                if out is None or not eligible(out, entry.out_gen,
-                                               squash_only):
+                if out is None or not self.prf.integration_eligible(
+                        out, entry.out_gen, self._squash_only):
                     continue
             if oracle is not None and not oracle(dyn, entry):
                 suppressed = True
                 continue
-            best = entry
             break
-        if not tag_hit:
-            return NO_INTEGRATION
-        if best is None:
+        else:
+            # No entry passed.
+            if not tag_hit:
+                return NO_INTEGRATION
             return _TAG_HIT_ORACLE_SUPPRESSED if suppressed else _TAG_HIT
-        cache_set.remove(best)
-        cache_set.append(best)
-        return IntegrationDecision(True, best, False, suppressed, True)
+        cache_set.remove(entry)
+        cache_set.append(entry)
+        return IntegrationDecision(True, entry, False, suppressed, True)
 
     # ------------------------------------------------------------------
     # entry creation (integration failed, or store reverse entries)
     # ------------------------------------------------------------------
     def create_entries(self, dyn: DynInst, call_depth: int) -> None:
-        """Create IT entries for an instruction that did not integrate.
+        """Create and place IT entries for an instruction that did not
+        integrate.
 
         Direct entries describe the instruction itself; reverse entries
         describe its inverse (extension 3): a store creates the
         complementary load entry, a stack-pointer ``lda`` creates the entry
         for the opposite adjustment.  Which instructions create entries
-        (``it_creates``), their reverse operations and the set keys come
-        precomputed on the static instruction; every entry's inputs and
-        output are slices of ``dyn.src_key`` or the just-renamed
-        destination.
+        (``it_creates``), the tags and the set keys come precomputed on the
+        static instruction; every entry's inputs and output are slices of
+        ``dyn.src_key`` or the just-renamed destination.
+
+        Placement (paper Section 2.3) is stated once, at the end, for each
+        entry: the set index is the entry's key (``StaticInst.it_key`` or
+        ``it_reverse_key``) with the call depth XORed in under the enhanced
+        scheme, or the PC under PC indexing (``consider`` probes the same
+        set); the entry becomes its set's most recently used, evicting the
+        least recently used one when the set is full.  The tag is minimal:
+        the PC under PC indexing, else the operation, so different call
+        depths can match in a set.
         """
         inst = dyn.inst
         if not self._enabled or not inst.it_creates:
             return
-        info = dyn.info
-        table = self.table
         key = dyn.src_key
-
-        if info.is_store:
+        pc_scheme = self._pc_scheme
+        reverse = None
+        if dyn.info.is_store:
             # Store sources are [data, base]; the reverse load reads the
             # base and produces the data register: <ld/imm, base, -, data>.
-            if self._reverse and not (self._reverse_sp_only
-                                      and inst.rb != REG_SP):
-                rev_op, rev_imm = inst.it_reverse_tag
-                table.insert(ITEntry(inst.pc, rev_op, rev_imm, key[2:],
-                                     key[0], key[1], True, dyn.seq),
-                             inst.it_reverse_key, call_depth)
-            return
-
-        if info.is_cond_branch:
-            dyn.it_entry = table.insert(
-                ITEntry(inst.pc, inst.op, inst.imm, key, None, 0, False,
-                        dyn.seq),
-                inst.it_key, call_depth)
-            return
-
-        # Any other creator writes a register, which rename has just mapped.
-        out = dyn.dest_preg
-        out_gen = dyn.dest_gen
-        dyn.it_entry = table.insert(
-            ITEntry(inst.pc, inst.op, inst.imm, key, out, out_gen, False,
-                    dyn.seq),
-            inst.it_key, call_depth)
-
-        # Reverse entry for stack-pointer adjustments: lda sp, imm(sp)
-        # creates <lda/-imm, new_sp, -, old_sp>.
-        if self._reverse and inst.it_reverse_key is not None:
-            rev_op, rev_imm = inst.it_reverse_tag
-            table.insert(ITEntry(inst.pc, rev_op, rev_imm, (out, out_gen),
-                                 key[0], key[1], True, dyn.seq),
-                         inst.it_reverse_key, call_depth)
+            if not self._reverse or (self._reverse_sp_only
+                                     and inst.rb != REG_SP):
+                return
+            entry = ITEntry(inst.pc if pc_scheme else inst.it_reverse_tag,
+                            key[2:], key[0], key[1], True, dyn.seq)
+            set_key = inst.it_reverse_key
+        else:
+            # A branch (no destination: out None, generation 0) or a
+            # register write, which rename has just mapped.
+            out = dyn.dest_preg
+            out_gen = dyn.dest_gen
+            entry = dyn.it_entry = ITEntry(
+                inst.pc if pc_scheme else inst.it_tag, key, out, out_gen,
+                False, dyn.seq)
+            set_key = inst.it_key
+            # Reverse entry for stack-pointer adjustments: lda sp, imm(sp)
+            # creates <lda/-imm, new_sp, -, old_sp>.
+            if self._reverse and inst.it_reverse_key is not None:
+                reverse = ITEntry(inst.pc if pc_scheme
+                                  else inst.it_reverse_tag, (out, out_gen),
+                                  key[0], key[1], True, dyn.seq)
+        # Place the entry, then the reverse entry if there is one.
+        sets = self._sets
+        while True:
+            if pc_scheme:
+                index = inst.pc // INST_SIZE
+            elif self._depth_in_index:
+                index = set_key ^ call_depth
+            else:
+                index = set_key
+            cache_set = sets[index % self._num_sets]
+            if len(cache_set) >= self._assoc:
+                del cache_set[0]
+            cache_set.append(entry)
+            if reverse is None:
+                return
+            entry, reverse, set_key = reverse, None, inst.it_reverse_key
 
     # ------------------------------------------------------------------
     # feedback

@@ -7,11 +7,29 @@ carrying renamed registers, values and per-stage timestamps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.isa.opcodes import OpClass, Opcode, OPINFO, is_store
 from repro.isa.registers import REG_FZERO, REG_SP, REG_ZERO, reg_name
+
+
+#: Bits an opcode id takes in an IT tag.
+_OPCODE_BITS = len(Opcode).bit_length()
+
+
+def it_tag(op: Opcode, imm: Optional[int]) -> int:
+    """The integration-table tag of operation ``op``/``imm`` under opcode
+    indexing: the pair packed into one integer, so a probe compares one
+    integer per entry.  Bit 0 says whether there is an immediate, the next
+    bits hold the opcode id and the rest the immediate (negative ones
+    included), so two tags are equal exactly when the opcodes are the same
+    and the immediates compare equal; ``None`` is not 0.  A tag feeds no
+    set index and no output."""
+    opcode = OPINFO[op].opcode_id << 1
+    if imm is None:
+        return opcode
+    return (imm << (_OPCODE_BITS + 1)) | opcode | 1
 
 
 @dataclass(frozen=True)
@@ -44,10 +62,11 @@ class StaticInst:
     # frozen instance's dict): the per-cycle loops read them constantly, and
     # an attribute read is far cheaper than an enum-hashing OPINFO lookup.
     # Integration metadata, from per-opcode OpInfo fields:
-    # * ``it_key`` -- IT index key of the direct entry (opcode/immediate);
-    # * ``it_reverse_tag`` / ``it_reverse_key`` -- (opcode, immediate) and
-    #   key of the reverse entry: a store's complementary load, or the
-    #   opposite ``lda sp, imm(sp)``; None for every other instruction;
+    # * ``it_key`` / ``it_tag`` -- IT index key (opcode id XOR immediate)
+    #   and tag (:func:`it_tag`) of the direct entry under opcode indexing;
+    # * ``it_reverse_key`` / ``it_reverse_tag`` -- the same for the reverse
+    #   entry: a store's complementary load, or the opposite
+    #   ``lda sp, imm(sp)``; None for every other instruction;
     # * ``it_creates`` -- whether renaming it creates any IT entry: a store,
     #   an integrable branch, or an integrable write to a real register.
     #   This is the one statement of the rule; rename and
@@ -65,14 +84,15 @@ class StaticInst:
         imm = self.imm or 0
         reverse_tag = reverse_key = None
         if info.is_store:
-            reverse_tag = (info.load_counterpart, self.imm)
+            reverse_tag = it_tag(info.load_counterpart, self.imm)
             reverse_key = info.load_counterpart_id ^ (imm & 0xFFFF)
         elif ra == REG_SP and self.rd == REG_SP and self.op is Opcode.LDA:
-            reverse_tag = (Opcode.LDA, -imm)
+            reverse_tag = it_tag(Opcode.LDA, -imm)
             reverse_key = info.opcode_id ^ (-imm & 0xFFFF)
         self.__dict__.update(
             info=info, cls=info.cls, srcs=srcs, dest=dest,
             it_key=info.opcode_id ^ (imm & 0xFFFF),
+            it_tag=it_tag(self.op, self.imm),
             it_reverse_tag=reverse_tag, it_reverse_key=reverse_key,
             it_creates=info.is_store or (info.integrable and (
                 info.is_cond_branch or (dest is not None and dest != REG_ZERO
@@ -113,15 +133,19 @@ class StaticInst:
 class DynInst:
     """A dynamic instruction instance in flight in the timing model.
 
-    The out-of-order core attaches renamed register identifiers, operand and
-    result values, integration metadata and per-stage cycle timestamps.  The
-    class uses ``__slots__`` because simulations create one object per
-    dynamic instruction.
+    The out-of-order core attaches renamed register identifiers, operand
+    values, integration metadata and per-stage cycle timestamps.  The class
+    uses ``__slots__`` because simulations create one object per dynamic
+    instruction.  Fetch passes its cycle, the call depth and the branch
+    predictor checkpoint to the constructor.  The integration-only fields
+    (``reverse_integrated``, ``integration_distance``,
+    ``integration_status``, ``integration_refcount``) have no default: the
+    rename stage sets them when the instruction integrates, and nothing
+    reads them otherwise.
     """
 
     __slots__ = (
-        "seq", "inst", "op", "cls", "info",
-        "pc", "next_pc",
+        "seq", "inst", "info", "next_pc",
         "call_depth",
         # renaming
         "src_pregs", "src_key", "dest_preg", "dest_gen", "old_dest_preg",
@@ -131,8 +155,8 @@ class DynInst:
         "integrated", "reverse_integrated", "integration_distance",
         "integration_status", "integration_refcount", "it_entry",
         # execution state
-        "result", "eff_addr", "store_value",
-        "executed", "issued", "completed", "squashed",
+        "eff_addr", "store_value",
+        "issued", "completed", "squashed",
         "branch_taken", "branch_mispredicted", "mem_mispeculated",
         "mis_integrated",
         # timing
@@ -146,15 +170,13 @@ class DynInst:
         "mem_addr", "cht_counted", "issue_probe",
     )
 
-    def __init__(self, seq: int, inst: StaticInst):
+    def __init__(self, seq: int, inst: StaticInst, fetch_cycle: int = -1,
+                 call_depth: int = 0, map_checkpoint=None):
         self.seq = seq
         self.inst = inst
-        self.op = inst.op
-        self.cls = inst.cls
         self.info = inst.info
-        self.pc = inst.pc
         self.next_pc = None
-        self.call_depth = 0
+        self.call_depth = call_depth
         self.src_pregs: Sequence[int] = ()
         #: The flat ``(preg, gen[, preg, gen])`` source key the integration
         #: table matches on (set by the rename stage,
@@ -164,17 +186,11 @@ class DynInst:
         self.dest_gen: int = 0
         self.old_dest_preg: Optional[int] = None
         self.old_dest_gen: int = 0
-        self.map_checkpoint = None
+        self.map_checkpoint = map_checkpoint
         self.integrated = False
-        self.reverse_integrated = False
-        self.integration_distance = 0
-        self.integration_status = None
-        self.integration_refcount = 0
         self.it_entry = None
-        self.result = None
         self.eff_addr = None
         self.store_value = None
-        self.executed = False
         self.issued = False
         self.completed = False
         self.squashed = False
@@ -182,7 +198,7 @@ class DynInst:
         self.branch_mispredicted = False
         self.mem_mispeculated = False
         self.mis_integrated = False
-        self.fetch_cycle = -1
+        self.fetch_cycle = fetch_cycle
         self.rename_cycle = -1
         self.dispatch_cycle = -1
         self.complete_cycle = -1
@@ -195,9 +211,7 @@ class DynInst:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = []
         if self.integrated:
-            flags.append("INT")
-        if self.reverse_integrated:
-            flags.append("REV")
+            flags.append("REV" if self.reverse_integrated else "INT")
         if self.squashed:
             flags.append("SQ")
         return f"<DynInst #{self.seq} {self.inst} {' '.join(flags)}>"

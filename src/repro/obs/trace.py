@@ -79,7 +79,7 @@ class PipelineTracer:
             return
         record: Dict[str, Any] = {
             "event": event, "seq": dyn.seq, "cycle": cycle,
-            "pc": dyn.pc, "op": dyn.op.value,
+            "pc": dyn.inst.pc, "op": dyn.inst.op.value,
         }
         record.update(extra)
         if self._jsonl is not None:
@@ -127,7 +127,7 @@ class PipelineTracer:
             self._konata(cycle, rec_id, f"I\t{rec_id}\t{dyn.seq}\t0")
             self._konata(cycle, rec_id,
                          f"L\t{rec_id}\t0\t{dyn.seq}: "
-                         f"{dyn.op.value} @0x{dyn.pc:x}")
+                         f"{dyn.inst.op.value} @0x{dyn.inst.pc:x}")
             self._konata(cycle, rec_id, f"S\t{rec_id}\t0\t{_STAGE_FETCH}")
         elif self.collect:
             self._live[dyn.seq] = (dyn.seq, _STAGE_FETCH)

@@ -131,7 +131,8 @@ class TestReservationStations:
         rs.insert(dyn(1, op=Opcode.LDQ, rd=1, ra=2, rb=None, imm=0))
         rs.insert(dyn(2, op=Opcode.STQ, rd=None, ra=1, rb=2, imm=0))
         selected = rs.select(always_ready)
-        mem_ops = [d for d in selected if d.op in (Opcode.LDQ, Opcode.STQ)]
+        mem_ops = [d for d in selected
+                   if d.inst.op in (Opcode.LDQ, Opcode.STQ)]
         assert len(mem_ops) == 1
 
     def test_not_ready_instructions_stay(self):

@@ -16,7 +16,7 @@ from repro.integration import (
     LoadIntegrationSuppressionPredictor,
 )
 from repro.isa import Opcode, StaticInst
-from repro.isa.instruction import DynInst
+from repro.isa.instruction import DynInst, it_tag
 from repro.isa.opcodes import load_counterpart, op_info
 from repro.isa.registers import REG_FZERO, REG_SP, REG_ZERO
 from repro.rename import MapTable, PhysicalRegisterFile, Renamer
@@ -50,32 +50,32 @@ def set_sources(dyn, *sources):
     return dyn
 
 
-def put(table, e, call_depth=0):
-    """Insert ``e`` under the key a static instruction of its operation
-    carries (the production path)."""
-    inst = StaticInst(pc=e.pc, op=e.opcode, rd=1, ra=2, imm=e.imm)
-    return table.insert(e, inst.it_key, call_depth)
+def put(logic, pc=0x100, opcode=Opcode.ADDQI, imm=1, inputs=(5, 0), out=9,
+        out_gen=0, call_depth=0, seq=1):
+    """Place the direct entry of ``opcode``/``imm`` at ``pc`` through the
+    production path, ``create_entries``: its creator read ``inputs`` and
+    renamed its destination to ``out``/``out_gen``."""
+    dyn = DynInst(seq, StaticInst(pc=pc, op=opcode, rd=1, ra=2, imm=imm))
+    dyn.src_key = inputs
+    dyn.dest_preg, dyn.dest_gen = out, out_gen
+    logic.create_entries(dyn, call_depth)
+    return dyn.it_entry
 
 
-def entry(opcode=Opcode.ADDQI, imm=1, pc=0x100, inputs=(5, 0), out=9,
-          out_gen=0, **kwargs):
-    return ITEntry(pc=pc, opcode=opcode, imm=imm, inputs=inputs, out=out,
-                   out_gen=out_gen, **kwargs)
-
-
-def probe_logic(table):
+def probe_logic(table, **config):
     """Integration logic over ``table``.  Register 9 (generation 0, the
-    ``entry()`` output) holds a value, so only the set, the tag and the
+    ``put()`` output) holds a value, so only the set, the tag and the
     inputs decide what a probe finds."""
     prf = PhysicalRegisterFile(num_pregs=66)
     prf.valid[9] = True
-    return IntegrationLogic(IntegrationConfig(index_scheme=table.scheme), prf,
-                            table=table)
+    return IntegrationLogic(
+        IntegrationConfig(index_scheme=table.scheme, **config), prf,
+        table=table)
 
 
 def found(logic, pc, imm=1, call_depth=0):
     """The entry the production probe integrates for ``addqi`` at ``pc``
-    reading register 5 at generation 0 (the ``entry()`` input)."""
+    reading register 5 at generation 0 (the ``put()`` input)."""
     dyn = DynInst(1, StaticInst(pc=pc, op=Opcode.ADDQI, rd=1, ra=2, imm=imm))
     set_sources(dyn, (5, 0))
     return logic.consider(dyn, call_depth).entry
@@ -83,82 +83,73 @@ def found(logic, pc, imm=1, call_depth=0):
 
 class TestIntegrationTable:
     def test_insert_and_lookup_opcode_scheme(self):
-        table = IntegrationTable(64, 4, IndexScheme.OPCODE_IMM_CALLDEPTH)
-        e = entry()
-        put(table, e, call_depth=2)
-        assert found(probe_logic(table), 0x999, call_depth=2) is e
+        logic = probe_logic(
+            IntegrationTable(64, 4, IndexScheme.OPCODE_IMM_CALLDEPTH))
+        e = put(logic, call_depth=2)
+        assert found(logic, 0x999, call_depth=2) is e
 
     def test_pc_scheme_requires_same_pc(self):
-        table = IntegrationTable(64, 4, IndexScheme.PC)
-        e = entry(pc=0x100)
-        put(table, e, call_depth=0)
-        logic = probe_logic(table)
+        logic = probe_logic(IntegrationTable(64, 4, IndexScheme.PC))
+        e = put(logic, pc=0x100)
+        assert e.tag == 0x100                 # PC indexing compares PCs
         assert found(logic, 0x100) is e
         assert found(logic, 0x104) is None
 
     def test_opcode_scheme_matches_across_pcs(self):
-        table = IntegrationTable(64, 4, IndexScheme.OPCODE_IMM)
-        e = entry(pc=0x100)
-        put(table, e, call_depth=0)
-        logic = probe_logic(table)
+        logic = probe_logic(IntegrationTable(64, 4, IndexScheme.OPCODE_IMM))
+        e = put(logic, pc=0x100)
         assert found(logic, 0x2000) is e
         # Different immediate: different tag.
         assert found(logic, 0x2000, imm=2) is None
 
     def test_call_depth_changes_index_but_not_tag(self):
-        table = IntegrationTable(64, 4, IndexScheme.OPCODE_IMM_CALLDEPTH)
-        e = entry()
-        put(table, e, call_depth=3)
+        logic = probe_logic(
+            IntegrationTable(64, 4, IndexScheme.OPCODE_IMM_CALLDEPTH))
+        e = put(logic, call_depth=3)
         # A probe at the same depth finds it; at another depth it may land in
         # a different set (and therefore not find it).
-        logic = probe_logic(table)
         assert found(logic, 0x0, call_depth=3) is e
         assert found(logic, 0x0, call_depth=4) is None
 
     def test_lru_replacement_within_set(self):
         table = IntegrationTable(8, 2, IndexScheme.PC)
-        # PCs 0x0, 0x10, 0x20 all map to set 0 (4 sets, pc/4 % 4).
-        first = entry(pc=0x00)
-        second = entry(pc=0x10)
-        put(table, first)
-        put(table, second)
-        assert table._sets[0] == [first, second]   # LRU first
         logic = probe_logic(table)
+        # PCs 0x0, 0x10, 0x20 all map to set 0 (4 sets, pc/4 % 4).
+        first = put(logic, pc=0x00)
+        second = put(logic, pc=0x10)
+        assert table._sets[0] == [first, second]   # LRU first
         assert found(logic, 0x00) is first    # integrating makes it the MRU
         assert table._sets[0] == [second, first]
-        third = entry(pc=0x20)
-        put(table, third)                     # evicts `second`, the LRU
+        third = put(logic, pc=0x20)           # evicts `second`, the LRU
         assert table._sets[0] == [first, third]
         assert found(logic, 0x00) is first
         assert found(logic, 0x10) is None
 
     def test_probe_prefers_most_recently_used(self):
-        table = IntegrationTable(16, 4, IndexScheme.OPCODE_IMM)
-        older, newer = entry(pc=0x100), entry(pc=0x200)
-        put(table, older)
-        put(table, newer)
-        logic = probe_logic(table)
+        logic = probe_logic(IntegrationTable(16, 4, IndexScheme.OPCODE_IMM))
+        put(logic, pc=0x100)
+        newer = put(logic, pc=0x200)
         assert found(logic, 0x300) is newer
-        put(table, entry(pc=0x400, inputs=(6, 0)))   # passes no probe here
+        put(logic, pc=0x400, inputs=(6, 0))   # passes no probe here
         assert found(logic, 0x300) is newer
 
     def test_fully_associative(self):
         table = IntegrationTable(16, 0, IndexScheme.OPCODE_IMM)
         assert table.num_sets == 1
+        logic = probe_logic(table)
         for i in range(16):
-            put(table, entry(imm=i, pc=i * 4))
+            put(logic, imm=i, pc=i * 4, seq=i)
         assert table.occupancy() == 16
-        put(table, entry(imm=99, pc=0x999))
+        put(logic, imm=99, pc=0x999, seq=99)
         assert table.occupancy() == 16        # LRU victim replaced
-        assert [e.imm for e in table] == list(range(1, 16)) + [99]
+        assert [e.creator_seq for e in table] == list(range(1, 16)) + [99]
 
     def test_inputs_match_requires_generations(self):
         # The operands the equivalence test compares: (preg, gen) pairs.
         logic, prf = make_logic(IntegrationConfig.opcode())
         out = prf.allocate()
         src = prf.allocate()
-        put(logic.table, entry(inputs=(src, 2), out=out,
-                               out_gen=prf.gen[out]))
+        put(logic, inputs=(src, 2), out=out, out_gen=prf.gen[out])
         for preg, gen, expected in ((src, 2, True), (src, 3, False),
                                     (src + 1, 2, False)):
             dyn = dyn_addqi(1, 0x100, rd=1, ra=2, imm=1, src_preg=preg,
@@ -188,12 +179,12 @@ class TestLisp:
         assert len(suppressed) == 2
 
 
-def make_logic(config=None, num_pregs=128):
+def make_logic(config=None, num_pregs=128, table=None):
     config = config or IntegrationConfig.full()
     prf = PhysicalRegisterFile(num_pregs=num_pregs,
                                gen_bits=config.generation_bits,
                                refcount_bits=config.refcount_bits)
-    return IntegrationLogic(config, prf), prf
+    return IntegrationLogic(config, prf, table=table), prf
 
 
 def dyn_addqi(seq, pc, rd, ra, imm, src_preg, src_gen=None, prf=None):
@@ -388,21 +379,24 @@ def metadata_cases():
                              imm=imm)
 
 
-def placed(table, inst, key, tag, depth, index):
-    """Does ``table.insert`` put an entry for ``inst`` with operation
-    ``tag`` under ``key`` into set ``index`` (and nowhere else)?"""
-    e = ITEntry(inst.pc, tag[0], tag[1], (), 9, 0)
-    table.insert(e, key, depth)
-    found = table._sets[index] == [e]
-    table._sets[index].clear()
-    return found and table.occupancy() == 0
+def reference_reverse(inst):
+    """The reverse entry's ``(opcode, imm)``, as specified: a store's
+    complementary load, the opposite adjustment of ``lda sp, imm(sp)``."""
+    if op_info(inst.op).is_store:
+        return load_counterpart(inst.op), inst.imm
+    if inst.op is Opcode.LDA and inst.rd == REG_SP and inst.ra == REG_SP:
+        return Opcode.LDA, -(inst.imm or 0)
+    return None
 
 
 def probed(logic, inst, depth, index):
     """Does ``consider`` find a matching entry planted only in set
-    ``index``?"""
+    ``index``, tagged by the PC under PC indexing and by the operation
+    otherwise?"""
     branch = inst.info.is_cond_branch
-    e = ITEntry(inst.pc, inst.op, inst.imm, (), None if branch else 9, 0)
+    tag = (inst.pc if logic.table.scheme is IndexScheme.PC
+           else it_tag(inst.op, inst.imm))
+    e = ITEntry(tag, (), None if branch else 9, 0)
     e.branch_outcome = True if branch else None
     logic.table._sets[index].append(e)
     dyn = DynInst(1, inst)
@@ -412,39 +406,60 @@ def probed(logic, inst, depth, index):
     return decision.entry is e
 
 
+IMMEDIATES = (None, 0, 1, -1, 8, -8, -32, 32, 0x12345, -0x10001)
+
+
+class TestTags:
+    def test_equal_exactly_for_the_same_operation(self):
+        """Two tags are equal exactly when the opcodes are the same and the
+        immediates compare equal: ``None`` is not 0, and negative
+        immediates are their own."""
+        operations = [(op, imm) for op in Opcode for imm in IMMEDIATES]
+        tags = [it_tag(op, imm) for op, imm in operations]
+        assert tags == [it_tag(op, imm) for op, imm in operations]
+        assert len(set(tags)) == len(operations)
+        assert it_tag(Opcode.ADDQI, None) != it_tag(Opcode.ADDQI, 0)
+        assert it_tag(Opcode.ADDQI, -8) != it_tag(Opcode.ADDQI, 8)
+
+    def test_static_instructions_carry_their_operations_tags(self):
+        for inst in metadata_cases():
+            assert inst.it_tag == it_tag(inst.op, inst.imm), inst
+            reverse = reference_reverse(inst)
+            if reverse is None:
+                assert inst.it_reverse_tag is None, inst
+            else:
+                assert inst.it_reverse_tag == it_tag(*reverse), inst
+
+    def test_store_reverse_tag_is_its_loads_direct_tag(self):
+        for op in Opcode:
+            if not op_info(op).is_store:
+                continue
+            for imm in IMMEDIATES:
+                store = StaticInst(pc=0x10, op=op, ra=1, rb=2, imm=imm)
+                load = StaticInst(pc=0x40, op=load_counterpart(op), rd=3,
+                                  ra=2, imm=imm)
+                assert store.it_reverse_tag == load.it_tag, (op, imm)
+
+
 class TestStaticInstMetadata:
     def test_keys_select_the_reference_sets(self):
-        """``IntegrationTable.insert`` places, and ``consider`` probes, the
-        set the reference index names, for direct and reverse keys."""
+        """``consider`` probes the set the reference index names, under
+        every scheme and geometry, and a reverse key exists exactly for the
+        instructions that have a reverse operation."""
         tables = [IntegrationTable(1024, 4, scheme) for scheme in IndexScheme]
         tables.append(IntegrationTable(64, 2, IndexScheme.OPCODE_IMM))
         logics = [probe_logic(table) for table in tables]
         for inst in metadata_cases():
-            info = op_info(inst.op)
-            if info.is_store:
-                reverse = (load_counterpart(inst.op), inst.imm)
-            elif (inst.op is Opcode.LDA and inst.rd == REG_SP
-                  and inst.ra == REG_SP):
-                reverse = (Opcode.LDA, -(inst.imm or 0))
-            else:
-                reverse = None
-            assert inst.it_reverse_tag == reverse, inst
+            reverse = reference_reverse(inst)
             assert (inst.it_reverse_key is None) == (reverse is None), inst
+            if not inst.info.integrable:
+                continue
             for logic in logics:
-                table = logic.table
                 for depth in (0, 3):
-                    want = ref_index(table, inst.pc, inst.op, inst.imm, depth)
-                    assert placed(table, inst, inst.it_key,
-                                  (inst.op, inst.imm), depth, want), (
-                        inst, table.scheme)
-                    if reverse is not None:
-                        assert placed(table, inst, inst.it_reverse_key,
-                                      reverse, depth,
-                                      ref_index(table, inst.pc, reverse[0],
-                                                reverse[1], depth)), inst
-                    if inst.info.integrable:
-                        assert probed(logic, inst, depth, want), (
-                            inst, table.scheme)
+                    want = ref_index(logic.table, inst.pc, inst.op, inst.imm,
+                                     depth)
+                    assert probed(logic, inst, depth, want), (
+                        inst, logic.table.scheme)
 
     def test_type_matches_integration_type(self):
         for inst in metadata_cases():
@@ -454,26 +469,36 @@ class TestStaticInstMetadata:
         """``it_creates`` is exactly the condition under which renaming
         created an entry before it was precomputed (a store, an integrable
         branch, or an integrable instruction whose destination rename
-        mapped), and every entry lands in the set the reference index
-        names."""
-        config = IntegrationConfig.full(reverse_sp_only=False)
+        mapped), and under every scheme and geometry every entry lands in
+        the set the reference index names for its operation, tagged by its
+        creator's PC under PC indexing and by its operation otherwise."""
+        geometries = [(1024, 4, scheme) for scheme in IndexScheme]
+        geometries.append((64, 2, IndexScheme.OPCODE_IMM))
         for inst in metadata_cases():
-            logic, prf = make_logic(config)
-            mt = MapTable()
-            Renamer(mt, prf).initialize_from_values([0] * 64)
-            dyn = DynInst(1, inst)
-            lookup_sources(mt, dyn)
-            rename_dest(mt, prf, dyn)
-            info = inst.info
-            assert inst.it_creates == (info.is_store or (info.integrable and (
-                info.is_cond_branch or dyn.dest_preg is not None))), inst
-            logic.create_entries(dyn, call_depth=3)
-            table = logic.table
-            assert (table.occupancy() > 0) == inst.it_creates, inst
-            for index, cache_set in enumerate(table._sets):
-                for e in cache_set:
-                    assert index == ref_index(table, e.pc, e.opcode, e.imm,
-                                              3), (inst, e)
+            reverse = reference_reverse(inst)
+            for entries, assoc, scheme in geometries:
+                table = IntegrationTable(entries, assoc, scheme)
+                logic, prf = make_logic(IntegrationConfig.full(
+                    reverse_sp_only=False, index_scheme=scheme), table=table)
+                mt = MapTable()
+                Renamer(mt, prf).initialize_from_values([0] * 64)
+                dyn = DynInst(1, inst)
+                lookup_sources(mt, dyn)
+                rename_dest(mt, prf, dyn)
+                info = inst.info
+                assert inst.it_creates == (info.is_store or (
+                    info.integrable and (info.is_cond_branch
+                                         or dyn.dest_preg is not None))), inst
+                logic.create_entries(dyn, call_depth=3)
+                assert (table.occupancy() > 0) == inst.it_creates, inst
+                for index, cache_set in enumerate(table._sets):
+                    for e in cache_set:
+                        op, imm = (reverse if e.is_reverse
+                                   else (inst.op, inst.imm))
+                        assert index == ref_index(table, inst.pc, op, imm,
+                                                  3), (inst, scheme, e)
+                        assert e.tag == (inst.pc if scheme is IndexScheme.PC
+                                         else it_tag(op, imm)), (inst, e)
 
 
 class TestCreatedEntries:
@@ -498,7 +523,7 @@ class TestCreatedEntries:
             if inst.info.is_store:
                 assert direct == [], inst
                 (e,) = reverse
-                assert (e.opcode, e.imm) == inst.it_reverse_tag
+                assert e.tag == inst.it_reverse_tag
                 assert e.inputs == key[2:]
                 assert (e.out, e.out_gen) == key[0:2]
                 continue
@@ -506,8 +531,7 @@ class TestCreatedEntries:
                 assert logic.table.occupancy() == 0, inst
                 continue
             (d,) = direct
-            assert (d.pc, d.opcode, d.imm, d.inputs) == (
-                inst.pc, inst.op, inst.imm, key), inst
+            assert (d.tag, d.inputs) == (inst.it_tag, key), inst
             if inst.info.is_cond_branch:
                 assert d.out is None and reverse == [], inst
                 continue
@@ -516,7 +540,7 @@ class TestCreatedEntries:
                 assert reverse == [], inst
                 continue
             (r,) = reverse
-            assert (r.opcode, r.imm) == inst.it_reverse_tag
+            assert r.tag == inst.it_reverse_tag
             assert r.inputs == (dyn.dest_preg, dyn.dest_gen)
             assert (r.out, r.out_gen) == key[0:2]
 
@@ -539,15 +563,17 @@ class TickTable:
         self.scheme = scheme
         self.sets = [[] for _ in range(self.num_sets)]
         self.ticks = {}
+        #: id(entry) -> the ``(pc, opcode, imm)`` it was inserted under
+        self.operations = {}
         self.now = 0
 
     def _touch(self, e):
         self.now += 1
         self.ticks[id(e)] = self.now
 
-    def insert(self, e, call_depth):
-        cache_set = self.sets[ref_index(self, e.pc, e.opcode, e.imm,
-                                        call_depth)]
+    def insert(self, e, pc, opcode, imm, call_depth):
+        self.operations[id(e)] = (pc, opcode, imm)
+        cache_set = self.sets[ref_index(self, pc, opcode, imm, call_depth)]
         if len(cache_set) >= self.assoc:
             victim = min(range(len(cache_set)),
                          key=lambda i: self.ticks[id(cache_set[i])])
@@ -564,11 +590,13 @@ class TickTable:
             return False, None, False, False
         cache_set = self.sets[ref_index(self, inst.pc, inst.op, inst.imm,
                                         call_depth)]
+        operations = self.operations
         if self.scheme is IndexScheme.PC:
-            tagged = [e for e in cache_set if e.pc == inst.pc]
+            tagged = [e for e in cache_set
+                      if operations[id(e)][0] == inst.pc]
         else:
             tagged = [e for e in cache_set
-                      if e.opcode is inst.op and e.imm == inst.imm]
+                      if operations[id(e)][1:] == (inst.op, inst.imm)]
         if not tagged:
             return False, None, False, False
         passing = [e for e in tagged if e.inputs == dyn.src_key and (
@@ -652,11 +680,11 @@ class TestRecencyOrderedTable:
             if op[0] == "insert":
                 (_, (pc, opcode, imm), inputs, out, out_gen, outcome,
                  is_reverse, depth) = op
-                e = ITEntry(pc, opcode, imm, inputs, out, out_gen,
-                            is_reverse, creator_seq=seq)
+                e = put(logic, pc, opcode, imm, inputs, out, out_gen, depth,
+                        seq)
                 e.branch_outcome = outcome
-                put(table, e, depth)
-                reference.insert(e, depth)
+                e.is_reverse = is_reverse
+                reference.insert(e, pc, opcode, imm, depth)
             else:
                 _, (pc, opcode, imm), key, depth = op
                 inst = StaticInst(pc=pc, op=opcode, rd=1, ra=2,

@@ -12,11 +12,12 @@ from repro.functional import Emulator
 from repro.integration import (
     IndexScheme,
     IntegrationConfig,
+    IntegrationLogic,
     IntegrationTable,
-    ITEntry,
     LoadIntegrationSuppressionPredictor,
 )
 from repro.isa import Opcode, ProgramBuilder, StaticInst
+from repro.isa.instruction import DynInst
 from repro.isa import semantics
 from repro.memsys import Cache, CacheConfig
 from repro.rename import PhysicalRegisterFile, ZERO_PREG
@@ -124,11 +125,15 @@ class TestIntegrationTableProperties:
     def test_occupancy_never_exceeds_capacity(self, entries, assoc, scheme):
         size = 64
         table = IntegrationTable(size, assoc, scheme)
+        logic = IntegrationLogic(IntegrationConfig(index_scheme=scheme),
+                                 PhysicalRegisterFile(num_pregs=66),
+                                 table=table)
         for i in range(entries * 4):
-            entry = ITEntry(pc=4 * i, opcode=Opcode.ADDQI, imm=i % 7,
-                            inputs=(i % 30, 0), out=i % 50, out_gen=0)
-            key = StaticInst(pc=4 * i, op=Opcode.ADDQI, imm=i % 7).it_key
-            table.insert(entry, key, call_depth=i % 5)
+            dyn = DynInst(i, StaticInst(pc=4 * i, op=Opcode.ADDQI, rd=1,
+                                        ra=2, imm=i % 7))
+            dyn.src_key = (i % 30, 0)
+            dyn.dest_preg = i % 50
+            logic.create_entries(dyn, call_depth=i % 5)
         assert table.occupancy() <= size
         for cache_set in table._sets:
             assert len(cache_set) <= table.assoc
