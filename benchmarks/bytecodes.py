@@ -18,9 +18,9 @@ without host noise; the figures move between CPython versions
 (specialisation and comprehension inlining change the instruction stream).
 Tracing slows the simulator by about 40x.
 
-The output is one row per function, costliest first, then one subtotal per
-source file and the total, each as bytecodes and calls per retired
-instruction.
+The output is one row for each of the 40 costliest functions, then one
+subtotal per source file and the total, each as bytecodes and calls per
+retired instruction.
 """
 
 from __future__ import annotations
@@ -132,16 +132,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--programs", type=int, default=3,
                         help="how many of the plan's programs to run")
-    parser.add_argument("--top", type=int, default=40,
-                        help="functions to list (all: 0)")
-    parser.add_argument("--tiny", action="store_true",
-                        help="the plan's tiny variant (a smoke run)")
     args = parser.parse_args(argv)
     for name in [n for n in os.environ if n.startswith("REPRO_")]:
         del os.environ[name]
-    counts, retired = count_plan(args.workload, args.seed, args.programs,
-                                 args.tiny)
-    print(report(counts, retired, args.top or None))
+    counts, retired = count_plan(args.workload, args.seed, args.programs)
+    print(report(counts, retired, 40))
     return 0
 
 

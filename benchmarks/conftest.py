@@ -2,11 +2,8 @@
 
 Every benchmark regenerates one of the paper's tables or figures on the
 synthetic SPEC-like suite.  To keep wall-clock time reasonable it uses the
-three-benchmark smoke set at a reduced workload scale, into a result cache
-of the session's own (not the user's ``~/.cache/repro``).
+three-benchmark smoke set at a reduced workload scale.
 """
-
-import os
 
 import pytest
 
@@ -16,17 +13,6 @@ from repro.integration.config import LispMode
 
 #: Workload scale factor the figure benchmarks simulate at.
 BENCH_SCALE = 0.3
-
-
-@pytest.fixture(scope="session", autouse=True)
-def isolated_result_cache(tmp_path_factory):
-    before = os.environ.get("REPRO_CACHE_DIR")
-    os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("cache"))
-    yield
-    if before is None:
-        os.environ.pop("REPRO_CACHE_DIR", None)
-    else:
-        os.environ["REPRO_CACHE_DIR"] = before
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,4 @@
-"""Shared test configuration.
+"""Test configuration shared by ``tests/`` and ``benchmarks/``.
 
 Every test session gets its own result cache: the simulations tier-1 runs
 through ``run_suite`` would otherwise fill the user's ``~/.cache/repro``.
@@ -6,17 +6,13 @@ Tests that need a cache of their own still point ``REPRO_CACHE_DIR``
 elsewhere with ``monkeypatch``.
 """
 
-import os
-
 import pytest
+
+from repro.experiments import cache
 
 
 @pytest.fixture(scope="session", autouse=True)
 def isolated_result_cache(tmp_path_factory):
-    before = os.environ.get("REPRO_CACHE_DIR")
-    os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("cache"))
-    yield
-    if before is None:
-        os.environ.pop("REPRO_CACHE_DIR", None)
-    else:
-        os.environ["REPRO_CACHE_DIR"] = before
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(cache.ENV_CACHE_DIR, str(tmp_path_factory.mktemp("cache")))
+        yield
