@@ -10,10 +10,12 @@ and the memory hierarchy of :mod:`repro.memsys`.
 The public entry point is :class:`Processor` (and the convenience function
 :func:`simulate`), configured by :class:`MachineConfig`; results come back as
 a :class:`SimStats` object carrying every metric the paper's evaluation
-reports.
+reports.  A :class:`MachineBuilder` constructs the machine's substrates, and
+the processor reads them, as ``processor.state``, through the stage graph it
+wires over them.
 """
 
-from repro.core.builder import Machine, MachineBuilder
+from repro.core.builder import MachineBuilder
 from repro.core.config import MachineConfig
 from repro.core.stats import SimStats
 from repro.core.rob import ReorderBuffer
@@ -23,7 +25,6 @@ from repro.core.diva import DivaChecker, DivaFault
 from repro.core.pipeline import Processor, simulate
 
 __all__ = [
-    "Machine",
     "MachineBuilder",
     "MachineConfig",
     "SimStats",

@@ -1,13 +1,14 @@
 r"""The cycle-level out-of-order processor engine.
 
-:class:`Processor` is a construction-free engine: a
+:class:`Processor` takes its substrates, as one
+:class:`~repro.core.stages.PipelineState`, from a
 :class:`~repro.core.builder.MachineBuilder` (resolved from the ``variant``
 field of the :class:`~repro.core.config.MachineConfig` via the
-:mod:`repro.variants` registry, or passed explicitly) assembles the
-substrates and wires them into the four stage components of
-:mod:`repro.core.stages`; the engine only advances the clock and enforces
-the run limits.  All per-stage behaviour lives in the stage classes; all
-substrate construction lives in the builder.
+:mod:`repro.variants` registry, or passed explicitly), wires the fixed
+graph of the four stage components of :mod:`repro.core.stages` over them,
+and then only advances the clock and enforces the run limits.  All
+per-stage behaviour lives in the stage classes; all substrate construction
+lives in the builder.
 
 Pipeline organisation (13 stages, paper Section 3.1)::
 
@@ -34,6 +35,13 @@ from typing import Optional
 from repro.core.builder import MachineBuilder
 from repro.core.config import MachineConfig
 from repro.core.diva import SimulationError
+from repro.core.stages import (
+    CommitDiva,
+    FrontEnd,
+    IssueExecute,
+    RecoveryController,
+    RenameIntegrate,
+)
 from repro.core.stats import SimStats
 from repro.functional.state import ArchState
 from repro.isa.program import Program
@@ -58,57 +66,30 @@ class Processor:
                  builder: Optional[MachineBuilder] = None,
                  tracer=None):
         self.program = program
-        self.config = config or MachineConfig()
+        self.config = config = config or MachineConfig()
         if builder is None:
             # Resolved here (not at import) so repro.variants can import the
             # builder/stage modules without a cycle.
             from repro.variants import get_builder
-            builder = get_builder(self.config.variant)()
-        self.builder = builder
-
-        machine = builder.build(program, self.config, name=name,
-                                initial_state=initial_state)
-        self.state = machine.state
+            builder = get_builder(config.variant)()
+        self.state = state = builder.build(program, config, name=name,
+                                           initial_state=initial_state)
         #: Optional :class:`~repro.obs.trace.PipelineTracer` receiving the
         #: per-instruction lifecycle hooks from every stage.  An active
         #: tracer disables span elision (there would be no per-cycle events
         #: to observe inside a jump); results are bit-identical either way.
-        self.tracer = tracer
-        self.state.tracer = tracer
-        self.front_end = machine.front_end
-        self.recovery = machine.recovery
-        self.rename_integrate = machine.rename_integrate
-        self.issue_execute = machine.issue_execute
-        self.commit_diva = machine.commit_diva
+        state.tracer = tracer
+        # The fixed stage graph: every variant runs the stock stages, so
+        # the driver's per-stage skip guards hold by construction.
+        self.front_end = front_end = FrontEnd(state)
+        recovery = RecoveryController(state, front_end)
+        self.rename_integrate = RenameIntegrate(state, front_end, recovery)
+        self.issue_execute = IssueExecute(state, recovery)
+        self.commit_diva = CommitDiva(state, recovery)
 
         # The cycle baseline, advanced past the stats-discarded warm-up
         # phase of a sliced run (zero for ordinary whole-program runs).
         self._cycle_base = 0
-
-        # Convenience aliases kept for tests, tools and documentation.
-        state = self.state
-        self.arch = state.arch
-        self.diva = state.diva
-        self.mem = state.mem
-        self.predictor = state.predictor
-        self.prf = state.prf
-        self.map_table = state.map_table
-        self.renamer = state.renamer
-        self.integration = state.integration
-        self.rob = state.rob
-        self.rs = state.rs
-        self.lsq = state.lsq
-        self.cht = state.cht
-        self.stats = state.stats
-
-    # ------------------------------------------------------------------
-    @property
-    def cycle(self) -> int:
-        return self.state.cycle
-
-    @property
-    def fetch_queue(self):
-        return self.front_end.fetch_queue
 
     # ------------------------------------------------------------------
     def step(self) -> None:
@@ -252,7 +233,7 @@ class Processor:
         All guards read live engine state that squash/recovery mutate in
         place, so a redirect or flush in cycle N is reflected by the guards
         of cycle N+1 exactly as in a loop over :meth:`step`.  The stage
-        graph is fixed (the builder always constructs the stock stages), so
+        graph is fixed (``__init__`` always wires the stock stages), so
         each guard mirrors exactly one stage's early return.
 
         On top of the per-stage skips, a cycle on which *every* stage is
@@ -406,7 +387,6 @@ class Processor:
                              config_name=warm.config_name,
                              variant=warm.variant)
             state.stats = fresh
-            self.stats = fresh
             self._cycle_base = state.cycle
         remaining = None
         if max_instructions is not None:

@@ -64,9 +64,6 @@ class ReservationStations:
         self._watchers: Dict[int, List[DynInst]] = {}
 
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._waiting)
-
     @property
     def occupancy(self) -> int:
         return len(self._waiting)

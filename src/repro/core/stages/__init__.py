@@ -10,9 +10,9 @@ The 13-stage machine is modelled as four stage components::
 They share a :class:`~repro.core.stages.base.PipelineState` datapath and a
 :class:`~repro.core.stages.base.RecoveryController` for cross-stage
 mis-speculation recovery.  The graph is fixed:
-:class:`~repro.core.builder.MachineBuilder` always wires these four classes
-(variants replace the substrates they use, not the stages), and
-:class:`~repro.core.pipeline.Processor` is the thin engine that advances
+:class:`~repro.core.pipeline.Processor` always wires these four classes
+over the state a :class:`~repro.core.builder.MachineBuilder` builds
+(variants replace the substrates they use, not the stages), then advances
 the clock.
 """
 

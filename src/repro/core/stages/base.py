@@ -6,9 +6,9 @@ The cycle-level model is decomposed into four stage components --
 :class:`~repro.core.stages.execute.IssueExecute` and
 :class:`~repro.core.stages.commit.CommitDiva` -- that communicate through a
 :class:`PipelineState` datapath object.  Each stage owns the machinery of its
-pipeline segment; the :class:`~repro.core.builder.MachineBuilder` wires them
-into a fixed graph and the :class:`~repro.core.pipeline.Processor` engine
-advances the clock.
+pipeline segment; the :class:`~repro.core.builder.MachineBuilder` builds the
+substrates and the :class:`~repro.core.pipeline.Processor` engine wires the
+stages into a fixed graph and advances the clock.
 
 Mis-speculation recovery cuts across stages (a resolving branch lives in the
 execution engine but must flush the front end and repair rename state), so

@@ -8,7 +8,8 @@ These isolate the mechanisms the paper argues for qualitatively:
 * reverse entries on/off at fixed indexing -- the isolated value of
   extension 3;
 * PC vs opcode+imm vs opcode+imm+call-depth indexing at fixed everything
-  else -- the isolated value of extension 2's call-depth mixing.
+  else -- the isolated value of extension 2's call-depth mixing (PC
+  indexing creates no reverse entries, so its bar also lacks extension 3).
 """
 
 from __future__ import annotations

@@ -320,7 +320,7 @@ def simulate_slice(program: Program, config: MachineConfig,
     processor = Processor(program, config, name=name or program.name,
                           initial_state=initial_state)
     if warm is not None:
-        warm.restore(processor.mem, processor.predictor)
+        warm.restore(processor.state.mem, processor.state.predictor)
     return processor.run(max_instructions=spec.budget,
                          warmup_instructions=spec.warmup)
 

@@ -9,7 +9,7 @@ timing memory.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional
 
 WORD_SIZE = 8
 #: ``addr & _WORD_MASK`` rounds ``addr`` down to its containing word.
@@ -36,15 +36,6 @@ class SparseMemory:
     def snapshot(self) -> Dict[int, int]:
         """Return a copy of all written words (for checkpoint/compare)."""
         return dict(self._words)
-
-    def items(self) -> Iterable[Tuple[int, int]]:
-        return self._words.items()
-
-    def __len__(self) -> int:
-        return len(self._words)
-
-    def __contains__(self, addr: int) -> bool:
-        return (addr & _WORD_MASK) in self._words
 
     def copy(self) -> "SparseMemory":
         mem = SparseMemory()

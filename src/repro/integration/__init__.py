@@ -2,15 +2,18 @@
 
 The integration machinery lives entirely around the rename stage:
 
-* :class:`IntegrationTable` (IT) -- a set-associative table of
-  ``<operation, input physical registers (+generations), output physical
-  register (+generation)>`` tuples describing recently renamed operations.
-  Three index schemes are provided: PC (the original squash-reuse scheme),
-  opcode+immediate, and the paper's enhanced opcode+immediate+call-depth
-  scheme (extension 2).
 * :class:`IntegrationLogic` -- the rename-time operational-equivalence test
-  and entry creation, including *reverse* entries for stack stores and
-  stack-pointer adjustments (extension 3, speculative memory bypassing).
+  over its integration table (IT), a set-associative table of
+  :class:`ITEntry` tuples ``<operation, input physical registers
+  (+generations), output physical register (+generation)>`` describing
+  recently renamed operations.  Three index schemes are provided: PC (the
+  original squash-reuse scheme), opcode+immediate, and the paper's enhanced
+  opcode+immediate+call-depth scheme (extension 2).  Entry creation
+  includes, under operation indexing, *reverse* entries for stack stores
+  and stack-pointer adjustments (extension 3, speculative memory
+  bypassing).
+* :class:`NullIntegrationLogic` -- what a disabled configuration builds:
+  it never integrates and keeps no table.
 * :class:`LoadIntegrationSuppressionPredictor` (LISP) -- a PC-indexed tag
   cache that learns load mis-integrations detected by DIVA and suppresses
   the offending loads in the future.
@@ -19,17 +22,21 @@ The integration machinery lives entirely around the rename stage:
 """
 
 from repro.integration.config import IntegrationConfig, IndexScheme, LispMode
-from repro.integration.table import IntegrationTable, ITEntry
 from repro.integration.lisp import LoadIntegrationSuppressionPredictor
-from repro.integration.logic import IntegrationLogic, IntegrationDecision
+from repro.integration.logic import (
+    IntegrationDecision,
+    IntegrationLogic,
+    ITEntry,
+    NullIntegrationLogic,
+)
 
 __all__ = [
     "IntegrationConfig",
     "IndexScheme",
     "LispMode",
-    "IntegrationTable",
     "ITEntry",
     "LoadIntegrationSuppressionPredictor",
     "IntegrationLogic",
     "IntegrationDecision",
+    "NullIntegrationLogic",
 ]

@@ -41,7 +41,8 @@ class IntegrationConfig(SerializableConfig):
     general_reuse: bool = True
     # Extension 2: IT index scheme.
     index_scheme: IndexScheme = IndexScheme.OPCODE_IMM_CALLDEPTH
-    # Extension 3: reverse integration (speculative memory bypassing).
+    # Extension 3: reverse integration (speculative memory bypassing);
+    # only under operation indexing, since a PC tag cannot name an inverse.
     reverse: bool = True
     reverse_sp_only: bool = True
 

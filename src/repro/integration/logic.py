@@ -1,29 +1,76 @@
-"""Rename-time integration logic.
+"""Rename-time integration logic and its integration table (IT).
 
 For every instruction being renamed the logic performs the operational
-equivalence test against the integration table: same operation (PC or
-opcode/immediate depending on the index scheme) applied to the same physical
-input registers at the same generations, with an integration-eligible output
+equivalence test against the IT: same operation (PC or opcode/immediate
+depending on the index scheme) applied to the same physical input
+registers at the same generations, with an integration-eligible output
 register.  On success the instruction *integrates*: its destination logical
 register is simply pointed at the existing physical register and the
 instruction bypasses the out-of-order execution engine.  On failure the
 instruction is renamed conventionally and new IT entries are created --
-including *reverse* entries for stack stores and stack-pointer adjustments
-(extension 3).
+including, under operation indexing, *reverse* entries for stack stores and
+stack-pointer adjustments (extension 3).
+
+The IT stores operation descriptor tuples of recently renamed
+instructions::
+
+    <operation (opcode/immediate or PC), in1 (+gen), in2 (+gen), out (+gen)>
+
+The operation is one integer tag per entry: the PC under PC indexing, else
+the opcode/immediate pair packed into an integer (``StaticInst.it_tag``).
+Each set is a list kept in recency order, least recently used first: a
+placement appends (evicting index 0 when the set is full) and a successful
+integration moves its entry to the end.  Replacement within a set is
+therefore LRU, which together with FIFO physical-register reclamation
+approximates the joint IT/state-vector management of the original
+squash-reuse design (paper Section 2.2, implementation issues).
+
+A disabled configuration builds :class:`NullIntegrationLogic`, which keeps
+no table, instead of an :class:`IntegrationLogic`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.integration.config import IndexScheme, IntegrationConfig, LispMode
 from repro.integration.lisp import LoadIntegrationSuppressionPredictor
-from repro.integration.table import IntegrationTable, ITEntry
 from repro.isa.instruction import DynInst
 from repro.isa.program import INST_SIZE
 from repro.isa.registers import REG_SP
 from repro.rename.physical import PhysicalRegisterFile
+
+
+class ITEntry:
+    """One integration-table entry.  Only ``branch_outcome`` changes after
+    construction (a branch entry learns its resolved direction)."""
+
+    __slots__ = ("tag", "inputs", "out", "out_gen", "branch_outcome",
+                 "is_reverse", "creator_seq")
+
+    def __init__(self, tag: int, inputs: Tuple[int, ...], out: Optional[int],
+                 out_gen: int, is_reverse: bool = False,
+                 creator_seq: int = 0):
+        #: The operation: the creator's PC under PC indexing, else the
+        #: ``StaticInst.it_tag`` (or ``it_reverse_tag``) of the operation.
+        self.tag = tag
+        #: The inputs' ``(preg, gen)`` pairs, flattened: one tuple
+        #: comparison against a probe's ``DynInst.src_key`` checks registers
+        #: and generations (the generation suppresses register
+        #: mis-integrations after a reallocation).
+        self.inputs = inputs
+        self.out = out
+        self.out_gen = out_gen
+        self.branch_outcome: Optional[bool] = None
+        self.is_reverse = is_reverse
+        self.creator_seq = creator_seq
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        kind = "rev" if self.is_reverse else "dir"
+        return (f"<ITEntry {kind} tag={self.tag} in={self.inputs} "
+                f"out={self.out}>")
+
 
 # Callback used to approximate oracle load-mis-integration suppression: given
 # the dynamic load and the candidate entry, return True to allow integration.
@@ -56,34 +103,40 @@ _TAG_HIT_ORACLE_SUPPRESSED = IntegrationDecision(
 
 
 class IntegrationLogic:
-    """The integration test plus IT entry creation and placement."""
+    """The integration test plus the IT's entry creation and placement."""
 
-    def __init__(self, config: IntegrationConfig, prf: PhysicalRegisterFile,
-                 table: Optional[IntegrationTable] = None,
-                 lisp: Optional[LoadIntegrationSuppressionPredictor] = None):
+    def __init__(self, config: IntegrationConfig, prf: PhysicalRegisterFile):
+        entries = config.it_entries
+        assoc = config.it_assoc
+        if entries <= 0:
+            raise ValueError("IT needs at least one entry")
+        if assoc == 0 or assoc >= entries:
+            assoc = entries          # fully associative
+        if entries % assoc:
+            raise ValueError("IT entry count must be a multiple of the "
+                             "associativity")
         self.config = config
         self.prf = prf
-        self.table = table = table or IntegrationTable(
-            config.it_entries, config.it_assoc, config.index_scheme)
-        if lisp is None and config.lisp_mode is LispMode.REALISTIC:
-            lisp = LoadIntegrationSuppressionPredictor(config.lisp_entries,
-                                                       config.lisp_assoc)
-        self.lisp = lisp
-        # Config-derived constants and the table geometry, hoisted out of
-        # the per-rename path (both are fixed for the logic's lifetime).
-        self._enabled = config.enabled
-        self._lisp_realistic = (config.lisp_mode is LispMode.REALISTIC
-                                and lisp is not None)
+        self.lisp = (LoadIntegrationSuppressionPredictor(config.lisp_entries,
+                                                         config.lisp_assoc)
+                     if config.lisp_mode is LispMode.REALISTIC else None)
+        self._num_sets = num_sets = entries // assoc
+        self._assoc = assoc
+        #: Each IT set in recency order, least recently used first.
+        self._sets: List[List[ITEntry]] = [[] for _ in range(num_sets)]
+        # Config-derived constants, hoisted out of the per-rename path.
+        scheme = config.index_scheme
+        self._pc_scheme = scheme is IndexScheme.PC
+        self._depth_in_index = scheme is IndexScheme.OPCODE_IMM_CALLDEPTH
+        self._lisp_realistic = self.lisp is not None
         self._squash_only = not config.general_reuse
         self._oracle_loads = config.lisp_mode is LispMode.ORACLE
-        self._reverse = config.reverse
+        # Reverse entries exist only under operation indexing: a reverse
+        # entry tagged by its creator's PC could match only a later
+        # instance of the creator itself (an ``lda sp`` would integrate
+        # the old stack pointer), never a load or the opposite adjustment.
+        self._reverse = config.reverse and not self._pc_scheme
         self._reverse_sp_only = config.reverse_sp_only
-        self._sets = table._sets
-        self._num_sets = table.num_sets
-        self._assoc = table.assoc
-        self._pc_scheme = table.scheme is IndexScheme.PC
-        self._depth_in_index = (table.scheme
-                                is IndexScheme.OPCODE_IMM_CALLDEPTH)
 
     # ------------------------------------------------------------------
     # the integration test
@@ -105,7 +158,7 @@ class IntegrationLogic:
         most recently used end of the set.
         """
         info = dyn.info
-        if not self._enabled or not info.integrable:
+        if not info.integrable:
             return NO_INTEGRATION
         inst = dyn.inst
         oracle = None
@@ -160,10 +213,11 @@ class IntegrationLogic:
         """Create and place IT entries for an instruction that did not
         integrate.
 
-        Direct entries describe the instruction itself; reverse entries
-        describe its inverse (extension 3): a store creates the
-        complementary load entry, a stack-pointer ``lda`` creates the entry
-        for the opposite adjustment.  Which instructions create entries
+        Direct entries describe the instruction itself; reverse entries,
+        created only under operation indexing, describe its inverse
+        (extension 3): a store creates the complementary load entry, a
+        stack-pointer ``lda`` creates the entry for the opposite
+        adjustment.  Which instructions create entries
         (``it_creates``), the tags and the set keys come precomputed on the
         static instruction; every entry's inputs and output are slices of
         ``dyn.src_key`` or the just-renamed destination.
@@ -175,10 +229,11 @@ class IntegrationLogic:
         set); the entry becomes its set's most recently used, evicting the
         least recently used one when the set is full.  The tag is minimal:
         the PC under PC indexing, else the operation, so different call
-        depths can match in a set.
+        depths can match in a set.  A reverse entry is tagged and placed by
+        its operation.
         """
         inst = dyn.inst
-        if not self._enabled or not inst.it_creates:
+        if not inst.it_creates:
             return
         key = dyn.src_key
         pc_scheme = self._pc_scheme
@@ -189,8 +244,8 @@ class IntegrationLogic:
             if not self._reverse or (self._reverse_sp_only
                                      and inst.rb != REG_SP):
                 return
-            entry = ITEntry(inst.pc if pc_scheme else inst.it_reverse_tag,
-                            key[2:], key[0], key[1], True, dyn.seq)
+            entry = ITEntry(inst.it_reverse_tag, key[2:], key[0], key[1],
+                            True, dyn.seq)
             set_key = inst.it_reverse_key
         else:
             # A branch (no destination: out None, generation 0) or a
@@ -204,8 +259,7 @@ class IntegrationLogic:
             # Reverse entry for stack-pointer adjustments: lda sp, imm(sp)
             # creates <lda/-imm, new_sp, -, old_sp>.
             if self._reverse and inst.it_reverse_key is not None:
-                reverse = ITEntry(inst.pc if pc_scheme
-                                  else inst.it_reverse_tag, (out, out_gen),
+                reverse = ITEntry(inst.it_reverse_tag, (out, out_gen),
                                   key[0], key[1], True, dyn.seq)
         # Place the entry, then the reverse entry if there is one.
         sets = self._sets
@@ -238,3 +292,20 @@ class IntegrationLogic:
         """Record a load mis-integration detected by DIVA."""
         if self.lisp is not None:
             self.lisp.train(pc)
+
+
+class NullIntegrationLogic(IntegrationLogic):
+    """Integration logic that never integrates and keeps no table: what a
+    disabled configuration, and the ``no-integration`` variant, build."""
+
+    lisp = None
+
+    def __init__(self) -> None:
+        pass
+
+    def consider(self, dyn, call_depth, oracle_allow=None
+                 ) -> IntegrationDecision:
+        return NO_INTEGRATION
+
+    def create_entries(self, dyn, call_depth) -> None:
+        return None

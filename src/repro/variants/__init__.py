@@ -1,9 +1,9 @@
 """The machine-variant registry: named substrate assemblies.
 
 A *variant* is a named :class:`~repro.core.builder.MachineBuilder` subclass
-overriding one or more substrate slots (the predictor, the scheduler, the
-integration logic, the CHT, ...); the four pipeline stages themselves are
-fixed and always the stock ones.  The registry maps the name
+overriding one or more of its four substrate slots (the predictor, the
+integration logic, the scheduler, the CHT); the four pipeline stages
+themselves are fixed and always the stock ones.  The registry maps the name
 carried in :attr:`MachineConfig.variant <repro.core.config.MachineConfig>`
 to the builder class the engine instantiates.  Because the variant name
 participates in the configuration fingerprint, every layer above the core
@@ -24,7 +24,7 @@ Shipped variants:
 =================  ==========================================================
 
 Registering a new variant is ~10 lines: subclass ``MachineBuilder``, set
-``name``/``description``, override the slots, decorate with
+``name``/``description``, override a slot, decorate with
 :func:`register`.  See ``docs/ARCHITECTURE.md`` for the full recipe.
 """
 

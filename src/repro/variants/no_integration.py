@@ -1,50 +1,24 @@
 """The ``no-integration`` variant: the paper's speedup control.
 
 Rather than flipping the ``enabled`` bit of the integration *configuration*
-(which is a different configuration of the same machine), this variant stubs
-the integration *logic slot* out entirely: the rename stage still consults
-it, but every decision is "rename conventionally" and no integration-table
-state exists to consult or maintain.  Architecturally the machine retires
-the identical instruction stream -- integration only ever reuses values the
-execution engine would recompute -- so the variant is the differential
-baseline every integration result is measured against.
+(which is a different configuration of the same machine), this variant
+fills the integration slot with
+:class:`~repro.integration.logic.NullIntegrationLogic` under every
+configuration: the rename stage still consults it, but every decision is
+"rename conventionally" and no integration-table state exists to consult or
+maintain.  Architecturally the machine retires the identical instruction
+stream -- integration only ever reuses values the execution engine would
+recompute -- so the variant is the differential baseline every integration
+result is measured against.
 """
 
 from __future__ import annotations
 
 from repro.core.builder import MachineBuilder
 from repro.core.config import MachineConfig
-from repro.integration.logic import (
-    NO_INTEGRATION,
-    IntegrationDecision,
-    IntegrationLogic,
-)
+from repro.integration.logic import IntegrationLogic, NullIntegrationLogic
 from repro.rename.physical import PhysicalRegisterFile
 from repro.variants import register
-
-
-class NullIntegrationLogic(IntegrationLogic):
-    """An integration unit that never integrates and keeps no tables."""
-
-    def __init__(self, config, prf):
-        # Deliberately skip table/LISP construction: the stub holds no state.
-        self.config = config
-        self.prf = prf
-        self.table = None
-        self.lisp = None
-
-    def consider(self, dyn, call_depth, oracle_allow=None
-                 ) -> IntegrationDecision:
-        return NO_INTEGRATION
-
-    def create_entries(self, dyn, call_depth) -> None:
-        return None
-
-    def record_branch_outcome(self, dyn, taken) -> None:
-        return None
-
-    def train_lisp(self, pc) -> None:
-        return None
 
 
 @register
@@ -57,4 +31,4 @@ class NoIntegrationVariant(MachineBuilder):
 
     def build_integration(self, config: MachineConfig,
                           prf: PhysicalRegisterFile) -> IntegrationLogic:
-        return NullIntegrationLogic(config.integration, prf)
+        return NullIntegrationLogic()

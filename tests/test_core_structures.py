@@ -42,7 +42,7 @@ class TestReorderBuffer:
         further, and retirement drains it from the head."""
         processor = Processor(build_workload("gzip", 0.02),
                               MachineConfig(rob_size=4))
-        rob = processor.rob
+        rob = processor.state.rob
         rename_tick = processor.rename_integrate.tick
         commit_tick = processor.commit_diva.tick
         seen = {"full": 0, "retired": []}

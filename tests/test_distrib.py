@@ -740,6 +740,21 @@ class TestCacheGc:
 # CLI: submit / worker / status / verbose summaries
 # ----------------------------------------------------------------------
 class TestCli:
+    def test_fleet_on_empty_queue_drains_and_summarises(
+            self, isolated_cache, monkeypatch, capsys):
+        """`repro fleet` in process: its one worker subprocess finds the
+        queue empty, idles out, and the supervisor reports the drain."""
+        from repro.__main__ import main
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        assert main(["fleet", "-n", "1", "--idle-timeout", "0.5", "--quiet",
+                     "--queue-dir", str(isolated_cache / "queue")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("fleet: 1 worker(s) draining")
+        assert lines[-1].startswith("fleet: ")
+
     def test_submit_worker_status_roundtrip(self, isolated_cache, capsys):
         from repro.__main__ import main
 

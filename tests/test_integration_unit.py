@@ -5,21 +5,23 @@ integration metadata precomputed on static instructions."""
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core import MachineBuilder, MachineConfig
 from repro.core.stages import integration_type
 from repro.integration import (
     IndexScheme,
     IntegrationConfig,
     IntegrationLogic,
-    IntegrationTable,
     ITEntry,
     LispMode,
     LoadIntegrationSuppressionPredictor,
+    NullIntegrationLogic,
 )
 from repro.isa import Opcode, StaticInst
 from repro.isa.instruction import DynInst, it_tag
 from repro.isa.opcodes import load_counterpart, op_info
 from repro.isa.registers import REG_FZERO, REG_SP, REG_ZERO
 from repro.rename import MapTable, PhysicalRegisterFile, Renamer
+from repro.workloads import counted_loop
 from rename_reference import lookup_sources, rename_dest
 
 
@@ -32,14 +34,19 @@ from rename_reference import lookup_sources, rename_dest
 REF_OPCODE_IDS = {op: i for i, op in enumerate(Opcode)}
 
 
-def ref_index(table, pc, opcode, imm, call_depth):
-    if table.scheme is IndexScheme.PC:
+def ref_index(scheme, num_sets, pc, opcode, imm, call_depth):
+    if scheme is IndexScheme.PC:
         key = pc // 4
     else:
         key = REF_OPCODE_IDS[opcode] ^ ((imm or 0) & 0xFFFF)
-        if table.scheme is IndexScheme.OPCODE_IMM_CALLDEPTH:
+        if scheme is IndexScheme.OPCODE_IMM_CALLDEPTH:
             key ^= call_depth
-    return key % table.num_sets
+    return key % num_sets
+
+
+def it_entries(logic):
+    """Every IT entry, set by set, each set least recently used first."""
+    return [e for cache_set in logic._sets for e in cache_set]
 
 
 def set_sources(dyn, *sources):
@@ -62,15 +69,16 @@ def put(logic, pc=0x100, opcode=Opcode.ADDQI, imm=1, inputs=(5, 0), out=9,
     return dyn.it_entry
 
 
-def probe_logic(table, **config):
-    """Integration logic over ``table``.  Register 9 (generation 0, the
-    ``put()`` output) holds a value, so only the set, the tag and the
-    inputs decide what a probe finds."""
+def probe_logic(entries, assoc, scheme):
+    """Integration logic with an ``entries``-entry, ``assoc``-way IT under
+    ``scheme``.  Register 9 (generation 0, the ``put()`` output) holds a
+    value, so only the set, the tag and the inputs decide what a probe
+    finds."""
     prf = PhysicalRegisterFile(num_pregs=66)
     prf.valid[9] = True
     return IntegrationLogic(
-        IntegrationConfig(index_scheme=table.scheme, **config), prf,
-        table=table)
+        IntegrationConfig(it_entries=entries, it_assoc=assoc,
+                          index_scheme=scheme), prf)
 
 
 def found(logic, pc, imm=1, call_depth=0):
@@ -83,28 +91,26 @@ def found(logic, pc, imm=1, call_depth=0):
 
 class TestIntegrationTable:
     def test_insert_and_lookup_opcode_scheme(self):
-        logic = probe_logic(
-            IntegrationTable(64, 4, IndexScheme.OPCODE_IMM_CALLDEPTH))
+        logic = probe_logic(64, 4, IndexScheme.OPCODE_IMM_CALLDEPTH)
         e = put(logic, call_depth=2)
         assert found(logic, 0x999, call_depth=2) is e
 
     def test_pc_scheme_requires_same_pc(self):
-        logic = probe_logic(IntegrationTable(64, 4, IndexScheme.PC))
+        logic = probe_logic(64, 4, IndexScheme.PC)
         e = put(logic, pc=0x100)
         assert e.tag == 0x100                 # PC indexing compares PCs
         assert found(logic, 0x100) is e
         assert found(logic, 0x104) is None
 
     def test_opcode_scheme_matches_across_pcs(self):
-        logic = probe_logic(IntegrationTable(64, 4, IndexScheme.OPCODE_IMM))
+        logic = probe_logic(64, 4, IndexScheme.OPCODE_IMM)
         e = put(logic, pc=0x100)
         assert found(logic, 0x2000) is e
         # Different immediate: different tag.
         assert found(logic, 0x2000, imm=2) is None
 
     def test_call_depth_changes_index_but_not_tag(self):
-        logic = probe_logic(
-            IntegrationTable(64, 4, IndexScheme.OPCODE_IMM_CALLDEPTH))
+        logic = probe_logic(64, 4, IndexScheme.OPCODE_IMM_CALLDEPTH)
         e = put(logic, call_depth=3)
         # A probe at the same depth finds it; at another depth it may land in
         # a different set (and therefore not find it).
@@ -112,21 +118,20 @@ class TestIntegrationTable:
         assert found(logic, 0x0, call_depth=4) is None
 
     def test_lru_replacement_within_set(self):
-        table = IntegrationTable(8, 2, IndexScheme.PC)
-        logic = probe_logic(table)
+        logic = probe_logic(8, 2, IndexScheme.PC)
         # PCs 0x0, 0x10, 0x20 all map to set 0 (4 sets, pc/4 % 4).
         first = put(logic, pc=0x00)
         second = put(logic, pc=0x10)
-        assert table._sets[0] == [first, second]   # LRU first
+        assert logic._sets[0] == [first, second]   # LRU first
         assert found(logic, 0x00) is first    # integrating makes it the MRU
-        assert table._sets[0] == [second, first]
+        assert logic._sets[0] == [second, first]
         third = put(logic, pc=0x20)           # evicts `second`, the LRU
-        assert table._sets[0] == [first, third]
+        assert logic._sets[0] == [first, third]
         assert found(logic, 0x00) is first
         assert found(logic, 0x10) is None
 
     def test_probe_prefers_most_recently_used(self):
-        logic = probe_logic(IntegrationTable(16, 4, IndexScheme.OPCODE_IMM))
+        logic = probe_logic(16, 4, IndexScheme.OPCODE_IMM)
         put(logic, pc=0x100)
         newer = put(logic, pc=0x200)
         assert found(logic, 0x300) is newer
@@ -134,15 +139,15 @@ class TestIntegrationTable:
         assert found(logic, 0x300) is newer
 
     def test_fully_associative(self):
-        table = IntegrationTable(16, 0, IndexScheme.OPCODE_IMM)
-        assert table.num_sets == 1
-        logic = probe_logic(table)
+        logic = probe_logic(16, 0, IndexScheme.OPCODE_IMM)
+        assert len(logic._sets) == 1
         for i in range(16):
             put(logic, imm=i, pc=i * 4, seq=i)
-        assert table.occupancy() == 16
+        assert len(it_entries(logic)) == 16
         put(logic, imm=99, pc=0x999, seq=99)
-        assert table.occupancy() == 16        # LRU victim replaced
-        assert [e.creator_seq for e in table] == list(range(1, 16)) + [99]
+        assert len(it_entries(logic)) == 16   # LRU victim replaced
+        assert ([e.creator_seq for e in it_entries(logic)]
+                == list(range(1, 16)) + [99])
 
     def test_inputs_match_requires_generations(self):
         # The operands the equivalence test compares: (preg, gen) pairs.
@@ -157,10 +162,10 @@ class TestIntegrationTable:
             assert logic.consider(dyn, 0).integrate is expected
 
     def test_bad_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            IntegrationTable(10, 4)
-        with pytest.raises(ValueError):
-            IntegrationTable(0, 1)
+        for entries, assoc in ((10, 4), (0, 1)):
+            with pytest.raises(ValueError):
+                make_logic(IntegrationConfig(it_entries=entries,
+                                             it_assoc=assoc))
 
 
 class TestLisp:
@@ -179,12 +184,12 @@ class TestLisp:
         assert len(suppressed) == 2
 
 
-def make_logic(config=None, num_pregs=128, table=None):
+def make_logic(config=None, num_pregs=128):
     config = config or IntegrationConfig.full()
     prf = PhysicalRegisterFile(num_pregs=num_pregs,
                                gen_bits=config.generation_bits,
                                refcount_bits=config.refcount_bits)
-    return IntegrationLogic(config, prf, table=table), prf
+    return IntegrationLogic(config, prf), prf
 
 
 def dyn_addqi(seq, pc, rd, ra, imm, src_preg, src_gen=None, prf=None):
@@ -282,7 +287,7 @@ class TestIntegrationLogic:
                                       imm=8))
         set_sources(store, (data, prf.gen[data]), (base, prf.gen[base]))
         logic.create_entries(store, call_depth=0)
-        assert logic.table.occupancy() == 0
+        assert it_entries(logic) == []
         # With reverse_sp_only disabled, the entry is created.
         logic2, prf2 = make_logic(IntegrationConfig.full(reverse_sp_only=False))
         data2, base2 = prf2.allocate(), prf2.allocate()
@@ -291,7 +296,7 @@ class TestIntegrationLogic:
         set_sources(store2, (data2, prf2.gen[data2]),
                     (base2, prf2.gen[base2]))
         logic2.create_entries(store2, call_depth=0)
-        assert logic2.table.occupancy() == 1
+        assert len(it_entries(logic2)) == 1
 
     def test_sp_adjust_creates_inverse_entry(self):
         logic, prf = make_logic()
@@ -331,12 +336,17 @@ class TestIntegrationLogic:
         assert decision.entry.branch_outcome is True
 
     def test_disabled_configuration_never_integrates(self):
-        logic, prf = make_logic(IntegrationConfig.disabled())
+        """The builder gives a disabled configuration the null logic,
+        which keeps no table and never integrates."""
+        state = MachineBuilder().build(counted_loop(), MachineConfig(
+            integration=IntegrationConfig.disabled()))
+        logic, prf = state.integration, state.prf
+        assert type(logic) is NullIntegrationLogic
         src = prf.allocate()
         dyn = dyn_addqi(1, 0x0, rd=1, ra=2, imm=3, src_preg=src, prf=prf)
         dyn.dest_preg, dyn.dest_gen = prf.allocate(), 0
         logic.create_entries(dyn, 0)
-        assert logic.table.occupancy() == 0
+        assert dyn.it_entry is None
         assert not logic.consider(dyn, 0).integrate
 
 
@@ -394,15 +404,15 @@ def probed(logic, inst, depth, index):
     ``index``, tagged by the PC under PC indexing and by the operation
     otherwise?"""
     branch = inst.info.is_cond_branch
-    tag = (inst.pc if logic.table.scheme is IndexScheme.PC
+    tag = (inst.pc if logic.config.index_scheme is IndexScheme.PC
            else it_tag(inst.op, inst.imm))
     e = ITEntry(tag, (), None if branch else 9, 0)
     e.branch_outcome = True if branch else None
-    logic.table._sets[index].append(e)
+    logic._sets[index].append(e)
     dyn = DynInst(1, inst)
     dyn.src_key = ()
     decision = logic.consider(dyn, depth)
-    logic.table._sets[index].clear()
+    logic._sets[index].clear()
     return decision.entry is e
 
 
@@ -446,20 +456,19 @@ class TestStaticInstMetadata:
         """``consider`` probes the set the reference index names, under
         every scheme and geometry, and a reverse key exists exactly for the
         instructions that have a reverse operation."""
-        tables = [IntegrationTable(1024, 4, scheme) for scheme in IndexScheme]
-        tables.append(IntegrationTable(64, 2, IndexScheme.OPCODE_IMM))
-        logics = [probe_logic(table) for table in tables]
+        logics = [probe_logic(1024, 4, scheme) for scheme in IndexScheme]
+        logics.append(probe_logic(64, 2, IndexScheme.OPCODE_IMM))
         for inst in metadata_cases():
             reverse = reference_reverse(inst)
             assert (inst.it_reverse_key is None) == (reverse is None), inst
             if not inst.info.integrable:
                 continue
             for logic in logics:
+                scheme = logic.config.index_scheme
                 for depth in (0, 3):
-                    want = ref_index(logic.table, inst.pc, inst.op, inst.imm,
-                                     depth)
-                    assert probed(logic, inst, depth, want), (
-                        inst, logic.table.scheme)
+                    want = ref_index(scheme, len(logic._sets), inst.pc,
+                                     inst.op, inst.imm, depth)
+                    assert probed(logic, inst, depth, want), (inst, scheme)
 
     def test_type_matches_integration_type(self):
         for inst in metadata_cases():
@@ -471,15 +480,17 @@ class TestStaticInstMetadata:
         branch, or an integrable instruction whose destination rename
         mapped), and under every scheme and geometry every entry lands in
         the set the reference index names for its operation, tagged by its
-        creator's PC under PC indexing and by its operation otherwise."""
+        creator's PC under PC indexing and by its operation otherwise.
+        PC indexing creates no reverse entries, so a store creates none
+        there."""
         geometries = [(1024, 4, scheme) for scheme in IndexScheme]
         geometries.append((64, 2, IndexScheme.OPCODE_IMM))
         for inst in metadata_cases():
             reverse = reference_reverse(inst)
             for entries, assoc, scheme in geometries:
-                table = IntegrationTable(entries, assoc, scheme)
                 logic, prf = make_logic(IntegrationConfig.full(
-                    reverse_sp_only=False, index_scheme=scheme), table=table)
+                    reverse_sp_only=False, index_scheme=scheme,
+                    it_entries=entries, it_assoc=assoc))
                 mt = MapTable()
                 Renamer(mt, prf).initialize_from_values([0] * 64)
                 dyn = DynInst(1, inst)
@@ -490,14 +501,19 @@ class TestStaticInstMetadata:
                     info.integrable and (info.is_cond_branch
                                          or dyn.dest_preg is not None))), inst
                 logic.create_entries(dyn, call_depth=3)
-                assert (table.occupancy() > 0) == inst.it_creates, inst
-                for index, cache_set in enumerate(table._sets):
+                pc_scheme = scheme is IndexScheme.PC
+                assert bool(it_entries(logic)) == (
+                    inst.it_creates
+                    and not (pc_scheme and info.is_store)), inst
+                for index, cache_set in enumerate(logic._sets):
                     for e in cache_set:
+                        assert not (pc_scheme and e.is_reverse), inst
                         op, imm = (reverse if e.is_reverse
                                    else (inst.op, inst.imm))
-                        assert index == ref_index(table, inst.pc, op, imm,
-                                                  3), (inst, scheme, e)
-                        assert e.tag == (inst.pc if scheme is IndexScheme.PC
+                        assert index == ref_index(scheme, len(logic._sets),
+                                                  inst.pc, op, imm, 3), (
+                            inst, scheme, e)
+                        assert e.tag == (inst.pc if pc_scheme
                                          else it_tag(op, imm)), (inst, e)
 
 
@@ -517,9 +533,10 @@ class TestCreatedEntries:
             key = lookup_sources(mt, dyn)
             rename_dest(mt, prf, dyn)
             logic.create_entries(dyn, call_depth=0)
-            direct = [e for e in logic.table if not e.is_reverse]
-            reverse = [e for e in logic.table if e.is_reverse]
-            assert all(e.creator_seq == 7 for e in logic.table), inst
+            created = it_entries(logic)
+            direct = [e for e in created if not e.is_reverse]
+            reverse = [e for e in created if e.is_reverse]
+            assert all(e.creator_seq == 7 for e in created), inst
             if inst.info.is_store:
                 assert direct == [], inst
                 (e,) = reverse
@@ -528,7 +545,7 @@ class TestCreatedEntries:
                 assert (e.out, e.out_gen) == key[0:2]
                 continue
             if not inst.it_creates:
-                assert logic.table.occupancy() == 0, inst
+                assert created == [], inst
                 continue
             (d,) = direct
             assert (d.tag, d.inputs) == (inst.it_tag, key), inst
@@ -573,7 +590,8 @@ class TickTable:
 
     def insert(self, e, pc, opcode, imm, call_depth):
         self.operations[id(e)] = (pc, opcode, imm)
-        cache_set = self.sets[ref_index(self, pc, opcode, imm, call_depth)]
+        cache_set = self.sets[ref_index(self.scheme, self.num_sets, pc,
+                                        opcode, imm, call_depth)]
         if len(cache_set) >= self.assoc:
             victim = min(range(len(cache_set)),
                          key=lambda i: self.ticks[id(cache_set[i])])
@@ -588,7 +606,8 @@ class TickTable:
         info = dyn.info
         if not info.integrable:
             return False, None, False, False
-        cache_set = self.sets[ref_index(self, inst.pc, inst.op, inst.imm,
+        cache_set = self.sets[ref_index(self.scheme, self.num_sets,
+                                        inst.pc, inst.op, inst.imm,
                                         call_depth)]
         operations = self.operations
         if self.scheme is IndexScheme.PC:
@@ -658,17 +677,18 @@ class TestRecencyOrderedTable:
     def test_matches_tick_reference(self, geometry, scheme, general_reuse,
                                     lisp_mode, ops, pregs, rejected):
         config = IntegrationConfig(general_reuse=general_reuse,
-                                   index_scheme=scheme, lisp_mode=lisp_mode)
+                                   index_scheme=scheme, lisp_mode=lisp_mode,
+                                   it_entries=geometry[0],
+                                   it_assoc=geometry[1])
         prf = PhysicalRegisterFile(num_pregs=66, gen_bits=2)
         for preg, (refs, valid, gen, via_squash) in enumerate(pregs, 1):
             prf.refcount[preg] = refs
             prf.valid[preg] = valid
             prf.gen[preg] = gen
             prf.zero_via_squash[preg] = via_squash
-        table = IntegrationTable(*geometry, scheme)
         reference = TickTable(*geometry, scheme)
-        logic = IntegrationLogic(config, prf, table=table)
-        calls = {table: [], reference: []}
+        logic = IntegrationLogic(config, prf)
+        calls = {logic: [], reference: []}
 
         def oracle_for(target):
             def allow(dyn, e):
@@ -693,11 +713,11 @@ class TestRecencyOrderedTable:
                 dyn = DynInst(seq, inst)
                 dyn.src_key = key[:2 * len(inst.srcs)]
                 got = logic.consider(dyn, depth,
-                                     oracle_allow=oracle_for(table))
+                                     oracle_allow=oracle_for(logic))
                 want = reference.consider(prf, config, dyn, depth,
                                           oracle_for(reference))
                 assert (got.integrate, got.entry, got.tag_hit,
                         got.suppressed_by_oracle) == want
                 assert not got.suppressed_by_lisp
-                assert calls[table] == calls[reference]
-            assert table._sets == reference.recency_sets()
+                assert calls[logic] == calls[reference]
+            assert logic._sets == reference.recency_sets()

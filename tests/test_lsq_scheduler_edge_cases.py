@@ -475,7 +475,7 @@ class TestCHTAccounting:
                        if inst.op is Opcode.LDQ)
         proc = Processor(program, MachineConfig().with_integration(
             IntegrationConfig.disabled()))
-        proc.cht.train(load_pc)
+        proc.state.cht.train(load_pc)
         stats = proc.run()
         assert stats.retired > 0
         assert stats.cht_hits == 1

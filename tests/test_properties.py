@@ -13,7 +13,6 @@ from repro.integration import (
     IndexScheme,
     IntegrationConfig,
     IntegrationLogic,
-    IntegrationTable,
     LoadIntegrationSuppressionPredictor,
 )
 from repro.isa import Opcode, ProgramBuilder, StaticInst
@@ -124,19 +123,19 @@ class TestIntegrationTableProperties:
            scheme=st.sampled_from(list(IndexScheme)))
     def test_occupancy_never_exceeds_capacity(self, entries, assoc, scheme):
         size = 64
-        table = IntegrationTable(size, assoc, scheme)
-        logic = IntegrationLogic(IntegrationConfig(index_scheme=scheme),
-                                 PhysicalRegisterFile(num_pregs=66),
-                                 table=table)
+        logic = IntegrationLogic(
+            IntegrationConfig(index_scheme=scheme, it_entries=size,
+                              it_assoc=assoc),
+            PhysicalRegisterFile(num_pregs=66))
         for i in range(entries * 4):
             dyn = DynInst(i, StaticInst(pc=4 * i, op=Opcode.ADDQI, rd=1,
                                         ra=2, imm=i % 7))
             dyn.src_key = (i % 30, 0)
             dyn.dest_preg = i % 50
             logic.create_entries(dyn, call_depth=i % 5)
-        assert table.occupancy() <= size
-        for cache_set in table._sets:
-            assert len(cache_set) <= table.assoc
+        assert sum(map(len, logic._sets)) <= size
+        for cache_set in logic._sets:
+            assert len(cache_set) <= (assoc or size)
 
     @given(pcs=st.lists(st.integers(min_value=0, max_value=4000).map(
         lambda x: x * 4), min_size=1, max_size=50))
@@ -229,5 +228,5 @@ class TestEndToEndEquivalence:
         proc = Processor(program, cfg)
         stats = proc.run()
         assert stats.retired == reference.instructions
-        assert proc.arch.exit_code == reference.state.exit_code
-        assert proc.arch.memory.snapshot() == reference.state.memory.snapshot()
+        assert proc.state.arch.exit_code == reference.state.exit_code
+        assert proc.state.arch.memory.snapshot() == reference.state.memory.snapshot()

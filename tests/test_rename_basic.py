@@ -424,7 +424,7 @@ class TestRenameRetry:
         processor = Processor(
             build_workload("crafty", 0.02),
             MachineConfig(integration=RETRY_CONFIGS[config_name]))
-        integration = processor.integration
+        integration = processor.state.integration
         consider = integration.consider
         decisions = {}
         probes = Counter()
@@ -438,7 +438,7 @@ class TestRenameRetry:
         integration.consider = recording_consider
         stage = processor.rename_integrate
         stage_tick = stage.tick
-        rob = processor.rob
+        rob = processor.state.rob
         renamed = []
 
         def tick():
@@ -492,10 +492,10 @@ class TestReferenceConservation:
             stats = processor.run(max_instructions=stop)
             if stop is not None:
                 assert stats.retired == stop
-            prf = processor.prf
-            renamer = processor.renamer
+            prf = processor.state.prf
+            renamer = processor.state.renamer
             live = renamer.live_map_references()
-            shadowed = renamer.shadowed_references(processor.rob)
+            shadowed = renamer.shadowed_references(processor.state.rob)
             assert prf.check_no_leak(live, shadowed), (
                 stop, prf.total_references(), live, shadowed)
-            assert len(processor.rob) > 0
+            assert len(processor.state.rob) > 0

@@ -168,9 +168,9 @@ class TestNoIntegration:
         assert stats.integrated == 0
         assert stats.mis_integrations == 0
         assert stats.retired == reference.instructions
-        assert proc.arch.regs == reference.state.regs
-        assert list(proc.arch.output) == reference.output
-        assert proc.arch.exit_code == reference.exit_code
+        assert proc.state.arch.regs == reference.state.regs
+        assert list(proc.state.arch.output) == reference.output
+        assert proc.state.arch.exit_code == reference.exit_code
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +194,7 @@ class TestOracleBP:
         # The same architectural state retires.
         reference = run_program(program)
         assert stats.retired == reference.instructions
-        assert proc.arch.regs == reference.state.regs
+        assert proc.state.arch.regs == reference.state.regs
 
     def test_with_integration_only_mis_integrations_flush(self):
         """Under full integration the only 'mispredictions' left are
@@ -238,7 +238,7 @@ class TestOracleBP:
                   .with_variant("oracle-bp"))
         proc = Processor(program, config)
         proc.run(max_instructions=200)
-        emulated = proc.predictor._emulated
+        emulated = proc.state.predictor._emulated
         assert emulated < total
         assert emulated <= 200 + 4 * 4096   # window + a few lazy chunks
 
@@ -474,6 +474,12 @@ class TestVariantEnvAndCli:
                      "--configs", "full"]) == 0
         out = capsys.readouterr().out
         assert "variant: no-integration" in out
+
+    def test_every_slot_is_overridden_by_some_variant(self):
+        """A slot exists only because a variant replaces it."""
+        overridden = {slot for info in describe_variants().values()
+                      for slot in info["overrides"]}
+        assert overridden == set(SLOT_NAMES)
 
     def test_builder_slot_list_is_exhaustive(self):
         """Every build_* method of MachineBuilder is a declared slot."""
