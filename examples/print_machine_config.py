@@ -16,12 +16,11 @@ def main() -> None:
     bp = cfg.branch_predictor
     print("Simulated machine (paper Section 3.1 defaults)")
     print("=" * 52)
-    print(f"pipeline            : {cfg.pipeline_depth} stages "
-          f"({cfg.fetch_stages} fetch, {cfg.decode_stages} decode, "
-          f"{cfg.rename_stages} rename, {cfg.schedule_stages} schedule, "
-          f"{cfg.regread_stages} regread, 1 execute, "
-          f"{cfg.writeback_stages} writeback, {cfg.diva_stages} DIVA, "
-          f"{cfg.retire_stages} retire)")
+    print(f"pipeline            : {cfg.fetch_stages} fetch + "
+          f"{cfg.decode_stages} decode before rename, "
+          f"{cfg.regread_stages} regread + execute + "
+          f"{cfg.writeback_stages} writeback; retire 2 cycles after "
+          f"rename at the earliest")
     print(f"widths              : fetch {cfg.fetch_width}, rename "
           f"{cfg.rename_width}, issue {cfg.ports.issue_width} "
           f"({cfg.ports.simple_int} simple int, {cfg.ports.complex_fp} "

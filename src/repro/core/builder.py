@@ -102,8 +102,7 @@ class MachineBuilder:
 
     def build_scheduler(self, config: MachineConfig,
                         prf: PhysicalRegisterFile) -> ReservationStations:
-        return ReservationStations(config.rs_entries, config.ports,
-                                   config.combined_ldst_port, prf=prf)
+        return ReservationStations(config.rs_entries, config.ports, prf=prf)
 
     def build_cht(self, config: MachineConfig) -> CollisionHistoryTable:
         return CollisionHistoryTable(config.collision_history_entries)

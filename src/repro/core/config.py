@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import ClassVar, FrozenSet, Optional
+from typing import ClassVar, FrozenSet
 
 from repro.frontend.branch_predictor import BranchPredictorConfig
 from repro.integration.config import IntegrationConfig
@@ -25,6 +25,9 @@ class IssuePortConfig(SerializableConfig):
     complex_fp: int = 2
     loads: int = 1
     stores: int = 1
+    #: Whether the load port and the store port are one shared port, so at
+    #: most one memory operation issues per cycle (the IW configuration).
+    combined_ldst_port: bool = False
 
 
 @dataclass(frozen=True)
@@ -48,15 +51,13 @@ class MachineConfig(SerializableConfig):
     lsq_size: int = 64
     rs_entries: int = 40
 
-    # Pipeline depths (13 stages in total).
+    # Pipeline depths the model charges.  Rename, schedule, DIVA and
+    # retire have no knob: an instruction retires two cycles after rename
+    # at the earliest (see ``CommitDiva``).
     fetch_stages: int = 3
     decode_stages: int = 1
-    rename_stages: int = 1
-    schedule_stages: int = 2
     regread_stages: int = 2
     writeback_stages: int = 1
-    diva_stages: int = 1
-    retire_stages: int = 1
 
     # Front-end buffering.
     fetch_queue_size: int = 16
@@ -86,24 +87,6 @@ class MachineConfig(SerializableConfig):
     _ELIDE_DEFAULT: ClassVar[FrozenSet[str]] = frozenset({"variant"})
 
     # ------------------------------------------------------------------
-    @property
-    def frontend_depth(self) -> int:
-        """Stages from fetch up to and including rename (what an integrating
-        instruction still has to traverse)."""
-        return self.fetch_stages + self.decode_stages + self.rename_stages
-
-    @property
-    def execution_depth(self) -> int:
-        """Stages an executing instruction spends in the out-of-order engine
-        (schedule + register read + execute)."""
-        return self.schedule_stages + self.regread_stages + 1
-
-    @property
-    def pipeline_depth(self) -> int:
-        return (self.frontend_depth + self.execution_depth
-                + self.writeback_stages + self.diva_stages
-                + self.retire_stages)
-
     def with_integration(self, integration: IntegrationConfig
                          ) -> "MachineConfig":
         return replace(self, integration=integration)
@@ -128,17 +111,9 @@ class MachineConfig(SerializableConfig):
         """The paper's IW configuration: 3-way issue with a single combined
         load/store port, front end still 4-wide."""
         ports = IssuePortConfig(issue_width=3, simple_int=2, complex_fp=1,
-                                loads=1, stores=1)
-        return replace(self, ports=ports, _combined_ldst_port=True)
+                                loads=1, stores=1, combined_ldst_port=True)
+        return replace(self, ports=ports)
 
     def reduced_both(self, rs_entries: int = 20) -> "MachineConfig":
         """The paper's IW+RS configuration."""
         return self.reduced_issue_width().reduced_rs(rs_entries)
-
-    # Whether the single load port and single store port are actually one
-    # shared load/store port (used by the IW configuration).
-    _combined_ldst_port: bool = False
-
-    @property
-    def combined_ldst_port(self) -> bool:
-        return self._combined_ldst_port

@@ -15,6 +15,11 @@ Pipeline organisation (13 stages, paper Section 3.1)::
     fetch(3)  decode(1)  rename(1) | schedule(2) regread(2) execute  wb(1) | DIVA(1) retire(1)
     \------ FrontEnd ------/\-- RenameIntegrate  \--- IssueExecute ---/\- CommitDiva -/
 
+The model charges the fetch, decode, register-read and writeback depths of
+the :class:`~repro.core.config.MachineConfig`; rename, schedule, DIVA and
+retire have no knob, and an instruction retires two cycles after its rename
+at the earliest.
+
 Integrating instructions leave the pipeline at rename: they are never
 allocated reservation stations, never issue, and never touch the data cache;
 they wait in the reorder buffer until their (shared) physical register value

@@ -42,11 +42,9 @@ class ReservationStations:
     """A pool of reservation stations with port-constrained selection."""
 
     def __init__(self, entries: int, ports: Optional[IssuePortConfig] = None,
-                 combined_ldst_port: bool = False, *,
-                 prf: PhysicalRegisterFile):
+                 *, prf: PhysicalRegisterFile):
         self.entries = entries
         self.ports = ports or IssuePortConfig()
-        self.combined_ldst_port = combined_ldst_port
         #: Port limits indexed by ``OpInfo.port_code``.
         self._limits_by_code = [self.ports.simple_int, self.ports.complex_fp,
                                 self.ports.loads, self.ports.stores]
@@ -137,7 +135,7 @@ class ReservationStations:
         limits = self._limits_by_code
         counts = [0, 0, 0, 0]
         width = self.ports.issue_width
-        combined = self.combined_ldst_port
+        combined = self.ports.combined_ldst_port
         selected: List[DynInst] = []
         keys: List[int] = []
         for key in sorted(ready):

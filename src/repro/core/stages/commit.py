@@ -80,8 +80,7 @@ class CommitDiva:
                 break
             info = dyn.info
             if info.is_store:
-                stall, accepted = state.mem.store(dyn.eff_addr or 0, cycle)
-                if not accepted:
+                if not state.mem.store(dyn.eff_addr or 0, cycle):
                     break
             fault = diva.check_and_commit(dyn, prf_values)
             if fault is not None:

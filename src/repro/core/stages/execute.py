@@ -235,8 +235,7 @@ class IssueExecute:
             latency = agen + config.memsys.store_forward_latency
             value = store.store_value
         else:
-            access = state.mem.load(addr, state.cycle + agen)
-            latency = agen + access.latency
+            latency = agen + state.mem.load(addr, state.cycle + agen)
             value = state.arch.memory.read(addr)
         if dyn.info.is_ldl:
             value = semantics.to_unsigned(

@@ -44,9 +44,9 @@ class FrontEnd:
         if inst is None:
             self.fetch_halted = True
             return
-        access = state.mem.ifetch(fetch_pc, cycle)
+        latency = state.mem.ifetch(fetch_pc, cycle)
         ready_cycle = (cycle + config.fetch_stages + config.decode_stages
-                       + max(0, access.latency - 1))
+                       + max(0, latency - 1))
         predictor = state.predictor
         predictions = state.predictions
         fetch_queue = self.fetch_queue

@@ -9,7 +9,8 @@ These isolate the mechanisms the paper argues for qualitatively:
   extension 3;
 * PC vs opcode+imm vs opcode+imm+call-depth indexing at fixed everything
   else -- the isolated value of extension 2's call-depth mixing (PC
-  indexing creates no reverse entries, so its bar also lacks extension 3).
+  indexing creates no reverse entries, so its bar also lacks extension 3
+  and is Figure 4's ``+general`` configuration, one simulation for both).
 """
 
 from __future__ import annotations

@@ -19,11 +19,10 @@ each checkpoint as a :class:`WarmState`:
 Each access runs a clock step later than the last, and the step exceeds
 the longest possible access latency, so every fill has completed before
 the next access: the hierarchy behaves as a pure tag-and-LRU model.  The
-snapshot is sparse and canonically ordered -- resident lines and pages in
-LRU order with their dirty bits, the predictor counters that differ from
-reset, the valid BTB entries, the global history and the RAS -- so it is
-plain JSON, equal across processes, and about the size of the checkpoint
-itself.  MSHRs and the write buffer are never captured: a restored
+snapshot is sparse and canonically ordered -- the tags of resident lines
+and pages in LRU order, the predictor counters that differ from reset, the
+valid BTB entries, the global history and the RAS -- so it is plain JSON,
+equal across processes, and about the size of the checkpoint itself.  MSHRs and the write buffer are never captured: a restored
 machine starts them empty.
 """
 

@@ -42,7 +42,8 @@ class IntegrationConfig(SerializableConfig):
     # Extension 2: IT index scheme.
     index_scheme: IndexScheme = IndexScheme.OPCODE_IMM_CALLDEPTH
     # Extension 3: reverse integration (speculative memory bypassing);
-    # only under operation indexing, since a PC tag cannot name an inverse.
+    # only under operation indexing, since a PC tag cannot name an inverse
+    # (``__post_init__`` clears it under PC indexing).
     reverse: bool = True
     reverse_sp_only: bool = True
 
@@ -61,6 +62,13 @@ class IntegrationConfig(SerializableConfig):
 
     # Physical register file size (the paper simulates 1K registers).
     num_physical_regs: int = 1024
+
+    def __post_init__(self) -> None:
+        # A reverse entry tagged by its creator's PC could match only a
+        # later instance of the creator itself, so PC indexing makes none.
+        # Clearing the flag gives that machine one label and one cache key.
+        if self.reverse and self.index_scheme is IndexScheme.PC:
+            object.__setattr__(self, "reverse", False)
 
     # ------------------------------------------------------------------
     # presets matching the paper's Figure 4 experiment bars
@@ -97,9 +105,6 @@ class IntegrationConfig(SerializableConfig):
         """+reverse: everything on (the paper's headline configuration)."""
         cfg = cls()
         return replace(cfg, **overrides) if overrides else cfg
-
-    # alias used by the experiment harness
-    reverse_preset = full
 
     def with_lisp(self, mode: LispMode) -> "IntegrationConfig":
         return replace(self, lisp_mode=mode)

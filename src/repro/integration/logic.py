@@ -131,11 +131,10 @@ class IntegrationLogic:
         self._lisp_realistic = self.lisp is not None
         self._squash_only = not config.general_reuse
         self._oracle_loads = config.lisp_mode is LispMode.ORACLE
-        # Reverse entries exist only under operation indexing: a reverse
-        # entry tagged by its creator's PC could match only a later
-        # instance of the creator itself (an ``lda sp`` would integrate
-        # the old stack pointer), never a load or the opposite adjustment.
-        self._reverse = config.reverse and not self._pc_scheme
+        # False under PC indexing (see ``IntegrationConfig``): an ``lda
+        # sp`` would integrate the old stack pointer from a reverse entry
+        # its own earlier instance made.
+        self._reverse = config.reverse
         self._reverse_sp_only = config.reverse_sp_only
 
     # ------------------------------------------------------------------

@@ -73,7 +73,6 @@ class ProgramBuilder:
         self._records: List[dict] = []
         self._labels: Dict[str, int] = {}
         self._data: Dict[int, int] = {}
-        self._pending_label: List[str] = []
 
     # ------------------------------------------------------------------
     # construction primitives

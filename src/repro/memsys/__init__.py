@@ -10,7 +10,7 @@ functional/timing split of SimpleScalar-style simulators.
 
 from repro.memsys.cache import Cache, CacheConfig
 from repro.memsys.tlb import TLB, TLBConfig
-from repro.memsys.hierarchy import MemoryHierarchy, MemSysConfig, AccessResult
+from repro.memsys.hierarchy import MemoryHierarchy, MemSysConfig
 
 __all__ = [
     "Cache",
@@ -19,5 +19,4 @@ __all__ = [
     "TLBConfig",
     "MemoryHierarchy",
     "MemSysConfig",
-    "AccessResult",
 ]

@@ -12,13 +12,20 @@ Defaults follow the paper's configuration (Section 3.1):
 
 Bus contention is folded into the fixed L2/memory latencies; the paper's bus
 model only perturbs absolute IPC, not the integration comparisons.
+
+Every access returns its latency and nothing else: :meth:`~MemoryHierarchy.
+ifetch` and :meth:`~MemoryHierarchy.load` the cycles until the data
+arrives, :meth:`~MemoryHierarchy.store` whether the write buffer took the
+store.  A store drains through the data side with a load's timing.  The
+caches keep no dirty bits: an eviction costs nothing, so the write-back
+policy of the paper's data cache has no timing to model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.memsys.cache import Cache, CacheConfig
 from repro.memsys.tlb import TLB, TLBConfig
@@ -44,16 +51,6 @@ class MemSysConfig(SerializableConfig):
     address_generation_latency: int = 1
 
 
-@dataclass
-class AccessResult:
-    """Outcome of one timed memory access."""
-
-    latency: int
-    l1_hit: bool
-    l2_hit: bool
-    tlb_hit: bool
-
-
 class MemoryHierarchy:
     """Composable timing model of the I-side and D-side memory paths."""
 
@@ -70,52 +67,40 @@ class MemoryHierarchy:
         self._write_buffer: List[int] = []
 
     # ------------------------------------------------------------------
-    def _l2_and_memory(self, addr: int, cycle: int,
-                       is_write: bool) -> Tuple[int, bool]:
-        latency, hit = self.l2.access(addr, cycle, is_write=is_write,
-                                      fill_latency=self.config.memory_latency)
-        return latency, hit
-
-    def ifetch(self, pc: int, cycle: int) -> AccessResult:
-        """Timed instruction fetch of the line containing ``pc``."""
-        tlb_latency, tlb_hit = self.itlb.access(pc, cycle)
-        below, l2_hit = (0, True)
+    def ifetch(self, pc: int, cycle: int) -> int:
+        """Latency of the timed instruction fetch of the line containing
+        ``pc``."""
+        below = 0
         if not self.il1.probe(pc):
-            below, l2_hit = self._l2_and_memory(pc, cycle, is_write=False)
-        latency, l1_hit = self.il1.access(pc, cycle, fill_latency=below)
-        return AccessResult(latency=latency + tlb_latency, l1_hit=l1_hit,
-                            l2_hit=l2_hit, tlb_hit=tlb_hit)
+            below = self.l2.access(pc, cycle, self.config.memory_latency)
+        return (self.itlb.access(pc, cycle)
+                + self.il1.access(pc, cycle, below))
 
-    def load(self, addr: int, cycle: int) -> AccessResult:
-        """Timed data load."""
-        tlb_latency, tlb_hit = self.dtlb.access(addr, cycle)
-        below, l2_hit = (0, True)
+    def load(self, addr: int, cycle: int) -> int:
+        """Latency of a timed data load."""
+        below = 0
         if not self.dl1.probe(addr):
-            below, l2_hit = self._l2_and_memory(addr, cycle, is_write=False)
-        latency, l1_hit = self.dl1.access(addr, cycle, fill_latency=below)
-        return AccessResult(latency=latency + tlb_latency, l1_hit=l1_hit,
-                            l2_hit=l2_hit, tlb_hit=tlb_hit)
+            below = self.l2.access(addr, cycle, self.config.memory_latency)
+        return (self.dtlb.access(addr, cycle)
+                + self.dl1.access(addr, cycle, below))
 
-    def store(self, addr: int, cycle: int) -> Tuple[int, bool]:
+    def store(self, addr: int, cycle: int) -> bool:
         """Retire-time store through the write buffer.
 
-        Returns ``(stall_cycles, accepted)``: the store is accepted into the
-        write buffer unless it is full, in which case retirement must stall
-        for ``stall_cycles`` before retrying.
+        Returns whether the write buffer accepted the store; while it is
+        full, retirement stalls and retries the store the next cycle.
         """
         write_buffer = self._write_buffer
         while write_buffer and write_buffer[0] <= cycle:
             heappop(write_buffer)          # drained to the cache
         if len(write_buffer) >= self.config.write_buffer_entries:
-            return write_buffer[0] - cycle, False
-        tlb_latency, _ = self.dtlb.access(addr, cycle)
-        below, _ = (0, True)
+            return False
+        below = 0
         if not self.dl1.probe(addr):
-            below, _ = self._l2_and_memory(addr, cycle, is_write=True)
-        latency, _ = self.dl1.access(addr, cycle, is_write=True,
-                                     fill_latency=below)
-        heappush(write_buffer, cycle + latency + tlb_latency)
-        return 0, True
+            below = self.l2.access(addr, cycle, self.config.memory_latency)
+        heappush(write_buffer, cycle + self.dtlb.access(addr, cycle)
+                 + self.dl1.access(addr, cycle, below))
+        return True
 
     # ------------------------------------------------------------------
     def warm_state(self) -> Dict[str, List]:

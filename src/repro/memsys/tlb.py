@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.serialization import SerializableConfig
 
@@ -37,18 +37,18 @@ class TLB:
         self._sets: List[Dict[int, int]] = [
             dict() for _ in range(self._num_sets)]
 
-    def access(self, addr: int, cycle: int) -> Tuple[int, bool]:
-        """Translate ``addr``; returns ``(extra_latency, hit)``."""
+    def access(self, addr: int, cycle: int) -> int:
+        """Translate ``addr``; returns the latency it adds: 0 on a hit."""
         page = addr // self._page_bytes
         tlb_set = self._sets[page % self._num_sets]
         if page in tlb_set:
             tlb_set[page] = cycle
-            return 0, True
+            return 0
         if len(tlb_set) >= self.config.associativity:
             victim = min(tlb_set, key=lambda p: tlb_set[p])
             del tlb_set[victim]
         tlb_set[page] = cycle
-        return self.config.miss_latency, False
+        return self.config.miss_latency
 
     def warm_pages(self) -> List[int]:
         """Resident pages, set by set, each set least recently used first."""

@@ -34,7 +34,6 @@ class MapTable:
     """
 
     def __init__(self, num_logical: int = NUM_LOGICAL_REGS):
-        self.num_logical = num_logical
         self._pregs: List[int] = [0] * num_logical
         self._gens: List[int] = [0] * num_logical
 

@@ -50,7 +50,6 @@ class PhysicalRegisterFile:
         if num_pregs < 66:
             raise ValueError("need at least 66 physical registers")
         self.num_pregs = num_pregs
-        self.gen_bits = gen_bits
         self.gen_mask = (1 << gen_bits) - 1 if gen_bits > 0 else 0
         self.max_refcount = (1 << refcount_bits) - 1
         self.values: List = [0] * num_pregs

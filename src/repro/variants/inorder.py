@@ -36,7 +36,7 @@ class InOrderReservationStations(ReservationStations):
         limits = self._limits_by_code
         counts = [0, 0, 0, 0]
         width = self.ports.issue_width
-        combined = self.combined_ldst_port
+        combined = self.ports.combined_ldst_port
         selected: List[DynInst] = []
         for dyn in self._waiting.values():
             if len(selected) >= width:
@@ -69,4 +69,4 @@ class InOrderIssueVariant(MachineBuilder):
     def build_scheduler(self, config: MachineConfig,
                         prf: PhysicalRegisterFile) -> ReservationStations:
         return InOrderReservationStations(config.rs_entries, config.ports,
-                                          config.combined_ldst_port, prf=prf)
+                                          prf=prf)

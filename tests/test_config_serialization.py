@@ -35,7 +35,7 @@ class TestRoundTrip:
                                      index_scheme=IndexScheme.OPCODE_IMM))
         rebuilt = MachineConfig.from_dict(config.to_dict())
         assert rebuilt == config
-        assert rebuilt.combined_ldst_port
+        assert rebuilt.ports.combined_ldst_port
         assert rebuilt.integration.lisp_mode is LispMode.ORACLE
         assert rebuilt.integration.index_scheme is IndexScheme.OPCODE_IMM
 
@@ -194,6 +194,15 @@ class TestFingerprint:
         other = replace(base, branch_predictor=replace(
             base.branch_predictor, btb_entries=512))
         assert other.fingerprint() != base.fingerprint()
+
+    def test_pc_indexing_names_one_machine_with_or_without_reverse(self):
+        """PC indexing makes no reverse entries, so asking for them must
+        give the same config, label and cache key as not asking."""
+        pc_full = IntegrationConfig.full(index_scheme=IndexScheme.PC)
+        general = IntegrationConfig.general()
+        assert pc_full == general
+        assert pc_full.describe() == general.describe()
+        assert pc_full.fingerprint() == general.fingerprint()
 
     @pytest.mark.parametrize("root, blind", list(zip(ROOTS, ROOT_BLIND)),
                              ids=ROOT_IDS)

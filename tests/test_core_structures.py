@@ -76,11 +76,10 @@ class TestReorderBuffer:
         assert [d.seq for d in rob] == [1, 2, 3]
 
 
-def bound_rs(entries=16, ports=None, combined_ldst_port=False):
+def bound_rs(entries=16, ports=None):
     """Reservation stations bound to a fresh PRF (the only mode)."""
     prf = PhysicalRegisterFile(70)
-    rs = ReservationStations(entries, ports or IssuePortConfig(),
-                             combined_ldst_port, prf=prf)
+    rs = ReservationStations(entries, ports or IssuePortConfig(), prf=prf)
     return prf, rs
 
 
@@ -127,7 +126,7 @@ class TestReservationStations:
         assert selected[0] is young_load       # loads have priority
 
     def test_combined_load_store_port(self):
-        _, rs = bound_rs(combined_ldst_port=True)
+        _, rs = bound_rs(ports=IssuePortConfig(combined_ldst_port=True))
         rs.insert(dyn(1, op=Opcode.LDQ, rd=1, ra=2, rb=None, imm=0))
         rs.insert(dyn(2, op=Opcode.STQ, rd=None, ra=1, rb=2, imm=0))
         selected = rs.select(always_ready)
@@ -402,14 +401,20 @@ class TestDivaChecker:
 
 
 class TestMachineConfigPresets:
-    def test_pipeline_depth_is_thirteen_stages(self):
-        assert MachineConfig().pipeline_depth == 13
+    def test_charged_depths_are_the_papers(self):
+        # 3 fetch + 1 decode before rename, 2 register read and 1
+        # writeback around execute.  Rename, schedule, DIVA and retire have
+        # no knob: an instruction retires two cycles after rename at the
+        # earliest.
+        cfg = MachineConfig()
+        assert (cfg.fetch_stages, cfg.decode_stages) == (3, 1)
+        assert (cfg.regread_stages, cfg.writeback_stages) == (2, 1)
 
     def test_figure7_variants(self):
         base = MachineConfig()
         assert base.reduced_rs().rs_entries == 20
         iw = base.reduced_issue_width()
         assert iw.ports.issue_width == 3
-        assert iw.combined_ldst_port
+        assert iw.ports.combined_ldst_port
         both = base.reduced_both()
         assert both.rs_entries == 20 and both.ports.issue_width == 3

@@ -59,7 +59,7 @@ class TestFigure7Module:
         assert figure7.machine_variant(base, "RS").rs_entries == 20
         assert figure7.machine_variant(base, "IW").ports.issue_width == 3
         both = figure7.machine_variant(base, "IW+RS")
-        assert both.rs_entries == 20 and both.combined_ldst_port
+        assert both.rs_entries == 20 and both.ports.combined_ldst_port
         with pytest.raises(ValueError):
             figure7.machine_variant(base, "XXL")
 

@@ -314,10 +314,9 @@ class ScanReservationStations:
     operands each select, in (priority, age) order under the same port
     limits -- the scheduler's specification, with no ready pool."""
 
-    def __init__(self, entries, ports, combined_ldst_port, operand_ready):
+    def __init__(self, entries, ports, operand_ready):
         self.entries = entries
         self.ports = ports
-        self.combined_ldst_port = combined_ldst_port
         self.operand_ready = operand_ready
         self._limits = {"simple": ports.simple_int,
                         "complex": ports.complex_fp,
@@ -350,7 +349,7 @@ class ScanReservationStations:
             port = dyn.info.issue_port
             if port == "load" and not load_can_issue(dyn):
                 continue
-            if (self.combined_ldst_port and port in ("load", "store")
+            if (self.ports.combined_ldst_port and port in ("load", "store")
                     and counts["load"] + counts["store"] >= 1):
                 continue
             if counts[port] >= self._limits[port]:
@@ -394,16 +393,17 @@ class TestReadyPoolMatchesScan:
            width=st.integers(min_value=1, max_value=4))
     def test_random_interleavings(self, combined, steps, ready_at_start,
                                   width):
-        ports = IssuePortConfig(issue_width=width)
+        ports = IssuePortConfig(issue_width=width,
+                                combined_ldst_port=combined)
         prf = PhysicalRegisterFile(70)
         for preg, ready in zip(_RS_PREGS, ready_at_start):
             prf.ready[preg] = ready
-        pool = ReservationStations(8, ports, combined, prf=prf)
+        pool = ReservationStations(8, ports, prf=prf)
 
         def operand_ready(dyn):
             return all(prf.ready[preg] for preg in dyn.src_pregs)
 
-        scan = ScanReservationStations(8, ports, combined, operand_ready)
+        scan = ScanReservationStations(8, ports, operand_ready)
 
         seq = 0
         for kind, op, srcs, preg, bits in steps:

@@ -1,6 +1,6 @@
 """Source-level invariants of ``src/repro`` that no simulation samples.
 
-Two properties are checked on the parsed sources, because a run only
+Three properties are checked on the parsed sources, because a run only
 breaks on them by chance:
 
 * **determinism** -- inside the packages that build and simulate the
@@ -14,10 +14,17 @@ breaks on them by chance:
   read by a computed name, and the variables named in the sources are
   exactly the rows of the environment-variable table in
   ``docs/ARCHITECTURE.md``.
+* **config fields** -- every field of every ``SerializableConfig``
+  dataclass is read (``x.field``) outside its own class body, directly or
+  through a property or method of the class that is.  A field that only
+  unread members of its class read changes the fingerprint, and so the
+  cache key, without changing the simulated machine.
 
 Each check is a plain function from a parsed module to ``(line,
-message)`` findings.  The tests run it over the live tree, over one small
-source per construct it must flag, and over sources it must pass.
+message)`` findings; the config-field check takes every module at once,
+since a field's reads may sit in any of them.  The tests run each check
+over the live tree, over one small source per construct it must flag, and
+over sources it must pass.
 """
 
 import ast
@@ -194,6 +201,63 @@ def documented_env_names(markdown):
             for name in _DOC_NAME_RE.findall(line)}
 
 
+def _is_config_class(node):
+    return isinstance(node, ast.ClassDef) and any(
+        (base.id if isinstance(base, ast.Name) else
+         getattr(base, "attr", None)) == "SerializableConfig"
+        for base in node.bases)
+
+
+def unread_config_fields(modules):
+    """``(rel, line, message)`` for each field of a ``SerializableConfig``
+    subclass in ``modules`` (``(rel, parsed module)`` pairs) that no
+    attribute load outside the class's body reads, neither directly nor
+    through a member of the class that such a load reads."""
+    fields = []         # (owner, field, line); owner is (rel, class)
+    loads = []          # (attribute, enclosing classes, owner member)
+
+    def visit(node, rel, classes, member):
+        config = _is_config_class(node)
+        for child in ast.iter_child_nodes(node):
+            inner, within = classes, member
+            if isinstance(child, ast.ClassDef):
+                inner = classes | {(rel, child.name)}
+                if _is_config_class(child):
+                    fields.extend(
+                        ((rel, child.name), stmt.target.id, stmt.lineno)
+                        for stmt in child.body
+                        if isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)
+                        and "ClassVar" not in ast.unparse(stmt.annotation))
+            elif config and isinstance(child, ast.FunctionDef):
+                within = ((rel, node.name), child.name)
+            elif (isinstance(child, ast.Attribute)
+                    and isinstance(child.ctx, ast.Load)):
+                loads.append((child.attr, classes, member))
+            visit(child, rel, inner, within)
+
+    for rel, tree in modules:
+        visit(tree, rel, frozenset(), None)
+    found = []
+    for owner in sorted({owner for owner, _, _ in fields}):
+        read = {attr for attr, classes, _ in loads if owner not in classes}
+        members = {}
+        for attr, _, member in loads:
+            if member is not None and member[0] == owner:
+                members.setdefault(member[1], set()).add(attr)
+        reached = read & members.keys()
+        while reached:
+            name = reached.pop()
+            new = members.pop(name) - read
+            read |= new
+            reached |= new & members.keys()
+        found += [(owner[0], line, f"{owner[1]}.{name} is never read "
+                   f"outside {owner[1]}")
+                  for field_owner, name, line in fields
+                  if field_owner == owner and name not in read]
+    return found
+
+
 def _render(rel, findings):
     return [f"{rel}:{line}: {message}" for line, message in findings]
 
@@ -308,6 +372,36 @@ def test_retired_knob_is_flagged(knob):
     assert knob in env_names(tree)
     assert knob not in documented_env_names(
         DOCS_MD.read_text(encoding="utf-8"))
+
+
+# ---------------------------------------------------------------------------
+# config fields
+
+def test_every_config_field_is_read():
+    errors = [f"{rel}:{line}: {message}"
+              for rel, line, message in unread_config_fields(_sources())]
+    assert errors == []
+
+
+_DEPTHS = ("class Depths(SerializableConfig):\n"
+           "    fetch: int = 3\n"
+           "    retire: int = 1\n"
+           "    _SKIP: ClassVar[int] = 0\n\n"
+           "    @property\n"
+           "    def total(self):\n"
+           "        return self.fetch + self.retire\n\n\n")
+
+
+def test_config_field_read_only_by_an_unread_member_is_flagged():
+    source = _DEPTHS + "def front_end(config):\n    return config.fetch\n"
+    (finding,) = unread_config_fields([("depths.py", ast.parse(source))])
+    assert finding == ("depths.py", 3,
+                       "Depths.retire is never read outside Depths")
+
+
+def test_config_fields_read_through_a_read_member_pass():
+    source = _DEPTHS + "def charge(config):\n    return config.total\n"
+    assert unread_config_fields([("depths.py", ast.parse(source))]) == []
 
 
 # ---------------------------------------------------------------------------

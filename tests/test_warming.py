@@ -2,7 +2,7 @@
 restores.
 
 * a restored hierarchy and predictor answer a fixed access sequence with
-  the same latencies, hit flags and predictions as the warmed originals
+  the same latencies and predictions as the warmed originals
   (and a cold pair does not, so the comparison can fail);
 * the snapshot is canonical: restoring it and snapshotting again gives it
   back, and it survives JSON inside a :class:`ShardPlan`;
@@ -62,14 +62,10 @@ def drive(mem, predictor, results, cycle):
     for result in results:
         inst = result.inst
         cycle += GAP
-        access = mem.ifetch(inst.pc, cycle)
-        seen.append((access.latency, access.l1_hit, access.l2_hit,
-                     access.tlb_hit))
+        seen.append(mem.ifetch(inst.pc, cycle))
         info = inst.info
         if info.is_load:
-            access = mem.load(result.eff_addr, cycle)
-            seen.append((access.latency, access.l1_hit, access.l2_hit,
-                         access.tlb_hit))
+            seen.append(mem.load(result.eff_addr, cycle))
         elif info.is_store:
             seen.append(mem.store(result.eff_addr, cycle))
         elif info.is_branch:
@@ -128,10 +124,9 @@ class TestRestoredState:
         for cache in (restored.il1, restored.dl1, restored.l2):
             assert cache._mshrs == {}
         # A restored line answers at the hit latency: no fill in flight.
-        tag, _ = mem.warm_state()["dl1"][-1]
+        tag = mem.warm_state()["dl1"][-1]
         addr = tag * mem.config.dl1.line_bytes
-        assert restored.dl1.access(addr, 0) == (mem.config.dl1.hit_latency,
-                                                True)
+        assert restored.dl1.access(addr, 0) == mem.config.dl1.hit_latency
 
 
 class TestWarmPlans:
