@@ -49,9 +49,11 @@ class DivaChecker:
         The architectural state is always advanced with the *correct*
         values, so recovery after a fault simply re-fetches from
         ``arch.pc``.  One dispatch on the instruction's class picks what is
-        observed and compares it: a store's value, a branch's direction, an
-        indirect target, else the destination value read from
-        ``prf_values`` (syscalls, nops and direct jumps have none).
+        observed and compares it: the destination value read from
+        ``prf_values`` of an instruction with a destination (an indirect
+        call's link excepted), else a store's value, a branch's direction
+        or an indirect target (syscalls, nops and direct jumps have
+        none).
         """
         inst = dyn.inst
         arch = self.arch
@@ -61,24 +63,22 @@ class DivaChecker:
                 f"{arch.pc:#x} but retiring {inst.pc:#x} (seq {dyn.seq})")
         info = inst.info
         step = info.step(arch, inst)
-        if info.is_store:
-            observed = dyn.store_value
-            if observed is not None and step.store_value != observed:
-                return DivaFault(dyn, "store", step, step.store_value,
-                                 observed)
-        elif info.is_cond_branch:
-            observed = dyn.branch_taken
-            if observed is not None and observed != step.taken:
-                return DivaFault(dyn, "branch", step, step.taken, observed)
-        elif info.is_indirect_ctl:
-            observed = dyn.next_pc
-            if observed is not None and observed != step.next_pc:
-                return DivaFault(dyn, "indirect", step, step.next_pc,
-                                 observed)
-        elif inst.dest is not None:
+        if inst.dest is not None and not info.is_indirect_ctl:
             preg = dyn.dest_preg
             observed = None if preg is None else prf_values[preg]
             if observed is None or step.dest_value != observed:
                 return DivaFault(dyn, "value", step, step.dest_value,
                                  observed)
+        elif info.is_store:
+            if step.store_value != dyn.store_value:
+                return DivaFault(dyn, "store", step, step.store_value,
+                                 dyn.store_value)
+        elif info.is_cond_branch:
+            if dyn.branch_taken != step.taken:
+                return DivaFault(dyn, "branch", step, step.taken,
+                                 dyn.branch_taken)
+        elif info.is_indirect_ctl:
+            if dyn.next_pc != step.next_pc:
+                return DivaFault(dyn, "indirect", step, step.next_pc,
+                                 dyn.next_pc)
         return None

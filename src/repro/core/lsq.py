@@ -58,13 +58,6 @@ class CollisionHistoryTable:
         self._tags[(pc // INST_SIZE) % self.entries] = pc
 
 
-def _remove_sorted(seqs: List[int], seq: int) -> None:
-    """Remove ``seq`` from a sorted sequence-number list, if present."""
-    idx = bisect_left(seqs, seq)
-    if idx < len(seqs) and seqs[idx] == seq:
-        del seqs[idx]
-
-
 class LoadStoreQueue:
     """The in-order queue of in-flight memory operations.
 
@@ -107,41 +100,36 @@ class LoadStoreQueue:
             # The execute stage's load-issue state (see IssueExecute).
             dyn.cht_counted = False
             dyn.issue_probe = None
-        dyn.in_lsq = True
 
     def _drop_indexes(self, dyn: DynInst) -> None:
-        """Remove one entry from the address/unresolved indices."""
-        seq = dyn.seq
+        """Remove one entry from the address/unresolved indices.  An entry
+        is in exactly one of them (``mem_addr`` says which), and a retiring
+        one is the oldest, so ``list.remove`` finds it first."""
         addr = dyn.mem_addr
         if dyn.info.is_store:
             if addr is None:
-                _remove_sorted(self._unresolved_stores, seq)
-            else:
-                bucket = self._stores_by_addr.get(addr)
-                if bucket is not None:
-                    _remove_sorted(bucket, seq)
-                    if not bucket:
-                        del self._stores_by_addr[addr]
-        elif addr is not None:
-            bucket = self._loads_by_addr.get(addr)
-            if bucket is not None:
-                _remove_sorted(bucket, seq)
-                if not bucket:
-                    del self._loads_by_addr[addr]
+                self._unresolved_stores.remove(dyn.seq)
+                return
+            index = self._stores_by_addr
+        elif addr is None:
+            return
+        else:
+            index = self._loads_by_addr
+        bucket = index[addr]
+        bucket.remove(dyn.seq)
+        if not bucket:
+            del index[addr]
 
     def remove(self, dyn: DynInst) -> None:
         if self._by_seq.pop(dyn.seq, None) is not None:
             self._drop_indexes(dyn)
-            dyn.in_lsq = False
 
     def squash(self, squashed_seqs: set) -> int:
         """Drop entries belonging to squashed instructions; returns count."""
         by_seq = self._by_seq
         doomed = [seq for seq in by_seq if seq in squashed_seqs]
         for seq in doomed:
-            dyn = by_seq.pop(seq)
-            self._drop_indexes(dyn)
-            dyn.in_lsq = False
+            self._drop_indexes(by_seq.pop(seq))
         return len(doomed)
 
     # ------------------------------------------------------------------
@@ -160,7 +148,7 @@ class LoadStoreQueue:
         aligned = addr & _ALIGN_MASK
         old_addr = dyn.mem_addr
         if old_addr is None:
-            _remove_sorted(self._unresolved_stores, seq)
+            self._unresolved_stores.remove(seq)
             insort(self._stores_by_addr.setdefault(aligned, []), seq)
         elif old_addr != aligned:
             # Re-resolution to a new address (defensive; completions fire

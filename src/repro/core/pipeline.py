@@ -104,7 +104,9 @@ class Processor:
         visible to retirement, freed resources are visible to rename, and
         redirects take effect before the next fetch.  This is the one-cycle
         API for tests and tools; :meth:`_run_phase` runs the same cycle with
-        the no-work stages skipped.
+        the no-work stages skipped.  Retirements reach ``retired_by_type``
+        and ``retired_branches`` at :meth:`CommitDiva.fold_retired`, which
+        :meth:`run` calls after each phase.
         """
         state = self.state
         stats = state.stats
@@ -330,9 +332,9 @@ class Processor:
                     frontend_tick()
                 occupancy_sum += len(rs_waiting)
                 samples += 1
-                # ``last_retire_cycle`` is stamped by every retirement, so
-                # any move past the ``retired_at`` watermark means this
-                # cycle retired.
+                # ``last_retire_cycle`` is stamped by every commit tick that
+                # retires, so any move past the ``retired_at`` watermark
+                # means this cycle retired.
                 if state.last_retire_cycle != retired_at:
                     retired_at = state.last_retire_cycle
                     cpi_retired += 1
@@ -384,8 +386,10 @@ class Processor:
     def _run(self, max_instructions: Optional[int],
              warmup_instructions: int) -> SimStats:
         state = self.state
+        fold_retired = self.commit_diva.fold_retired
         if warmup_instructions:
             self._run_phase(warmup_instructions)
+            fold_retired()
             # Reset the counters; microarchitectural state stays warm.
             warm = state.stats
             fresh = SimStats(benchmark=warm.benchmark,
@@ -397,6 +401,7 @@ class Processor:
         if max_instructions is not None:
             remaining = max(0, max_instructions)
         self._run_phase(remaining)
+        fold_retired()
         stats = state.stats
         stats.cycles = state.cycle - self._cycle_base
         return stats

@@ -48,6 +48,8 @@ class ReservationStations:
         #: Port limits indexed by ``OpInfo.port_code``.
         self._limits_by_code = [self.ports.simple_int, self.ports.complex_fp,
                                 self.ports.loads, self.ports.stores]
+        self._width = self.ports.issue_width
+        self._combined = self.ports.combined_ldst_port
         #: seq -> waiting instruction (insertion order = age order).
         self._waiting: Dict[int, DynInst] = {}
         # Event-driven readiness tracking: the PRF wakes the scheduler.
@@ -77,17 +79,12 @@ class ReservationStations:
         waiting[seq] = dyn
         ready = self._prf.ready
         pending = 0
-        watchers = self._watchers
         for preg in dyn.src_pregs:
             if not ready[preg]:
                 pending += 1
-                bucket = watchers.get(preg)
-                if bucket is None:
-                    watchers[preg] = [dyn]
-                else:
-                    bucket.append(dyn)
+                self._watchers.setdefault(preg, []).append(dyn)
         dyn.rs_pending = pending
-        if pending == 0:
+        if not pending:
             self._ready[dyn.info.sort_bias | seq] = dyn
 
     def wakeup(self, preg: int) -> None:
@@ -134,13 +131,10 @@ class ReservationStations:
         waiting = self._waiting
         limits = self._limits_by_code
         counts = [0, 0, 0, 0]
-        width = self.ports.issue_width
-        combined = self.ports.combined_ldst_port
+        width = self._width
+        combined = self._combined
         selected: List[DynInst] = []
-        keys: List[int] = []
         for key in sorted(ready):
-            if len(selected) >= width:
-                break
             dyn = ready[key]
             code = dyn.info.port_code
             if code == PORT_LOAD and not load_can_issue(dyn):
@@ -151,8 +145,9 @@ class ReservationStations:
             if counts[code] >= limits[code]:
                 continue
             counts[code] += 1
+            del ready[key]
+            del waiting[dyn.seq]
             selected.append(dyn)
-            keys.append(key)
-        for key in keys:
-            del waiting[ready.pop(key).seq]
+            if len(selected) >= width:
+                break
         return selected

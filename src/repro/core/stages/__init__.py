@@ -17,7 +17,7 @@ the clock.
 """
 
 from repro.core.stages.base import PipelineState, RecoveryController
-from repro.core.stages.commit import CommitDiva, integration_type
+from repro.core.stages.commit import CommitDiva
 from repro.core.stages.execute import IssueExecute
 from repro.core.stages.frontend import FrontEnd
 from repro.core.stages.rename import RenameIntegrate
@@ -29,5 +29,4 @@ __all__ = [
     "RenameIntegrate",
     "IssueExecute",
     "CommitDiva",
-    "integration_type",
 ]

@@ -9,32 +9,13 @@ evaluation is built on.
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import defaultdict
+from typing import DefaultDict
 
 from repro.core.diva import DivaFault, SimulationError
 from repro.core.stages.base import PipelineState, RecoveryController
-from repro.core.stats import IntegrationType, distance_bucket
-from repro.isa.instruction import StaticInst
-from repro.isa.opcodes import OpClass
-from repro.isa.registers import REG_SP
+from repro.core.stats import distance_bucket
 from repro.obs.cpi import CPI_INTEGRATION_REPLAY
-
-
-def integration_type(inst: StaticInst) -> Optional[IntegrationType]:
-    """Categorise an instruction for the Figure 5 "Type" breakdown (the
-    definition; retirement reads the copy precomputed as ``inst.itype``)."""
-    info = inst.info
-    if info.is_load:
-        if inst.ra == REG_SP:
-            return IntegrationType.LOAD_SP
-        return IntegrationType.LOAD_OTHER
-    if info.is_cond_branch:
-        return IntegrationType.BRANCH
-    if info.fp:
-        return IntegrationType.FP
-    if info.cls in (OpClass.IALU, OpClass.IMUL):
-        return IntegrationType.ALU
-    return None
 
 
 class CommitDiva:
@@ -43,6 +24,9 @@ class CommitDiva:
     def __init__(self, state: PipelineState, recovery: RecoveryController):
         self.state = state
         self.recovery = recovery
+        self._width = state.config.retire_width
+        #: Retirements per static PC since the last :meth:`fold_retired`.
+        self.retired_by_pc: DefaultDict[int, int] = defaultdict(int)
 
     # ------------------------------------------------------------------
     def tick(self) -> None:
@@ -58,31 +42,34 @@ class CommitDiva:
         dyn = rob_entries[0]
         if cycle <= dyn.rename_cycle + 1:
             return
-        prf_ready = state.prf.ready
+        prf = state.prf
+        prf_ready = prf.ready
         if dyn.integrated:
             dest = dyn.dest_preg
             if dest is not None and not prf_ready[dest]:
                 return
         elif not dyn.completed:
             return
-        budget = state.retire_budget
         stats = state.stats
-        prf_values = state.prf.values
-        release = state.prf.release
-        diva = state.diva
+        # Exact slice boundary: never retire past the budget, so a resumed
+        # run stops on a precise instruction boundary.
+        budget = state.retire_budget
+        room = (self._width if budget is None
+                else min(self._width, budget - stats.retired))
+        if room <= 0:
+            return
+        prf_values = prf.values
+        release = prf.release
+        check = state.diva.check_and_commit
+        arch = state.arch
+        retired_by_pc = self.retired_by_pc
         tracer = state.tracer
-        retired = 0
-        width = state.config.retire_width
+        retired = mispredicted = 0
         while True:
-            if budget is not None and stats.retired >= budget:
-                # Exact slice boundary: never retire past the budget, so a
-                # resumed run stops on a precise instruction boundary.
-                break
             info = dyn.info
-            if info.is_store:
-                if not state.mem.store(dyn.eff_addr or 0, cycle):
-                    break
-            fault = diva.check_and_commit(dyn, prf_values)
+            if info.is_store and not state.mem.store(dyn.eff_addr, cycle):
+                break
+            fault = check(dyn, prf_values)
             if fault is not None:
                 self._handle_diva_fault(fault)
 
@@ -91,38 +78,25 @@ class CommitDiva:
             # reference; the instruction's own output keeps its reference
             # (it is now the retired architectural mapping).
             rob_entries.popleft()
-            old = dyn.old_dest_preg
-            if old is not None:
-                release(old)
-            if dyn.in_lsq:
+            if dyn.dest_preg is not None:
+                release(dyn.old_dest_preg)
+            if info.is_mem:
                 state.lsq.remove(dyn)
-            dyn.retire_cycle = cycle
-            state.last_retire_cycle = cycle
+            retired_by_pc[dyn.inst.pc] += 1
             if info.is_branch:
                 # Only branches register predictions (see FrontEnd.tick).
                 state.predictions.pop(dyn.seq, None)
-            stats.retired += 1
-            retired += 1
-            if dyn.mis_integrated:
-                # The refill after the mis-integration flush is replay work;
-                # do_squash already blamed it on squash_recovery, override.
-                state.stall_cause = CPI_INTEGRATION_REPLAY
-            elif not (dyn.branch_mispredicted or dyn.mem_mispeculated):
-                # An innocent retirement ends the recovery window: later
-                # empty-ROB cycles are ordinary front-end supply again.
-                state.stall_cause = None
-            if tracer is not None:
-                tracer.on_retire(dyn, cycle)
-            itype = dyn.inst.itype
-            if itype is not None:
-                stats.retired_by_type[itype] += 1
-            if info.is_cond_branch:
-                stats.retired_branches += 1
-                if dyn.branch_mispredicted or dyn.mis_integrated:
+                if dyn.branch_mispredicted:
+                    mispredicted += 1
+                if info.is_cond_branch and (dyn.branch_mispredicted
+                                            or dyn.mis_integrated):
                     stats.retired_mispredicted_branches += 1
                     stats.branch_resolution_latency_sum += max(
                         0, dyn.complete_cycle - dyn.fetch_cycle)
+            if tracer is not None:
+                tracer.on_retire(dyn, cycle)
             if dyn.integrated and not dyn.mis_integrated:
+                itype = dyn.inst.itype
                 if dyn.reverse_integrated:
                     stats.integrated_reverse += 1
                     if itype is not None:
@@ -137,7 +111,8 @@ class CommitDiva:
                     stats.integration_status[dyn.integration_status] += 1
                 if dyn.integration_refcount:
                     stats.integration_refcount[dyn.integration_refcount] += 1
-            if (fault is not None or state.arch.halted or retired >= width
+            retired += 1
+            if (fault is not None or arch.halted or retired == room
                     or not rob_entries):
                 break
             dyn = rob_entries[0]
@@ -149,6 +124,33 @@ class CommitDiva:
                     break
             elif not dyn.completed:
                 break
+        if retired:
+            stats.retired += retired
+            state.last_retire_cycle = cycle
+            if fault is not None:
+                # The faulting instruction retired last.  The refill after
+                # its mis-integration flush is replay work; do_squash
+                # already blamed it on squash_recovery, override.
+                state.stall_cause = CPI_INTEGRATION_REPLAY
+            elif retired > mispredicted:
+                # An innocent retirement (one that recovered from nothing)
+                # ends the recovery window: later empty-ROB cycles are
+                # ordinary front-end supply again.
+                state.stall_cause = None
+
+    def fold_retired(self) -> None:
+        """Add the per-PC retirement counts to ``retired_by_type`` and
+        ``retired_branches`` of ``state.stats`` and restart them; the
+        driver calls it at the end of each phase.  Folding in
+        first-retirement order keeps each type's key order."""
+        stats = self.state.stats
+        for pc, count in self.retired_by_pc.items():
+            inst = self.state.program.at(pc)
+            if inst.itype is not None:
+                stats.retired_by_type[inst.itype] += count
+            if inst.info.is_cond_branch:
+                stats.retired_branches += count
+        self.retired_by_pc.clear()
 
     # ------------------------------------------------------------------
     def _handle_diva_fault(self, fault: DivaFault) -> None:

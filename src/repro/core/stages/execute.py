@@ -34,6 +34,10 @@ class IssueExecute:
     def __init__(self, state: PipelineState, recovery: RecoveryController):
         self.state = state
         self.recovery = recovery
+        config = state.config
+        #: Stages every result passes besides its execution latency.
+        self._regread_wb = config.regread_stages + config.writeback_stages
+        self._agen = config.memsys.address_generation_latency
         self.wakeup_events: Dict[int, List] = {}
         self.complete_events: Dict[int, List[DynInst]] = {}
         #: Min-heap of cycles with scheduled events (lazily pruned); the
@@ -63,8 +67,7 @@ class IssueExecute:
                 values[preg] = value
                 if not ready[preg]:
                     ready[preg] = True
-                    if on_ready is not None:
-                        on_ready(preg)
+                    on_ready(preg)
         completions = self.complete_events.pop(cycle, None)
         if completions:
             tracer = state.tracer
@@ -72,22 +75,24 @@ class IssueExecute:
                 if dyn.squashed:
                     continue
                 dyn.completed = True
-                dyn.complete_cycle = cycle
                 if tracer is not None:
                     tracer.on_complete(dyn, cycle)
                 # Branches, stores and indirect jumps resolve on completion.
                 kind = dyn.info.kind_code
+                if kind <= KIND_LOAD:
+                    continue
                 if kind == KIND_BRANCH:
                     self._resolve_branch(dyn)
                 elif kind == KIND_STORE:
                     self._resolve_store(dyn)
-                elif kind == KIND_INDIRECT:
+                else:
                     self._resolve_indirect(dyn)
 
     # ------------------------------------------------------------------
     def _resolve_branch(self, dyn: DynInst) -> None:
         """Resolution of an executed (non-integrated) conditional branch."""
         state = self.state
+        dyn.complete_cycle = state.cycle
         taken = dyn.branch_taken
         target = dyn.next_pc
         state.integration.record_branch_outcome(dyn, taken)
@@ -118,7 +123,6 @@ class IssueExecute:
         if not violations:
             return
         victim = violations[0]
-        victim.mem_mispeculated = True
         stats = state.stats
         stats.memory_order_violations += 1
         stats.cht_trainings += 1
@@ -133,32 +137,27 @@ class IssueExecute:
         selected = state.rs.select(self._load_can_issue)
         if not selected:
             return
-        config = state.config
         cycle = state.cycle
-        stats = state.stats
         tracer = state.tracer
         prf_values = state.prf.values
-        regread = config.regread_stages
-        wb = config.writeback_stages
-        schedule = self._schedule
-        # Execute the issue group: dispatch on the precomputed kind code and
-        # schedule each result's wakeup and completion.
+        regread_wb = self._regread_wb
+        wakeup_events = self.wakeup_events
+        complete_events = self.complete_events
+        state.stats.issued += len(selected)
         for dyn in selected:
             dyn.issued = True
-            stats.issued += 1
             if tracer is not None:
                 tracer.on_issue(dyn, cycle)
-            inst = dyn.inst
+            # Execute: dispatch on the precomputed kind code.  ``wake`` is
+            # the delay of the register write that wakes the consumers
+            # (None: no register result), ``done`` that of completion.
             info = dyn.info
             kind = info.kind_code
             srcs = dyn.src_pregs
-            nsrc = len(srcs)
-            a = prf_values[srcs[0]] if nsrc else 0
+            a = prf_values[srcs[0]] if srcs else 0
             if kind == KIND_ALU:                        # ALU / FP
-                b = prf_values[srcs[1]] if nsrc > 1 else 0
-                if info.eval_is_fp:
-                    result = info.eval_fn(a, b, inst.imm)
-                else:
+                b = prf_values[srcs[1]] if len(srcs) > 1 else 0
+                if not info.eval_is_fp:
                     # Wrong-path execution can feed an integer operation a
                     # register that last held a float; truncate (the result
                     # is discarded at the squash anyway).
@@ -166,35 +165,63 @@ class IssueExecute:
                         a = int(a)
                     if type(b) is float:
                         b = int(b)
-                    result = info.eval_fn(a, b, inst.imm)
-                latency = info.latency
-                schedule(dyn, latency, result, regread + latency + wb)
+                result = info.eval_fn(a, b, dyn.inst.imm)
+                wake = info.latency
+                done = regread_wb + wake
+            elif kind == KIND_LOAD:
+                latency, result = self._execute_load(dyn, a)
+                wake = latency if latency > 1 else 1
+                done = regread_wb + latency
             elif kind == KIND_BRANCH:                   # conditional branch
-                taken = info.branch_fn(semantics.to_signed(int(a)))
+                inst = dyn.inst
+                taken = info.branch_fn(a)
                 dyn.branch_taken = taken
                 dyn.next_pc = inst.target if taken else inst.pc + INST_SIZE
-                schedule(dyn, None, None, regread + 1 + wb)
+                wake = None
+                done = regread_wb + 1
             elif kind == KIND_INDIRECT:                 # indirect control
-                target = int(a) & _MASK64
-                dyn.next_pc = target
+                dyn.next_pc = int(a) & _MASK64
+                # Read only by the predictor repair, which ignores it for
+                # anything but a conditional branch.
+                dyn.branch_taken = True
                 if (info.cls is OpClass.CALL_INDIRECT
                         and dyn.dest_preg is not None):
-                    schedule(dyn, 1, inst.pc + INST_SIZE, regread + 1 + wb)
+                    wake = 1
+                    result = dyn.inst.pc + INST_SIZE
                 else:
-                    schedule(dyn, None, None, regread + 1 + wb)
-            elif kind == KIND_LOAD:
-                self._execute_load(dyn, a)
+                    wake = None
+                done = regread_wb + 1
             elif kind == KIND_STORE:
-                b = prf_values[srcs[1]] if nsrc > 1 else 0
-                addr = (int(b) + inst.imm) & _MASK64
+                b = prf_values[srcs[1]] if len(srcs) > 1 else 0
+                addr = (int(b) + dyn.inst.imm) & _MASK64
                 dyn.eff_addr = addr
                 dyn.store_value = (int(a) & semantics.MASK32
                                    if info.is_stl else a)
-                stats.executed_stores += 1
-                agen = config.memsys.address_generation_latency
-                schedule(dyn, None, None, regread + agen + wb)
+                state.stats.executed_stores += 1
+                done = regread_wb + self._agen
+                wake = None
             else:  # pragma: no cover - such classes never enter the RS
                 raise SimulationError(f"unexpected issue of {dyn}")
+            # Schedule the events.  Each delay counts at least one cycle
+            # (every opcode latency is at least 1; a load's wake is clamped
+            # above).
+            if wake is not None:
+                when = cycle + wake
+                bucket = wakeup_events.get(when)
+                if bucket is None:
+                    wakeup_events[when] = [(dyn, result)]
+                    if when not in complete_events:
+                        heappush(self.event_cycles, when)
+                else:
+                    bucket.append((dyn, result))
+            when = cycle + (done if done > 1 else 1)
+            bucket = complete_events.get(when)
+            if bucket is None:
+                complete_events[when] = [dyn]
+                if when not in wakeup_events:
+                    heappush(self.event_cycles, when)
+            else:
+                bucket.append(dyn)
 
     def _load_can_issue(self, dyn: DynInst) -> bool:
         state = self.state
@@ -215,10 +242,11 @@ class IssueExecute:
                            state.lsq.forward_from(dyn, addr))
         return True
 
-    def _execute_load(self, dyn: DynInst, base) -> None:
+    def _execute_load(self, dyn: DynInst, base):
+        """Access memory for a selected load; returns ``(latency, value)``
+        from its issue."""
         state = self.state
-        config = state.config
-        agen = config.memsys.address_generation_latency
+        agen = self._agen
         # Reuse the issue-check probe computed by _load_can_issue this
         # cycle: the LSQ store image cannot change between select and
         # execute (stores resolve at completion, in writeback).
@@ -232,7 +260,7 @@ class IssueExecute:
         state.lsq.record_load(dyn, addr)
         state.stats.executed_loads += 1
         if store is not None:
-            latency = agen + config.memsys.store_forward_latency
+            latency = agen + state.config.memsys.store_forward_latency
             value = store.store_value
         else:
             latency = agen + state.mem.load(addr, state.cycle + agen)
@@ -240,32 +268,4 @@ class IssueExecute:
         if dyn.info.is_ldl:
             value = semantics.to_unsigned(
                 semantics.to_signed(int(value) & semantics.MASK32, 32))
-        self._schedule(dyn, latency, value, config.regread_stages + latency
-                       + config.writeback_stages)
-
-    def _schedule(self, dyn: DynInst, wake_delay, value,
-                  complete_delay: int) -> None:
-        """Schedule ``dyn``'s completion ``complete_delay`` cycles from now
-        and, unless ``wake_delay`` is None, the write of ``value`` to its
-        destination (which wakes its consumers) ``wake_delay`` cycles from
-        now.  Both delays count at least one cycle."""
-        now = self.state.cycle
-        wakeup_events = self.wakeup_events
-        complete_events = self.complete_events
-        if wake_delay is not None:
-            cycle = now + (wake_delay if wake_delay > 1 else 1)
-            bucket = wakeup_events.get(cycle)
-            if bucket is None:
-                wakeup_events[cycle] = [(dyn, value)]
-                if cycle not in complete_events:
-                    heappush(self.event_cycles, cycle)
-            else:
-                bucket.append((dyn, value))
-        cycle = now + (complete_delay if complete_delay > 1 else 1)
-        bucket = complete_events.get(cycle)
-        if bucket is None:
-            complete_events[cycle] = [dyn]
-            if cycle not in wakeup_events:
-                heappush(self.event_cycles, cycle)
-        else:
-            bucket.append(dyn)
+        return latency, value

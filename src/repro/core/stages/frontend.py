@@ -56,18 +56,17 @@ class FrontEnd:
         # fetched since the last branch -- including across cycles via the
         # branch-prediction path below invalidating it.
         snap = None
-        fetched = 0
         tracer = state.tracer
-        width = config.fetch_width
+        first = seq = state.seq
+        last = seq + config.fetch_width
         while True:
             if snap is None:
                 snap = predictor.snapshot()
                 depth = len(snap[1])
-            state.seq += 1
-            dyn = DynInst(state.seq, inst, cycle, depth, snap)
+            seq += 1
+            dyn = DynInst(seq, inst, cycle, depth, snap)
             if tracer is not None:
                 tracer.on_fetch(dyn, cycle)
-            fetched += 1
             fetch_pc = inst.pc + INST_SIZE
             append((dyn, ready_cycle))
             # Non-control-flow: the predictor has no side effects and always
@@ -75,18 +74,19 @@ class FrontEnd:
             if inst.info.is_branch:
                 prediction = predictor.predict(inst)
                 snap = None
-                predictions[dyn.seq] = prediction
+                predictions[seq] = prediction
                 if prediction.taken:
                     fetch_pc = prediction.target
                     break
-            if fetched == width:
+            if seq == last:
                 break
             inst = program_at(fetch_pc)
             if inst is None:
                 self.fetch_halted = True
                 break
         self.fetch_pc = fetch_pc
-        state.stats.fetched += fetched
+        state.seq = seq
+        state.stats.fetched += seq - first
 
     # ------------------------------------------------------------------
     def flush(self, redirect_pc: int) -> None:

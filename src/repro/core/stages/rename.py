@@ -23,11 +23,11 @@ from repro.core.stages.base import PipelineState, RecoveryController
 from repro.core.stages.frontend import FrontEnd
 from repro.core.stats import ResultStatus
 from repro.integration.config import LispMode
+from repro.integration.logic import NO_INTEGRATION
 from repro.isa import semantics
 from repro.isa.instruction import DynInst
 from repro.isa.opcodes import OpClass
 from repro.isa.program import INST_SIZE
-from repro.isa.registers import REG_FZERO, REG_ZERO
 
 
 class RenameIntegrate:
@@ -42,6 +42,7 @@ class RenameIntegrate:
         # Hoisted integration preconditions (the config is immutable).
         self._int_enabled = icfg.enabled
         self._oracle_loads = icfg.lisp_mode is LispMode.ORACLE
+        self._width = state.config.rename_width
 
     # ------------------------------------------------------------------
     def tick(self) -> None:
@@ -69,20 +70,21 @@ class RenameIntegrate:
             return
         if info.is_mem and len(lsq_by_seq) >= lsq_size:
             return
-        stats = state.stats
-        allocate = state.prf.allocate
-        prf_gen = state.prf.gen
+        prf = state.prf
+        allocate = prf.allocate
+        prf_gen = prf.gen
         mt_pregs = state.map_table._pregs
         mt_gens = state.map_table._gens
-        # Looked up on the instance every tick: a harness may wrap them.
-        integration = state.integration
-        consider = integration.consider
-        create_entries = integration.create_entries
         int_enabled = self._int_enabled
-        oracle = self._oracle_allow if self._oracle_loads else None
-        preg_producer = state.preg_producer
+        if int_enabled:
+            # Looked up on the instance every tick: a harness may wrap them.
+            integration = state.integration
+            consider = integration.consider
+            create_entries = integration.create_entries
+            oracle = self._oracle_allow if self._oracle_loads else None
+            preg_producer = state.preg_producer
+            stats = state.stats
         renamed = 0
-        width = state.config.rename_width
         tracer = state.tracer
         while True:
             # Remove the instruction from the front-end queue before renaming
@@ -98,7 +100,7 @@ class RenameIntegrate:
             inst = dyn.inst
             srcs = inst.srcs
             if len(srcs) == 1:
-                a = srcs[0]
+                a, = srcs
                 pa = mt_pregs[a]
                 dyn.src_pregs = [pa]
                 dyn.src_key = (pa, mt_gens[a])
@@ -111,20 +113,22 @@ class RenameIntegrate:
             else:
                 dyn.src_pregs = []
                 dyn.src_key = ()
-            integrated = suppressed = saturated = False
-            if int_enabled and info.integrable:
-                decision = consider(dyn, dyn.call_depth, oracle)
-                suppressed = (decision.suppressed_by_lisp
-                              or decision.suppressed_by_oracle)
-                if decision.integrate:
-                    integrated = self._apply_integration(dyn, decision.entry)
-                    saturated = not integrated
-            if not integrated:
+            if int_enabled:
+                decision = (consider(dyn, dyn.call_depth, oracle)
+                            if info.integrable else NO_INTEGRATION)
+                integrated = decision.integrate and self._apply_integration(
+                    dyn, decision.entry)
+            else:
+                integrated = False
+            if integrated:
+                # Integrated instructions finish at rename.
+                dyn.completed = True
+            else:
                 # Conventional rename: claim a free register and shadow the
                 # destination's previous mapping (released at retirement).
                 # Stores, branches and zero-register writes map nothing.
-                dest = inst.dest
-                if dest is None or dest == REG_ZERO or dest == REG_FZERO:
+                dest = inst.mapped_dest
+                if dest is None:
                     dyn.dest_preg = None
                 else:
                     preg = allocate()
@@ -139,29 +143,31 @@ class RenameIntegrate:
                     dyn.dest_gen = gen
                     mt_pregs[dest] = preg
                     mt_gens[dest] = gen
-                    preg_producer[preg] = dyn
-                if int_enabled and inst.it_creates:
-                    create_entries(dyn, dyn.call_depth)
                 if info.rename_complete:
-                    # A direct call writes its link register here.
+                    # Direct jumps and calls, syscalls and nops finish here;
+                    # a direct call writes its link register.
+                    dyn.completed = True
                     if info.cls is OpClass.CALL_DIRECT and (
                             dyn.dest_preg is not None):
-                        state.prf.set_value(dyn.dest_preg,
-                                            inst.pc + INST_SIZE)
+                        prf.set_value(dyn.dest_preg, inst.pc + INST_SIZE)
                 else:
                     rs.insert(dyn)
                     if info.is_mem:
                         lsq.insert(dyn)
-                    dyn.dispatch_cycle = cycle
-            if suppressed:
-                stats.lisp_suppressed += 1
-            if saturated:
-                stats.refcount_saturation_failures += 1
-            if integrated or info.rename_complete:
-                # Integrated instructions, direct jumps/calls, syscalls and
-                # nops finish at rename.
-                dyn.completed = True
-                dyn.complete_cycle = cycle
+            if int_enabled:
+                if (decision.suppressed_by_lisp
+                        or decision.suppressed_by_oracle):
+                    stats.lisp_suppressed += 1
+                if not integrated:
+                    if decision.integrate:
+                        # The entry matched, but its register's reference
+                        # count is saturated.
+                        stats.refcount_saturation_failures += 1
+                    if dyn.dest_preg is not None:
+                        # Read by _result_status only.
+                        preg_producer[dyn.dest_preg] = dyn
+                    if inst.it_creates:
+                        create_entries(dyn, dyn.call_depth)
             dyn.rename_cycle = cycle
             rob_entries.append(dyn)
             renamed += 1
@@ -169,8 +175,8 @@ class RenameIntegrate:
                 tracer.on_rename(dyn, cycle)
             # An integrated branch that redirected fetch ends the rename
             # group (everything behind it in the queue was flushed).
-            if ((dyn.branch_mispredicted and integrated) or renamed == width
-                    or not fetch_queue):
+            if ((integrated and dyn.branch_mispredicted)
+                    or renamed == self._width or not fetch_queue):
                 break
             dyn, ready_cycle = fetch_queue[0]
             if ready_cycle > cycle or len(rob_entries) >= rob_size:
@@ -180,7 +186,7 @@ class RenameIntegrate:
                 break
             if info.is_mem and len(lsq_by_seq) >= lsq_size:
                 break
-        stats.renamed += renamed
+        state.stats.renamed += renamed
 
     # ------------------------------------------------------------------
     def _apply_integration(self, dyn: DynInst, entry) -> bool:
@@ -189,16 +195,21 @@ class RenameIntegrate:
         an integrated instruction complete."""
         state = self.state
         if dyn.info.is_cond_branch:
+            # A branch shares no register: no Figure 5 status or refcount.
+            dyn.dest_preg = status = None
+            refcount = 0
             self._integrate_branch(dyn, entry)
-            return True
-        status = self._result_status(entry.out)
-        if not state.renamer.integrate_dest(dyn, entry.out, entry.out_gen):
-            return False
+        else:
+            status = self._result_status(entry.out)
+            if not state.renamer.integrate_dest(dyn, entry.out,
+                                                entry.out_gen):
+                return False
+            refcount = state.prf.refcount[entry.out]
         dyn.integrated = True
         dyn.reverse_integrated = entry.is_reverse
         dyn.integration_distance = max(0, dyn.seq - entry.creator_seq)
         dyn.integration_status = status
-        dyn.integration_refcount = state.prf.refcount[entry.out]
+        dyn.integration_refcount = refcount
         return True
 
     def _integrate_branch(self, dyn: DynInst, entry) -> None:
@@ -206,12 +217,7 @@ class RenameIntegrate:
         state = self.state
         inst = dyn.inst
         outcome = bool(entry.branch_outcome)
-        dyn.integrated = True
-        dyn.reverse_integrated = entry.is_reverse
-        dyn.integration_distance = max(0, dyn.seq - entry.creator_seq)
-        # A branch shares no register: no Figure 5 status or refcount.
-        dyn.integration_status = None
-        dyn.integration_refcount = 0
+        dyn.complete_cycle = state.cycle
         dyn.branch_taken = outcome
         dyn.next_pc = inst.target if outcome else inst.pc + INST_SIZE
         prediction = state.predictions.get(dyn.seq)
@@ -232,7 +238,12 @@ class RenameIntegrate:
         if state.prf.refcount[preg] == 0:
             return ResultStatus.SHADOW_SQUASH
         producer = state.preg_producer.get(preg)
-        if producer is None or producer.retire_cycle >= 0:
+        # Retirement is in order: a producer that was not squashed has
+        # retired exactly when it is older than the oldest instruction in
+        # flight.
+        rob_entries = state.rob._entries
+        if producer is None or not producer.squashed and (
+                not rob_entries or producer.seq < rob_entries[0].seq):
             return ResultStatus.RETIRE
         if producer.issued or producer.completed:
             return ResultStatus.ISSUE

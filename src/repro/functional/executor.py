@@ -15,8 +15,7 @@ from repro.isa.instruction import StaticInst
 from repro.isa.opcodes import OPINFO, OpClass
 from repro.isa.program import INST_SIZE
 from repro.isa import semantics
-from repro.isa.registers import (ARG_REGS, REG_FZERO, REG_ZERO,
-                                 RETURN_VALUE_REG)
+from repro.isa.registers import ARG_REGS, RETURN_VALUE_REG
 
 # System-call service codes.
 SYS_EXIT = 0
@@ -45,8 +44,6 @@ _result = tuple.__new__
 
 _MASK64 = semantics.MASK64
 _MASK32 = semantics.MASK32
-_SIGN64 = 1 << 63
-_WRAP64 = 1 << 64
 
 
 def execute_step(state: ArchState, inst: StaticInst) -> StepResult:
@@ -70,8 +67,8 @@ def _step_alu(state: ArchState, inst: StaticInst) -> StepResult:
         if type(b) is float:
             b = int(b)
     value = info.eval_fn(a, b, inst.imm)
-    rd = inst.rd
-    if rd != REG_ZERO and rd != REG_FZERO:     # ArchState.write_reg, inlined
+    rd = inst.mapped_dest
+    if rd is not None:                          # ArchState.write_reg, inlined
         regs[rd] = value
     next_pc = inst.pc + INST_SIZE
     state.pc = next_pc
@@ -86,8 +83,8 @@ def _step_load(state: ArchState, inst: StaticInst) -> StepResult:
     if inst.info.is_ldl:
         value = semantics.to_unsigned(
             semantics.to_signed(int(value) & _MASK32, 32))
-    rd = inst.rd
-    if rd != REG_ZERO and rd != REG_FZERO:     # ArchState.write_reg, inlined
+    rd = inst.mapped_dest
+    if rd is not None:                          # ArchState.write_reg, inlined
         state.regs[rd] = value
     next_pc = inst.pc + INST_SIZE
     state.pc = next_pc
@@ -110,10 +107,7 @@ def _step_store(state: ArchState, inst: StaticInst) -> StepResult:
 
 
 def _step_cond_branch(state: ArchState, inst: StaticInst) -> StepResult:
-    value = int(state.regs[inst.ra]) & _MASK64  # semantics.to_signed, inlined
-    if value & _SIGN64:
-        value -= _WRAP64
-    taken = inst.info.branch_fn(value)
+    taken = inst.info.branch_fn(state.regs[inst.ra])
     next_pc = inst.target if taken else inst.pc + INST_SIZE
     state.pc = next_pc
     state.inst_count += 1
@@ -129,8 +123,8 @@ def _step_jump(state: ArchState, inst: StaticInst) -> StepResult:
     link = None
     if info.writes_dest:
         link = inst.pc + INST_SIZE
-        rd = inst.rd
-        if rd != REG_ZERO and rd != REG_FZERO:  # ArchState.write_reg, inlined
+        rd = inst.mapped_dest
+        if rd is not None:                      # ArchState.write_reg, inlined
             state.regs[rd] = link
     state.pc = next_pc
     state.inst_count += 1

@@ -43,7 +43,9 @@ class IntegrationConfig(SerializableConfig):
     index_scheme: IndexScheme = IndexScheme.OPCODE_IMM_CALLDEPTH
     # Extension 3: reverse integration (speculative memory bypassing);
     # only under operation indexing, since a PC tag cannot name an inverse
-    # (``__post_init__`` clears it under PC indexing).
+    # (``__post_init__`` clears it under PC indexing).  ``reverse_sp_only``
+    # limits store reverse entries to stack-pointer stores; it is read only
+    # with ``reverse`` on (``__post_init__`` resets it otherwise).
     reverse: bool = True
     reverse_sp_only: bool = True
 
@@ -69,6 +71,10 @@ class IntegrationConfig(SerializableConfig):
         # Clearing the flag gives that machine one label and one cache key.
         if self.reverse and self.index_scheme is IndexScheme.PC:
             object.__setattr__(self, "reverse", False)
+        # ``reverse_sp_only`` narrows reverse entries, so without them it
+        # changes nothing; it takes its default for the same reason.
+        if not self.reverse and not self.reverse_sp_only:
+            object.__setattr__(self, "reverse_sp_only", True)
 
     # ------------------------------------------------------------------
     # presets matching the paper's Figure 4 experiment bars
@@ -110,13 +116,13 @@ class IntegrationConfig(SerializableConfig):
         return replace(self, lisp_mode=mode)
 
     def describe(self) -> str:
-        """One-line human-readable description (used in reports)."""
+        """One-line human-readable description (used in reports):
+        ``<reuse>+<scheme>[+reverse] IT=<entries>x<assoc> LISP=<mode>``."""
         if not self.enabled:
             return "no-integration"
-        parts = ["squash" if not self.general_reuse else "general",
+        parts = ["general" if self.general_reuse else "squash",
                  self.index_scheme.value]
         if self.reverse:
             parts.append("reverse")
-        parts.append(f"IT={self.it_entries}x{self.it_assoc or 'full'}")
-        parts.append(f"LISP={self.lisp_mode.value}")
-        return "+".join(parts[:3]) + " " + " ".join(parts[3:])
+        return (f"{'+'.join(parts)} IT={self.it_entries}x"
+                f"{self.it_assoc or 'full'} LISP={self.lisp_mode.value}")

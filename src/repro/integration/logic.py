@@ -250,7 +250,7 @@ class IntegrationLogic:
             # A branch (no destination: out None, generation 0) or a
             # register write, which rename has just mapped.
             out = dyn.dest_preg
-            out_gen = dyn.dest_gen
+            out_gen = 0 if out is None else dyn.dest_gen
             entry = dyn.it_entry = ITEntry(
                 inst.pc if pc_scheme else inst.it_tag, key, out, out_gen,
                 False, dyn.seq)

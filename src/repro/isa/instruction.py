@@ -8,7 +8,7 @@ carrying renamed registers, values and per-stage timestamps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.isa.opcodes import OpClass, Opcode, OPINFO, is_store
 from repro.isa.registers import REG_FZERO, REG_SP, REG_ZERO, reg_name
@@ -67,11 +67,14 @@ class StaticInst:
     # * ``it_reverse_key`` / ``it_reverse_tag`` -- the same for the reverse
     #   entry: a store's complementary load, or the opposite
     #   ``lda sp, imm(sp)``; None for every other instruction;
+    # * ``mapped_dest`` -- the destination rename maps: ``dest`` unless it
+    #   is None or a zero register, which nothing ever remaps;
     # * ``it_creates`` -- whether renaming it creates any IT entry: a store,
     #   an integrable branch, or an integrable write to a real register.
     #   This is the one statement of the rule; rename and
     #   ``IntegrationLogic.create_entries`` only read it;
-    # * ``itype`` -- the Figure 5 type, ``integration_type(inst)``.
+    # * ``itype`` -- the Figure 5 type (``OpInfo.itype``, or ``itype_sp``
+    #   for a load based on the stack pointer).
     def __post_init__(self):
         info = OPINFO[self.op]
         ra = self.ra
@@ -81,6 +84,7 @@ class StaticInst:
         else:
             srcs = (ra,) if rb is None else (ra, rb)
         dest = self.rd if info.writes_dest else None
+        mapped = None if dest == REG_ZERO or dest == REG_FZERO else dest
         imm = self.imm or 0
         reverse_tag = reverse_key = None
         if info.is_store:
@@ -91,12 +95,12 @@ class StaticInst:
             reverse_key = info.opcode_id ^ (-imm & 0xFFFF)
         self.__dict__.update(
             info=info, cls=info.cls, srcs=srcs, dest=dest,
+            mapped_dest=mapped,
             it_key=info.opcode_id ^ (imm & 0xFFFF),
             it_tag=it_tag(self.op, self.imm),
             it_reverse_tag=reverse_tag, it_reverse_key=reverse_key,
             it_creates=info.is_store or (info.integrable and (
-                info.is_cond_branch or (dest is not None and dest != REG_ZERO
-                                        and dest != REG_FZERO))),
+                info.is_cond_branch or mapped is not None)),
             itype=info.itype_sp if ra == REG_SP else info.itype)
 
     def dest_reg(self) -> Optional[int]:
@@ -137,11 +141,24 @@ class DynInst:
     values, integration metadata and per-stage cycle timestamps.  The class
     uses ``__slots__`` because simulations create one object per dynamic
     instruction.  Fetch passes its cycle, the call depth and the branch
-    predictor checkpoint to the constructor.  The integration-only fields
-    (``reverse_integrated``, ``integration_distance``,
-    ``integration_status``, ``integration_refcount``) have no default: the
-    rename stage sets them when the instruction integrates, and nothing
-    reads them otherwise.
+    predictor checkpoint to the constructor, which also sets the flags
+    every stage tests.  The other fields have no default: the stage named
+    here sets each one before anything reads it.
+
+    * rename: ``src_pregs``, ``src_key``, ``dest_preg`` (None without a
+      register destination), ``rename_cycle``, and, when ``dest_preg`` is
+      set, ``dest_gen``, ``old_dest_preg`` and ``old_dest_gen``;
+    * rename, when the instruction integrates: ``reverse_integrated``,
+      ``integration_distance``, ``integration_status`` and
+      ``integration_refcount``;
+    * the reservation stations' insert: ``rs_pending``;
+    * the load/store queue's insert, memory operations only:
+      ``mem_addr``, and a load's ``cht_counted`` and ``issue_probe``;
+    * issue (or rename, for an integrated branch): ``branch_taken`` and
+      ``next_pc`` of control instructions, ``eff_addr`` of memory
+      operations and ``store_value`` of stores;
+    * a conditional branch's resolution, in writeback or (integrated) in
+      rename: ``complete_cycle``.
     """
 
     __slots__ = (
@@ -157,13 +174,12 @@ class DynInst:
         # execution state
         "eff_addr", "store_value",
         "issued", "completed", "squashed",
-        "branch_taken", "branch_mispredicted", "mem_mispeculated",
+        "branch_taken", "branch_mispredicted",
         "mis_integrated",
         # timing
-        "fetch_cycle", "rename_cycle", "dispatch_cycle",
-        "complete_cycle", "retire_cycle",
+        "fetch_cycle", "rename_cycle", "complete_cycle",
         # resources
-        "rs_pending", "in_lsq",
+        "rs_pending",
         # memory operations only, set at load/store-queue insert: the
         # aligned word resolved or loaded (None before), and a load's
         # CHT-hit flag and ``(cycle, addr, store)`` issue probe
@@ -175,38 +191,16 @@ class DynInst:
         self.seq = seq
         self.inst = inst
         self.info = inst.info
-        self.next_pc = None
         self.call_depth = call_depth
-        self.src_pregs: Sequence[int] = ()
-        #: The flat ``(preg, gen[, preg, gen])`` source key the integration
-        #: table matches on (set by the rename stage,
-        #: ``RenameIntegrate.tick``).
-        self.src_key: Tuple[int, ...] = ()
-        self.dest_preg: Optional[int] = None
-        self.dest_gen: int = 0
-        self.old_dest_preg: Optional[int] = None
-        self.old_dest_gen: int = 0
         self.map_checkpoint = map_checkpoint
+        self.fetch_cycle = fetch_cycle
         self.integrated = False
         self.it_entry = None
-        self.eff_addr = None
-        self.store_value = None
         self.issued = False
         self.completed = False
         self.squashed = False
-        self.branch_taken = False
         self.branch_mispredicted = False
-        self.mem_mispeculated = False
         self.mis_integrated = False
-        self.fetch_cycle = fetch_cycle
-        self.rename_cycle = -1
-        self.dispatch_cycle = -1
-        self.complete_cycle = -1
-        self.retire_cycle = -1
-        #: Source operands still awaited while waiting in the scheduler.
-        self.rs_pending = 0
-        #: Honest load/store-queue membership flag (set/cleared by the LSQ).
-        self.in_lsq = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = []

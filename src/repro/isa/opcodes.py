@@ -121,11 +121,12 @@ PORT_LOAD = 2
 PORT_STORE = 3
 
 # Execute-dispatch codes (``OpInfo.kind_code``): what the execute stage
-# does with a selected instruction.
+# does with a selected instruction.  The kinds above KIND_LOAD resolve when
+# they complete (see IssueExecute.writeback).
 KIND_ALU = 0
-KIND_BRANCH = 1
-KIND_INDIRECT = 2
-KIND_LOAD = 3
+KIND_LOAD = 1
+KIND_BRANCH = 2
+KIND_INDIRECT = 3
 KIND_STORE = 4
 
 #: Sequence numbers occupy the low bits of the scheduler's selection key;
@@ -218,9 +219,9 @@ class OpInfo:
         else:
             kind = -1            # never enters the reservation stations
         object.__setattr__(self, "kind_code", kind)
-        # Figure 5 type (repro.core.stages.commit.integration_type): a load
-        # is LOAD_SP when its base is the stack pointer, which is the only
-        # per-instance part, so both answers are kept here.
+        # Figure 5 type (the "Type" breakdown): a load is LOAD_SP when its
+        # base is the stack pointer, which is the only per-instance part,
+        # so both answers are kept here.
         if cls is OpClass.LOAD:
             itype, itype_sp = IntegrationType.LOAD_OTHER, IntegrationType.LOAD_SP
         else:

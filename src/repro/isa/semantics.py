@@ -13,6 +13,7 @@ from repro.isa.opcodes import Opcode
 
 MASK64 = (1 << 64) - 1
 MASK32 = (1 << 32) - 1
+_SIGN64 = 1 << 63
 
 
 def to_signed(value: int, bits: int = 64) -> int:
@@ -48,7 +49,8 @@ _FP_EVAL = {
 _INT_EVAL = {
     Opcode.ADDQ: lambda a, b, imm: (a + b) & MASK64,
     Opcode.SUBQ: lambda a, b, imm: (a - b) & MASK64,
-    Opcode.MULQ: lambda a, b, imm: (to_signed(a) * to_signed(b)) & MASK64,
+    # A product's low 64 bits are the same for either sign reading.
+    Opcode.MULQ: lambda a, b, imm: (a * b) & MASK64,
     Opcode.AND: lambda a, b, imm: a & b,
     Opcode.OR: lambda a, b, imm: a | b,
     Opcode.XOR: lambda a, b, imm: (a ^ b) & MASK64,
@@ -56,13 +58,16 @@ _INT_EVAL = {
     Opcode.SRL: lambda a, b, imm: (a & MASK64) >> _shift_amount(b),
     Opcode.SRA: lambda a, b, imm: to_unsigned(to_signed(a) >> _shift_amount(b)),
     Opcode.CMPEQ: lambda a, b, imm: 1 if a == b else 0,
-    Opcode.CMPLT: lambda a, b, imm: 1 if to_signed(a) < to_signed(b) else 0,
-    Opcode.CMPLE: lambda a, b, imm: 1 if to_signed(a) <= to_signed(b) else 0,
+    # Flipping the sign bit maps signed order onto unsigned order.
+    Opcode.CMPLT: lambda a, b, imm: (
+        1 if (a & MASK64) ^ _SIGN64 < (b & MASK64) ^ _SIGN64 else 0),
+    Opcode.CMPLE: lambda a, b, imm: (
+        1 if (a & MASK64) ^ _SIGN64 <= (b & MASK64) ^ _SIGN64 else 0),
     Opcode.CMPULT: lambda a, b, imm: 1 if (a & MASK64) < (b & MASK64) else 0,
     Opcode.ADDQI: lambda a, b, imm: (a + imm) & MASK64,
     Opcode.LDA: lambda a, b, imm: (a + imm) & MASK64,
     Opcode.SUBQI: lambda a, b, imm: (a - imm) & MASK64,
-    Opcode.MULQI: lambda a, b, imm: (to_signed(a) * imm) & MASK64,
+    Opcode.MULQI: lambda a, b, imm: (a * imm) & MASK64,
     Opcode.ANDI: lambda a, b, imm: a & (imm & MASK64),
     Opcode.ORI: lambda a, b, imm: a | (imm & MASK64),
     Opcode.XORI: lambda a, b, imm: (a ^ imm) & MASK64,
@@ -102,20 +107,10 @@ def evaluate(op: Opcode, a, b, imm):
 
 def branch_taken(op: Opcode, a) -> bool:
     """Resolve the direction of a conditional branch with condition value ``a``."""
-    sa = to_signed(int(a))
-    if op is Opcode.BEQ:
-        return sa == 0
-    if op is Opcode.BNE:
-        return sa != 0
-    if op is Opcode.BLT:
-        return sa < 0
-    if op is Opcode.BLE:
-        return sa <= 0
-    if op is Opcode.BGT:
-        return sa > 0
-    if op is Opcode.BGE:
-        return sa >= 0
-    raise ValueError(f"{op} is not a conditional branch")
+    fn = _BRANCH_FN.get(op)
+    if fn is None:
+        raise ValueError(f"{op} is not a conditional branch")
+    return fn(a)
 
 
 def effective_address(base, imm: int) -> int:
@@ -141,19 +136,23 @@ def narrow_load_value(op: Opcode, value):
 # * ``eval_is_fp``   -- True when the handler is a float handler (integer
 #                       handlers need the wrong-path float->int coercion
 #                       that ``evaluate`` applies);
-# * ``branch_fn``    -- signed-condition test for conditional branches;
+# * ``branch_fn``    -- the condition test of a conditional branch, on the
+#                       raw register value;
 # * ``is_ldl`` / ``is_stl`` -- the only opcodes with width narrowing.
 #
 # The semantics stay defined once, here; the attributes are only a
 # dispatch-table transposition.
 # ----------------------------------------------------------------------
+# A branch tests its register as a signed 64-bit value: the value is
+# negative exactly when the low 64 bits reach _SIGN64, so each test reads
+# the unsigned bits ``int(a) & MASK64`` with no sign conversion.
 _BRANCH_FN = {
-    Opcode.BEQ: lambda sa: sa == 0,
-    Opcode.BNE: lambda sa: sa != 0,
-    Opcode.BLT: lambda sa: sa < 0,
-    Opcode.BLE: lambda sa: sa <= 0,
-    Opcode.BGT: lambda sa: sa > 0,
-    Opcode.BGE: lambda sa: sa >= 0,
+    Opcode.BEQ: lambda a: int(a) & MASK64 == 0,
+    Opcode.BNE: lambda a: int(a) & MASK64 != 0,
+    Opcode.BLT: lambda a: int(a) & MASK64 >= _SIGN64,
+    Opcode.BLE: lambda a: not 0 < int(a) & MASK64 < _SIGN64,
+    Opcode.BGT: lambda a: 0 < int(a) & MASK64 < _SIGN64,
+    Opcode.BGE: lambda a: int(a) & MASK64 < _SIGN64,
 }
 
 

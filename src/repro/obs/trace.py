@@ -136,10 +136,10 @@ class PipelineTracer:
         self.renames += 1
         self._emit("rename", dyn, cycle, integrated=dyn.integrated)
         self._stage_change(dyn.seq, cycle, _STAGE_RENAME)
-        if dyn.dispatch_cycle == cycle:
+        if not dyn.completed:
             self.dispatches += 1
             self._emit("dispatch", dyn, cycle)
-        elif dyn.completed:
+        else:
             # Integrated / rename-complete instructions finish here and
             # wait for retirement; they never issue.
             self.completes += 1

@@ -83,19 +83,22 @@ class PhysicalRegisterFile:
         increments the generation counter, which invalidates any stale
         integration-table entries naming the register.
         """
-        while self._free_queue:
-            preg = self._free_queue.popleft()
+        free_queue = self._free_queue
+        refcount = self.refcount
+        while free_queue:
+            preg = free_queue.popleft()
             self._in_free_queue[preg] = False
-            if self.refcount[preg] != 0:
+            if refcount[preg]:
                 # The register was re-referenced (integrated) while it sat on
                 # the free queue; it is no longer allocatable.
                 continue
-            self.gen[preg] = (self.gen[preg] + 1) & self.gen_mask
-            self.refcount[preg] = 1
-            self.valid[preg] = True
+            gen = self.gen
+            gen[preg] = (gen[preg] + 1) & self.gen_mask
+            # ``valid`` and ``zero_via_squash`` are read only at zero
+            # references, and release rewrites both on reaching zero.
+            refcount[preg] = 1
             self.ready[preg] = ready
             self.values[preg] = value
-            self.zero_via_squash[preg] = False
             return preg
         return None
 
@@ -122,19 +125,22 @@ class PhysicalRegisterFile:
         unless it is still queued from an earlier release (it was
         integrated while it waited there).
         """
-        if preg == ZERO_PREG:
+        if not preg:                    # ZERO_PREG
             return
         refcount = self.refcount
         count = refcount[preg] - 1
-        if count < 0:
-            raise RuntimeError(f"reference underflow on p{preg}")
-        refcount[preg] = count
-        if count == 0:
-            valid = self.valid[preg] = self.ready[preg]
-            self.zero_via_squash[preg] = via_squash and valid
-            if not self._in_free_queue[preg]:
-                self._free_queue.append(preg)
-                self._in_free_queue[preg] = True
+        if count:
+            if count < 0:
+                raise RuntimeError(f"reference underflow on p{preg}")
+            refcount[preg] = count
+            return
+        refcount[preg] = 0
+        valid = self.valid[preg] = self.ready[preg]
+        self.zero_via_squash[preg] = via_squash and valid
+        in_free_queue = self._in_free_queue
+        if not in_free_queue[preg]:
+            self._free_queue.append(preg)
+            in_free_queue[preg] = True
 
     # ------------------------------------------------------------------
     # values

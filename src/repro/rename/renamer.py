@@ -61,8 +61,8 @@ class Renamer:
         Returns False if the reference counter is saturated, in which case
         the rename stage allocates a fresh register instead.
         """
-        dest = dyn.inst.dest
-        if dest is None or is_zero_reg(dest):
+        dest = dyn.inst.mapped_dest
+        if dest is None:
             # Integration of a branch (no register output): nothing to map.
             dyn.dest_preg = None
             return True
@@ -84,12 +84,11 @@ class Renamer:
         restores the map table and reference vector exactly as the paper's
         serial ROB-walk recovery does.
         """
-        dest = dyn.inst.dest
-        if dest is None or is_zero_reg(dest) or dyn.dest_preg is None:
+        if dyn.dest_preg is None:
             return
         self.prf.release(dyn.dest_preg, via_squash=True)
-        self.map_table.restore_entry(
-            dest, Mapping(dyn.old_dest_preg, dyn.old_dest_gen))
+        self.map_table.restore_entry(dyn.inst.mapped_dest, Mapping(
+            dyn.old_dest_preg, dyn.old_dest_gen))
 
     # ------------------------------------------------------------------
     # invariants
@@ -108,5 +107,5 @@ class Renamer:
         instruction is squashed.  The other term of
         :meth:`PhysicalRegisterFile.check_no_leak`."""
         return sum(1 for dyn in in_flight
-                   if dyn.old_dest_preg is not None
+                   if dyn.dest_preg is not None
                    and dyn.old_dest_preg != ZERO_PREG)

@@ -49,5 +49,5 @@ def rename_dest(map_table, prf, dyn):
 def retire(prf, dyn):
     """Retire ``dyn``: the mapping its destination shadowed drops one
     reference; its own output keeps its reference."""
-    if dyn.old_dest_preg is not None:
+    if dyn.dest_preg is not None:
         prf.release(dyn.old_dest_preg)

@@ -204,6 +204,18 @@ class TestFingerprint:
         assert pc_full.describe() == general.describe()
         assert pc_full.fingerprint() == general.fingerprint()
 
+    def test_reverse_sp_only_without_reverse_names_one_machine(self):
+        """``reverse_sp_only`` narrows reverse entries, so with ``reverse``
+        off it must not change the config, label or cache key."""
+        opcode = IntegrationConfig.opcode()
+        narrowed = IntegrationConfig.opcode(reverse_sp_only=False)
+        assert narrowed == opcode
+        assert narrowed.describe() == opcode.describe()
+        assert narrowed.fingerprint() == opcode.fingerprint()
+        full = IntegrationConfig.full()
+        assert (IntegrationConfig.full(reverse_sp_only=False).fingerprint()
+                != full.fingerprint())
+
     @pytest.mark.parametrize("root, blind", list(zip(ROOTS, ROOT_BLIND)),
                              ids=ROOT_IDS)
     def test_every_scalar_field_participates(self, root, blind):

@@ -23,9 +23,12 @@ from repro.workloads import build_workload
 
 
 def dyn(seq, op=Opcode.ADDQ, **kwargs):
+    """An instruction as rename leaves it, with no source to wait on."""
     defaults = dict(pc=seq * 4, rd=1, ra=2, rb=3)
     defaults.update(kwargs)
-    return DynInst(seq, StaticInst(op=op, **defaults))
+    d = DynInst(seq, StaticInst(op=op, **defaults))
+    d.src_pregs = []
+    return d
 
 
 def filled_rob(size, seqs):
@@ -251,7 +254,7 @@ class TestLoadStoreQueue:
         lsq.insert(st)
         assert ld.mem_addr is None and st.mem_addr is None
         assert ld.cht_counted is False and ld.issue_probe is None
-        assert ld.in_lsq and st.in_lsq
+        assert list(lsq._by_seq) == [1, 2]
 
     def test_mem_addr_holds_the_aligned_word(self):
         lsq = LoadStoreQueue(8)
@@ -271,7 +274,7 @@ class TestLoadStoreQueue:
         lsq.insert(ld)
         lsq.resolve_store(st, 0x200)
         assert lsq.squash({1}) == 1
-        assert not st.in_lsq
+        assert list(lsq._by_seq) == [2]
         assert lsq.forward_from(ld, 0x200) is None
         assert not lsq.older_stores_unresolved(ld)
 
@@ -381,7 +384,8 @@ class TestDivaChecker:
 
     def test_missing_destination_register_is_a_value_fault(self):
         fields = DIVA_CASES["value"][0]
-        arch, checker, d = _retiring(observe=lambda d: None, **fields)
+        arch, checker, d = _retiring(
+            observe=lambda d: setattr(d, "dest_preg", None), **fields)
         fault = checker.check_and_commit(d, PRF_VALUES)
         assert fault.kind == "value" and fault.observed_value is None
         assert arch.read_reg(3) == 12          # architectural state corrected

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import MachineBuilder, MachineConfig
-from repro.core.stages import integration_type
+from repro.core.stats import IntegrationType
 from repro.integration import (
     IndexScheme,
     IntegrationConfig,
@@ -18,11 +18,28 @@ from repro.integration import (
 )
 from repro.isa import Opcode, StaticInst
 from repro.isa.instruction import DynInst, it_tag
-from repro.isa.opcodes import load_counterpart, op_info
+from repro.isa.opcodes import OpClass, load_counterpart, op_info
 from repro.isa.registers import REG_FZERO, REG_SP, REG_ZERO
 from repro.rename import MapTable, PhysicalRegisterFile, Renamer
 from repro.workloads import counted_loop
 from rename_reference import lookup_sources, rename_dest
+
+
+def integration_type(inst):
+    """The Figure 5 "Type" of an instruction, stated per instance: the
+    reference for the ``itype`` precomputed on each static instruction."""
+    info = inst.info
+    if info.is_load:
+        if inst.ra == REG_SP:
+            return IntegrationType.LOAD_SP
+        return IntegrationType.LOAD_OTHER
+    if info.is_cond_branch:
+        return IntegrationType.BRANCH
+    if info.fp:
+        return IntegrationType.FP
+    if info.cls in (OpClass.IALU, OpClass.IMUL):
+        return IntegrationType.ALU
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -324,6 +341,7 @@ class TestIntegrationLogic:
         branch = DynInst(1, StaticInst(pc=0x30, op=Opcode.BEQ, ra=1, imm=16,
                                        target=0x50))
         set_sources(branch, (cond, prf.gen[cond]))
+        branch.dest_preg = None             # a branch maps no register
         logic.create_entries(branch, call_depth=0)
         twin = DynInst(2, StaticInst(pc=0x30, op=Opcode.BEQ, ra=1, imm=16,
                                      target=0x50))
@@ -368,6 +386,18 @@ class TestIntegrationConfig:
         assert "reverse" in text
         assert "IT=1024" in text
         assert IntegrationConfig.disabled().describe() == "no-integration"
+
+    @pytest.mark.parametrize("preset, mechanism", [
+        ("squash", "squash+pc"), ("general", "general+pc"),
+        ("opcode", "general+opcode_imm_calldepth"),
+        ("full", "general+opcode_imm_calldepth+reverse")])
+    @pytest.mark.parametrize("lisp", list(LispMode))
+    def test_every_preset_label_has_one_form(self, preset, mechanism, lisp):
+        """``<reuse>+<scheme>[+reverse] IT=… LISP=…``: the parts that name
+        the mechanism join with ``+``, the geometry follows after a
+        space."""
+        config = getattr(IntegrationConfig, preset)().with_lisp(lisp)
+        assert config.describe() == f"{mechanism} IT=1024x4 LISP={lisp.value}"
 
 
 def metadata_cases():

@@ -85,18 +85,19 @@ class TestForwardSquashInterleaving:
         found = lsq.forward_from(ld, 0x300)
         assert found is st1
 
-    def test_in_lsq_membership_flag(self):
+    def test_membership_follows_insert_remove_and_squash(self):
         lsq = LoadStoreQueue(8)
         st1, ld2 = store(1), load(2)
-        assert not st1.in_lsq and not ld2.in_lsq
+        assert list(lsq._by_seq) == []
         lsq.insert(st1)
         lsq.insert(ld2)
-        assert st1.in_lsq and ld2.in_lsq
+        assert list(lsq._by_seq) == [1, 2]
         lsq.remove(st1)
-        assert not st1.in_lsq and ld2.in_lsq
+        assert list(lsq._by_seq) == [2]
+        lsq.remove(st1)                 # already gone: a no-op
         lsq.squash({2})
-        assert not ld2.in_lsq
         assert len(lsq) == 0
+        assert lsq._unresolved_stores == []
 
     def test_unresolved_tracking_across_squash(self):
         lsq = LoadStoreQueue(8)
@@ -208,7 +209,6 @@ class TestLSQMatchesNaiveModel:
                 dyn = load(seq) if kind == "ld" else store(seq)
                 dyns.append(dyn)
                 fast.insert(dyn)
-                # The naive model must not see the in_lsq flag side effect.
                 naive.insert(dyn)
             elif not dyns:
                 continue

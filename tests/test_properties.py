@@ -131,7 +131,7 @@ class TestIntegrationTableProperties:
             dyn = DynInst(i, StaticInst(pc=4 * i, op=Opcode.ADDQI, rd=1,
                                         ra=2, imm=i % 7))
             dyn.src_key = (i % 30, 0)
-            dyn.dest_preg = i % 50
+            dyn.dest_preg, dyn.dest_gen = i % 50, 0
             logic.create_entries(dyn, call_depth=i % 5)
         assert sum(map(len, logic._sets)) <= size
         for cache_set in logic._sets:

@@ -359,12 +359,12 @@ def check_rename_against_reference(processor):
                     reference.set(dyn.inst.dest, dyn.dest_preg, dyn.dest_gen)
                 continue
             assert rename_dest(reference, replay, shadow) >= 0, dyn
-            assert (shadow.dest_preg, shadow.dest_gen) == (
-                dyn.dest_preg, dyn.dest_gen), dyn
+            assert shadow.dest_preg == dyn.dest_preg, dyn
             if dyn.dest_preg is not None:
                 counts["allocated"] += 1
-                assert (shadow.old_dest_preg, shadow.old_dest_gen) == (
-                    dyn.old_dest_preg, dyn.old_dest_gen), dyn
+                assert (shadow.dest_gen, shadow.old_dest_preg,
+                        shadow.old_dest_gen) == (
+                    dyn.dest_gen, dyn.old_dest_preg, dyn.old_dest_gen), dyn
         unused = replay.unused()
         if unused:
             # The only allocation left over is the failed one that stalled

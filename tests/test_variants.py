@@ -291,6 +291,7 @@ class TestInOrderIssue:
         younger = DynInst(2, StaticInst(pc=8, op=Opcode.ADDQ, rd=4, ra=5,
                                         rb=6))
         rs.insert(older)
+        younger.src_pregs = ()
         rs.insert(younger)                  # no sources: ready at once
         selected = rs.select(lambda d: True)
         assert selected == []   # stalled head blocks the ready younger op
